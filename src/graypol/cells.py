@@ -256,10 +256,13 @@ class Signature:
             here = t
 
     def end0(self, u: OneCell) -> str:
-        here = u.start
-        for g in u.word:
-            here = self.one[g][1]
-        return here
+        """Target 0-cell of ``u``; read off its last letter, so ``u`` is not re-checked."""
+        if not u.word:
+            return u.start
+        try:
+            return self.one[u.word[-1]][1]
+        except KeyError:
+            raise SignatureError(f"unknown 1-generator {u.word[-1]}") from None
 
     # ---- 2-cells -------------------------------------------------
 

@@ -15,7 +15,7 @@ import sys
 
 from .catalog import BUILTIN_NAMES, get_builtin
 from .cells import CellError, length
-from .coherence import default_budget, normalize2, squier_completion
+from .coherence import default_budget, key_json, normalize2, squier_completion
 from .presentation import validate
 from .rewriting import UnsupportedError, enumerate_critical
 from .termination import TerminationRefused, certify_termination
@@ -62,7 +62,7 @@ def _cmd_critical_pairs(args) -> int:
         for item in items:
             rows.append(
                 {
-                    "key": _json_key(item.key),
+                    "key": key_json(item.key),
                     "class": "critical",
                     "source": render_cell(pres.sig, pres.sig.step_source(item.branching.s1)),
                     "s1": render_step(pres.sig, item.branching.s1),
@@ -77,15 +77,6 @@ def _cmd_critical_pairs(args) -> int:
         lines.append(f"    s2: {row['s2']}")
     _emit(args, {"count": len(rows), "branchings": rows}, "\n".join(lines))
     return 0
-
-
-def _json_key(key):
-    def enc(part):
-        if isinstance(part, tuple):
-            return [enc(p) for p in part]
-        return part
-
-    return enc(key)
 
 
 def _cmd_check_termination(args) -> int:
@@ -187,7 +178,7 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument(
             "--max-steps",
             type=int,
-            default=default_budget(),
+            default=None,
             help="rewriting budget (default 100000, env GRAYPOL_MAX_STEPS)",
         )
         p.add_argument(
@@ -233,6 +224,11 @@ def main(argv=None) -> int:
     except SystemExit as exc:
         return USAGE_ERROR if exc.code not in (0, None) else 0
     try:
+        if args.max_steps is None:
+            try:
+                args.max_steps = default_budget()
+            except ValueError as exc:
+                raise Refusal(str(exc)) from None
         return args.func(args)
     except (ParseError, FileNotFoundError, KeyError) as exc:
         print(f"error: {exc}", file=sys.stderr)

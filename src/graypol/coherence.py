@@ -35,13 +35,17 @@ MIRROR_CONVENTION_NOTE = (
 
 
 def default_budget() -> int:
+    """Step budget from ``GRAYPOL_MAX_STEPS``; ``ValueError`` unless a positive integer."""
     env = os.environ.get("GRAYPOL_MAX_STEPS")
-    if env:
-        try:
-            return int(env)
-        except ValueError:
-            pass
-    return DEFAULT_MAX_STEPS
+    if not env:
+        return DEFAULT_MAX_STEPS
+    try:
+        budget = int(env)
+    except ValueError:
+        budget = 0
+    if budget <= 0:
+        raise ValueError(f"GRAYPOL_MAX_STEPS must be a positive integer, got {env!r}")
+    return budget
 
 
 class NonTermination(CellError):
@@ -145,7 +149,7 @@ class CoherenceReport:
             "termination_refusal": self.termination_refusal,
             "branchings": [
                 {
-                    "key": _key_json(br.key),
+                    "key": key_json(br.key),
                     "joinable": br.joinable,
                     "covered_by": br.covered_by,
                     "emitted": br.emitted,
@@ -157,7 +161,8 @@ class CoherenceReport:
         }
 
 
-def _key_json(key):
+def key_json(key):
+    """Branching key as nested JSON lists."""
     def enc(part):
         if isinstance(part, tuple):
             return [enc(p) for p in part]

@@ -122,15 +122,28 @@ def _match_window(sig: Signature, phi: TwoCell, t: int, pattern: TwoCell) -> Lis
     dr = len(first.right.word) - len(pfirst.right.word)
     if dl < 0 or dr < 0:
         return []
-    l = OneCell(first.left.start, first.left.word[:dl])
+    lw = first.left.word[:dl]
+    rw = first.right.word[len(first.right.word) - dr :]
+    # rows of ``l *0 pattern *0 r``, compared field by field without building them
+    for row, prow in zip(rows, pattern.whiskers):
+        if (
+            row.gen != prow.gen
+            or row.left.word != lw + prow.left.word
+            or row.right.word != prow.right.word + rw
+            or row.left.start != first.left.start
+            or row.right.start != prow.right.start
+        ):
+            return []
+    # the typing checks of the whiskering; the pattern is a checked
+    # 3-generator source, so these two cover every row of it
+    l = OneCell(first.left.start, lw)
     r = _word_suffix(first.right, dr, sig)
-    try:
-        cand = sig.whisker0(l, pattern, r)
-    except CellError:
+    if sig.end0(l) != pattern.source1.start or r.start != sig.end0(pattern.source1):
         return []
-    if cand.whiskers == rows and cand.source1 == sig.source(slice2(sig, phi, t, t + m)):
-        out.append((l, r))
-    return out
+    level = sig.source(slice2(sig, phi, t, t + m))
+    if level != OneCell(l.start, lw + pattern.source1.word + rw):
+        return []
+    return [(l, r)]
 
 
 def _step_at(sig: Signature, phi: TwoCell, t: int, m: int, l: OneCell, inner, r: OneCell) -> Step:
@@ -195,6 +208,8 @@ def find_redexes(pres: GrayPresentation, phi: TwoCell, include_interchangers: bo
         src = sig.gen3_source(name)
         m = length(src)
         for t in range(length(phi) - m + 1):
+            if m and phi.whiskers[t].gen != src.whiskers[0].gen:
+                continue
             for l, r in _match_window(sig, phi, t, src):
                 out.append(_step_at(sig, phi, t, m, l, OpGen(name), r))
     if include_interchangers:
@@ -723,9 +738,9 @@ def enumerate_critical(pres: GrayPresentation, max_candidates: int = 10**6) -> L
                 record(b)
     out = sorted(seen.values(), key=lambda cb: cb.key)
     for cb in out:
-        # exchange-exchange pairs never form critical branchings
-        assert not (
-            isinstance(cb.branching.s1.inner, Interchanger)
-            and isinstance(cb.branching.s2.inner, Interchanger)
-        )
+        if isinstance(cb.branching.s1.inner, Interchanger) and isinstance(cb.branching.s2.inner, Interchanger):
+            raise RewritingError(
+                f"internal invariant violated: interchanger/interchanger branching {cb.key} "
+                "classified as critical"
+            )
     return out

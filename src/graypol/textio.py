@@ -423,14 +423,20 @@ def parse_presentation(text: str) -> GrayPresentation:
             raise
         except CellError as exc:
             raise ParseError(str(exc), lineno) from exc
-    sig01 = Signature(zero=zero, one=one)
+    try:
+        sig01 = Signature(zero=zero, one=one)
+    except CellError as exc:
+        raise ParseError(str(exc)) from exc
     two = []
     for gen, sraw, traw, lineno in two_raw:
         try:
             two.append((gen, _parse_word(sig01, sraw, None, gen), _parse_word(sig01, traw, None, gen)))
         except CellError as exc:
             raise ParseError(f"2-generator {gen}: {exc}", lineno) from exc
-    sig012 = Signature(zero=zero, one=one, two=two)
+    try:
+        sig012 = Signature(zero=zero, one=one, two=two)
+    except CellError as exc:
+        raise ParseError(str(exc)) from exc
     three = []
     for gen, sraw, traw, lineno in three_raw:
         try:

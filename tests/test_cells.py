@@ -6,6 +6,7 @@ from graypol import (
     CompositionError,
     OneCell,
     Signature,
+    SignatureError,
     dim,
     equals,
     length,
@@ -60,6 +61,15 @@ def test_compose_words():
     sig = Signature(zero=["x"], one=[("a", "x", "x")])
     a = sig.make1("x", ("a",))
     assert sig.compose(a, a, 0) == sig.make1("x", ("a", "a"))
+
+
+def test_end0_reads_the_last_letter(pseudoadjunction):
+    sig = pseudoadjunction.presentation.sig
+    assert sig.end0(sig.id1("y")) == "y"
+    assert sig.end0(sig.make1("x", ("f",))) == "y"
+    assert sig.end0(sig.make1("x", ("f", "g"))) == "x"
+    with pytest.raises(SignatureError):
+        sig.end0(OneCell("x", ("f", "nope")))
 
 
 def test_compose_example_source_of_assoc(pseudomonoid):

@@ -2,6 +2,8 @@
 
 import json
 
+import pytest
+
 from graypol.cli import main
 
 
@@ -136,6 +138,22 @@ def test_max_steps_env(tmp_path, capsys, monkeypatch):
     from graypol.coherence import default_budget
 
     assert default_budget() == 17
+
+
+def test_undeclared_endpoint_is_a_parse_error(tmp_path, capsys):
+    path = tmp_path / "bad.gray"
+    path.write_text("presentation p\n0 x\n1 a : x -> y\n", encoding="utf-8")
+    code, _, err = run(capsys, "validate", str(path))
+    assert code == 2
+    assert "undeclared endpoint" in err and "Traceback" not in err
+
+
+@pytest.mark.parametrize("value", ["abc", "0", "-3"])
+def test_bad_max_steps_env_is_a_usage_error(capsys, monkeypatch, value):
+    monkeypatch.setenv("GRAYPOL_MAX_STEPS", value)
+    code, _, err = run(capsys, "report", "builtin:pseudomonoid")
+    assert code == 2
+    assert err.startswith("error: GRAYPOL_MAX_STEPS") and "Traceback" not in err
 
 
 def test_output_is_deterministic_across_runs(capsys):

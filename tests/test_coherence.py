@@ -7,8 +7,11 @@ import pytest
 from graypol import (
     Branching,
     NonTermination,
+    OneCell,
     Signature,
     ThreeCell,
+    TwoCell,
+    Whisker2,
     certify_termination,
     enumerate_critical,
     find_redexes,
@@ -42,6 +45,21 @@ def test_counit_zigzag_normalizes_to_identity(pseudoadjunction):
     assert nf == sig.id2(sig.make1("x", ("f",)))
     assert length(path) == 1
     assert path.steps[0].inner == OpGen("N")
+
+
+def test_left_comb_normalizes_to_right_comb(pseudomonoid):
+    pres = pseudomonoid.presentation
+    sig = pres.sig
+    n = 12
+    wires = OneCell("x", ("a",) * (n + 1))
+    pads = [OneCell("x", ("a",) * (n - 1 - i)) for i in range(n)]
+    left = TwoCell(wires, tuple(Whisker2(sig.id1("x"), "mu", pad) for pad in pads))
+    right = TwoCell(wires, tuple(Whisker2(pad, "mu", sig.id1("x")) for pad in pads))
+    nf, path = normalize2(pres, left, _cert(pseudomonoid))
+    assert nf == right
+    assert length(path) == n * (n - 1) // 2 == 66
+    sig.check3(path)
+    assert sig.target(path) == right
 
 
 def test_normal_form_of_normal_form(pseudomonoid, rng):

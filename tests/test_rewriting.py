@@ -261,6 +261,19 @@ def test_redexes_match_context_enumeration_oracle(pseudomonoid, rng):
         assert set(find_redexes(pres, phi)) == oracle_redexes(pres, phi)
 
 
+@pytest.mark.parametrize("entry", ["pseudoadjunction", "frobenius"])
+def test_redexes_match_oracle_on_more_presentations(entry, request, rng):
+    # pseudoadjunction has two 0-cells, so empty contexts must carry the right start
+    pres = request.getfixturevalue(entry).presentation
+    found = 0
+    for _ in range(30):
+        phi = random_two_cell(pres.sig, rng, rows=rng.randrange(1, 5), max_pad=2)
+        steps = find_redexes(pres, phi)
+        assert set(steps) == oracle_redexes(pres, phi)
+        found += len(steps)
+    assert found > 0
+
+
 def test_apply_unit_rule(pseudomonoid):
     pres = pseudomonoid.presentation
     sig = pres.sig
