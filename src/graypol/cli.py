@@ -15,10 +15,10 @@ import sys
 
 from .catalog import BUILTIN_NAMES, get_builtin
 from .cells import CellError, length
-from .coherence import default_budget, key_json, normalize2, squier_completion
+from .coherence import default_budget, key_json, normalize2, positive_budget, squier_completion
 from .presentation import validate
 from .rewriting import UnsupportedError, enumerate_critical
-from .termination import TerminationRefused, certify_termination
+from .termination import STRATEGIES, TerminationRefused, certify_termination
 from .textio import ParseError, parse_cell, parse_presentation, render_cell, render_step
 
 USAGE_ERROR = 2
@@ -50,7 +50,7 @@ def _emit(args, payload_json, payload_text: str):
 
 def _cmd_critical_pairs(args) -> int:
     pres, _ = _load(args.source)
-    branchings = enumerate_critical(pres, max_candidates=args.max_steps)
+    branchings = enumerate_critical(pres)
     rows = []
     for cb in branchings:
         items = [cb]
@@ -179,11 +179,12 @@ def build_parser() -> argparse.ArgumentParser:
             "--max-steps",
             type=int,
             default=None,
-            help="rewriting budget (default 100000, env GRAYPOL_MAX_STEPS)",
+            help="rewriting budget: rewriting steps per normalization "
+            "(default 100000, env GRAYPOL_MAX_STEPS)",
         )
         p.add_argument(
             "--strategy",
-            choices=("interp", "interchange", "connected", "selfdual"),
+            choices=STRATEGIES,
             default=None,
         )
 
@@ -224,11 +225,13 @@ def main(argv=None) -> int:
     except SystemExit as exc:
         return USAGE_ERROR if exc.code not in (0, None) else 0
     try:
-        if args.max_steps is None:
-            try:
+        try:
+            if args.max_steps is None:
                 args.max_steps = default_budget()
-            except ValueError as exc:
-                raise Refusal(str(exc)) from None
+            else:
+                args.max_steps = positive_budget(args.max_steps, "--max-steps")
+        except ValueError as exc:
+            raise Refusal(str(exc)) from None
         return args.func(args)
     except (ParseError, FileNotFoundError, KeyError) as exc:
         print(f"error: {exc}", file=sys.stderr)

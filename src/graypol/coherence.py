@@ -39,12 +39,17 @@ def default_budget() -> int:
     env = os.environ.get("GRAYPOL_MAX_STEPS")
     if not env:
         return DEFAULT_MAX_STEPS
+    return positive_budget(env, "GRAYPOL_MAX_STEPS")
+
+
+def positive_budget(value, origin: str) -> int:
+    """``value`` as a step budget; ``ValueError`` naming ``origin`` unless a positive integer."""
     try:
-        budget = int(env)
+        budget = int(value)
     except ValueError:
         budget = 0
     if budget <= 0:
-        raise ValueError(f"GRAYPOL_MAX_STEPS must be a positive integer, got {env!r}")
+        raise ValueError(f"{origin} must be a positive integer, got {value!r}")
     return budget
 
 
@@ -64,25 +69,38 @@ def normalize2(
 ) -> Tuple[TwoCell, ThreeCell]:
     """Normal form of ``phi`` plus the witnessing rewriting path.
 
-    Requires a termination certificate or an explicit step budget.
+    Requires a termination certificate or an explicit step budget.  A
+    budget of ``B`` allows ``B`` steps; ``NonTermination`` (with the
+    partial path of ``B`` steps) is raised only when a redex remains
+    after them.
     """
     if certificate is None and max_steps is None:
         raise CellError("normalize2 needs a termination certificate or an explicit step budget")
     budget = max_steps if max_steps is not None else default_budget()
     sig = pres.sig
+    reach = max([2] + [length(sig.gen3_source(name)) for name in pres.operational()])
     steps = []
     cur = phi
-    for _ in range(budget):
-        redexes = find_redexes(pres, cur)
+    lowest = 0
+    while True:
+        redexes = find_redexes(pres, cur, lowest_from=lowest)
         if not redexes:
             return cur, ThreeCell(phi, tuple(steps))
+        if len(steps) >= budget:
+            raise NonTermination(
+                f"no normal form within {budget} steps; non-termination suspected",
+                ThreeCell(phi, tuple(steps)),
+            )
         step = redexes[0]
         steps.append(step)
         cur = sig.step_target(step)
-    raise NonTermination(
-        f"no normal form within {budget} steps; non-termination suspected",
-        ThreeCell(phi, tuple(steps)),
-    )
+        # Resume the next scan near the rewrite at row t = |lam|.  Whether a
+        # window matches depends only on its own rows and the level above
+        # them.  The rewrite kept the rows above t and the level at t, and
+        # the scan that chose this step found no redex starting above t.  So
+        # no window that ends above t can match now, and the windows left to
+        # try, of at most ``reach`` rows, start at row t - reach + 1 or later.
+        lowest = max(0, length(step.lam) - reach + 1)
 
 
 @dataclass(frozen=True)

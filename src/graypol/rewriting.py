@@ -200,37 +200,56 @@ def _q_inner(pres: GrayPresentation, alpha: str, mid: OneCell, beta: str, from_t
     return None
 
 
-def find_redexes(pres: GrayPresentation, phi: TwoCell, include_interchangers: bool = True) -> List[Step]:
-    """All rewriting steps with source ``phi``, in canonical order."""
+def find_redexes(
+    pres: GrayPresentation,
+    phi: TwoCell,
+    include_interchangers: bool = True,
+    lowest_from: Optional[int] = None,
+) -> List[Step]:
+    """All rewriting steps with source ``phi``, in canonical order.
+
+    The scan goes row by row: at start row ``t`` it tries every
+    operational source whose window starts there, then the interchanger
+    pair ``(t, t+1)``.  With ``lowest_from=k`` it starts at row ``k`` and
+    returns only the steps of the first row ``>= k`` that has any, which
+    are the steps with the smallest ``|lam| >= k``.
+    """
     sig = pres.sig
-    out = []
+    qmode = pres.qmode
+    whiskers = phi.whiskers
+    n = len(whiskers)
+    sources = []
     for name in pres.operational():
         src = sig.gen3_source(name)
         m = length(src)
-        for t in range(length(phi) - m + 1):
-            if m and phi.whiskers[t].gen != src.whiskers[0].gen:
+        sources.append((name, src, m, src.whiskers[0].gen if m else None))
+    out = []
+    for t in range(lowest_from or 0, n + 1):
+        for name, src, m, first in sources:
+            if t + m > n or (m and whiskers[t].gen != first):
                 continue
             for l, r in _match_window(sig, phi, t, src):
                 out.append(_step_at(sig, phi, t, m, l, OpGen(name), r))
-    if include_interchangers:
-        for t in range(length(phi) - 1):
-            wa, wb = phi.whiskers[t], phi.whiskers[t + 1]
+        if include_interchangers and t + 1 < n:
+            wa, wb = whiskers[t], whiskers[t + 1]
             hit = match_interchanger_source(sig, wa, wb)
             if hit is not None:
                 l, alpha, mid, beta, r = hit
-                if pres.qmode is None:
+                if qmode is None:
                     out.append(_step_at(sig, phi, t, 2, l, Interchanger(alpha, mid, beta), r))
                 else:
                     inner = _q_inner(pres, alpha, mid, beta, from_target=False)
                     if inner is not None:
                         out.append(_step_at(sig, phi, t, 2, l, inner, r))
-            if pres.qmode is not None:
+            if qmode is not None:
                 hit = match_interchanger_target(sig, wa, wb)
                 if hit is not None:
                     l, alpha, mid, beta, r = hit
                     inner = _q_inner(pres, alpha, mid, beta, from_target=True)
                     if inner is not None:
                         out.append(_step_at(sig, phi, t, 2, l, inner, r))
+        if out and lowest_from is not None:
+            break
     out.sort(key=step_key)
     return out
 

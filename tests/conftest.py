@@ -1,11 +1,14 @@
 """Shared fixtures: builtin entries, random cell generators, and the
 expression-tree converter used by boundary oracles."""
 
+import itertools
 import random
+from dataclasses import dataclass
 
 import pytest
 
 from graypol import (
+    Branching,
     EGen,
     EId,
     ELowL,
@@ -14,7 +17,9 @@ from graypol import (
     OneCell,
     Signature,
     TwoCell,
+    find_redexes,
     get_builtin,
+    length,
 )
 
 
@@ -41,6 +46,36 @@ def selfduality_q():
 @pytest.fixture(scope="session")
 def frobenius():
     return get_builtin("frobenius")
+
+
+@dataclass(frozen=True)
+class OracleTable:
+    """Definition-level answers on a fixed set of 2-cells.
+
+    ``classes`` maps every ordered pair of redexes of every cell, in scan
+    order, to the oracle's class; ``criticals`` is the brute-force list
+    of critical branchings, keyed by branching key.
+    """
+
+    classes: dict
+    criticals: dict
+
+
+@pytest.fixture(scope="session")
+def pseudomonoid_oracle(pseudomonoid):
+    """The oracle on every pseudomonoid cell of at most 4 rows over x, a, ..., a^4."""
+    from test_rewriting import brute_force_criticals, oracle_classify
+
+    pres = pseudomonoid.presentation
+    starts = [OneCell("x", ("a",) * n) for n in range(5)]
+    cells = [c for c in enumerate_two_cells(pres.sig, 4, starts) if length(c) <= 4]
+    classes = {}
+    for phi in cells:
+        steps = find_redexes(pres, phi)
+        for s1, s2 in itertools.product(steps, steps):
+            b = Branching(s1, s2)
+            classes[b] = oracle_classify(pres, b)
+    return OracleTable(classes, brute_force_criticals(pres, cells, classes))
 
 
 @pytest.fixture()

@@ -8,7 +8,6 @@ import random
 import time
 
 from graypol import (
-    Branching,
     EGen,
     EId,
     ELowL,
@@ -49,7 +48,7 @@ from graypol.expressions import size
 from graypol.shuffle import interp_edge, interp_vertex, shuffle_graph, word_edges
 from graypol.termination import EXTERNAL_INTERCHANGER_THEOREM
 
-from conftest import enumerate_two_cells, random_one_cell, random_two_cell
+from conftest import random_one_cell, random_two_cell
 
 
 def report(n, ok, detail=""):
@@ -320,22 +319,16 @@ def test_criterion_6_shuffle_suite():
 # ------------------------------------------------------------------ 7
 
 
-def test_criterion_7_classification_oracle():
-    from test_rewriting import brute_force_criticals, oracle_classify, produced_class
+def test_criterion_7_classification_oracle(pseudomonoid_oracle):
+    from test_rewriting import produced_class
 
     entry = get_builtin("pseudomonoid")
     pres = entry.presentation
-    sig = pres.sig
-    starts = [OneCell("x", ("a",) * n) for n in range(5)]
-    cells = [c for c in enumerate_two_cells(sig, 4, starts) if length(c) <= 4]
     checked = 0
-    for phi in cells:
-        steps = find_redexes(pres, phi)
-        for s1, s2 in itertools.product(steps, steps):
-            b = Branching(s1, s2)
-            assert produced_class(pres, b) == oracle_classify(pres, b)
-            checked += 1
-    brute = brute_force_criticals(pres, cells)
+    for b, cls in pseudomonoid_oracle.classes.items():
+        assert produced_class(pres, b) == cls
+        checked += 1
+    brute = pseudomonoid_oracle.criticals
     listed = {cb.key: cb.branching for cb in enumerate_critical(pres)}
     assert set(brute) == set(listed)
     for key, b in brute.items():

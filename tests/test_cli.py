@@ -156,6 +156,19 @@ def test_bad_max_steps_env_is_a_usage_error(capsys, monkeypatch, value):
     assert err.startswith("error: GRAYPOL_MAX_STEPS") and "Traceback" not in err
 
 
+@pytest.mark.parametrize("value", ["0", "-3"])
+def test_bad_max_steps_is_a_usage_error(capsys, value):
+    code, _, err = run(capsys, "normalize", "builtin:pseudomonoid", "--cell", "id(a)", "--max-steps", value)
+    assert code == 2
+    assert err.startswith("error: --max-steps") and "Traceback" not in err
+
+
+def test_critical_pairs_ignores_the_rewriting_budget(capsys):
+    code, out, _ = run(capsys, "critical-pairs", "builtin:frobenius", "--max-steps", "5")
+    assert code == 0
+    assert "critical branchings: 19" in out
+
+
 def test_output_is_deterministic_across_runs(capsys):
     outs = []
     for _ in range(2):

@@ -9,12 +9,14 @@ from graypol import (
     NonTermination,
     OneCell,
     Signature,
+    TerminationRefused,
     ThreeCell,
     TwoCell,
     Whisker2,
     certify_termination,
     enumerate_critical,
     find_redexes,
+    get_builtin,
     join_branching,
     length,
     normalize2,
@@ -47,19 +49,83 @@ def test_counit_zigzag_normalizes_to_identity(pseudoadjunction):
     assert path.steps[0].inner == OpGen("N")
 
 
+def _left_comb(sig, n):
+    wires = OneCell("x", ("a",) * (n + 1))
+    pads = [OneCell("x", ("a",) * (n - 1 - i)) for i in range(n)]
+    return TwoCell(wires, tuple(Whisker2(sig.id1("x"), "mu", pad) for pad in pads))
+
+
 def test_left_comb_normalizes_to_right_comb(pseudomonoid):
     pres = pseudomonoid.presentation
     sig = pres.sig
     n = 12
-    wires = OneCell("x", ("a",) * (n + 1))
+    left = _left_comb(sig, n)
     pads = [OneCell("x", ("a",) * (n - 1 - i)) for i in range(n)]
-    left = TwoCell(wires, tuple(Whisker2(sig.id1("x"), "mu", pad) for pad in pads))
-    right = TwoCell(wires, tuple(Whisker2(pad, "mu", sig.id1("x")) for pad in pads))
+    right = TwoCell(left.source1, tuple(Whisker2(pad, "mu", sig.id1("x")) for pad in pads))
     nf, path = normalize2(pres, left, _cert(pseudomonoid))
     assert nf == right
     assert length(path) == n * (n - 1) // 2 == 66
     sig.check3(path)
     assert sig.target(path) == right
+
+
+def test_budget_counts_steps(pseudomonoid):
+    # the 12-comb is exactly 66 steps from its normal form
+    pres = pseudomonoid.presentation
+    comb = _left_comb(pres.sig, 12)
+    nf, path = normalize2(pres, comb, None, 66)
+    assert length(path) == 66 and not find_redexes(pres, nf)
+    with pytest.raises(NonTermination) as info:
+        normalize2(pres, comb, None, 65)
+    assert length(info.value.partial) == 65
+    assert info.value.partial.steps == path.steps[:65]
+
+
+def _full_rescan_path(pres, phi, budget):
+    """Lowest-redex-first by rescanning every row after each step.
+
+    Also checks at every step that a scan resumed at row ``k`` returns
+    the full list restricted to the smallest ``|lam| >= k``.
+    """
+    sig = pres.sig
+    steps, cur = [], phi
+    while True:
+        full = find_redexes(pres, cur)
+        for k in range(length(cur) + 2):
+            rows = [length(s.lam) for s in full if length(s.lam) >= k]
+            expected = [s for s in full if rows and length(s.lam) == min(rows)]
+            assert find_redexes(pres, cur, lowest_from=k) == expected
+        if not full or len(steps) == budget:
+            return cur, steps
+        steps.append(full[0])
+        cur = sig.step_target(full[0])
+
+
+@pytest.mark.parametrize(
+    "name", ["pseudomonoid", "pseudoadjunction", "selfduality", "selfduality-q", "frobenius"]
+)
+def test_resumed_search_follows_full_rescans(name):
+    entry = get_builtin(name)
+    pres = entry.presentation
+    try:
+        cert, budget = _cert(entry), None
+    except TerminationRefused:
+        cert, budget = None, 150
+    rng = random.Random(name)
+    drawn = 0
+    while drawn < 3:
+        phi = random_two_cell(pres.sig, rng, rows=26, max_pad=3)
+        if length(phi) < 24:
+            continue
+        drawn += 1
+        cur, steps = _full_rescan_path(pres, phi, budget)
+        try:
+            nf, path = normalize2(pres, phi, cert, budget)
+        except NonTermination as exc:
+            assert budget is not None and len(steps) == budget
+            assert exc.partial.steps == tuple(steps)
+            continue
+        assert nf == cur and path.steps == tuple(steps)
 
 
 def test_normal_form_of_normal_form(pseudomonoid, rng):
