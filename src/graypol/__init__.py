@@ -20,7 +20,6 @@ from .cells import (
     TypingError,
     Whisker2,
     dim,
-    equals,
     length,
 )
 from .expressions import (
@@ -57,7 +56,6 @@ from .rewriting import (
     NonMinimal,
     Trivial,
     UnsupportedError,
-    apply_step,
     branching_key,
     classify,
     enumerate_critical,

@@ -155,11 +155,6 @@ def is_identity(c: Cell) -> bool:
     return length(c) == 0
 
 
-def equals(a: Cell, b: Cell) -> bool:
-    """Structural equality of normal forms decides cell equality."""
-    return a == b
-
-
 class Signature:
     """Generator signature in dimensions 0 to 3 with typed boundaries.
 
@@ -560,6 +555,49 @@ class Signature:
     def whisker1(self, lam: TwoCell, F: ThreeCell, rho: TwoCell) -> ThreeCell:
         """``lam *1 F *1 rho`` for a 3-cell."""
         return self.compose(self.compose(lam, F, 1), rho, 1)
+
+    # ---- the 180° rotation ----------------------------------------
+
+    def rotate(self, c):
+        """Image of a 1-cell, 2-cell, step or Gray generator instance under the 180° rotation.
+
+        The rotation reverses 0-composition (words) and 1-composition
+        (rows) at once; the image lives over :meth:`rotated`.  It keeps
+        the direction of 3-cells and the orientation of interchangers:
+        ``Interchanger(alpha, m, beta)`` goes to
+        ``Interchanger(beta, rot m, alpha)``.  Rotating twice, the
+        second time over the rotated signature, is the identity.
+        """
+        if isinstance(c, OneCell):
+            return OneCell(self.end0(c), c.word[::-1])
+        if isinstance(c, TwoCell):
+            return TwoCell(
+                self.rotate(self.target(c)),
+                tuple(
+                    Whisker2(self.rotate(w.right), w.gen, self.rotate(w.left))
+                    for w in reversed(c.whiskers)
+                ),
+            )
+        if isinstance(c, Step):
+            return Step(
+                self.rotate(c.rho), self.rotate(c.right), self.rotate(c.inner),
+                self.rotate(c.left), self.rotate(c.lam),
+            )
+        if isinstance(c, OpGen):
+            return c
+        if isinstance(c, Interchanger):
+            return Interchanger(c.beta, self.rotate(c.mid), c.alpha)
+        raise CellError(f"the rotation is not defined on {c!r}")
+
+    def rotated(self) -> "Signature":
+        """Signature of the rotated cells: every 1-generator reversed and
+        every 2-generator's source and target swapped."""
+        return Signature(
+            self.zero,
+            ((name, t, s) for name, (s, t) in self.one.items()),
+            ((name, self.rotate(t), self.rotate(s)) for name, (s, t) in self.two.items()),
+            ((name, self.rotate(s), self.rotate(t)) for name, (s, t) in self.three.items()),
+        )
 
     # ---- identity on any cell ------------------------------------
 

@@ -32,7 +32,13 @@ class Refusal(Exception):
 def _load(source: str):
     """Presentation plus catalog interpretation for ``builtin:NAME`` or a file."""
     if source.startswith("builtin:"):
-        entry = get_builtin(source[len("builtin:") :])
+        name = source[len("builtin:") :]
+        try:
+            entry = get_builtin(name)
+        except KeyError as exc:
+            if name in BUILTIN_NAMES:
+                raise
+            raise Refusal(exc.args[0]) from None
         return entry.presentation, entry.interpretation
     with open(source, "r", encoding="utf-8") as handle:
         text = handle.read()
@@ -233,7 +239,7 @@ def main(argv=None) -> int:
         except ValueError as exc:
             raise Refusal(str(exc)) from None
         return args.func(args)
-    except (ParseError, FileNotFoundError, KeyError) as exc:
+    except (ParseError, FileNotFoundError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return USAGE_ERROR
     except Refusal as exc:

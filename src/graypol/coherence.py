@@ -28,11 +28,6 @@ from .termination import TerminationCertificate, TerminationRefused, certify_ter
 
 DEFAULT_MAX_STEPS = 100000
 
-MIRROR_CONVENTION_NOTE = (
-    "naturality patterns are matched in both mirror orientations; the mirrored "
-    "index convention is fixed mechanically"
-)
-
 
 def default_budget() -> int:
     """Step budget from ``GRAYPOL_MAX_STEPS``; ``ValueError`` unless a positive integer."""
@@ -236,7 +231,7 @@ def squier_completion(
         verdict = "coherent-by-squier"
     else:
         verdict = "completed-with-new-tiles"
-    report = CoherenceReport(certificate, refusal, reports, verdict, [MIRROR_CONVENTION_NOTE])
+    report = CoherenceReport(certificate, refusal, reports, verdict)
     return emitted, report
 
 

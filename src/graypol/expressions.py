@@ -136,7 +136,7 @@ def typecheck(sig: Signature, e: Expr, top: int):
                 "comp-left",
                 f"*_{e.i}: target of left operand {utgt!r} differs from {e.i}-source {vsrc!r}",
             )
-        return _compose_bd(sig, e.cell, s, e.i), _compose_bd(sig, e.cell, t, e.i)
+        return sig.compose(e.cell, s, e.i), sig.compose(e.cell, t, e.i)
     if isinstance(e, ELowR):
         if not 0 <= e.i < top - 1:
             raise TypingError("comp-right", f"composition dimension {e.i} out of range")
@@ -153,7 +153,7 @@ def typecheck(sig: Signature, e: Expr, top: int):
                 "comp-right",
                 f"*_{e.i}: {e.i}-target {vtgt!r} differs from source of right operand {usrc!r}",
             )
-        return _compose_bd(sig, s, e.cell, e.i), _compose_bd(sig, t, e.cell, e.i)
+        return sig.compose(s, e.cell, e.i), sig.compose(t, e.cell, e.i)
     if isinstance(e, ETop):
         s1, t1 = typecheck(sig, e.left, top)
         s2, t2 = typecheck(sig, e.right, top)
@@ -173,12 +173,6 @@ def _iter_boundary(sig: Signature, c, k: int, eps: str):
     if cell_dim(c) == k:
         return c
     return sig.boundary(c, k, eps)
-
-
-def _compose_bd(sig: Signature, a, b, i: int):
-    # composite of an operand cell with a boundary cell; boundaries of a
-    # top>=2 expression are honest cells, never bare 0-generator names
-    return sig.compose(a, b, i)
 
 
 def eval_cell(sig: Signature, e: Expr, top: int):

@@ -14,6 +14,7 @@ never enumerated; tiles are the user-supplied (or completion-emitted)
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import Optional, Tuple
 
 from .cells import (
@@ -53,6 +54,17 @@ class GrayPresentation:
 
     def operational(self):
         return tuple(self.sig.three.keys())
+
+    @cached_property
+    def rotated(self) -> "GrayPresentation":
+        """The 180° rotation of this Gray-mode presentation, without tiles.
+
+        Mirror-image cases of the rewriting analysis are the plain case
+        run on this presentation; see ``Signature.rotate``.
+        """
+        if self.qmode is not None:
+            raise CellError("the rotation is defined for Gray-mode presentations only")
+        return GrayPresentation(self.name, self.sig.rotated())
 
 
 @dataclass

@@ -87,12 +87,6 @@ class CriticalBranching:
 # ---------------------------------------------------------------- redexes
 
 
-def _word_suffix(u: OneCell, n: int, sig: Signature) -> OneCell:
-    # start of the suffix is the endpoint of the dropped prefix
-    pre = OneCell(u.start, u.word[: len(u.word) - n])
-    return OneCell(sig.end0(pre), u.word[len(u.word) - n :])
-
-
 def _match_window(sig: Signature, phi: TwoCell, t: int, pattern: TwoCell) -> List[Tuple[OneCell, OneCell]]:
     """Solve ``l *0 pattern *0 r == rows t..t+len(pattern) of phi``.
 
@@ -137,7 +131,7 @@ def _match_window(sig: Signature, phi: TwoCell, t: int, pattern: TwoCell) -> Lis
     # the typing checks of the whiskering; the pattern is a checked
     # 3-generator source, so these two cover every row of it
     l = OneCell(first.left.start, lw)
-    r = _word_suffix(first.right, dr, sig)
+    r = _unpad1(sig, first.right, len(first.right.word) - dr, 0)
     if sig.end0(l) != pattern.source1.start or r.start != sig.end0(pattern.source1):
         return []
     level = sig.source(slice2(sig, phi, t, t + m))
@@ -254,10 +248,6 @@ def find_redexes(
     return out
 
 
-def apply_step(pres: GrayPresentation, step: Step) -> TwoCell:
-    return pres.sig.step_target(step)
-
-
 # ---------------------------------------------------------------- keys
 
 
@@ -317,7 +307,7 @@ def _zero_prefix_bound(phi: TwoCell) -> Tuple[str, ...]:
     return _common_word_prefix(*words)
 
 
-def _zero_suffix_bound(sig: Signature, phi: TwoCell) -> Tuple[str, ...]:
+def _zero_suffix_bound(phi: TwoCell) -> Tuple[str, ...]:
     words = [phi.source1.word] + [w.right.word for w in phi.whiskers]
     return _common_word_suffix(*words)
 
@@ -357,12 +347,12 @@ def common_peel(pres: GrayPresentation, b: Branching):
     t_rho = min(length(s1.rho), length(s2.rho))
     middle = slice2(sig, phi, t_lam, length(phi) - t_rho)
     lw = _common_word_prefix(s1.left.word, s2.left.word, _zero_prefix_bound(middle))
-    rw = _common_word_suffix(s1.right.word, s2.right.word, _zero_suffix_bound(sig, middle))
+    rw = _common_word_suffix(s1.right.word, s2.right.word, _zero_suffix_bound(middle))
     nl, nr = len(lw), len(rw)
     lam = slice2(sig, phi, 0, t_lam)
     rho = slice2(sig, phi, length(phi) - t_rho, length(phi))
     left = OneCell(middle.source1.start, lw)
-    right = _word_suffix(sig.source(middle), nr, sig)
+    right = _unpad1(sig, middle.source1, len(middle.source1.word) - nr, 0)
     reduced = Branching(
         _strip_step(sig, s1, t_lam, t_rho, nl, nr),
         _strip_step(sig, s2, t_lam, t_rho, nl, nr),
@@ -410,85 +400,62 @@ def _strip0_left(sig: Signature, phi: TwoCell, word: Tuple[str, ...]) -> Optiona
     )
 
 
-def _strip0_right(sig: Signature, phi: TwoCell, word: Tuple[str, ...]) -> Optional[TwoCell]:
-    n = len(word)
-    if n and phi.source1.word[-n:] != word:
-        return None
-    for w in phi.whiskers:
-        if n and w.right.word[-n:] != word:
-            return None
-    return TwoCell(
-        _unpad1(sig, phi.source1, 0, n),
-        tuple(_unpad_whisker(sig, w, 0, n) for w in phi.whiskers),
-    )
-
-
-def _natural_match(pres: GrayPresentation, s_op: Step, s_x: Step) -> bool:
-    """Interchange naturality pattern, in both mirror orientations.
+def _natural_match(sig: Signature, s_op: Step, s_x: Step) -> bool:
+    """Interchange naturality pattern with the generator window on top.
 
     The generator role may be played by any 3-generator, interchange
-    generators included.  The mirrored indices are chosen mechanically;
-    see the classify docstring.
+    generators included.  ``s_x`` is an interchanger step; it swaps the
+    window's last row downwards past an unrelated 2-cell below it.  The
+    mirror image, with the window at the bottom, is this pattern on the
+    rotated branching.
     """
-    sig = pres.sig
-    if not isinstance(s_x.inner, Interchanger):
-        return False
     phi_a = sig.inst_source(s_op.inner)
     k = length(phi_a)
-    if k == 0:
+    if k == 0 or length(s_op.lam) or s_op.left.word or length(s_x.lam) != k - 1:
         return False
-    # generator window on top, interchanger swaps its last row downwards
-    if length(s_op.lam) == 0 and not s_op.left.word and length(s_x.lam) == k - 1:
-        fp = sig.target(phi_a)
-        psig = _strip0_left(sig, s_op.rho, fp.word)
-        if psig is not None and length(psig) >= 1:
-            edge = ShuffleEdge(
-                tuple(("l", i) for i in range(1, k)),
-                k,
-                1,
-                tuple(("r", j) for j in range(2, length(psig) + 1)),
-            )
-            try:
-                cand = interp_edge(sig, edge, phi_a, psig)
-            except CellError:
-                cand = None
-            if cand == s_x:
-                return True
-    # generator window at the bottom, interchanger swaps its first row upwards
-    if length(s_op.rho) == 0 and not s_op.right.word and length(s_op.lam) >= 1:
-        psi_b = phi_a
-        h = sig.source(psi_b)
-        phig = _strip0_right(sig, s_op.lam, h.word)
-        if phig is not None and length(phig) >= 1 and length(s_x.lam) == length(phig) - 1:
-            if sig.target(phig) == s_op.left:
-                kk = length(phig)
-                edge = ShuffleEdge(
-                    tuple(("l", i) for i in range(1, kk)),
-                    kk,
-                    1,
-                    tuple(("r", j) for j in range(2, length(psi_b) + 1)),
-                )
-                try:
-                    cand = interp_edge(sig, edge, phig, psi_b)
-                except CellError:
-                    cand = None
-                if cand == s_x:
-                    return True
-    return False
+    psig = _strip0_left(sig, s_op.rho, sig.target(phi_a).word)
+    if psig is None or length(psig) < 1:
+        return False
+    edge = ShuffleEdge(
+        tuple(("l", i) for i in range(1, k)),
+        k,
+        1,
+        tuple(("r", j) for j in range(2, length(psig) + 1)),
+    )
+    try:
+        return interp_edge(sig, edge, phi_a, psig) == s_x
+    except CellError:
+        return False
+
+
+def rotate_branching(sig: Signature, b: Branching) -> Branching:
+    """The 180° rotation of a branching over ``sig``; see ``Signature.rotate``."""
+    return Branching(sig.rotate(b.s1), sig.rotate(b.s2))
 
 
 def is_natural(pres: GrayPresentation, b: Branching) -> bool:
+    """Naturality of ``b`` in either order, on ``b`` and on its rotation."""
     if pres.qmode is not None:
         return False
-    return _natural_match(pres, b.s1, b.s2) or _natural_match(pres, b.s2, b.s1)
+    sig = pres.sig
+    for s_op, s_x in ((b.s1, b.s2), (b.s2, b.s1)):
+        # the rotation keeps interchangers, so only these orders can match
+        if not isinstance(s_x.inner, Interchanger):
+            continue
+        if _natural_match(sig, s_op, s_x) or _natural_match(
+            pres.rotated.sig, sig.rotate(s_op), sig.rotate(s_x)
+        ):
+            return True
+    return False
 
 
 def classify(pres: GrayPresentation, b: Branching):
     """Branching taxonomy; checks both the branching and its symmetric one.
 
-    In q mode the natural class is dropped.  The open convention for the
-    mirrored naturality indices is applied mechanically (second clause
-    of the naturality match).
+    In q mode the natural class is dropped.  Naturality is one pattern,
+    the generator window above the interchanger; the mirrored case, the
+    window below it, is that pattern on the branching's 180° rotation,
+    so no separate convention fixes its indices.
     """
     sig = pres.sig
     if sig.step_source(b.s1) != sig.step_source(b.s2):
@@ -673,48 +640,6 @@ def _op_x_above(pres: GrayPresentation, n1: str):
                     yield b
 
 
-def _op_x_below(pres: GrayPresentation, n1: str):
-    """Interchanger whose upper row is the last row of the generator window."""
-    sig = pres.sig
-    src1 = sig.gen3_source(n1)
-    k1 = length(src1)
-    last = src1.whiskers[-1]
-    alpha = last.gen
-    l1 = OneCell(src1.source1.start, ())
-    l2 = last.left
-    for cut in range(len(last.right.word)):
-        mid = OneCell(last.right.start, last.right.word[:cut])
-        for beta in sig.two:
-            try:
-                sig.check1(mid)
-                inst = Interchanger(alpha, mid, beta)
-                xs = sig.inst_source(inst)
-                u = sig.compose(mid, sig.src1(beta), 0)
-            except CellError:
-                continue
-            for r1, r2 in _solve_right_contexts(sig, last.right, u):
-                try:
-                    body_x = sig.whisker0(l2, xs, r2)
-                    body_a = sig.whisker0(l1, src1, r1)
-                except CellError:
-                    continue
-                if body_x.whiskers[0] != body_a.whiskers[-1]:
-                    continue
-                try:
-                    shared = TwoCell(body_a.source1, body_a.whiskers + (body_x.whiskers[1],))
-                    sig.check2(shared)
-                except CellError:
-                    continue
-                total = length(shared)
-                s_op = Step(slice2(sig, shared, 0, 0), l1, OpGen(n1), r1,
-                            slice2(sig, shared, k1, total))
-                s_x = Step(slice2(sig, shared, 0, k1 - 1), l2, inst, r2,
-                           slice2(sig, shared, k1 + 1, total))
-                b = _try_branching(pres, s_op, s_x)
-                if b is not None:
-                    yield b
-
-
 def enumerate_critical(pres: GrayPresentation, max_candidates: int = 10**6) -> List[CriticalBranching]:
     """Complete list of critical branchings, deduplicated by symmetry."""
     if pres.qmode is not None:
@@ -741,6 +666,7 @@ def enumerate_critical(pres: GrayPresentation, max_candidates: int = 10**6) -> L
             seen[key] = CriticalBranching(b, key)
 
     ops = list(pres.operational())
+    rot = pres.rotated
     for n1 in ops:
         for n2 in ops:
             for b in _op_op_candidates(pres, n1, n2):
@@ -749,7 +675,9 @@ def enumerate_critical(pres: GrayPresentation, max_candidates: int = 10**6) -> L
                     raise RewritingError("candidate budget exceeded")
                 record(b)
     for n1 in ops:
-        for gen in (_op_x_inside(pres, n1), _op_x_above(pres, n1), _op_x_below(pres, n1)):
+        # the interchanger below the window is the rotation of one above it
+        below = (rotate_branching(rot.sig, b) for b in _op_x_above(rot, n1))
+        for gen in (_op_x_inside(pres, n1), _op_x_above(pres, n1), below):
             for b in gen:
                 budget -= 1
                 if budget < 0:

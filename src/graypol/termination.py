@@ -492,7 +492,7 @@ def _certify_interp(pres, interpretation):
     return TerminationCertificate("interp", w1 + w2)
 
 
-def _certify_interchange(pres):
+def _certify_interchange(pres, interpretation):
     if pres.sig.three:
         raise TerminationRefused(
             "interchange", "operational generators are not covered by the interchange norm"
@@ -500,7 +500,7 @@ def _certify_interchange(pres):
     return TerminationCertificate("interchange", check_positive_intnorm(pres))
 
 
-def _certify_connected(pres):
+def _certify_connected(pres, interpretation):
     sig = pres.sig
     witnesses = []
     for name, (src, tgt) in sig.three.items():
@@ -531,12 +531,18 @@ def _certify_connected(pres):
     return TerminationCertificate("connected", witnesses, [EXTERNAL_INTERCHANGER_THEOREM])
 
 
-def _certify_selfdual(pres):
-    cert = TerminationCertificate("selfdual", check_q_system(pres), scope="connected 2-cells")
-    return cert
+def _certify_selfdual(pres, interpretation):
+    return TerminationCertificate("selfdual", check_q_system(pres), scope="connected 2-cells")
 
 
-STRATEGIES = ("interp", "interchange", "connected", "selfdual")
+# strategy name -> certifier(pres, interpretation); the order is the auto order
+_CERTIFIERS = {
+    "interp": _certify_interp,
+    "interchange": _certify_interchange,
+    "connected": _certify_connected,
+    "selfdual": _certify_selfdual,
+}
+STRATEGIES = tuple(_CERTIFIERS)
 
 
 def certify_termination(
@@ -549,15 +555,9 @@ def certify_termination(
     if not rep.ok:
         raise TerminationRefused(strategy or "auto", "presentation failed validation")
     if strategy is not None:
-        if strategy == "interp":
-            return _certify_interp(pres, interpretation)
-        if strategy == "interchange":
-            return _certify_interchange(pres)
-        if strategy == "connected":
-            return _certify_connected(pres)
-        if strategy == "selfdual":
-            return _certify_selfdual(pres)
-        raise TerminationRefused(strategy, f"unknown strategy (choose from {STRATEGIES})")
+        if strategy not in _CERTIFIERS:
+            raise TerminationRefused(strategy, f"unknown strategy (choose from {STRATEGIES})")
+        return _CERTIFIERS[strategy](pres, interpretation)
     failures = []
     for name in STRATEGIES:
         try:

@@ -68,9 +68,11 @@ def _render_word(sig: Signature, u: OneCell, identity_style: str = "dot", numeri
 
 def _parse_word(sig: Signature, text: str, start_hint: Optional[str], where: str) -> OneCell:
     text = text.strip()
-    if text in (".", "0") or text == "":
-        if text == "0" and len(sig.one) == 1:
-            pass
+    numeric = text.isdigit()
+    # a lone "0" is the empty word over any signature
+    if numeric and text != "0" and len(sig.one) != 1:
+        raise ParseError(f"{where}: numeric words need a single-wire signature")
+    if text in ("", ".") or (numeric and int(text) == 0):
         if start_hint is None:
             if len(sig.zero) == 1:
                 start_hint = sig.zero[0]
@@ -79,19 +81,9 @@ def _parse_word(sig: Signature, text: str, start_hint: Optional[str], where: str
         return sig.id1(start_hint)
     if text.startswith("@"):
         return sig.id1(text[1:])
-    if text.isdigit():
-        if len(sig.one) != 1:
-            raise ParseError(f"{where}: numeric words need a single-wire signature")
+    if numeric:
         gen = next(iter(sig.one))
-        n = int(text)
-        if n == 0:
-            if start_hint is None:
-                if len(sig.zero) == 1:
-                    start_hint = sig.zero[0]
-                else:
-                    raise ParseError(f"{where}: empty word needs an explicit start, write @POINT")
-            return sig.id1(start_hint)
-        return sig.make1(sig.one[gen][0], (gen,) * n)
+        return sig.make1(sig.one[gen][0], (gen,) * int(text))
     names = text.split()
     for g in names:
         if g not in sig.one:

@@ -23,6 +23,10 @@ from graypol import (
 )
 
 
+# the builtins whose engine mode is Gray (not q)
+GRAY_BUILTINS = ["pseudomonoid", "pseudoadjunction", "selfduality", "frobenius"]
+
+
 @pytest.fixture(scope="session")
 def pseudomonoid():
     return get_builtin("pseudomonoid")

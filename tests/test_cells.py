@@ -8,12 +8,11 @@ from graypol import (
     Signature,
     SignatureError,
     dim,
-    equals,
     length,
 )
 from graypol.expressions import eval_cell
 
-from conftest import random_one_cell, random_two_cell, two_cell_to_expr
+from conftest import GRAY_BUILTINS, random_one_cell, random_two_cell, two_cell_to_expr
 
 
 def test_boundary_of_mu_whisker(pseudomonoid):
@@ -145,7 +144,7 @@ def test_whisker_distributes_over_vertical_composite(pseudomonoid, rng):
 def test_equals_and_dim(pseudomonoid, rng):
     sig = pseudomonoid.presentation.sig
     phi = random_two_cell(sig, rng, rows=2)
-    assert equals(phi, phi)
+    assert phi == phi
     assert dim(phi) == 2
 
 
@@ -226,3 +225,46 @@ def test_step_and_three_cell_composition(pseudomonoid):
     assert length(sig.compose(cell_a, idc, 2)) == 1
     whiskered = sig.whisker1(sig.id2(sig.source(sig.source(cell_a))), cell_a, sig.id2(sig.target(sig.source(cell_a))))
     assert whiskered == cell_a
+
+
+@pytest.mark.parametrize("name", GRAY_BUILTINS)
+def test_rotation_is_an_involution(name, request, rng):
+    sig = request.getfixturevalue(name).presentation.sig
+    rsig = sig.rotated()
+    assert rsig != sig
+    assert rsig.rotated() == sig
+    for _ in range(30):
+        u = random_one_cell(sig, rng)
+        phi = random_two_cell(sig, rng, rows=rng.randrange(5))
+        rphi = sig.rotate(phi)
+        rsig.check2(rphi)
+        assert rsig.rotate(sig.rotate(u)) == u
+        assert rsig.rotate(rphi) == phi
+        # both compositions are reversed: rows and words
+        assert length(rphi) == length(phi)
+        assert rsig.source(rphi) == sig.rotate(sig.target(phi))
+        assert rsig.target(rphi) == sig.rotate(sig.source(phi))
+
+
+@pytest.mark.parametrize("name", GRAY_BUILTINS)
+def test_rotation_keeps_interchangers_and_three_cells(name, request):
+    from graypol import Interchanger, OpGen
+
+    sig = request.getfixturevalue(name).presentation.sig
+    rsig = sig.rotated()
+    swaps = 0
+    for gen in sig.three:
+        assert rsig.inst_source(OpGen(gen)) == sig.rotate(sig.gen3_source(gen))
+        assert rsig.inst_target(OpGen(gen)) == sig.rotate(sig.gen3_target(gen))
+    for alpha in sig.two:
+        for beta in sig.two:
+            mid = sig.id1(sig.end0(sig.tgt1(alpha)))
+            if mid.start != sig.src1(beta).start:
+                continue
+            inst = Interchanger(alpha, mid, beta)
+            assert sig.rotate(inst) == Interchanger(beta, sig.rotate(mid), alpha)
+            src, tgt = sig.interchanger_boundaries(alpha, mid, beta)
+            assert rsig.inst_source(sig.rotate(inst)) == sig.rotate(src)
+            assert rsig.inst_target(sig.rotate(inst)) == sig.rotate(tgt)
+            swaps += 1
+    assert swaps > 0

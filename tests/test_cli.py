@@ -105,6 +105,23 @@ def test_usage_errors(capsys):
     assert code == 2
 
 
+def test_unknown_builtin_is_a_usage_error(capsys):
+    code, _, err = run(capsys, "critical-pairs", "builtin:nope")
+    assert code == 2
+    assert err.startswith("error: unknown builtin 'nope'")
+
+
+def test_internal_key_error_is_not_a_usage_error(monkeypatch):
+    import graypol.cli as cli
+
+    def broken(source):
+        raise KeyError("internal")
+
+    monkeypatch.setattr(cli, "_load", broken)
+    with pytest.raises(KeyError, match="internal"):
+        main(["validate", "builtin:pseudomonoid"])
+
+
 def test_q_mode_enumeration_refusal_exit_code(capsys):
     code, _, err = run(capsys, "critical-pairs", "builtin:selfduality-q")
     assert code == 1

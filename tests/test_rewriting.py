@@ -16,7 +16,6 @@ from graypol import (
     OpGen,
     Trivial,
     UnsupportedError,
-    apply_step,
     branching_key,
     classify,
     enumerate_critical,
@@ -24,10 +23,10 @@ from graypol import (
     length,
 )
 from graypol.cells import Step
-from graypol.rewriting import canonical_branching, is_natural
+from graypol.rewriting import canonical_branching, is_natural, rotate_branching
 from graypol.cells import slice2
 
-from conftest import enumerate_two_cells, random_two_cell
+from conftest import GRAY_BUILTINS, enumerate_two_cells, random_two_cell
 
 
 # ---------------------------------------------------------------- oracles
@@ -285,7 +284,7 @@ def test_apply_unit_rule(pseudomonoid):
     phi = sig.gen3_source("L")
     steps = [s for s in find_redexes(pres, phi) if s.inner == OpGen("L")]
     assert steps
-    assert apply_step(pres, steps[0]) == sig.id2(sig.make1("x", ("a",)))
+    assert sig.step_target(steps[0]) == sig.id2(sig.make1("x", ("a",)))
 
 
 def test_interchanger_round_trip_lengths(pseudomonoid):
@@ -301,7 +300,7 @@ def test_step_boundaries_are_parallel(pseudomonoid, rng):
     for _ in range(40):
         phi = random_two_cell(sig, rng, rows=3)
         for s in find_redexes(pres, phi):
-            out = apply_step(pres, s)
+            out = sig.step_target(s)
             assert sig.source(out) == sig.source(phi)
             assert sig.target(out) == sig.target(phi)
 
@@ -466,6 +465,13 @@ def test_q_mode_enumeration_refused(selfduality_q):
         enumerate_critical(selfduality_q.presentation)
 
 
+def test_q_mode_has_no_rotation(selfduality_q):
+    from graypol import CellError
+
+    with pytest.raises(CellError, match="Gray-mode"):
+        selfduality_q.presentation.rotated
+
+
 def test_q_mode_redexes(selfduality_q):
     pres = selfduality_q.presentation
     sig = pres.sig
@@ -500,3 +506,70 @@ def test_natural_branching_detected(pseudomonoid):
     b = Branching(op[0], ex[0])
     assert isinstance(classify(pres, b), Natural)
     assert isinstance(classify(pres, Branching(ex[0], op[0])), Natural)
+
+
+def test_natural_branching_detected_rotated(pseudomonoid):
+    # the rotated twin: an unrelated 2-cell stacked over the generator, the exchange move above it
+    pres = pseudomonoid.presentation
+    sig = pres.sig
+    phi_a = sig.gen3_source("A")
+    psi = sig.gen2_cell("mu")
+    shared = sig.compose(
+        sig.compose(psi, sig.source(phi_a), 0), sig.compose(sig.target(psi), phi_a, 0), 1
+    )
+    steps = find_redexes(pres, shared)
+    op = [s for s in steps if s.inner == OpGen("A") and length(s.rho) == 0]
+    ex = [s for s in steps if isinstance(s.inner, Interchanger) and length(s.lam) == 0]
+    assert op and ex
+    b = Branching(op[0], ex[0])
+    assert isinstance(classify(pres, b), Natural)
+    assert isinstance(classify(pres, Branching(ex[0], op[0])), Natural)
+
+
+@pytest.mark.parametrize("name", GRAY_BUILTINS)
+def test_redexes_commute_with_rotation(name, request, rng):
+    pres = request.getfixturevalue(name).presentation
+    sig, rot = pres.sig, pres.rotated
+    found = 0
+    for _ in range(30):
+        phi = random_two_cell(sig, rng, rows=rng.randrange(1, 6), max_pad=2)
+        steps = find_redexes(pres, phi)
+        assert set(find_redexes(rot, sig.rotate(phi))) == {sig.rotate(s) for s in steps}
+        for s in steps:
+            assert rot.sig.step_source(sig.rotate(s)) == sig.rotate(phi)
+            assert rot.sig.step_target(sig.rotate(s)) == sig.rotate(sig.step_target(s))
+        found += len(steps)
+    assert found > 0
+
+
+def _rotated_criticals(pres):
+    rot = pres.rotated
+    return {
+        canonical_branching(rotate_branching(rot.sig, cb.branching))
+        for cb in enumerate_critical(rot)
+    }
+
+
+@pytest.mark.parametrize("name", GRAY_BUILTINS)
+def test_enumeration_commutes_with_rotation(name, request):
+    pres = request.getfixturevalue(name).presentation
+    listed = {cb.branching for cb in enumerate_critical(pres)}
+    assert listed and _rotated_criticals(pres) == listed
+
+
+def test_enumeration_commutes_with_rotation_randomized():
+    checked = 0
+    for seed in range(60):
+        pres = _random_positive_presentation(seed)
+        if pres is None:
+            continue
+        assert _rotated_criticals(pres) == {cb.branching for cb in enumerate_critical(pres)}
+        checked += 1
+    assert checked >= 50
+
+
+def test_classification_is_rotation_invariant(pseudomonoid, pseudomonoid_oracle):
+    pres = pseudomonoid.presentation
+    sig, rot = pres.sig, pres.rotated
+    for b in pseudomonoid_oracle.classes:
+        assert type(classify(rot, rotate_branching(sig, b))) is type(classify(pres, b))

@@ -265,6 +265,20 @@ def test_selfdual_certificate_scope(selfduality_q):
     assert cert.scope == "connected 2-cells"
 
 
+def test_unknown_strategy_and_auto_order(frobenius):
+    pres = frobenius.presentation
+    with pytest.raises(TerminationRefused) as err:
+        certify_termination(pres, "bogus")
+    assert str(err.value).endswith(
+        "unknown strategy (choose from ('interp', 'interchange', 'connected', 'selfdual'))"
+    )
+    # auto mode tries the strategies in that order and reports each refusal
+    with pytest.raises(TerminationRefused) as err:
+        certify_termination(pres)
+    reasons = str(err.value).split("no strategy applies: ", 1)[1].split(" | ")
+    assert [r.split(":", 1)[0] for r in reasons] == ["interp", "interchange", "connected", "selfdual"]
+
+
 def test_frobenius_refusal(frobenius):
     with pytest.raises(TerminationRefused):
         certify_termination(frobenius.presentation)

@@ -3,7 +3,9 @@
 import pytest
 
 from graypol import (
+    OneCell,
     ParseError,
+    Signature,
     parse_cell,
     parse_presentation,
     render_cell,
@@ -96,6 +98,30 @@ def test_one_cell_round_trip(pseudoadjunction):
     empty = sig.id1("y")
     assert render_cell(sig, empty) == "@y"
     assert parse_cell(sig, "@y") == empty
+
+
+_ONE_WIRE = Signature(zero=["x"], one=[("a", "x", "x")])
+_TWO_WIRES = Signature(zero=["x"], one=[("a", "x", "x"), ("b", "x", "x")])
+
+
+@pytest.mark.parametrize("sig", [_ONE_WIRE, _TWO_WIRES], ids=["one-wire", "two-wires"])
+@pytest.mark.parametrize("text", [".", "0", "", "@x"])
+def test_empty_word_spellings(sig, text):
+    assert parse_cell(sig, text) == OneCell("x", ())
+
+
+def test_numeric_words():
+    assert parse_cell(_ONE_WIRE, "00") == OneCell("x", ())
+    assert parse_cell(_ONE_WIRE, "3") == OneCell("x", ("a", "a", "a"))
+    for text in ("00", "3"):
+        with pytest.raises(ParseError, match="single-wire"):
+            parse_cell(_TWO_WIRES, text)
+
+
+@pytest.mark.parametrize("text", [".", "0"])
+def test_empty_word_needs_a_start_over_two_points(pseudoadjunction, text):
+    with pytest.raises(ParseError, match="explicit start"):
+        parse_cell(pseudoadjunction.presentation.sig, text)
 
 
 def test_whisker_word_inference(pseudoadjunction):
