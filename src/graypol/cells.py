@@ -18,6 +18,7 @@ of cells in the free precategory.  All values are immutable.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from types import MappingProxyType
 from typing import Iterable, Tuple, Union
 
 
@@ -160,6 +161,8 @@ class Signature:
 
     ``three`` holds the operational 3-generators only; interchange
     generators are materialized on demand as :class:`Interchanger`.
+    A signature is immutable: ``one``, ``two`` and ``three`` are
+    read-only mappings, so its hash and its rotation are computed once.
     """
 
     def __init__(
@@ -173,45 +176,45 @@ class Signature:
         zset = set(self.zero)
         if len(zset) != len(self.zero):
             raise SignatureError("duplicate 0-generator")
-        self.one = {}
+        ones = {}
         for name, s, t in one:
-            if name in self.one:
+            if name in ones:
                 raise SignatureError(f"duplicate 1-generator {name}")
             if s not in zset or t not in zset:
                 raise SignatureError(f"1-generator {name} has undeclared endpoint")
-            self.one[name] = (s, t)
-        self.two = {}
+            ones[name] = (s, t)
+        self.one = MappingProxyType(ones)
+        twos = {}
         for name, s, t in two:
-            if name in self.two:
+            if name in twos:
                 raise SignatureError(f"duplicate 2-generator {name}")
             self.check1(s)
             self.check1(t)
             if s.start != t.start or self.end0(s) != self.end0(t):
                 raise SignatureError(f"2-generator {name}: source and target not parallel")
-            self.two[name] = (s, t)
-        self.three = {}
+            twos[name] = (s, t)
+        self.two = MappingProxyType(twos)
+        threes = {}
         for name, s, t in three:
-            if name in self.three:
+            if name in threes:
                 raise SignatureError(f"duplicate 3-generator {name}")
             self.check2(s)
             self.check2(t)
             if self.source(s) != self.source(t) or self.target(s) != self.target(t):
                 raise SignatureError(f"3-generator {name}: source and target not parallel")
-            self.three[name] = (s, t)
-
-    def _data(self):
-        return (
-            self.zero,
-            tuple(self.one.items()),
-            tuple(self.two.items()),
-            tuple(self.three.items()),
-        )
+            threes[name] = (s, t)
+        self.three = MappingProxyType(threes)
+        self._key = (self.zero, tuple(ones.items()), tuple(twos.items()), tuple(threes.items()))
+        self._hash = None
+        self._rotated = None
 
     def __eq__(self, other):
-        return isinstance(other, Signature) and self._data() == other._data()
+        return isinstance(other, Signature) and self._key == other._key
 
     def __hash__(self):
-        return hash(self._data())
+        if self._hash is None:
+            self._hash = hash(self._key)
+        return self._hash
 
     def __repr__(self):
         return (
@@ -591,13 +594,16 @@ class Signature:
 
     def rotated(self) -> "Signature":
         """Signature of the rotated cells: every 1-generator reversed and
-        every 2-generator's source and target swapped."""
-        return Signature(
-            self.zero,
-            ((name, t, s) for name, (s, t) in self.one.items()),
-            ((name, self.rotate(t), self.rotate(s)) for name, (s, t) in self.two.items()),
-            ((name, self.rotate(s), self.rotate(t)) for name, (s, t) in self.three.items()),
-        )
+        every 2-generator's source and target swapped.  Built once per
+        signature."""
+        if self._rotated is None:
+            self._rotated = Signature(
+                self.zero,
+                ((name, t, s) for name, (s, t) in self.one.items()),
+                ((name, self.rotate(t), self.rotate(s)) for name, (s, t) in self.two.items()),
+                ((name, self.rotate(s), self.rotate(t)) for name, (s, t) in self.three.items()),
+            )
+        return self._rotated
 
     # ---- identity on any cell ------------------------------------
 

@@ -10,6 +10,7 @@ unsupported analysis), 2 on usage or parse errors.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 
@@ -170,7 +171,9 @@ def _cmd_validate(args) -> int:
     return 0 if rep.ok else REFUSAL
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The command-line parser, built on first use and shared by later calls."""
     parser = argparse.ArgumentParser(
         prog="graypol",
         description="rewriting engine for presented semistrict 3-categories",

@@ -13,7 +13,7 @@ never enumerated; tiles are the user-supplied (or completion-emitted)
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import cached_property
 from typing import Optional, Tuple
 
@@ -66,13 +66,45 @@ class GrayPresentation:
             raise CellError("the rotation is defined for Gray-mode presentations only")
         return GrayPresentation(self.name, self.sig.rotated())
 
+    @cached_property
+    def validation(self) -> "ValidationReport":
+        """Well-typedness and positivity diagnostics, computed once; never raises."""
+        sig = self.sig
+        well_typed = positive = sources_positive = True
+        messages = []
+        for name, (src, tgt) in sig.two.items():
+            if length(tgt) == 0:
+                positive = False
+                messages.append(f"2-generator {name} has an identity target (not positive)")
+        for name, (src, tgt) in sig.three.items():
+            if length(src) == 0:
+                sources_positive = False
+                messages.append(f"3-generator {name} has an identity source")
+        for tile in self.tiles:
+            try:
+                sig.check3(tile.lhs)
+                sig.check3(tile.rhs)
+            except CellError as exc:
+                well_typed = False
+                messages.append(f"tile {tile.name}: {exc}")
+                continue
+            if sig.source(tile.lhs) != sig.source(tile.rhs) or sig.target(tile.lhs) != sig.target(tile.rhs):
+                well_typed = False
+                messages.append(f"tile {tile.name}: boundaries are not parallel 3-cells")
+        if self.qmode is not None:
+            for gen in (self.qmode.eta, self.qmode.eps):
+                if gen not in sig.two:
+                    well_typed = False
+                    messages.append(f"q-mode generator {gen} is not a declared 2-generator")
+        return ValidationReport(well_typed, positive, sources_positive, tuple(messages))
 
-@dataclass
+
+@dataclass(frozen=True)
 class ValidationReport:
     well_typed: bool = True
     positive: bool = True
     operational_sources_positive: bool = True
-    messages: list = field(default_factory=list)
+    messages: Tuple[str, ...] = ()
 
     @property
     def ok(self) -> bool:
@@ -80,31 +112,5 @@ class ValidationReport:
 
 
 def validate(pres: GrayPresentation) -> ValidationReport:
-    """Well-typedness and positivity diagnostics; never raises."""
-    rep = ValidationReport()
-    sig = pres.sig
-    for name, (src, tgt) in sig.two.items():
-        if length(tgt) == 0:
-            rep.positive = False
-            rep.messages.append(f"2-generator {name} has an identity target (not positive)")
-    for name, (src, tgt) in sig.three.items():
-        if length(src) == 0:
-            rep.operational_sources_positive = False
-            rep.messages.append(f"3-generator {name} has an identity source")
-    for tile in pres.tiles:
-        try:
-            sig.check3(tile.lhs)
-            sig.check3(tile.rhs)
-        except CellError as exc:
-            rep.well_typed = False
-            rep.messages.append(f"tile {tile.name}: {exc}")
-            continue
-        if sig.source(tile.lhs) != sig.source(tile.rhs) or sig.target(tile.lhs) != sig.target(tile.rhs):
-            rep.well_typed = False
-            rep.messages.append(f"tile {tile.name}: boundaries are not parallel 3-cells")
-    if pres.qmode is not None:
-        for gen in (pres.qmode.eta, pres.qmode.eps):
-            if gen not in sig.two:
-                rep.well_typed = False
-                rep.messages.append(f"q-mode generator {gen} is not a declared 2-generator")
-    return rep
+    """The presentation's validation report; see ``GrayPresentation.validation``."""
+    return pres.validation

@@ -559,9 +559,9 @@ def certify_termination(
             raise TerminationRefused(strategy, f"unknown strategy (choose from {STRATEGIES})")
         return _CERTIFIERS[strategy](pres, interpretation)
     failures = []
-    for name in STRATEGIES:
+    for name, certifier in _CERTIFIERS.items():
         try:
-            return certify_termination(pres, name, interpretation)
+            return certifier(pres, interpretation)
         except TerminationRefused as exc:
             failures.append(f"{name}: {exc.reason}")
     raise TerminationRefused("auto", "no strategy applies: " + " | ".join(failures))

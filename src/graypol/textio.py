@@ -55,6 +55,10 @@ class ParseError(CellError):
 
 # ---------------------------------------------------------------- words
 
+# Longest numeric word accepted, so that a number cannot request an
+# unbounded allocation.
+MAX_NUMERIC_WORD = 10_000
+
 
 def _render_word(sig: Signature, u: OneCell, identity_style: str = "dot", numeric: bool = False) -> str:
     if not u.word:
@@ -68,11 +72,17 @@ def _render_word(sig: Signature, u: OneCell, identity_style: str = "dot", numeri
 
 def _parse_word(sig: Signature, text: str, start_hint: Optional[str], where: str) -> OneCell:
     text = text.strip()
-    numeric = text.isdigit()
-    # a lone "0" is the empty word over any signature
-    if numeric and text != "0" and len(sig.one) != 1:
-        raise ParseError(f"{where}: numeric words need a single-wire signature")
-    if text in ("", ".") or (numeric and int(text) == 0):
+    count = None
+    if text.isascii() and text.isdigit():
+        # a lone "0" is the empty word over any signature
+        if text != "0" and len(sig.one) != 1:
+            raise ParseError(f"{where}: numeric words need a single-wire signature")
+        digits = text.lstrip("0") or "0"
+        # lengths first: int() refuses strings of more than 4300 digits
+        if len(digits) > len(str(MAX_NUMERIC_WORD)) or int(digits) > MAX_NUMERIC_WORD:
+            raise ParseError(f"{where}: numeric word longer than {MAX_NUMERIC_WORD} letters")
+        count = int(digits)
+    if text in ("", ".") or count == 0:
         if start_hint is None:
             if len(sig.zero) == 1:
                 start_hint = sig.zero[0]
@@ -81,9 +91,9 @@ def _parse_word(sig: Signature, text: str, start_hint: Optional[str], where: str
         return sig.id1(start_hint)
     if text.startswith("@"):
         return sig.id1(text[1:])
-    if numeric:
+    if count is not None:
         gen = next(iter(sig.one))
-        return sig.make1(sig.one[gen][0], (gen,) * int(text))
+        return sig.make1(sig.one[gen][0], (gen,) * count)
     names = text.split()
     for g in names:
         if g not in sig.one:
@@ -242,9 +252,7 @@ def parse_step(sig: Signature, text: str, qmode: Optional[QMode]) -> Step:
         lam = sig.id2(sig.source(mid))
     if rho is None:
         rho = sig.id2(sig.target(mid))
-    step = Step(lam, left, inner, right, rho)
-    sig.check3(sig.step_cell(step))
-    return step
+    return Step(lam, left, inner, right, rho)
 
 
 def render_three(sig: Signature, F: ThreeCell) -> str:
@@ -259,6 +267,10 @@ def parse_three(sig: Signature, text: str, qmode: Optional[QMode]) -> ThreeCell:
         return ThreeCell(parse_two(sig, text[4:-1]), ())
     steps = tuple(parse_step(sig, tok, qmode) for tok in _split_top(text, "|"))
     cell = ThreeCell(sig.step_source(steps[0]), steps)
+    # This one check also types every step, so parse_step checks none:
+    # step 1's source is the checked ``source2``, each later step's source
+    # must equal the previous step's target, and step boundaries are built
+    # by ``compose``, which refuses mismatched parts.
     sig.check3(cell)
     return cell
 

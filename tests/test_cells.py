@@ -231,6 +231,7 @@ def test_step_and_three_cell_composition(pseudomonoid):
 def test_rotation_is_an_involution(name, request, rng):
     sig = request.getfixturevalue(name).presentation.sig
     rsig = sig.rotated()
+    assert sig.rotated() is rsig
     assert rsig != sig
     assert rsig.rotated() == sig
     for _ in range(30):
@@ -268,3 +269,24 @@ def test_rotation_keeps_interchangers_and_three_cells(name, request):
             assert rsig.inst_target(sig.rotate(inst)) == sig.rotate(tgt)
             swaps += 1
     assert swaps > 0
+
+
+@pytest.mark.parametrize("name", GRAY_BUILTINS)
+def test_signature_is_immutable_and_hashed_by_value(name, request):
+    sig = request.getfixturevalue(name).presentation.sig
+    first = hash(sig)
+    for table in (sig.one, sig.two, sig.three):
+        with pytest.raises(TypeError):
+            table["new"] = None
+        with pytest.raises(TypeError):
+            del table[next(iter(table))]
+    copy = Signature(
+        sig.zero,
+        ((g, s, t) for g, (s, t) in sig.one.items()),
+        ((g, s, t) for g, (s, t) in sig.two.items()),
+        ((g, s, t) for g, (s, t) in sig.three.items()),
+    )
+    assert copy is not sig and copy == sig
+    assert hash(copy) == hash(sig) == first
+    sig.rotated()
+    assert hash(sig) == first

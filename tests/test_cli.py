@@ -197,3 +197,77 @@ def test_output_is_deterministic_across_runs(capsys):
     first = capsys.readouterr().out
     code = main(["report", "builtin:pseudoadjunction", "--format", "json"])
     assert capsys.readouterr().out == first
+
+
+@pytest.mark.parametrize(
+    "first, second",
+    [
+        (
+            ["critical-pairs", "builtin:pseudoadjunction", "--format", "json"],
+            ["critical-pairs", "builtin:pseudoadjunction"],
+        ),
+        (
+            ["check-termination", "builtin:pseudoadjunction", "--strategy", "interp"],
+            ["check-termination", "builtin:pseudoadjunction"],
+        ),
+        (
+            ["check-termination", "builtin:pseudoadjunction", "--strategy", "bogus"],
+            ["validate", "builtin:pseudoadjunction"],
+        ),
+    ],
+    ids=["format", "strategy", "usage-error"],
+)
+def test_repeated_calls_answer_like_the_first(capsys, first, second):
+    runs = [run(capsys, *argv) for argv in (first, second, first, second)]
+    assert runs[0] != runs[1]
+    assert runs[2] == runs[0] and runs[3] == runs[1]
+
+
+def test_parser_is_built_once():
+    from graypol.cli import build_parser
+
+    assert build_parser() is build_parser()
+
+
+@pytest.mark.parametrize("text", ["²", "٣"])
+def test_non_ascii_digits_are_a_parse_error(capsys, text):
+    code, _, err = run(capsys, "render", "builtin:pseudomonoid", "--cell", text)
+    assert code == 2
+    assert err.startswith("error: ") and "Traceback" not in err
+
+
+def test_huge_numeric_word_is_refused_without_allocating(capsys):
+    import tracemalloc
+
+    tracemalloc.start()
+    try:
+        code = main(["render", "builtin:pseudomonoid", "--cell", "99999999999"])
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    err = capsys.readouterr().err
+    assert code == 2
+    assert "numeric word longer than" in err
+    assert peak < 1 << 20
+
+
+@pytest.mark.parametrize(
+    "tile, message",
+    [
+        # the second step's lambda ends in ``a``, its rule starts on ``a a a``
+        ("{id(a a a) ; @x ; A ; @x ; id(a)}|{[.|mu|.] ; @x ; A ; @x ; id(a)} == id2(id(a))", "not 1-composable"),
+        # both steps start on the same 2-cell, so the second cannot follow the first
+        ("{id(a a a) ; @x ; A ; @x ; id(a)}|{id(a a a) ; @x ; A ; @x ; id(a)} == id2(id(a))", "chain broken"),
+    ],
+    ids=["ill-typed-step", "steps-do-not-chain"],
+)
+def test_bad_tile_steps_are_parse_errors(tmp_path, capsys, tile, message):
+    from graypol import get_builtin, serialize_presentation
+
+    text = serialize_presentation(get_builtin("pseudomonoid").presentation.with_tiles(()))
+    lineno = text.count("\n") + 1
+    path = tmp_path / "bad.gray"
+    path.write_text(text + f"tile T : {tile}\n", encoding="utf-8")
+    code, _, err = run(capsys, "validate", str(path))
+    assert code == 2
+    assert f"line {lineno}" in err and message in err and "Traceback" not in err

@@ -30,6 +30,19 @@ def test_selfduality_not_positive(selfduality):
     assert any("eps" in m for m in rep.messages)
 
 
+def test_validation_is_computed_once_and_frozen(selfduality):
+    import dataclasses
+
+    pres = selfduality.presentation
+    rep = validate(pres)
+    assert validate(pres) is rep
+    assert rep.messages
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        rep.positive = True
+    with pytest.raises(AttributeError):
+        rep.messages.append("note")
+
+
 def test_bad_tile_reported(pseudomonoid):
     pres = pseudomonoid.presentation
     sig = pres.sig

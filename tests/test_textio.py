@@ -118,6 +118,18 @@ def test_numeric_words():
             parse_cell(_TWO_WIRES, text)
 
 
+def test_numeric_words_are_bounded():
+    from graypol.textio import MAX_NUMERIC_WORD
+
+    limit = str(MAX_NUMERIC_WORD)
+    assert len(parse_cell(_ONE_WIRE, limit).word) == MAX_NUMERIC_WORD
+    assert len(parse_cell(_ONE_WIRE, "000" + limit).word) == MAX_NUMERIC_WORD
+    # 5000 digits is past the length int() accepts from a string
+    for text in (str(MAX_NUMERIC_WORD + 1), "9" * 5000):
+        with pytest.raises(ParseError, match="numeric word longer than"):
+            parse_cell(_ONE_WIRE, text)
+
+
 @pytest.mark.parametrize("text", [".", "0"])
 def test_empty_word_needs_a_start_over_two_points(pseudoadjunction, text):
     with pytest.raises(ParseError, match="explicit start"):
