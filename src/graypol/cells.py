@@ -323,10 +323,10 @@ class Signature:
         Both are 2-whisker cells: the source stacks ``alpha`` above
         ``beta``, shifted left; the target stacks them the other way.
         """
-        f, fp = self.two.get(alpha, (None, None))
+        f, _ = self.two.get(alpha, (None, None))
         if f is None:
             raise SignatureError(f"unknown 2-generator {alpha}")
-        h, hp = self.two.get(beta, (None, None))
+        h, _ = self.two.get(beta, (None, None))
         if h is None:
             raise SignatureError(f"unknown 2-generator {beta}")
         self.check1(mid)
@@ -334,23 +334,29 @@ class Signature:
             raise CompositionError(f"interchanger: {alpha} not 0-composable with middle word")
         if self.end0(mid) != h.start:
             raise CompositionError(f"interchanger: middle word not 0-composable with {beta}")
-        idl = self.id1(f.start)
-        idr = self.id1(self.end0(h))
-        src = TwoCell(
-            self._concat(f, self._concat(mid, h)),
-            (
-                Whisker2(idl, alpha, self._concat(mid, h)),
-                Whisker2(self._concat(fp, mid), beta, idr),
-            ),
-        )
-        tgt = TwoCell(
-            self._concat(f, self._concat(mid, h)),
-            (
-                Whisker2(self._concat(f, mid), beta, idr),
-                Whisker2(idl, alpha, self._concat(mid, hp)),
-            ),
-        )
-        return src, tgt
+        return self.interchange_side(alpha, mid, beta, True), self.interchange_side(alpha, mid, beta, False)
+
+    def interchange_side(self, alpha: str, mid: OneCell, beta: str, source: bool) -> TwoCell:
+        """The interchanger's source, or else its target, built from the
+        1-boundaries of ``alpha`` and ``beta`` without any check.
+
+        ``interchanger_boundaries`` checks ``mid`` first; a caller that
+        matched the instance in a checked 2-cell needs no check.
+        """
+        f, fp = self.two[alpha]
+        h, hp = self.two[beta]
+        idl, idr = OneCell(f.start, ()), OneCell(self.end0(h), ())
+        if source:
+            rows = (
+                Whisker2(idl, alpha, OneCell(mid.start, mid.word + h.word)),
+                Whisker2(OneCell(fp.start, fp.word + mid.word), beta, idr),
+            )
+        else:
+            rows = (
+                Whisker2(OneCell(f.start, f.word + mid.word), beta, idr),
+                Whisker2(idl, alpha, OneCell(mid.start, mid.word + hp.word)),
+            )
+        return TwoCell(OneCell(f.start, f.word + mid.word + h.word), rows)
 
     def inst_source(self, inst: GenInstance) -> TwoCell:
         if isinstance(inst, OpGen):
@@ -617,12 +623,13 @@ class Signature:
         raise CellError(f"cannot form an identity on {c!r}")
 
 
+def level_at(sig: Signature, phi: TwoCell, t: int) -> OneCell:
+    """The 1-cell above row ``t`` of ``phi``: its source, or the target of row ``t - 1``."""
+    return phi.source1 if t == 0 else sig.whisker_target(phi.whiskers[t - 1])
+
+
 def slice2(sig: Signature, phi: TwoCell, lo: int, hi: int) -> TwoCell:
     """Contiguous sub-chain of rows ``lo..hi-1`` of ``phi`` as a 2-cell."""
     if not 0 <= lo <= hi <= len(phi.whiskers):
         raise CellError(f"row slice {lo}:{hi} out of range")
-    if lo == 0:
-        src = phi.source1
-    else:
-        src = sig.whisker_target(phi.whiskers[lo - 1])
-    return TwoCell(src, phi.whiskers[lo:hi])
+    return TwoCell(level_at(sig, phi, lo), phi.whiskers[lo:hi])

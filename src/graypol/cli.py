@@ -46,6 +46,14 @@ def _load(source: str):
     return parse_presentation(text), None
 
 
+def _parse_cell_arg(pres, text: str):
+    """``--cell`` as a cell of ``pres``; text that does not spell a well-typed cell is a parse error."""
+    try:
+        return parse_cell(pres.sig, text, pres.qmode)
+    except CellError as exc:
+        raise ParseError(str(exc)) from None
+
+
 def _emit(args, payload_json, payload_text: str):
     text = json.dumps(payload_json, indent=2, ensure_ascii=False) if args.format == "json" else payload_text
     if args.output:
@@ -106,7 +114,7 @@ def _cmd_normalize(args) -> int:
     pres, interp = _load(args.source)
     if not args.cell:
         raise Refusal("normalize needs --cell")
-    cell = parse_cell(pres.sig, args.cell, pres.qmode)
+    cell = _parse_cell_arg(pres, args.cell)
     cert = None
     try:
         cert = certify_termination(pres, None, interp)
@@ -148,7 +156,7 @@ def _cmd_render(args) -> int:
     pres, _ = _load(args.source)
     if not args.cell:
         raise Refusal("render needs --cell")
-    cell = parse_cell(pres.sig, args.cell, pres.qmode)
+    cell = _parse_cell_arg(pres, args.cell)
     _emit(args, {"rendered": render_cell(pres.sig, cell, args.style)}, render_cell(pres.sig, cell, args.style))
     return 0
 

@@ -67,6 +67,34 @@ class GrayPresentation:
         return GrayPresentation(self.name, self.sig.rotated())
 
     @cached_property
+    def redex_sources(self) -> dict:
+        """Operational sources ``(name, source, rows)`` a window can match, by where it starts.
+
+        A window starting on a row ``g`` followed by a row ``h`` is
+        looked up under ``(g, h)``, one starting on the last row ``g``
+        under ``(g, None)``, and one starting below the last row under
+        ``None``.  Each entry holds the identity sources, the one-row
+        sources on ``g`` and the sources whose first two rows are ``g``
+        and ``h``; no other source can match there.
+        """
+        empty, first, pairs = [], {}, {}
+        for name, (src, _) in self.sig.three.items():
+            rows = src.whiskers
+            entry = (name, src, len(rows))
+            if not rows:
+                empty.append(entry)
+            elif len(rows) == 1:
+                first.setdefault(rows[0].gen, []).append(entry)
+            else:
+                pairs.setdefault((rows[0].gen, rows[1].gen), []).append(entry)
+        table = {None: tuple(empty)}
+        for g in self.sig.two:
+            table[g, None] = tuple(empty + first.get(g, []))
+            for h in self.sig.two:
+                table[g, h] = table[g, None] + tuple(pairs.get((g, h), ()))
+        return table
+
+    @cached_property
     def validation(self) -> "ValidationReport":
         """Well-typedness and positivity diagnostics, computed once; never raises."""
         sig = self.sig

@@ -25,6 +25,7 @@ from .cells import (
     TwoCell,
     Whisker2,
     length,
+    level_at,
     slice2,
 )
 from .presentation import GrayPresentation, validate
@@ -96,7 +97,7 @@ def _match_window(sig: Signature, phi: TwoCell, t: int, pattern: TwoCell) -> Lis
     m = length(pattern)
     out = []
     if m == 0:
-        level = sig.source(phi) if t == 0 else sig.whisker_target(phi.whiskers[t - 1])
+        level = level_at(sig, phi, t)
         pw = pattern.source1.word
         for cut in range(len(level.word) - len(pw) + 1):
             if tuple(level.word[cut : cut + len(pw)]) != pw:
@@ -134,8 +135,7 @@ def _match_window(sig: Signature, phi: TwoCell, t: int, pattern: TwoCell) -> Lis
     r = _unpad1(sig, first.right, len(first.right.word) - dr, 0)
     if sig.end0(l) != pattern.source1.start or r.start != sig.end0(pattern.source1):
         return []
-    level = sig.source(slice2(sig, phi, t, t + m))
-    if level != OneCell(l.start, lw + pattern.source1.word + rw):
+    if level_at(sig, phi, t) != OneCell(l.start, lw + pattern.source1.word + rw):
         return []
     return [(l, r)]
 
@@ -202,25 +202,28 @@ def find_redexes(
 ) -> List[Step]:
     """All rewriting steps with source ``phi``, in canonical order.
 
-    The scan goes row by row: at start row ``t`` it tries every
-    operational source whose window starts there, then the interchanger
-    pair ``(t, t+1)``.  With ``lowest_from=k`` it starts at row ``k`` and
-    returns only the steps of the first row ``>= k`` that has any, which
-    are the steps with the smallest ``|lam| >= k``.
+    The scan goes row by row: at start row ``t`` it tries the operational
+    sources that ``pres.redex_sources`` lists for the generators of rows
+    ``t`` and ``t+1``, then the interchanger pair ``(t, t+1)``.  With
+    ``lowest_from=k`` it starts at row ``k`` and returns only the steps
+    of the first row ``>= k`` that has any, which are the steps with the
+    smallest ``|lam| >= k``.
     """
     sig = pres.sig
     qmode = pres.qmode
     whiskers = phi.whiskers
     n = len(whiskers)
-    sources = []
-    for name in pres.operational():
-        src = sig.gen3_source(name)
-        m = length(src)
-        sources.append((name, src, m, src.whiskers[0].gen if m else None))
+    sources = pres.redex_sources
     out = []
     for t in range(lowest_from or 0, n + 1):
-        for name, src, m, first in sources:
-            if t + m > n or (m and whiskers[t].gen != first):
+        if t + 1 < n:
+            key = (whiskers[t].gen, whiskers[t + 1].gen)
+        elif t < n:
+            key = (whiskers[t].gen, None)
+        else:
+            key = None
+        for name, src, m in sources.get(key, sources[None]):
+            if t + m > n:
                 continue
             for l, r in _match_window(sig, phi, t, src):
                 out.append(_step_at(sig, phi, t, m, l, OpGen(name), r))
@@ -476,12 +479,15 @@ def classify(pres: GrayPresentation, b: Branching):
 
 
 def _try_branching(pres: GrayPresentation, s1: Step, s2: Step) -> Optional[Branching]:
+    """``Branching(s1, s2)`` when both steps are well typed and share their source."""
     sig = pres.sig
     try:
-        sig.check(sig.step_cell(s1))
-        sig.check(sig.step_cell(s2))
-        if sig.step_source(s1) != sig.step_source(s2):
+        src = sig.step_source(s1)
+        if sig.step_source(s2) != src:
             return None
+        sig.check2(src)
+        sig.step_target(s1)
+        sig.step_target(s2)
     except CellError:
         return None
     return Branching(s1, s2)

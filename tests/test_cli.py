@@ -236,6 +236,14 @@ def test_non_ascii_digits_are_a_parse_error(capsys, text):
     assert err.startswith("error: ") and "Traceback" not in err
 
 
+@pytest.mark.parametrize("command", ["render", "normalize"])
+@pytest.mark.parametrize("text", ["@q", "[.|mu|.];[.|mu|.]"], ids=["unknown-object", "rows-do-not-chain"])
+def test_ill_typed_cell_is_a_parse_error(capsys, command, text):
+    code, _, err = run(capsys, command, "builtin:pseudomonoid", "--cell", text)
+    assert code == 2
+    assert err.startswith("error: ") and "Traceback" not in err
+
+
 def test_huge_numeric_word_is_refused_without_allocating(capsys):
     import tracemalloc
 

@@ -30,7 +30,8 @@ from graypol import (
     zz_of,
     zz_simplify,
 )
-from graypol.cells import OpGen
+from graypol.cells import CompositionError, Interchanger, OpGen, Step, slice2
+from graypol.coherence import splice_step
 
 from conftest import random_two_cell
 
@@ -126,6 +127,75 @@ def test_resumed_search_follows_full_rescans(name):
             assert exc.partial.steps == tuple(steps)
             continue
         assert nf == cur and path.steps == tuple(steps)
+
+
+def _step_kind(sig, inner):
+    if isinstance(inner, OpGen):
+        return ("op", length(sig.gen3_source(inner.name)))
+    if isinstance(inner, Interchanger):
+        return ("x",)
+    return ("q", inner.rev)
+
+
+@pytest.mark.parametrize(
+    "name, kind",
+    [
+        ("pseudomonoid", ("x",)),
+        ("pseudoadjunction", ("op", 2)),
+        ("selfduality", ("x",)),
+        # reversed oriented interchangers, and the 3-row sources of M and M°
+        ("selfduality-q", ("q", True)),
+        ("frobenius", ("op", 3)),
+    ],
+    ids=lambda v: v if isinstance(v, str) else "-".join(map(str, v)),
+)
+def test_spliced_cells_equal_step_targets(name, kind):
+    entry = get_builtin(name)
+    pres = entry.presentation
+    sig = pres.sig
+    try:
+        cert, budget = _cert(entry), None
+    except TerminationRefused:
+        cert, budget = None, 150
+    kinds = set()
+    for seed in range(6):
+        phi = random_two_cell(sig, random.Random(f"{name}:{seed}"), rows=12, max_pad=3)
+        try:
+            nf, path = normalize2(pres, phi, cert, budget)
+            cells = [sig.step_source(s) for s in path.steps[1:]] + [nf]
+        except NonTermination as exc:
+            path = exc.partial
+            cells = [sig.step_source(s) for s in path.steps[1:]]
+        sig.check3(path)
+        assert path.source2 == phi
+        for s, cell in zip(path.steps, cells):
+            assert cell == sig.step_target(s)
+            assert splice_step(sig, sig.step_source(s), s) == cell
+            kinds.add(_step_kind(sig, s.inner))
+    assert kind in kinds
+
+
+def test_splice_refuses_a_window_that_does_not_fit(pseudomonoid):
+    sig = pseudomonoid.presentation.sig
+    comb = _left_comb(sig, 3)
+    step = find_redexes(pseudomonoid.presentation, comb)[0]
+    assert step.inner == OpGen("A") and length(step.lam) == 0 and step.right.word == ("a",)
+    assert splice_step(sig, comb, step) == sig.step_target(step)
+    # one row lower the level above the window is a a a, not a a a a
+    lower = Step(slice2(sig, comb, 0, 1), step.left, step.inner, step.right, slice2(sig, comb, 3, 3))
+    # two rows lower the window runs past the last row
+    past = Step(slice2(sig, comb, 0, 2), step.left, step.inner, step.right, slice2(sig, comb, 3, 3))
+    with pytest.raises(CompositionError, match="top level"):
+        splice_step(sig, comb, lower)
+    with pytest.raises(CompositionError, match="past the last row"):
+        splice_step(sig, comb, past)
+    # the top level fits, but the window ends on a a a where A's target ends on a
+    a = OneCell("x", ("a",))
+    phi = TwoCell(OneCell("x", ("a",) * 3), (Whisker2(sig.id1("x"), "mu", a), Whisker2(a, "eta", a)))
+    sig.check2(phi)
+    x = sig.id1("x")
+    with pytest.raises(CompositionError, match="bottom level"):
+        splice_step(sig, phi, Step(sig.id2(phi.source1), x, OpGen("A"), x, sig.id2(sig.target(phi))))
 
 
 def test_normal_form_of_normal_form(pseudomonoid, rng):

@@ -23,7 +23,7 @@ from graypol import (
     length,
 )
 from graypol.cells import Step
-from graypol.rewriting import canonical_branching, is_natural, rotate_branching
+from graypol.rewriting import canonical_branching, is_natural, rotate_branching, step_key
 from graypol.cells import slice2
 
 from conftest import GRAY_BUILTINS, enumerate_two_cells, random_two_cell
@@ -370,7 +370,12 @@ def test_critical_counts(name, count):
     assert len(enumerate_critical(entry.presentation)) == count
 
 
-def _random_positive_presentation(seed):
+def _random_positive_presentation(seed, identity_sources=False):
+    """A random one-wire presentation with positive 2-generator targets.
+
+    Its 3-generators have sources of one or two rows, or also of none
+    with ``identity_sources``; ``None`` when the draw yields no valid one.
+    """
     import random
 
     from graypol import GrayPresentation, Signature, validate
@@ -383,7 +388,7 @@ def _random_positive_presentation(seed):
     cells = [
         c
         for c in enumerate_two_cells(base, 2, [OneCell("x", ("a",) * k) for k in range(3)])
-        if 1 <= length(c) <= 2
+        if (0 if identity_sources else 1) <= length(c) <= 2
     ]
     r.shuffle(cells)
     three = []
@@ -400,9 +405,32 @@ def _random_positive_presentation(seed):
         f"fuzz{seed}", Signature(zero=["x"], one=[("a", "x", "x")], two=two, three=three)
     )
     rep = validate(pres)
-    if not rep.ok or not rep.operational_sources_positive:
+    if not rep.ok or not (identity_sources or rep.operational_sources_positive):
         return None
     return pres
+
+
+def test_indexed_scan_matches_brute_force():
+    # the seeds give one-row and identity sources, which the index lists
+    # apart from the sources keyed by their first two rows
+    import random
+
+    rows_seen = set()
+    for seed in (4, 5, 20, 24, 36, 38):
+        pres = _random_positive_presentation(seed, identity_sources=True)
+        sig = pres.sig
+        rows_seen |= {length(src) for src, _ in sig.three.values()}
+        rng = random.Random(seed)
+        cells = enumerate_two_cells(sig, 2, [OneCell("x", ("a",) * k) for k in range(4)])
+        cells += [random_two_cell(sig, rng, rows=rng.randrange(3, 6)) for _ in range(20)]
+        for phi in cells:
+            full = sorted(oracle_redexes(pres, phi), key=step_key)
+            assert find_redexes(pres, phi) == full
+            for k in range(length(phi) + 2):
+                rows = [length(s.lam) for s in full if length(s.lam) >= k]
+                lowest = [s for s in full if rows and length(s.lam) == min(rows)]
+                assert find_redexes(pres, phi, lowest_from=k) == lowest
+    assert rows_seen == {0, 1, 2}
 
 
 @pytest.mark.parametrize("seed", [0, 3, 7, 11, 19, 23, 31, 37])
