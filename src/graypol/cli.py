@@ -18,7 +18,7 @@ from .catalog import BUILTIN_NAMES, get_builtin
 from .cells import CellError, length
 from .coherence import default_budget, key_json, normalize2, positive_budget, squier_completion
 from .presentation import validate
-from .rewriting import UnsupportedError, enumerate_critical
+from .rewriting import enumerate_critical
 from .termination import STRATEGIES, TerminationRefused, certify_termination
 from .textio import ParseError, parse_cell, parse_presentation, render_cell, render_step
 
@@ -199,11 +199,6 @@ def build_parser() -> argparse.ArgumentParser:
             help="rewriting budget: rewriting steps per normalization "
             "(default 100000, env GRAYPOL_MAX_STEPS)",
         )
-        p.add_argument(
-            "--strategy",
-            choices=STRATEGIES,
-            default=None,
-        )
 
     p = sub.add_parser("critical-pairs", help="enumerate critical branchings")
     common(p)
@@ -212,6 +207,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("check-termination", help="produce a termination certificate")
     common(p)
+    p.add_argument("--strategy", choices=STRATEGIES, default=None)
     p.set_defaults(func=_cmd_check_termination)
 
     p = sub.add_parser("normalize", help="normalize a 2-cell")
@@ -256,9 +252,6 @@ def main(argv=None) -> int:
     except Refusal as exc:
         print(f"error: {exc}", file=sys.stderr)
         return USAGE_ERROR
-    except UnsupportedError as exc:
-        print(f"refused: {exc}", file=sys.stderr)
-        return REFUSAL
     except CellError as exc:
         print(f"refused: {exc}", file=sys.stderr)
         return REFUSAL

@@ -41,6 +41,13 @@ class QMode:
     eta: str
     eps: str
 
+    @cached_property
+    def rules(self) -> Tuple[Tuple[str, str, bool], ...]:
+        """The four oriented interchange families ``(alpha, beta, rev)``:
+        those with ``beta == eta`` are reversed, the others forward."""
+        eta, eps = self.eta, self.eps
+        return ((eta, eta, True), (eta, eps, False), (eps, eta, True), (eps, eps, False))
+
 
 @dataclass(frozen=True)
 class GrayPresentation:

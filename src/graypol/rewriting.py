@@ -6,6 +6,13 @@ consecutive whisker pairs against the interchanger source pattern.
 Local branchings are classified as trivial, non-minimal, independent,
 natural or critical, and the complete finite list of critical
 branchings of a presentation is enumerated by the overlap analysis.
+
+Every candidate of that analysis is one of two things.  Either it is a
+glue of two generator windows, the first row of one laid on a row of
+the other (two operational windows, or an interchanger above an
+operational window), or it is an interchanger redex inside an
+operational source, paired with the bare step.  The interchanger below
+a window, and the right contexts of a glue, come from the 180° rotation.
 """
 
 from __future__ import annotations
@@ -183,23 +190,17 @@ def match_interchanger_target(sig: Signature, wa: Whisker2, wb: Whisker2):
 
 
 def _q_inner(pres: GrayPresentation, alpha: str, mid: OneCell, beta: str, from_target: bool):
-    """Oriented self-duality interchange instance for a matched window, if any."""
-    q = pres.qmode
-    if not from_target:
-        if (alpha, beta) in ((q.eta, q.eps), (q.eps, q.eps)):
-            return QInterchanger(alpha, mid, beta, rev=False)
-        return None
-    if (alpha, beta) in ((q.eta, q.eta), (q.eps, q.eta)):
-        return QInterchanger(alpha, mid, beta, rev=True)
+    """Oriented self-duality interchange instance for a matched window, if any.
+
+    A window matched against the interchanger target can only be rewritten
+    by a reversed rule, one matched against its source by a forward rule.
+    """
+    if (alpha, beta, from_target) in pres.qmode.rules:
+        return QInterchanger(alpha, mid, beta, rev=from_target)
     return None
 
 
-def find_redexes(
-    pres: GrayPresentation,
-    phi: TwoCell,
-    include_interchangers: bool = True,
-    lowest_from: Optional[int] = None,
-) -> List[Step]:
+def find_redexes(pres: GrayPresentation, phi: TwoCell, lowest_from: Optional[int] = None) -> List[Step]:
     """All rewriting steps with source ``phi``, in canonical order.
 
     The scan goes row by row: at start row ``t`` it tries the operational
@@ -227,7 +228,7 @@ def find_redexes(
                 continue
             for l, r in _match_window(sig, phi, t, src):
                 out.append(_step_at(sig, phi, t, m, l, OpGen(name), r))
-        if include_interchangers and t + 1 < n:
+        if t + 1 < n:
             wa, wb = whiskers[t], whiskers[t + 1]
             hit = match_interchanger_source(sig, wa, wb)
             if hit is not None:
@@ -494,156 +495,116 @@ def _try_branching(pres: GrayPresentation, s1: Step, s2: Step) -> Optional[Branc
 
 
 def _solve_left_contexts(sig: Signature, u: OneCell, v: OneCell):
-    """Solutions ``(l1, l2)`` of ``l1 * u == l2 * v`` with one side empty."""
-    out = []
-    if len(v.word) >= len(u.word):
-        d = len(v.word) - len(u.word)
-        if v.word[d:] == u.word:
-            l1 = OneCell(v.start, v.word[:d])
-            if sig.end0(l1) == u.start:
-                out.append((l1, OneCell(v.start, ())))
-    if len(u.word) >= len(v.word):
-        d = len(u.word) - len(v.word)
-        if u.word[d:] == v.word:
-            l2 = OneCell(u.start, u.word[:d])
-            if sig.end0(l2) == v.start:
-                out.append((OneCell(u.start, ()), l2))
-    return _dedupe(out)
+    """Solutions ``(l1, l2)`` of ``l1 * u == l2 * v`` with one side empty.
+
+    There is at most one: the shorter word is a suffix of the longer.
+    """
+    if len(u.word) > len(v.word):
+        return [(l1, l2) for l2, l1 in _solve_left_contexts(sig, v, u)]
+    d = len(v.word) - len(u.word)
+    l1 = OneCell(v.start, v.word[:d])
+    if v.word[d:] != u.word or sig.end0(l1) != u.start:
+        return []
+    return [(l1, OneCell(v.start, ()))]
 
 
 def _solve_right_contexts(sig: Signature, u: OneCell, v: OneCell):
-    """Solutions ``(r1, r2)`` of ``u * r1 == v * r2`` with one side empty."""
-    out = []
-    if u.start != v.start:
-        return out
-    if len(v.word) <= len(u.word) and u.word[: len(v.word)] == v.word:
-        out.append((OneCell(sig.end0(u), ()), OneCell(sig.end0(v), u.word[len(v.word) :])))
-    if len(u.word) <= len(v.word) and v.word[: len(u.word)] == u.word:
-        out.append((OneCell(sig.end0(u), v.word[len(u.word) :]), OneCell(sig.end0(v), ())))
-    return _dedupe(out)
+    """Solutions ``(r1, r2)`` of ``u * r1 == v * r2`` with one side empty:
+    the left contexts of the rotated words, rotated back."""
+    rsig = sig.rotated()
+    return [
+        (rsig.rotate(r1), rsig.rotate(r2))
+        for r1, r2 in _solve_left_contexts(rsig, sig.rotate(u), sig.rotate(v))
+    ]
 
 
-def _dedupe(pairs):
-    seen = set()
-    out = []
-    for pair in pairs:
-        if pair not in seen:
-            seen.add(pair)
-            out.append(pair)
-    return out
+def _glue(pres: GrayPresentation, top, bottom, d: int):
+    """Branchings of two overlapping windows, the first row of ``bottom`` on row ``d`` of ``top``.
 
-
-def _op_op_candidates(pres: GrayPresentation, n1: str, n2: str):
-    """Overlaps of two operational windows, the second anchored at the top."""
-    sig = pres.sig
-    src1, src2 = sig.gen3_source(n1), sig.gen3_source(n2)
-    k1, k2 = length(src1), length(src2)
-    for d in range(k2):
-        over = min(d + k1, k2) - d
-        if over <= 0:
-            continue
-        w1, w2 = src1.whiskers[0], src2.whiskers[d]
-        if w1.gen != w2.gen:
-            continue
-        for l1, l2 in _solve_left_contexts(sig, w1.left, w2.left):
-            for r1, r2 in _solve_right_contexts(sig, w1.right, w2.right):
-                try:
-                    body1 = sig.whisker0(l1, src1, r1)
-                    body2 = sig.whisker0(l2, src2, r2)
-                except CellError:
-                    continue
-                if body1.whiskers[:over] != body2.whiskers[d : d + over]:
-                    continue
-                rows = body2.whiskers[: d + over] + body1.whiskers[over:]
-                if d + k1 < k2:
-                    rows = body2.whiskers
-                try:
-                    shared = TwoCell(body2.source1, tuple(rows))
-                    sig.check2(shared)
-                except CellError:
-                    continue
-                total = length(shared)
-                s1 = Step(slice2(sig, shared, 0, d), l1, OpGen(n1), r1,
-                          slice2(sig, shared, d + k1, total))
-                s2 = Step(slice2(sig, shared, 0, 0), l2, OpGen(n2), r2,
-                          slice2(sig, shared, k2, total))
-                b = _try_branching(pres, s1, s2)
-                if b is not None:
-                    yield b
-
-
-def _bare_step(sig: Signature, name: str) -> Step:
-    src = sig.gen3_source(name)
-    return Step(
-        slice2(sig, src, 0, 0),
-        sig.id1(src.source1.start),
-        OpGen(name),
-        sig.id1(sig.end0(sig.source(src))),
-        slice2(sig, src, length(src), length(src)),
-    )
-
-
-def _op_x_inside(pres: GrayPresentation, n1: str):
-    """Interchanger window fully inside an operational source."""
-    sig = pres.sig
-    src1 = sig.gen3_source(n1)
-    k1 = length(src1)
-    for t in range(k1 - 1):
-        hit = match_interchanger_source(sig, src1.whiskers[t], src1.whiskers[t + 1])
-        if hit is None:
-            continue
-        l2, alpha, mid, beta, r2 = hit
-        s2 = Step(slice2(sig, src1, 0, t), l2, Interchanger(alpha, mid, beta), r2,
-                  slice2(sig, src1, t + 2, k1))
-        b = _try_branching(pres, _bare_step(sig, n1), s2)
-        if b is not None:
-            yield b
-
-
-def _op_x_above(pres: GrayPresentation, n1: str):
-    """Interchanger whose lower row is the first row of the generator window.
-
-    The crossed word is a strict suffix of the first row's left context;
-    longer crossings give natural branchings.
+    ``top`` and ``bottom`` are ``(instance, source)`` windows whiskered by
+    contexts that are empty on one side.  The shared 2-cell is ``top``
+    down to the end of the overlap, then the rest of ``bottom``, then the
+    rest of ``top``, so a window inside the other is no special case.
+    Yields ``Branching(bottom step, top step)``.
     """
     sig = pres.sig
-    src1 = sig.gen3_source(n1)
-    first = src1.whiskers[0]
-    beta = first.gen
-    for cut in range(len(first.left.word)):
-        for alpha in sig.two:
-            ta = sig.tgt1(alpha)
-            mid = OneCell(sig.end0(ta), first.left.word[len(first.left.word) - cut :])
+    (inst1, src1), (inst2, src2) = bottom, top
+    k1, k2 = length(src1), length(src2)
+    over = min(d + k1, k2) - d
+    w1, w2 = src1.whiskers[0], src2.whiskers[d]
+    if w1.gen != w2.gen:
+        return
+    rights = _solve_right_contexts(sig, w1.right, w2.right)
+    for l1, l2 in _solve_left_contexts(sig, w1.left, w2.left):
+        for r1, r2 in rights:
             try:
-                sig.check1(mid)
-                inst = Interchanger(alpha, mid, beta)
+                body1 = sig.whisker0(l1, src1, r1)
+                body2 = sig.whisker0(l2, src2, r2)
+            except CellError:
+                continue
+            if body1.whiskers[:over] != body2.whiskers[d : d + over]:
+                continue
+            rows = body2.whiskers[: d + over] + body1.whiskers[over:] + body2.whiskers[d + over :]
+            shared = TwoCell(body2.source1, rows)
+            s1 = _step_at(sig, shared, d, k1, l1, inst1, r1)
+            s2 = _step_at(sig, shared, 0, k2, l2, inst2, r2)
+            b = _try_branching(pres, s1, s2)
+            if b is not None:
+                yield b
+
+
+def _op_x_inside(pres: GrayPresentation, name: str):
+    """Interchangers inside an operational window: the interchanger
+    redexes of its source, each paired with the bare step."""
+    sig = pres.sig
+    src = sig.gen3_source(name)
+    start, end = OneCell(src.source1.start, ()), OneCell(sig.end0(src.source1), ())
+    bare = _step_at(sig, src, 0, length(src), start, OpGen(name), end)
+    for s in find_redexes(pres, src):
+        if isinstance(s.inner, Interchanger):
+            b = _try_branching(pres, bare, s)
+            if b is not None:
+                yield b
+
+
+def _op_x_above(pres: GrayPresentation, name: str):
+    """Interchangers whose lower row is the first row of the window.
+
+    Each is the window glued at ``d = 1`` under ``X(alpha, mid, beta)``,
+    ``beta`` the first row's generator and ``mid`` a strict suffix of
+    that row's left context; longer crossings give natural branchings.
+    """
+    sig = pres.sig
+    src = sig.gen3_source(name)
+    first = src.whiskers[0]
+    lw = first.left.word
+    for cut in range(len(lw)):
+        for alpha in sig.two:
+            mid = OneCell(sig.end0(sig.tgt1(alpha)), lw[len(lw) - cut :])
+            inst = Interchanger(alpha, mid, first.gen)
+            try:
                 xs = sig.inst_source(inst)
             except CellError:
                 continue
-            tam = sig.compose(ta, mid, 0)
-            for l1, l2 in _solve_left_contexts(sig, first.left, tam):
-                r2 = first.right
-                try:
-                    body_x = sig.whisker0(l2, xs, r2)
-                    r1 = sig.id1(sig.end0(body_x.source1))
-                    body_a = sig.whisker0(l1, src1, r1)
-                except CellError:
-                    continue
-                if body_x.whiskers[1] != body_a.whiskers[0]:
-                    continue
-                try:
-                    shared = TwoCell(body_x.source1, (body_x.whiskers[0],) + body_a.whiskers)
-                    sig.check2(shared)
-                except CellError:
-                    continue
-                total = length(shared)
-                s_op = Step(slice2(sig, shared, 0, 1), l1, OpGen(n1), r1,
-                            slice2(sig, shared, 1 + length(src1), total))
-                s_x = Step(slice2(sig, shared, 0, 0), l2, inst, r2,
-                           slice2(sig, shared, 2, total))
-                b = _try_branching(pres, s_op, s_x)
-                if b is not None:
-                    yield b
+            yield from _glue(pres, (inst, xs), (OpGen(name), src), 1)
+
+
+def _candidates(pres: GrayPresentation):
+    """Every candidate branching: operational overlaps, then per
+    generator the interchangers inside, above and below its window."""
+    sig = pres.sig
+    ops = [(OpGen(name), sig.gen3_source(name)) for name in pres.operational()]
+    for bottom in ops:
+        for top in ops:
+            for d in range(length(top[1])):
+                yield from _glue(pres, top, bottom, d)
+    rot = pres.rotated
+    for name in pres.operational():
+        yield from _op_x_inside(pres, name)
+        yield from _op_x_above(pres, name)
+        # the interchanger below the window is the rotation of one above it
+        for b in _op_x_above(rot, name):
+            yield rotate_branching(rot.sig, b)
 
 
 def enumerate_critical(pres: GrayPresentation, max_candidates: int = 10**6) -> List[CriticalBranching]:
@@ -659,7 +620,6 @@ def enumerate_critical(pres: GrayPresentation, max_candidates: int = 10**6) -> L
         raise RewritingError(
             "enumeration requires every operational 3-generator to have a nonempty source"
         )
-    sig = pres.sig
     seen = {}
     budget = max_candidates
 
@@ -671,24 +631,11 @@ def enumerate_critical(pres: GrayPresentation, max_candidates: int = 10**6) -> L
         if key not in seen:
             seen[key] = CriticalBranching(b, key)
 
-    ops = list(pres.operational())
-    rot = pres.rotated
-    for n1 in ops:
-        for n2 in ops:
-            for b in _op_op_candidates(pres, n1, n2):
-                budget -= 1
-                if budget < 0:
-                    raise RewritingError("candidate budget exceeded")
-                record(b)
-    for n1 in ops:
-        # the interchanger below the window is the rotation of one above it
-        below = (rotate_branching(rot.sig, b) for b in _op_x_above(rot, n1))
-        for gen in (_op_x_inside(pres, n1), _op_x_above(pres, n1), below):
-            for b in gen:
-                budget -= 1
-                if budget < 0:
-                    raise RewritingError("candidate budget exceeded")
-                record(b)
+    for b in _candidates(pres):
+        budget -= 1
+        if budget < 0:
+            raise RewritingError("candidate budget exceeded")
+        record(b)
     out = sorted(seen.values(), key=lambda cb: cb.key)
     for cb in out:
         if isinstance(cb.branching.s1.inner, Interchanger) and isinstance(cb.branching.s2.inner, Interchanger):

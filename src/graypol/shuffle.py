@@ -19,13 +19,13 @@ from typing import Dict, List, Tuple
 from .cells import (
     CellError,
     Interchanger,
-    OneCell,
     Signature,
     Step,
     ThreeCell,
     TwoCell,
     Whisker2,
     length,
+    level_at,
 )
 
 # binomial growth; no catalog use case exceeds 6
@@ -136,21 +136,14 @@ def path_exists(word: Word, word2: Word) -> bool:
     return all(a[i] <= b[i] for i in range(1, k + 1))
 
 
-def _state_before(sig: Signature, two: TwoCell, idx: int) -> OneCell:
-    """1-cell boundary after the first ``idx - 1`` whiskers."""
-    if idx <= 1:
-        return sig.source(two)
-    return sig.whisker_target(two.whiskers[idx - 2])
-
-
 def interp_vertex(sig: Signature, word: Word, i: int, j: int, phi: TwoCell, psi: TwoCell) -> TwoCell:
     """Interleaved 2-cell of a shuffle of ``l_i..`` and ``r_j..``.
 
     ``i`` and ``j`` locate the first letters the word may draw from;
     the boundary state on each side starts just before them.
     """
-    state_l = _state_before(sig, phi, i)
-    state_r = _state_before(sig, psi, j)
+    start_l, start_r = level_at(sig, phi, i - 1), level_at(sig, psi, j - 1)
+    state_l, state_r = start_l, start_r
     want_l, want_r = i, j
     whiskers = []
     for kind, idx in word:
@@ -168,8 +161,7 @@ def interp_vertex(sig: Signature, word: Word, i: int, j: int, phi: TwoCell, psi:
             whiskers.append(Whisker2(sig.compose(state_l, w.left, 0), w.gen, w.right))
             state_r = sig.whisker_target(w)
             want_r += 1
-    src = sig.compose(_state_before(sig, phi, i), _state_before(sig, psi, j), 0)
-    return TwoCell(src, tuple(whiskers))
+    return TwoCell(sig.compose(start_l, start_r, 0), tuple(whiskers))
 
 
 def interp_edge(sig: Signature, edge: ShuffleEdge, phi: TwoCell, psi: TwoCell) -> Step:

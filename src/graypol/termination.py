@@ -445,9 +445,7 @@ def check_q_system(pres: GrayPresentation, max_mid: int = 3):
                 "selfdual", f"operational rule {name} does not shrink the whisker count"
             )
         witnesses.append(("operational", name, length(src), length(tgt)))
-    q = pres.qmode
-    kinds = [(q.eta, q.eta, True), (q.eta, q.eps, False), (q.eps, q.eta, True), (q.eps, q.eps, False)]
-    for alpha, beta, rev in kinds:
+    for alpha, beta, rev in pres.qmode.rules:
         for mid in _small_middles(sig, alpha, beta, max_mid):
             inst = QInterchanger(alpha, mid, beta, rev)
             src, tgt = sig.inst_source(inst), sig.inst_target(inst)

@@ -54,6 +54,22 @@ def test_check_termination_strategy_flag(capsys):
     assert len(payload["assumptions"]) == 1
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["report", "builtin:pseudoadjunction", "--strategy", "interp"],
+        ["normalize", "builtin:selfduality", "--cell", "id(a)", "--strategy", "selfdual"],
+        ["critical-pairs", "builtin:pseudomonoid", "--strategy", "interp"],
+    ],
+    ids=["report", "normalize", "critical-pairs"],
+)
+def test_strategy_is_a_check_termination_option_only(capsys, argv):
+    code, out, err = run(capsys, *argv)
+    assert code == 2
+    assert out == ""
+    assert "unrecognized arguments: --strategy" in err
+
+
 def test_normalize_identity(capsys):
     code, out, _ = run(capsys, "normalize", "--cell", "id(a)", "builtin:pseudomonoid")
     assert code == 0
