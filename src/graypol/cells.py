@@ -334,14 +334,12 @@ class Signature:
             raise CompositionError(f"interchanger: {alpha} not 0-composable with middle word")
         if self.end0(mid) != h.start:
             raise CompositionError(f"interchanger: middle word not 0-composable with {beta}")
-        return self.interchange_side(alpha, mid, beta, True), self.interchange_side(alpha, mid, beta, False)
+        return self._interchange_side(alpha, mid, beta, True), self._interchange_side(alpha, mid, beta, False)
 
-    def interchange_side(self, alpha: str, mid: OneCell, beta: str, source: bool) -> TwoCell:
+    def _interchange_side(self, alpha: str, mid: OneCell, beta: str, source: bool) -> TwoCell:
         """The interchanger's source, or else its target, built from the
-        1-boundaries of ``alpha`` and ``beta`` without any check.
-
-        ``interchanger_boundaries`` checks ``mid`` first; a caller that
-        matched the instance in a checked 2-cell needs no check.
+        1-boundaries of ``alpha`` and ``beta`` without any check;
+        ``interchanger_boundaries`` checks them first.
         """
         f, fp = self.two[alpha]
         h, hp = self.two[beta]
@@ -358,42 +356,58 @@ class Signature:
             )
         return TwoCell(OneCell(f.start, f.word + mid.word + h.word), rows)
 
-    def inst_source(self, inst: GenInstance) -> TwoCell:
+    def inst_boundaries(self, inst: GenInstance) -> Tuple[TwoCell, TwoCell]:
+        """Source and target of a 3-generator instance."""
         if isinstance(inst, OpGen):
-            return self.gen3_source(inst.name)
-        if isinstance(inst, Interchanger):
-            return self.interchanger_boundaries(inst.alpha, inst.mid, inst.beta)[0]
-        if isinstance(inst, QInterchanger):
+            return self.gen3_source(inst.name), self.gen3_target(inst.name)
+        if isinstance(inst, (Interchanger, QInterchanger)):
             s, t = self.interchanger_boundaries(inst.alpha, inst.mid, inst.beta)
-            return t if inst.rev else s
+            return (t, s) if isinstance(inst, QInterchanger) and inst.rev else (s, t)
         raise CellError(f"not a 3-generator instance: {inst!r}")
 
+    def inst_source(self, inst: GenInstance) -> TwoCell:
+        return self.inst_boundaries(inst)[0]
+
     def inst_target(self, inst: GenInstance) -> TwoCell:
-        if isinstance(inst, OpGen):
-            return self.gen3_target(inst.name)
-        if isinstance(inst, Interchanger):
-            return self.interchanger_boundaries(inst.alpha, inst.mid, inst.beta)[1]
-        if isinstance(inst, QInterchanger):
-            s, t = self.interchanger_boundaries(inst.alpha, inst.mid, inst.beta)
-            return s if inst.rev else t
-        raise CellError(f"not a 3-generator instance: {inst!r}")
+        return self.inst_boundaries(inst)[1]
 
     # ---- steps and 3-cells ---------------------------------------
 
+    def _step_side(self, s: Step, source: bool) -> TwoCell:
+        """``lam *1 (left *0 side *0 right) *1 rho`` for the instance's source, or else its target.
+
+        The side's rows are whiskered by ``left`` and ``right`` and
+        spliced between the rows of ``lam`` and ``rho``.  The checks are
+        those of ``compose``, each a comparison of 1-cells, because the
+        side is a checked 2-cell: ``CompositionError`` unless ``left``
+        and ``right`` 0-compose with the side, the target of ``lam`` is
+        the level above the window and the source of ``rho`` is the
+        level below it.
+        """
+        side = self.inst_boundaries(s.inner)[0 if source else 1]
+        l, r, top = s.left, s.right, side.source1
+        if self.end0(l) != top.start or self.end0(top) != r.start:
+            raise CompositionError("0-whiskering boundary mismatch")
+        rows = tuple(
+            Whisker2(OneCell(l.start, l.word + w.left.word), w.gen, OneCell(w.right.start, w.right.word + r.word))
+            for w in side.whiskers
+        )
+        above = OneCell(l.start, l.word + top.word + r.word)
+        if self.target(s.lam) != above:
+            raise CompositionError(f"2-cells not 1-composable: target {self.target(s.lam)!r} vs source {above!r}")
+        below = self.whisker_target(rows[-1]) if rows else above
+        if below != s.rho.source1:
+            raise CompositionError(f"2-cells not 1-composable: target {below!r} vs source {s.rho.source1!r}")
+        return TwoCell(s.lam.source1, s.lam.whiskers + rows + s.rho.whiskers)
+
     def step_source(self, s: Step) -> TwoCell:
-        mid = self.whisker0(s.left, self.inst_source(s.inner), s.right)
-        return self.compose(self.compose(s.lam, mid, 1), s.rho, 1)
+        return self._step_side(s, True)
 
     def step_target(self, s: Step) -> TwoCell:
-        mid = self.whisker0(s.left, self.inst_target(s.inner), s.right)
-        return self.compose(self.compose(s.lam, mid, 1), s.rho, 1)
+        return self._step_side(s, False)
 
     def step_cell(self, s: Step) -> ThreeCell:
         return ThreeCell(self.step_source(s), (s,))
-
-    def id3(self, phi: TwoCell) -> ThreeCell:
-        self.check2(phi)
-        return ThreeCell(phi, ())
 
     def gen3_cell(self, inst: GenInstance) -> ThreeCell:
         """The bare 3-generator instance as a length-one 3-cell."""

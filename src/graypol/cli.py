@@ -188,17 +188,18 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p):
+    def common(p, budget=False):
         p.add_argument("source", help=f"presentation file or builtin:NAME ({', '.join(BUILTIN_NAMES)})")
         p.add_argument("--format", choices=("json", "text"), default="text")
         p.add_argument("-o", "--output", default=None, help="write the report to FILE")
-        p.add_argument(
-            "--max-steps",
-            type=int,
-            default=None,
-            help="rewriting budget: rewriting steps per normalization "
-            "(default 100000, env GRAYPOL_MAX_STEPS)",
-        )
+        if budget:
+            p.add_argument(
+                "--max-steps",
+                type=int,
+                default=None,
+                help="rewriting budget: rewriting steps per normalization "
+                "(default 100000, env GRAYPOL_MAX_STEPS)",
+            )
 
     p = sub.add_parser("critical-pairs", help="enumerate critical branchings")
     common(p)
@@ -211,12 +212,12 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=_cmd_check_termination)
 
     p = sub.add_parser("normalize", help="normalize a 2-cell")
-    common(p)
+    common(p, budget=True)
     p.add_argument("--cell", default=None, help="cell in linear notation")
     p.set_defaults(func=_cmd_normalize)
 
     p = sub.add_parser("report", help="run completion and emit the coherence report")
-    common(p)
+    common(p, budget=True)
     p.set_defaults(func=_cmd_report)
 
     p = sub.add_parser("render", help="render a cell")
@@ -238,18 +239,16 @@ def main(argv=None) -> int:
     except SystemExit as exc:
         return USAGE_ERROR if exc.code not in (0, None) else 0
     try:
-        try:
-            if args.max_steps is None:
-                args.max_steps = default_budget()
-            else:
-                args.max_steps = positive_budget(args.max_steps, "--max-steps")
-        except ValueError as exc:
-            raise Refusal(str(exc)) from None
+        if "max_steps" in args:
+            try:
+                if args.max_steps is None:
+                    args.max_steps = default_budget()
+                else:
+                    args.max_steps = positive_budget(args.max_steps, "--max-steps")
+            except ValueError as exc:
+                raise Refusal(str(exc)) from None
         return args.func(args)
-    except (ParseError, FileNotFoundError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return USAGE_ERROR
-    except Refusal as exc:
+    except (ParseError, FileNotFoundError, Refusal) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return USAGE_ERROR
     except CellError as exc:

@@ -2,11 +2,12 @@
 and the zigzag calculus for formally invertible 3-cells.
 
 ``normalize2`` rewrites with the deterministic lowest-redex-first
-strategy and returns the witnessing rewriting path.  ``squier_completion``
-joins every critical branching and emits one tile per branching not
-already covered by an installed tile; the report verdict follows the
-coherence criterion: certified termination plus a tile for every
-critical branching.
+strategy, applies each step with ``Signature.step_target``, and returns
+the witnessing rewriting path.  ``squier_completion`` joins every
+critical branching and emits one tile per branching not already
+covered by an installed tile; the report verdict follows the coherence
+criterion: certified termination plus a tile for every critical
+branching.
 """
 
 from __future__ import annotations
@@ -17,17 +18,10 @@ from typing import List, Optional, Tuple
 
 from .cells import (
     CellError,
-    CompositionError,
-    OneCell,
-    OpGen,
-    QInterchanger,
     Signature,
-    Step,
     ThreeCell,
     TwoCell,
-    Whisker2,
     length,
-    level_at,
 )
 from .presentation import GrayPresentation, Tile
 from .rewriting import Branching, enumerate_critical, find_redexes
@@ -63,44 +57,6 @@ class NonTermination(CellError):
         self.partial = partial
 
 
-def splice_step(sig: Signature, phi: TwoCell, s: Step) -> TwoCell:
-    """``sig.step_target(s)`` for a step ``s`` out of ``phi``, rebuilding only its window.
-
-    The window is rows ``t .. t+m-1`` of ``phi``, where ``t = |lam|`` and
-    ``m`` is the row count of the instance's source.  The rows above and
-    below it are kept, so ``lam`` and ``rho`` are not read.  The window
-    becomes the instance's target, whiskered by ``left`` and ``right``:
-    an operational generator's target rows, or the two interchanged rows
-    built from the generators' 1-boundaries.  The checks of
-    ``step_target`` remain, each a comparison of 1-cells:
-    ``CompositionError`` unless ``left`` and ``right`` 0-compose with
-    the target, the level above the window is the source of the new
-    rows and their target is the level below the window.
-    """
-    inner, l, r = s.inner, s.left, s.right
-    if isinstance(inner, OpGen):
-        m, new = length(sig.gen3_source(inner.name)), sig.gen3_target(inner.name)
-    else:
-        rev = isinstance(inner, QInterchanger) and inner.rev
-        m, new = 2, sig.interchange_side(inner.alpha, inner.mid, inner.beta, rev)
-    t = length(s.lam)
-    if sig.end0(l) != new.source1.start or sig.end0(new.source1) != r.start:
-        raise CompositionError("rewrite contexts do not 0-compose with the generator's target")
-    rows = tuple(
-        Whisker2(OneCell(l.start, l.word + w.left.word), w.gen, OneCell(w.right.start, w.right.word + r.word))
-        for w in new.whiskers
-    )
-    if t + m > length(phi):
-        raise CompositionError(f"rewrite window at row {t} runs past the last row")
-    above = OneCell(l.start, l.word + new.source1.word + r.word)
-    if level_at(sig, phi, t) != above:
-        raise CompositionError(f"rewrite window at row {t} does not fit: its top level is not {above!r}")
-    below = sig.whisker_target(rows[-1]) if rows else above
-    if below != level_at(sig, phi, t + m):
-        raise CompositionError(f"rewrite window at row {t} does not fit: its bottom level is not {below!r}")
-    return TwoCell(phi.source1, phi.whiskers[:t] + rows + phi.whiskers[t + m :])
-
-
 def normalize2(
     pres: GrayPresentation,
     phi: TwoCell,
@@ -114,11 +70,10 @@ def normalize2(
     partial path of ``B`` steps) is raised only when a redex remains
     after them.
 
-    Each step is applied by ``splice_step``: the rewritten window is
-    spliced between the kept rows, so a step costs its window, not the
-    whole cell.  The two junction checks of ``compose`` stay, as
-    comparisons of the levels at the window's top and bottom.  The
-    returned path is made of ordinary steps, and ``check3`` replays it.
+    Each step is applied by ``sig.step_target``, which splices the
+    rewritten window between the rows of the step's ``lam`` and ``rho``
+    and checks the levels at the window's top and bottom.  The returned
+    path is made of ordinary steps, and ``check3`` replays it.
     """
     if certificate is None and max_steps is None:
         raise CellError("normalize2 needs a termination certificate or an explicit step budget")
@@ -139,14 +94,15 @@ def normalize2(
             )
         step = redexes[0]
         steps.append(step)
-        cur = splice_step(sig, cur, step)
+        cur = sig.step_target(step)
         # Resume the next scan near the rewrite at row t = |lam|.  Whether a
         # window matches depends only on its own rows and the level above
-        # them.  The splice kept the rows above t, and its junction check
-        # kept the level at t, and the scan that chose this step found no
-        # redex starting above t.  So no window that ends above t can match
-        # now, and the windows left to try, of at most ``reach`` rows, start
-        # at row t - reach + 1 or later.
+        # them.  The rows above t are those of ``lam``, unchanged, and the
+        # level at t is the target of ``lam``, which ``step_target`` checks;
+        # and the scan that chose this step found no redex starting above t.
+        # So no window that ends above t can match now, and the windows left
+        # to try, of at most ``reach`` rows, start at row t - reach + 1 or
+        # later.
         lowest = max(0, length(step.lam) - reach + 1)
 
 

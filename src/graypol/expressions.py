@@ -94,7 +94,7 @@ def _boundaries_of_gen(sig: Signature, e: EGen):
     if e.dim == 3:
         if not isinstance(e.ref, (OpGen, Interchanger, QInterchanger)):
             raise TypingError("gen-intro", f"not a 3-generator instance: {e.ref!r}")
-        return sig.inst_source(e.ref), sig.inst_target(e.ref)
+        return sig.inst_boundaries(e.ref)
     raise TypingError("gen-intro", f"unsupported generator dimension {e.dim}")
 
 

@@ -65,18 +65,23 @@ def check_positive_intnorm(pres: GrayPresentation):
                 f"presentation is not positive: 2-generator {name} has an identity target",
             )
     witnesses = []
+    for alpha, mid, beta, src, tgt in _small_interchangers(sig):
+        ns, nt = interchange_norm(src), interchange_norm(tgt)
+        if seq_less(nt, ns) is not True:
+            raise TerminationRefused(
+                "interchange",
+                f"norm does not drop across the interchanger on ({alpha}, {beta})",
+            )
+        witnesses.append(("interchanger", alpha, tuple(mid.word), beta, ns, nt))
+    return witnesses
+
+
+def _small_interchangers(sig: Signature):
+    """``(alpha, mid, beta, source, target)`` for each interchanger whose middle word has at most two letters."""
     for alpha in sig.two:
         for beta in sig.two:
             for mid in _small_middles(sig, alpha, beta, 2):
-                src, tgt = sig.interchanger_boundaries(alpha, mid, beta)
-                ns, nt = interchange_norm(src), interchange_norm(tgt)
-                if seq_less(nt, ns) is not True:
-                    raise TerminationRefused(
-                        "interchange",
-                        f"norm does not drop across the interchanger on ({alpha}, {beta})",
-                    )
-                witnesses.append(("interchanger", alpha, tuple(mid.word), beta, ns, nt))
-    return witnesses
+                yield (alpha, mid, beta, *sig.interchanger_boundaries(alpha, mid, beta))
 
 
 def _small_middles(sig: Signature, alpha: str, beta: str, max_len: int):
@@ -246,15 +251,12 @@ def check_interpretation_decrease(pres: GrayPresentation, interp: LinearInterpre
                 "interp", f"interpretation does not strictly decrease across {name}"
             )
         witnesses.append(("operational", name, fs.symbolic(), ft.symbolic()))
-    for alpha in sig.two:
-        for beta in sig.two:
-            for mid in _small_middles(sig, alpha, beta, 2):
-                src, tgt = sig.interchanger_boundaries(alpha, mid, beta)
-                if eval_interpretation(sig, interp, src) != eval_interpretation(sig, interp, tgt):
-                    raise TerminationRefused(
-                        "interp",
-                        f"interpretation not invariant across the interchanger on ({alpha}, {beta})",
-                    )
+    for alpha, _, beta, src, tgt in _small_interchangers(sig):
+        if eval_interpretation(sig, interp, src) != eval_interpretation(sig, interp, tgt):
+            raise TerminationRefused(
+                "interp",
+                f"interpretation not invariant across the interchanger on ({alpha}, {beta})",
+            )
     return witnesses
 
 
@@ -448,7 +450,7 @@ def check_q_system(pres: GrayPresentation, max_mid: int = 3):
     for alpha, beta, rev in pres.qmode.rules:
         for mid in _small_middles(sig, alpha, beta, max_mid):
             inst = QInterchanger(alpha, mid, beta, rev)
-            src, tgt = sig.inst_source(inst), sig.inst_target(inst)
+            src, tgt = sig.inst_boundaries(inst)
             if not measure_less(selfdual_measure(pres, tgt), selfdual_measure(pres, src)):
                 raise TerminationRefused(
                     "selfdual",
@@ -511,15 +513,12 @@ def _certify_connected(pres, interpretation):
                 "connected", f"operational rule {name} does not preserve connectedness"
             )
         witnesses.append(("operational", name, length(src), length(tgt)))
-    for alpha in sig.two:
-        for beta in sig.two:
-            for mid in _small_middles(sig, alpha, beta, 2):
-                src, tgt = sig.interchanger_boundaries(alpha, mid, beta)
-                if cospan_of(sig, src) != cospan_of(sig, tgt):
-                    raise TerminationRefused(
-                        "connected",
-                        f"interchanger on ({alpha}, {beta}) does not preserve connectedness",
-                    )
+    for alpha, _, beta, src, tgt in _small_interchangers(sig):
+        if cospan_of(sig, src) != cospan_of(sig, tgt):
+            raise TerminationRefused(
+                "connected",
+                f"interchanger on ({alpha}, {beta}) does not preserve connectedness",
+            )
     offender = _closed_diagram_possible(sig)
     if offender is not None:
         raise TerminationRefused(

@@ -269,8 +269,8 @@ def parse_three(sig: Signature, text: str, qmode: Optional[QMode]) -> ThreeCell:
     cell = ThreeCell(sig.step_source(steps[0]), steps)
     # This one check also types every step, so parse_step checks none:
     # step 1's source is the checked ``source2``, each later step's source
-    # must equal the previous step's target, and step boundaries are built
-    # by ``compose``, which refuses mismatched parts.
+    # must equal the previous step's target, and ``step_source`` and
+    # ``step_target`` refuse a step whose parts do not meet.
     sig.check3(cell)
     return cell
 

@@ -14,9 +14,9 @@ import pytest
 ROOT = os.path.join(os.path.dirname(os.path.abspath(__file__)), os.pardir)
 
 
-def _check_smoke_digest(workload, digest):
+def _check_smoke_digest(workload, digest, *flags):
     run = subprocess.run(
-        [sys.executable, os.path.join("bench", "run.py"), "--smoke", "--workload", workload],
+        [sys.executable, os.path.join("bench", "run.py"), "--smoke", *flags, "--workload", workload],
         cwd=ROOT,
         capture_output=True,
         text=True,
@@ -26,6 +26,7 @@ def _check_smoke_digest(workload, digest):
     lines = run.stdout.splitlines()
     assert json.loads(lines[-1])["correct"] is True
     assert f'digest: "{digest}"' in lines
+    return lines
 
 
 def test_normalize_smoke_round_keeps_its_digest():
@@ -38,3 +39,14 @@ def test_normalize_smoke_round_keeps_its_digest():
 )
 def test_smoke_round_keeps_its_digest(workload, digest):
     _check_smoke_digest(workload, digest)
+
+
+@pytest.mark.parametrize(
+    "workload, digest",
+    [("normalize", "f238725f506c20f8"), ("sweep", "0ca51ff1048c9d5b"), ("pipeline", "7b971aeb65d06e19")],
+)
+def test_traced_smoke_round_keeps_its_digest(workload, digest):
+    # the traced replay wraps the layers by name, so a renamed layer fails here
+    lines = _check_smoke_digest(workload, digest, "--trace", "1")
+    checks = json.loads(next(line for line in lines if line.startswith("checks: "))[len("checks: "):])
+    assert checks["traced_digest_equal"] is True

@@ -196,9 +196,20 @@ def test_bad_max_steps_is_a_usage_error(capsys, value):
     assert err.startswith("error: --max-steps") and "Traceback" not in err
 
 
-def test_critical_pairs_ignores_the_rewriting_budget(capsys):
-    code, out, _ = run(capsys, "critical-pairs", "builtin:frobenius", "--max-steps", "5")
-    assert code == 0
+@pytest.mark.parametrize("command", ["critical-pairs", "validate", "check-termination", "render"])
+def test_max_steps_is_a_normalize_and_report_option_only(capsys, command):
+    code, out, err = run(capsys, command, "builtin:frobenius", "--max-steps", "5")
+    assert code == 2
+    assert out == ""
+    assert "unrecognized arguments: --max-steps" in err
+
+
+def test_bad_max_steps_env_leaves_other_commands_working(capsys, monkeypatch):
+    monkeypatch.setenv("GRAYPOL_MAX_STEPS", "abc")
+    code, _, err = run(capsys, "validate", "builtin:frobenius")
+    assert code == 0 and err == ""
+    code, out, err = run(capsys, "critical-pairs", "builtin:frobenius")
+    assert code == 0 and err == ""
     assert "critical branchings: 19" in out
 
 

@@ -31,9 +31,9 @@ from graypol import (
     zz_simplify,
 )
 from graypol.cells import CompositionError, Interchanger, OpGen, Step, slice2
-from graypol.coherence import splice_step
 
 from conftest import random_two_cell
+from test_rewriting import _random_positive_presentation
 
 
 def _cert(entry):
@@ -137,6 +137,11 @@ def _step_kind(sig, inner):
     return ("q", inner.rev)
 
 
+def _composed(sig, s, side):
+    """``lam *1 (left *0 side *0 right) *1 rho`` for step ``s``, built by ``compose``."""
+    return sig.compose(sig.compose(s.lam, sig.whisker0(s.left, side, s.right), 1), s.rho, 1)
+
+
 @pytest.mark.parametrize(
     "name, kind",
     [
@@ -146,17 +151,22 @@ def _step_kind(sig, inner):
         # reversed oriented interchangers, and the 3-row sources of M and M°
         ("selfduality-q", ("q", True)),
         ("frobenius", ("op", 3)),
+        # a random one-wire presentation whose G0 has an identity source
+        ("random-24", ("op", 0)),
     ],
     ids=lambda v: v if isinstance(v, str) else "-".join(map(str, v)),
 )
 def test_spliced_cells_equal_step_targets(name, kind):
-    entry = get_builtin(name)
-    pres = entry.presentation
+    if name.startswith("random-"):
+        pres, cert, budget = _random_positive_presentation(int(name[7:]), identity_sources=True), None, 150
+    else:
+        entry = get_builtin(name)
+        pres = entry.presentation
+        try:
+            cert, budget = _cert(entry), None
+        except TerminationRefused:
+            cert, budget = None, 150
     sig = pres.sig
-    try:
-        cert, budget = _cert(entry), None
-    except TerminationRefused:
-        cert, budget = None, 150
     kinds = set()
     for seed in range(6):
         phi = random_two_cell(sig, random.Random(f"{name}:{seed}"), rows=12, max_pad=3)
@@ -170,7 +180,8 @@ def test_spliced_cells_equal_step_targets(name, kind):
         assert path.source2 == phi
         for s, cell in zip(path.steps, cells):
             assert cell == sig.step_target(s)
-            assert splice_step(sig, sig.step_source(s), s) == cell
+            assert sig.step_source(s) == _composed(sig, s, sig.inst_source(s.inner))
+            assert cell == _composed(sig, s, sig.inst_target(s.inner))
             kinds.add(_step_kind(sig, s.inner))
     assert kind in kinds
 
@@ -180,22 +191,30 @@ def test_splice_refuses_a_window_that_does_not_fit(pseudomonoid):
     comb = _left_comb(sig, 3)
     step = find_redexes(pseudomonoid.presentation, comb)[0]
     assert step.inner == OpGen("A") and length(step.lam) == 0 and step.right.word == ("a",)
-    assert splice_step(sig, comb, step) == sig.step_target(step)
+    assert sig.step_source(step) == comb == _composed(sig, step, sig.inst_source(step.inner))
+    assert sig.step_target(step) == _composed(sig, step, sig.inst_target(step.inner))
     # one row lower the level above the window is a a a, not a a a a
     lower = Step(slice2(sig, comb, 0, 1), step.left, step.inner, step.right, slice2(sig, comb, 3, 3))
     # two rows lower the window runs past the last row
     past = Step(slice2(sig, comb, 0, 2), step.left, step.inner, step.right, slice2(sig, comb, 3, 3))
-    with pytest.raises(CompositionError, match="top level"):
-        splice_step(sig, comb, lower)
-    with pytest.raises(CompositionError, match="past the last row"):
-        splice_step(sig, comb, past)
-    # the top level fits, but the window ends on a a a where A's target ends on a
+    # the top level fits, but the window ends on a a a where A's source and target end on a
     a = OneCell("x", ("a",))
     phi = TwoCell(OneCell("x", ("a",) * 3), (Whisker2(sig.id1("x"), "mu", a), Whisker2(a, "eta", a)))
     sig.check2(phi)
     x = sig.id1("x")
-    with pytest.raises(CompositionError, match="bottom level"):
-        splice_step(sig, phi, Step(sig.id2(phi.source1), x, OpGen("A"), x, sig.id2(sig.target(phi))))
+    below = Step(sig.id2(phi.source1), x, OpGen("A"), x, sig.id2(sig.target(phi)))
+    # a left context ending on y before a side of no rows on x: both levels
+    # fit, so only the check that the contexts 0-compose refuses it
+    empty = TwoCell(OneCell("x", ()), ())
+    points = Signature(zero=["x", "y"], three=[("G", empty, empty)])
+    y = OneCell("y", ())
+    stray = Step(TwoCell(y, ()), y, OpGen("G"), OneCell("x", ()), TwoCell(y, ()))
+    for sg, bad in ((sig, lower), (sig, past), (sig, below), (points, stray)):
+        for side, built in ((sg.inst_source(bad.inner), sg.step_source), (sg.inst_target(bad.inner), sg.step_target)):
+            with pytest.raises(CompositionError):
+                built(bad)
+            with pytest.raises(CompositionError):
+                _composed(sg, bad, side)
 
 
 def test_normal_form_of_normal_form(pseudomonoid, rng):
