@@ -9,6 +9,7 @@ from .cells import (
     CellError,
     CompositionError,
     Interchanger,
+    InternalError,
     OneCell,
     OpGen,
     QInterchanger,

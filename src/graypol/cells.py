@@ -26,6 +26,10 @@ class CellError(Exception):
     """Base class for errors raised by the cell algebra."""
 
 
+class InternalError(RuntimeError):
+    """An internal invariant failed: a defect of graypol, never a fault of the input."""
+
+
 class SignatureError(CellError):
     """A generator declaration is malformed."""
 
@@ -42,7 +46,7 @@ class TypingError(CellError):
         self.rule = rule
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class OneCell:
     start: str
     word: Tuple[str, ...]
@@ -52,7 +56,7 @@ class OneCell:
         return f"<1:{inner}>"
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Whisker2:
     """One 2-generator in a 0-dimensional context: ``left . gen . right``."""
 
@@ -61,7 +65,7 @@ class Whisker2:
     right: OneCell
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class TwoCell:
     source1: OneCell
     whiskers: Tuple[Whisker2, ...]
@@ -75,14 +79,14 @@ class TwoCell:
         return f"<2:{rows}>"
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class OpGen:
     """Reference to a named (operational) 3-generator."""
 
     name: str
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Interchanger:
     """Interchange generator exchanging ``alpha`` past ``beta`` across ``mid``.
 
@@ -94,7 +98,7 @@ class Interchanger:
     beta: str
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class QInterchanger:
     """Oriented interchange rule of the self-duality rewriting system.
 
@@ -111,7 +115,7 @@ class QInterchanger:
 GenInstance = Union[OpGen, Interchanger, QInterchanger]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Step:
     """A rewriting step: a 3-dimensional whisker."""
 
@@ -122,7 +126,7 @@ class Step:
     rho: TwoCell
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class ThreeCell:
     source2: TwoCell
     steps: Tuple[Step, ...]
@@ -318,15 +322,29 @@ class Signature:
         return self.three[name][1]
 
     def interchanger_boundaries(self, alpha: str, mid: OneCell, beta: str) -> Tuple[TwoCell, TwoCell]:
-        """Source and target of the interchange generator for ``alpha, mid, beta``.
+        """Source and target of the interchange generator for ``alpha, mid, beta``."""
+        return self.inst_boundaries(Interchanger(alpha, mid, beta))
 
-        Both are 2-whisker cells: the source stacks ``alpha`` above
-        ``beta``, shifted left; the target stacks them the other way.
+    def inst_side(self, inst: GenInstance, source: bool) -> TwoCell:
+        """The source of a 3-generator instance, or else its target; only that side is built.
+
+        An interchanger's sides are 2-whisker cells: the source stacks
+        ``alpha`` above ``beta``, shifted left; the target stacks them
+        the other way.  They are built from the 1-boundaries of ``alpha``
+        and ``beta`` once ``mid`` is checked to be a 1-cell that
+        0-composes with both.
         """
-        f, _ = self.two.get(alpha, (None, None))
+        if isinstance(inst, OpGen):
+            return self.gen3_source(inst.name) if source else self.gen3_target(inst.name)
+        if not isinstance(inst, (Interchanger, QInterchanger)):
+            raise CellError(f"not a 3-generator instance: {inst!r}")
+        if isinstance(inst, QInterchanger) and inst.rev:
+            source = not source
+        alpha, mid, beta = inst.alpha, inst.mid, inst.beta
+        f, fp = self.two.get(alpha, (None, None))
         if f is None:
             raise SignatureError(f"unknown 2-generator {alpha}")
-        h, _ = self.two.get(beta, (None, None))
+        h, hp = self.two.get(beta, (None, None))
         if h is None:
             raise SignatureError(f"unknown 2-generator {beta}")
         self.check1(mid)
@@ -334,15 +352,6 @@ class Signature:
             raise CompositionError(f"interchanger: {alpha} not 0-composable with middle word")
         if self.end0(mid) != h.start:
             raise CompositionError(f"interchanger: middle word not 0-composable with {beta}")
-        return self._interchange_side(alpha, mid, beta, True), self._interchange_side(alpha, mid, beta, False)
-
-    def _interchange_side(self, alpha: str, mid: OneCell, beta: str, source: bool) -> TwoCell:
-        """The interchanger's source, or else its target, built from the
-        1-boundaries of ``alpha`` and ``beta`` without any check;
-        ``interchanger_boundaries`` checks them first.
-        """
-        f, fp = self.two[alpha]
-        h, hp = self.two[beta]
         idl, idr = OneCell(f.start, ()), OneCell(self.end0(h), ())
         if source:
             rows = (
@@ -358,47 +367,54 @@ class Signature:
 
     def inst_boundaries(self, inst: GenInstance) -> Tuple[TwoCell, TwoCell]:
         """Source and target of a 3-generator instance."""
-        if isinstance(inst, OpGen):
-            return self.gen3_source(inst.name), self.gen3_target(inst.name)
-        if isinstance(inst, (Interchanger, QInterchanger)):
-            s, t = self.interchanger_boundaries(inst.alpha, inst.mid, inst.beta)
-            return (t, s) if isinstance(inst, QInterchanger) and inst.rev else (s, t)
-        raise CellError(f"not a 3-generator instance: {inst!r}")
+        return self.inst_side(inst, True), self.inst_side(inst, False)
 
     def inst_source(self, inst: GenInstance) -> TwoCell:
-        return self.inst_boundaries(inst)[0]
+        return self.inst_side(inst, True)
 
     def inst_target(self, inst: GenInstance) -> TwoCell:
-        return self.inst_boundaries(inst)[1]
+        return self.inst_side(inst, False)
 
     # ---- steps and 3-cells ---------------------------------------
+
+    def whisker_checked(self, l: OneCell, phi: TwoCell, r: OneCell) -> TwoCell:
+        """``l *0 phi *0 r`` for a checked 2-cell ``phi``, its rows whiskered directly.
+
+        Only the checks of ``whisker0`` that can fail on a checked
+        ``phi`` are made: ``CompositionError`` unless ``l`` and ``r``
+        0-compose with its source, since every row of ``phi`` starts and
+        ends where its source does.
+        """
+        top = phi.source1
+        if self.end0(l) != top.start or self.end0(top) != r.start:
+            raise CompositionError("0-whiskering boundary mismatch")
+        return TwoCell(
+            OneCell(l.start, l.word + top.word + r.word),
+            tuple(
+                Whisker2(OneCell(l.start, l.word + w.left.word), w.gen, OneCell(w.right.start, w.right.word + r.word))
+                for w in phi.whiskers
+            ),
+        )
 
     def _step_side(self, s: Step, source: bool) -> TwoCell:
         """``lam *1 (left *0 side *0 right) *1 rho`` for the instance's source, or else its target.
 
-        The side's rows are whiskered by ``left`` and ``right`` and
-        spliced between the rows of ``lam`` and ``rho``.  The checks are
-        those of ``compose``, each a comparison of 1-cells, because the
-        side is a checked 2-cell: ``CompositionError`` unless ``left``
-        and ``right`` 0-compose with the side, the target of ``lam`` is
-        the level above the window and the source of ``rho`` is the
-        level below it.
+        Only the side asked for is built.  Its rows are whiskered by
+        ``left`` and ``right`` and spliced between the rows of ``lam``
+        and ``rho``.  The checks are those of ``compose``, each a
+        comparison of 1-cells, because the side is a checked 2-cell:
+        ``CompositionError`` unless ``left`` and ``right`` 0-compose with
+        the side, the target of ``lam`` is the level above the window and
+        the source of ``rho`` is the level below it.
         """
-        side = self.inst_boundaries(s.inner)[0 if source else 1]
-        l, r, top = s.left, s.right, side.source1
-        if self.end0(l) != top.start or self.end0(top) != r.start:
-            raise CompositionError("0-whiskering boundary mismatch")
-        rows = tuple(
-            Whisker2(OneCell(l.start, l.word + w.left.word), w.gen, OneCell(w.right.start, w.right.word + r.word))
-            for w in side.whiskers
-        )
-        above = OneCell(l.start, l.word + top.word + r.word)
+        window = self.whisker_checked(s.left, self.inst_side(s.inner, source), s.right)
+        above = window.source1
         if self.target(s.lam) != above:
             raise CompositionError(f"2-cells not 1-composable: target {self.target(s.lam)!r} vs source {above!r}")
-        below = self.whisker_target(rows[-1]) if rows else above
+        below = self.whisker_target(window.whiskers[-1]) if window.whiskers else above
         if below != s.rho.source1:
             raise CompositionError(f"2-cells not 1-composable: target {below!r} vs source {s.rho.source1!r}")
-        return TwoCell(s.lam.source1, s.lam.whiskers + rows + s.rho.whiskers)
+        return TwoCell(s.lam.source1, s.lam.whiskers + window.whiskers + s.rho.whiskers)
 
     def step_source(self, s: Step) -> TwoCell:
         return self._step_side(s, True)

@@ -4,7 +4,8 @@ Subcommands: ``critical-pairs``, ``check-termination``, ``normalize``,
 ``report``, ``render``, ``validate``.  Presentations are addressed as
 ``builtin:NAME`` or a file path.  Exit status: 0 on success, 1 on an
 analysis refusal (termination refused, branching not joinable,
-unsupported analysis), 2 on usage or parse errors.
+unsupported analysis), 2 on usage or parse errors.  An
+``InternalError`` is a defect of graypol and propagates.
 """
 
 from __future__ import annotations

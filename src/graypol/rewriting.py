@@ -24,6 +24,7 @@ from .cells import (
     CellError,
     CompositionError,
     Interchanger,
+    InternalError,
     OneCell,
     OpGen,
     QInterchanger,
@@ -446,7 +447,15 @@ def is_natural(pres: GrayPresentation, b: Branching) -> bool:
         # the rotation keeps interchangers, so only these orders can match
         if not isinstance(s_x.inner, Interchanger):
             continue
-        if _natural_match(sig, s_op, s_x) or _natural_match(
+        # ``_natural_match``'s first exits, read before anything is
+        # rotated; the rotation keeps ``k`` and swaps lam/rho and
+        # left/right, so the rotated pattern reads them mirrored
+        k = length(sig.inst_source(s_op.inner))
+        if not (length(s_op.lam) or s_op.left.word or length(s_x.lam) != k - 1) and _natural_match(
+            sig, s_op, s_x
+        ):
+            return True
+        if not (length(s_op.rho) or s_op.right.word or length(s_x.rho) != k - 1) and _natural_match(
             pres.rotated.sig, sig.rotate(s_op), sig.rotate(s_x)
         ):
             return True
@@ -482,13 +491,14 @@ def classify(pres: GrayPresentation, b: Branching):
 def _try_branching(pres: GrayPresentation, s1: Step, s2: Step) -> Optional[Branching]:
     """``Branching(s1, s2)`` when both steps are well typed and share their source."""
     sig = pres.sig
+    # A step's target needs no check of its own: a generator's source and
+    # target are parallel, so ``_step_side`` makes the same checks on the
+    # same 1-cells for either side and raises on both or on neither.
     try:
         src = sig.step_source(s1)
         if sig.step_source(s2) != src:
             return None
         sig.check2(src)
-        sig.step_target(s1)
-        sig.step_target(s2)
     except CellError:
         return None
     return Branching(s1, s2)
@@ -538,8 +548,8 @@ def _glue(pres: GrayPresentation, top, bottom, d: int):
     for l1, l2 in _solve_left_contexts(sig, w1.left, w2.left):
         for r1, r2 in rights:
             try:
-                body1 = sig.whisker0(l1, src1, r1)
-                body2 = sig.whisker0(l2, src2, r2)
+                body1 = sig.whisker_checked(l1, src1, r1)
+                body2 = sig.whisker_checked(l2, src2, r2)
             except CellError:
                 continue
             if body1.whiskers[:over] != body2.whiskers[d : d + over]:
@@ -596,7 +606,9 @@ def _candidates(pres: GrayPresentation):
     ops = [(OpGen(name), sig.gen3_source(name)) for name in pres.operational()]
     for bottom in ops:
         for top in ops:
-            for d in range(length(top[1])):
+            # a window glued onto itself at row 0 gives two equal steps,
+            # a trivial branching, so that glue is skipped
+            for d in range(1 if top is bottom else 0, length(top[1])):
                 yield from _glue(pres, top, bottom, d)
     rot = pres.rotated
     for name in pres.operational():
@@ -608,7 +620,13 @@ def _candidates(pres: GrayPresentation):
 
 
 def enumerate_critical(pres: GrayPresentation, max_candidates: int = 10**6) -> List[CriticalBranching]:
-    """Complete list of critical branchings, deduplicated by symmetry."""
+    """Complete list of critical branchings, deduplicated by symmetry.
+
+    ``max_candidates`` bounds the candidates of ``_candidates``; a window
+    glued onto itself at row 0 is not one, since it is never critical.
+    A critical branching of two interchangers is a defect of the
+    enumeration and raises ``InternalError``, not a refusal.
+    """
     if pres.qmode is not None:
         raise UnsupportedError(
             "critical-branching enumeration is defined for Gray-mode presentations only"
@@ -639,7 +657,7 @@ def enumerate_critical(pres: GrayPresentation, max_candidates: int = 10**6) -> L
     out = sorted(seen.values(), key=lambda cb: cb.key)
     for cb in out:
         if isinstance(cb.branching.s1.inner, Interchanger) and isinstance(cb.branching.s2.inner, Interchanger):
-            raise RewritingError(
+            raise InternalError(
                 f"internal invariant violated: interchanger/interchanger branching {cb.key} "
                 "classified as critical"
             )

@@ -152,10 +152,17 @@ def _parse_whisker(sig: Signature, token: str) -> Whisker2:
 
 
 def parse_two(sig: Signature, text: str) -> TwoCell:
+    phi = _parse_rows(sig, text)
+    sig.check2(phi)
+    return phi
+
+
+def _parse_rows(sig: Signature, text: str) -> TwoCell:
+    """A 2-cell's rows; each word is a checked 1-cell, but the chain of rows is not checked."""
     text = text.strip()
     if text.startswith("id(") and text.endswith(")"):
         u = _parse_word(sig, text[3:-1], None, "id(...)")
-        return sig.id2(u)
+        return TwoCell(u, ())
     whiskers = []
     for token in _split_top(text, ";"):
         if not (
@@ -166,9 +173,7 @@ def parse_two(sig: Signature, text: str) -> TwoCell:
         whiskers.append(_parse_whisker(sig, token))
     if not whiskers:
         raise ParseError("empty 2-cell needs id(...)")
-    phi = TwoCell(sig.whisker_source(whiskers[0]), tuple(whiskers))
-    sig.check2(phi)
-    return phi
+    return TwoCell(sig.whisker_source(whiskers[0]), tuple(whiskers))
 
 
 # ---------------------------------------------------------------- 3-cells
@@ -227,6 +232,7 @@ def _is_cell_token(tok: str) -> bool:
 
 
 def parse_step(sig: Signature, text: str, qmode: Optional[QMode]) -> Step:
+    """One step; its rows are not typed here, ``parse_three`` types the whole cell."""
     if not (text.startswith("{") and text.endswith("}")):
         raise ParseError(f"step must be braced, got {text!r}")
     toks = _split_top(text[1:-1], ";")
@@ -245,13 +251,14 @@ def parse_step(sig: Signature, text: str, qmode: Optional[QMode]) -> Step:
     src = sig.inst_source(inner)
     left = _parse_word(sig, lraw, src.source1.start, text)
     right = _parse_word(sig, rraw, sig.end0(sig.source(src)), text)
-    lam = parse_two(sig, ";".join(lam_toks)) if lam_toks else None
-    rho = parse_two(sig, ";".join(rho_toks)) if rho_toks else None
-    mid = sig.whisker0(left, src, right)
-    if lam is None:
-        lam = sig.id2(sig.source(mid))
-    if rho is None:
-        rho = sig.id2(sig.target(mid))
+    if lam_toks:
+        lam = _parse_rows(sig, ";".join(lam_toks))
+    else:
+        lam = TwoCell(OneCell(left.start, left.word + src.source1.word + right.word), ())
+    if rho_toks:
+        rho = _parse_rows(sig, ";".join(rho_toks))
+    else:
+        rho = TwoCell(OneCell(left.start, left.word + sig.target(src).word + right.word), ())
     return Step(lam, left, inner, right, rho)
 
 

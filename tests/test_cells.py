@@ -290,3 +290,34 @@ def test_signature_is_immutable_and_hashed_by_value(name, request):
     assert hash(copy) == hash(sig) == first
     sig.rotated()
     assert hash(sig) == first
+
+
+def test_cell_classes_are_slotted_and_frozen(pseudomonoid):
+    from dataclasses import FrozenInstanceError, fields
+
+    from graypol import Interchanger, OpGen, QInterchanger, Step, ThreeCell, TwoCell, Whisker2
+
+    sig = pseudomonoid.presentation.sig
+    x, a = sig.id1("x"), sig.word1("a")
+    phi = sig.gen2_cell("mu")
+    step = sig.gen3_cell(OpGen("A")).steps[0]
+    cells = [
+        a,
+        phi.whiskers[0],
+        phi,
+        OpGen("A"),
+        Interchanger("mu", x, "mu"),
+        QInterchanger("mu", x, "mu", False),
+        step,
+        ThreeCell(phi, ()),
+    ]
+    kinds = {type(c) for c in cells}
+    assert kinds == {OneCell, Whisker2, TwoCell, OpGen, Interchanger, QInterchanger, Step, ThreeCell}
+    for c in cells:
+        assert not hasattr(c, "__dict__")
+        for f in fields(c):
+            with pytest.raises(FrozenInstanceError):
+                setattr(c, f.name, getattr(c, f.name))
+        # a new name has no slot; Python 3.11 reports it as a TypeError
+        with pytest.raises((AttributeError, TypeError)):
+            c.extra = 1

@@ -306,3 +306,67 @@ def test_bad_tile_steps_are_parse_errors(tmp_path, capsys, tile, message):
     code, _, err = run(capsys, "validate", str(path))
     assert code == 2
     assert f"line {lineno}" in err and message in err and "Traceback" not in err
+
+
+def test_internal_invariant_failure_is_not_a_refusal(monkeypatch, capsys):
+    # no candidate of the enumeration pairs two interchangers, so one is
+    # added, and classify is made to call it critical
+    import itertools
+
+    from graypol import Branching, Critical, Interchanger, InternalError, OneCell, find_redexes, get_builtin
+    from graypol import rewriting
+
+    from conftest import enumerate_two_cells
+
+    pres = get_builtin("pseudomonoid").presentation
+    xx = None
+    for phi in enumerate_two_cells(pres.sig, 3, [OneCell("x", ("a",) * n) for n in range(5)]):
+        steps = [s for s in find_redexes(pres, phi) if isinstance(s.inner, Interchanger)]
+        if len(steps) >= 2:
+            xx = Branching(steps[0], steps[1])
+            break
+    assert xx is not None
+    candidates, classify = rewriting._candidates, rewriting.classify
+
+    def both_x(b):
+        return isinstance(b.s1.inner, Interchanger) and isinstance(b.s2.inner, Interchanger)
+
+    monkeypatch.setattr(rewriting, "_candidates", lambda p: itertools.chain(candidates(p), [xx]))
+    monkeypatch.setattr(rewriting, "classify", lambda p, b: Critical() if both_x(b) else classify(p, b))
+    with pytest.raises(InternalError, match="internal invariant violated"):
+        main(["critical-pairs", "builtin:pseudomonoid"])
+    assert "refused:" not in capsys.readouterr().err
+
+
+def test_pipeline_commands_never_rebuild_a_window(monkeypatch, capsys):
+    # every builtin, built cold, and every shipped file through the
+    # benchmark's four pipeline commands: no call builds a whiskered
+    # window with ``whisker0``
+    import glob
+    import os
+
+    from graypol import catalog
+    from graypol.cells import Signature
+
+    root = os.path.join(os.path.dirname(os.path.abspath(__file__)), os.pardir)
+    monkeypatch.syspath_prepend(os.path.join(root, "bench"))
+    from workloads import Pipeline
+
+    calls = []
+    whisker0 = Signature.whisker0
+
+    def counted(self, *args):
+        calls.append(args)
+        return whisker0(self, *args)
+
+    monkeypatch.setattr(Signature, "whisker0", counted)
+    sources = [f"builtin:{name}" for name in catalog.BUILTIN_NAMES]
+    sources += sorted(glob.glob(os.path.join(root, "presentations", "*.gray")))
+    assert len(sources) == 10
+    for name in catalog.BUILTIN_NAMES:
+        catalog.get_builtin.__wrapped__(name)
+    for source in sources:
+        for command in Pipeline.COMMANDS:
+            assert main([command[0], source, *command[1:]]) in (0, 1)
+    capsys.readouterr()
+    assert calls == []

@@ -32,7 +32,7 @@ from graypol import (
 )
 from graypol.cells import CompositionError, Interchanger, OpGen, Step, slice2
 
-from conftest import random_two_cell
+from conftest import GRAY_BUILTINS, random_two_cell
 from test_rewriting import _random_positive_presentation
 
 
@@ -186,7 +186,8 @@ def test_spliced_cells_equal_step_targets(name, kind):
     assert kind in kinds
 
 
-def test_splice_refuses_a_window_that_does_not_fit(pseudomonoid):
+def _ill_fitting_steps(pseudomonoid):
+    """``(signature, step)`` pairs whose window does not fit the step's context."""
     sig = pseudomonoid.presentation.sig
     comb = _left_comb(sig, 3)
     step = find_redexes(pseudomonoid.presentation, comb)[0]
@@ -209,7 +210,11 @@ def test_splice_refuses_a_window_that_does_not_fit(pseudomonoid):
     points = Signature(zero=["x", "y"], three=[("G", empty, empty)])
     y = OneCell("y", ())
     stray = Step(TwoCell(y, ()), y, OpGen("G"), OneCell("x", ()), TwoCell(y, ()))
-    for sg, bad in ((sig, lower), (sig, past), (sig, below), (points, stray)):
+    return [(sig, lower), (sig, past), (sig, below), (points, stray)]
+
+
+def test_splice_refuses_a_window_that_does_not_fit(pseudomonoid):
+    for sg, bad in _ill_fitting_steps(pseudomonoid):
         for side, built in ((sg.inst_source(bad.inner), sg.step_source), (sg.inst_target(bad.inner), sg.step_target)):
             with pytest.raises(CompositionError):
                 built(bad)
@@ -470,3 +475,46 @@ def test_merge_composes_cells(pseudomonoid):
     z = zz_compose(sig, z, zz_of(sig, rec.f1, 1))
     red = zz_simplify(sig, z)
     assert red.entries == ((lhs, 1),)
+
+
+def _raises(f, *args):
+    try:
+        f(*args)
+    except CompositionError:
+        return True
+    return False
+
+
+def test_step_target_raises_iff_step_source_raises(pseudomonoid, monkeypatch):
+    # a generator's sides are parallel, so the typing checks of a step are
+    # the same on either side; enumeration types a candidate by its source
+    from graypol import rewriting
+
+    seen = []
+    real = rewriting._try_branching
+
+    def recording(pres, s1, s2):
+        seen.extend((pres.sig, s) for s in (s1, s2))
+        return real(pres, s1, s2)
+
+    monkeypatch.setattr(rewriting, "_try_branching", recording)
+    press = [get_builtin(name).presentation for name in GRAY_BUILTINS]
+    press += [p for p in map(_random_positive_presentation, range(120)) if p is not None]
+    for pres in press:
+        list(rewriting._candidates(pres))
+    monkeypatch.undo()
+    steps = list(seen)
+    # each candidate step with a row of rho moved into lam, and with lam
+    # and rho swapped: mostly steps that do not fit
+    for sg, s in seen:
+        if s.rho.whiskers:
+            lam = TwoCell(s.lam.source1, s.lam.whiskers + s.rho.whiskers[:1])
+            rho = TwoCell(sg.whisker_target(s.rho.whiskers[0]), s.rho.whiskers[1:])
+            steps.append((sg, Step(lam, s.left, s.inner, s.right, rho)))
+        steps.append((sg, Step(s.rho, s.left, s.inner, s.right, s.lam)))
+    steps += _ill_fitting_steps(pseudomonoid)
+    raised = 0
+    for sg, s in steps:
+        assert _raises(sg.step_target, s) == _raises(sg.step_source, s)
+        raised += _raises(sg.step_source, s)
+    assert len(seen) > 1000 and raised > 1000 and len(steps) - raised > 1000

@@ -601,3 +601,76 @@ def test_classification_is_rotation_invariant(pseudomonoid, pseudomonoid_oracle)
     sig, rot = pres.sig, pres.rotated
     for b in pseudomonoid_oracle.classes:
         assert type(classify(rot, rotate_branching(sig, b))) is type(classify(pres, b))
+
+
+def _positive_draws(count):
+    """The first ``count`` valid ``_random_positive_presentation`` draws."""
+    out, seed = [], 0
+    while len(out) < count:
+        pres = _random_positive_presentation(seed)
+        if pres is not None:
+            out.append(pres)
+        seed += 1
+    return out
+
+
+def _gray_builtins_and_draws(count):
+    from graypol import get_builtin
+
+    return [get_builtin(name).presentation for name in GRAY_BUILTINS] + _positive_draws(count)
+
+
+def test_self_glue_at_row_zero_is_trivial():
+    # the glue that enumeration skips: a window laid on itself at row 0
+    from graypol.rewriting import _glue
+
+    glued = 0
+    for pres in _gray_builtins_and_draws(100):
+        sig = pres.sig
+        for name in pres.operational():
+            src = sig.gen3_source(name)
+            if not length(src):
+                continue
+            window = (OpGen(name), src)
+            for b in _glue(pres, window, window, 0):
+                assert b.s1 == b.s2
+                assert isinstance(classify(pres, b), Trivial)
+                glued += 1
+    assert glued >= 100
+
+
+def _is_natural_unfiltered(pres, b):
+    """``is_natural`` without the filter read before rotating."""
+    from graypol.rewriting import _natural_match
+
+    if pres.qmode is not None:
+        return False
+    sig = pres.sig
+    for s_op, s_x in ((b.s1, b.s2), (b.s2, b.s1)):
+        if not isinstance(s_x.inner, Interchanger):
+            continue
+        if _natural_match(sig, s_op, s_x) or _natural_match(
+            pres.rotated.sig, sig.rotate(s_op), sig.rotate(s_x)
+        ):
+            return True
+    return False
+
+
+def test_natural_prefilter_matches_unfiltered_rule(pseudomonoid, pseudomonoid_oracle):
+    from graypol.rewriting import _candidates
+
+    pres = pseudomonoid.presentation
+    pairs = list(pseudomonoid_oracle.classes)
+    assert len(pairs) == 35442
+    naturals = 0
+    for b in pairs:
+        got = is_natural(pres, b)
+        assert got == _is_natural_unfiltered(pres, b)
+        naturals += got
+    assert naturals >= 128
+    candidates = 0
+    for pres in _gray_builtins_and_draws(100):
+        for b in _candidates(pres):
+            assert is_natural(pres, b) == _is_natural_unfiltered(pres, b)
+            candidates += 1
+    assert candidates > 500
