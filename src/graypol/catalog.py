@@ -1,24 +1,43 @@
 """Built-in presentations and their expected statistics.
 
-Each entry carries the presentation (tiles installed), the linear
-interpretation when one certifies termination, the expected critical
-branching count, and the expected certification strategy.  Tiles are
-the joins computed by the coherence engine, so a freshly loaded entry
-already witnesses its own completion.
+Each builtin is defined once, by its file ``presentations/NAME.gray``
+shipped inside the package; ``get_builtin`` parses that file.  Tiles
+are part of the file: they are the joins the coherence engine computes
+for the tile-free presentation, renamed ``R1``, ``R2``, ...  The table
+below adds what a file does not say: the linear interpretation when
+one certifies termination, the expected critical branching count, and
+the expected certification strategy.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
+from importlib import resources
 from typing import Optional, Tuple
 
-from .cells import OneCell, Signature
-from .coherence import squier_completion
-from .presentation import GrayPresentation, QMode, Tile
+from .presentation import GrayPresentation
 from .termination import AffineMap, LinearInterpretation
+from .textio import parse_presentation
 
 BUILTIN_NAMES = ("pseudomonoid", "pseudoadjunction", "selfduality", "selfduality-q", "frobenius")
+
+_PSEUDOMONOID_INTERP = LinearInterpretation(
+    weights={"a": 1},
+    maps={
+        "mu": AffineMap.make(2, [[2, 1]], [1]),
+        "eta": AffineMap.make(0, [[]], [1]),
+    },
+)
+
+# name: (interpretation, expected critical count, expected strategy)
+_METADATA = {
+    "pseudomonoid": (_PSEUDOMONOID_INTERP, 5, "interp"),
+    "pseudoadjunction": (None, 2, "connected"),
+    "selfduality": (None, None, None),
+    "selfduality-q": (None, None, "selfdual"),
+    "frobenius": (None, 19, None),
+}
 
 
 @dataclass(frozen=True)
@@ -31,142 +50,14 @@ class BuiltinEntry:
     tile_names: Tuple[str, ...]
 
 
-def _pseudomonoid_sig() -> Signature:
-    a = OneCell("x", ("a",))
-    aa = OneCell("x", ("a", "a"))
-    e = OneCell("x", ())
-    base = Signature(zero=["x"], one=[("a", "x", "x")], two=[("mu", aa, a), ("eta", e, a)])
-    mu, eta = base.gen2_cell("mu"), base.gen2_cell("eta")
-    src_a = base.compose(base.compose(mu, a, 0), mu, 1)
-    tgt_a = base.compose(base.compose(a, mu, 0), mu, 1)
-    src_l = base.compose(base.compose(eta, a, 0), mu, 1)
-    src_r = base.compose(base.compose(a, eta, 0), mu, 1)
-    ida = base.id2(a)
-    return Signature(
-        zero=["x"],
-        one=[("a", "x", "x")],
-        two=[("mu", aa, a), ("eta", e, a)],
-        three=[("A", src_a, tgt_a), ("L", src_l, ida), ("R", src_r, ida)],
-    )
-
-
-def _pseudomonoid_interp() -> LinearInterpretation:
-    return LinearInterpretation(
-        weights={"a": 1},
-        maps={
-            "mu": AffineMap.make(2, [[2, 1]], [1]),
-            "eta": AffineMap.make(0, [[]], [1]),
-        },
-    )
-
-
-def _pseudoadjunction_sig() -> Signature:
-    f = OneCell("x", ("f",))
-    g = OneCell("y", ("g",))
-    fg = OneCell("x", ("f", "g"))
-    gf = OneCell("y", ("g", "f"))
-    ex, ey = OneCell("x", ()), OneCell("y", ())
-    base = Signature(
-        zero=["x", "y"],
-        one=[("f", "x", "y"), ("g", "y", "x")],
-        two=[("eta", ex, fg), ("eps", gf, ey)],
-    )
-    eta, eps = base.gen2_cell("eta"), base.gen2_cell("eps")
-    src_n = base.compose(base.compose(eta, f, 0), base.compose(f, eps, 0), 1)
-    src_nb = base.compose(base.compose(g, eta, 0), base.compose(eps, g, 0), 1)
-    return Signature(
-        zero=["x", "y"],
-        one=[("f", "x", "y"), ("g", "y", "x")],
-        two=[("eta", ex, fg), ("eps", gf, ey)],
-        three=[("N", src_n, base.id2(f)), ("N⁻", src_nb, base.id2(g))],
-    )
-
-
-def _selfduality_sig() -> Signature:
-    a = OneCell("x", ("a",))
-    aa = OneCell("x", ("a", "a"))
-    e = OneCell("x", ())
-    base = Signature(zero=["x"], one=[("a", "x", "x")], two=[("eta", e, aa), ("eps", aa, e)])
-    eta, eps = base.gen2_cell("eta"), base.gen2_cell("eps")
-    src_n = base.compose(base.compose(eta, a, 0), base.compose(a, eps, 0), 1)
-    src_nb = base.compose(base.compose(a, eta, 0), base.compose(eps, a, 0), 1)
-    return Signature(
-        zero=["x"],
-        one=[("a", "x", "x")],
-        two=[("eta", e, aa), ("eps", aa, e)],
-        three=[("N", src_n, base.id2(a)), ("N⁻", src_nb, base.id2(a))],
-    )
-
-
-def _frobenius_sig() -> Signature:
-    a = OneCell("x", ("a",))
-    aa = OneCell("x", ("a", "a"))
-    base = Signature(zero=["x"], one=[("a", "x", "x")], two=[("mu", aa, a), ("delta", a, aa)])
-    mu, delta = base.gen2_cell("mu"), base.gen2_cell("delta")
-
-    def c1(two, u):
-        return base.compose(two, u, 0)
-
-    def c0(u, two):
-        return base.compose(u, two, 0)
-
-    frob_c = base.compose(mu, delta, 1)
-    src_n = base.compose(c0(a, delta), c1(mu, a), 1)
-    src_nb = base.compose(c1(delta, a), c0(a, mu), 1)
-    src_a = base.compose(c1(mu, a), mu, 1)
-    tgt_a = base.compose(c0(a, mu), mu, 1)
-    src_ac = base.compose(delta, c0(a, delta), 1)
-    tgt_ac = base.compose(delta, c1(delta, a), 1)
-    bead = base.compose(delta, mu, 1)
-    src_m = base.compose(c0(a, bead), mu, 1)
-    tgt_m = base.compose(mu, bead, 1)
-    src_mc = base.compose(delta, c1(bead, a), 1)
-    tgt_mc = base.compose(bead, delta, 1)
-    return Signature(
-        zero=["x"],
-        one=[("a", "x", "x")],
-        two=[("mu", aa, a), ("delta", a, aa)],
-        three=[
-            ("N", src_n, frob_c),
-            ("N⁻", src_nb, frob_c),
-            ("A", src_a, tgt_a),
-            ("A°", src_ac, tgt_ac),
-            ("M", src_m, tgt_m),
-            ("M°", src_mc, tgt_mc),
-        ],
-    )
-
-
-def _with_completion_tiles(pres: GrayPresentation, interpretation, max_steps=20000) -> GrayPresentation:
-    emitted, _ = squier_completion(pres, interpretation=interpretation, max_steps=max_steps)
-    tiles = tuple(Tile(f"R{i}", t.lhs, t.rhs) for i, t in enumerate(emitted, start=1))
-    return pres.with_tiles(tiles)
-
-
 @lru_cache(maxsize=None)
 def get_builtin(name: str) -> BuiltinEntry:
-    if name == "pseudomonoid":
-        pres = GrayPresentation("pseudomonoid", _pseudomonoid_sig())
-        interp = _pseudomonoid_interp()
-        pres = _with_completion_tiles(pres, interp)
-        return BuiltinEntry(name, pres, interp, 5, "interp", _names(pres))
-    if name == "pseudoadjunction":
-        pres = _with_completion_tiles(GrayPresentation("pseudoadjunction", _pseudoadjunction_sig()), None)
-        return BuiltinEntry(name, pres, None, 2, "connected", _names(pres))
-    if name == "selfduality":
-        pres = _with_completion_tiles(GrayPresentation("selfduality", _selfduality_sig()), None)
-        return BuiltinEntry(name, pres, None, None, None, _names(pres))
-    if name == "selfduality-q":
-        pres = GrayPresentation("selfduality-q", _selfduality_sig(), qmode=QMode("eta", "eps"))
-        return BuiltinEntry(name, pres, None, None, "selfdual", ())
-    if name == "frobenius":
-        pres = _with_completion_tiles(GrayPresentation("frobenius", _frobenius_sig()), None)
-        return BuiltinEntry(name, pres, None, 19, None, _names(pres))
-    raise KeyError(f"unknown builtin {name!r}; choose from {BUILTIN_NAMES}")
-
-
-def _names(pres: GrayPresentation) -> Tuple[str, ...]:
-    return tuple(t.name for t in pres.tiles)
+    if name not in _METADATA:
+        raise KeyError(f"unknown builtin {name!r}; choose from {BUILTIN_NAMES}")
+    path = resources.files(__package__) / "presentations" / f"{name}.gray"
+    pres = parse_presentation(path.read_text(encoding="utf-8"))
+    tile_names = tuple(t.name for t in pres.tiles)
+    return BuiltinEntry(name, pres, *_METADATA[name], tile_names)
 
 
 def list_builtins() -> Tuple[str, ...]:

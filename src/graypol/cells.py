@@ -510,90 +510,75 @@ class Signature:
             )
         return OneCell(a.start, a.word + b.word)
 
+    def _stack(self, a: TwoCell, b: TwoCell) -> TwoCell:
+        """``a *1 b``: the rows of ``a`` above those of ``b``."""
+        if self.target(a) != b.source1:
+            raise CompositionError(f"2-cells not 1-composable: target {self.target(a)!r} vs source {b.source1!r}")
+        return TwoCell(a.source1, a.whiskers + b.whiskers)
+
     def compose(self, a, b, i: int):
         """Composite ``a *_i b`` in normal form.
 
         Defined when the lower of the two dimensions is ``i + 1``;
         whiskering a 2- or 3-cell by a 1-cell, stacking 2-cells, and
-        chaining 3-cells are all instances.
+        chaining 3-cells are all instances.  A whiskering on one side is
+        the two-sided ``whisker0`` or ``whisker1`` with an identity on
+        the other.
         """
         da, db = dim(a), dim(b)
-        if min(da, db) != i + 1:
-            raise CompositionError(
-                f"compose_{i} undefined for dimensions {da} and {db}"
-            )
-        if da == 1 and db == 1:
-            return self._concat(a, b)
-        if i == 0 and da == 1 and db == 2:
-            if self.end0(a) != b.source1.start:
-                raise CompositionError("0-whiskering boundary mismatch (left)")
-            return TwoCell(
-                self._concat(a, b.source1),
-                tuple(Whisker2(self._concat(a, w.left), w.gen, w.right) for w in b.whiskers),
-            )
-        if i == 0 and da == 2 and db == 1:
-            if self.end0(self.source(a)) != b.start:
-                raise CompositionError("0-whiskering boundary mismatch (right)")
-            return TwoCell(
-                self._concat(a.source1, b),
-                tuple(Whisker2(w.left, w.gen, self._concat(w.right, b)) for w in a.whiskers),
-            )
-        if i == 1 and da == 2 and db == 2:
-            if self.target(a) != b.source1:
-                raise CompositionError(
-                    f"2-cells not 1-composable: target {self.target(a)!r} vs source {b.source1!r}"
-                )
-            return TwoCell(a.source1, a.whiskers + b.whiskers)
-        if i == 0 and da == 1 and db == 3:
-            return ThreeCell(
-                self.compose(a, b.source2, 0),
-                tuple(
-                    Step(self.compose(a, s.lam, 0), self._concat(a, s.left), s.inner, s.right,
-                         self.compose(a, s.rho, 0))
-                    for s in b.steps
-                ),
-            )
-        if i == 0 and da == 3 and db == 1:
-            return ThreeCell(
-                self.compose(a.source2, b, 0),
-                tuple(
-                    Step(self.compose(s.lam, b, 0), s.left, s.inner, self._concat(s.right, b),
-                         self.compose(s.rho, b, 0))
-                    for s in a.steps
-                ),
-            )
-        if i == 1 and da == 2 and db == 3:
-            if self.target(a) != b.source2.source1:
-                raise CompositionError("1-whiskering boundary mismatch (above)")
-            return ThreeCell(
-                self.compose(a, b.source2, 1),
-                tuple(Step(self.compose(a, s.lam, 1), s.left, s.inner, s.right, s.rho) for s in b.steps),
-            )
-        if i == 1 and da == 3 and db == 2:
-            if self.target(self.source(a)) != b.source1:
-                raise CompositionError("1-whiskering boundary mismatch (below)")
-            return ThreeCell(
-                self.compose(a.source2, b, 1),
-                tuple(Step(s.lam, s.left, s.inner, s.right, self.compose(s.rho, b, 1)) for s in a.steps),
-            )
-        if i == 2 and da == 3 and db == 3:
-            if self.target(a) != b.source2:
-                raise CompositionError("3-cells not 2-composable")
-            return ThreeCell(a.source2, a.steps + b.steps)
-        raise CompositionError(f"compose_{i} undefined for dimensions {da} and {db}")
+        if min(da, db) != i + 1 or (i == 1 and da == db == 3):
+            raise CompositionError(f"compose_{i} undefined for dimensions {da} and {db}")
+        if i == 0:
+            if da == db:
+                return self._concat(a, b)
+            if da == 1:
+                top = b.source1 if db == 2 else b.source2.source1
+                return self.whisker0(a, b, OneCell(self.end0(top), ()))
+            top = a.source1 if da == 2 else a.source2.source1
+            return self.whisker0(OneCell(top.start, ()), a, b)
+        if i == 1:
+            if da == db:
+                return self._stack(a, b)
+            if da == 2:
+                return self.whisker1(a, b, TwoCell(self.target(b.source2), ()))
+            return self.whisker1(TwoCell(a.source2.source1, ()), a, b)
+        if self.target(a) != b.source2:
+            raise CompositionError("3-cells not 2-composable")
+        return ThreeCell(a.source2, a.steps + b.steps)
 
     def whisker0(self, left: OneCell, c: Cell, right: OneCell) -> Cell:
-        """``left *0 c *0 right`` for a cell of dimension at least 1."""
-        out = c
-        if dim(c) == 1:
+        """``left *0 c *0 right`` for a 1-, 2- or 3-cell.
+
+        Every 1-cell is extended by a checked ``_concat``, row by row
+        and step by step, so contexts that do not fit raise
+        ``CompositionError``.
+        """
+        if isinstance(c, OneCell):
             return self._concat(left, self._concat(c, right))
-        out = self.compose(left, out, 0)
-        out = self.compose(out, right, 0)
-        return out
+        if isinstance(c, TwoCell):
+            return TwoCell(
+                self._concat(left, self._concat(c.source1, right)),
+                tuple(
+                    Whisker2(self._concat(left, w.left), w.gen, self._concat(w.right, right)) for w in c.whiskers
+                ),
+            )
+        if isinstance(c, ThreeCell):
+            return ThreeCell(
+                self.whisker0(left, c.source2, right),
+                tuple(
+                    Step(self.whisker0(left, s.lam, right), self._concat(left, s.left), s.inner,
+                         self._concat(s.right, right), self.whisker0(left, s.rho, right))
+                    for s in c.steps
+                ),
+            )
+        raise CellError(f"not a cell: {c!r}")
 
     def whisker1(self, lam: TwoCell, F: ThreeCell, rho: TwoCell) -> ThreeCell:
-        """``lam *1 F *1 rho`` for a 3-cell."""
-        return self.compose(self.compose(lam, F, 1), rho, 1)
+        """``lam *1 F *1 rho`` for a 3-cell: ``lam`` stacked above every step, ``rho`` below."""
+        return ThreeCell(
+            self._stack(self._stack(lam, F.source2), rho),
+            tuple(Step(self._stack(lam, s.lam), s.left, s.inner, s.right, self._stack(s.rho, rho)) for s in F.steps),
+        )
 
     # ---- the 180° rotation ----------------------------------------
 

@@ -58,28 +58,31 @@ class OracleTable:
 
     ``classes`` maps every ordered pair of redexes of every cell, in scan
     order, to the oracle's class; ``criticals`` is the brute-force list
-    of critical branchings, keyed by branching key.
+    of critical branchings, keyed by branching key; ``natural`` is the
+    set of natural branchings on the cells, built from the definition.
     """
 
     classes: dict
     criticals: dict
+    natural: frozenset
 
 
 @pytest.fixture(scope="session")
 def pseudomonoid_oracle(pseudomonoid):
     """The oracle on every pseudomonoid cell of at most 4 rows over x, a, ..., a^4."""
-    from test_rewriting import brute_force_criticals, oracle_classify
+    from test_rewriting import brute_force_criticals, natural_branchings, oracle_classify
 
     pres = pseudomonoid.presentation
     starts = [OneCell("x", ("a",) * n) for n in range(5)]
     cells = [c for c in enumerate_two_cells(pres.sig, 4, starts) if length(c) <= 4]
+    natural = frozenset(natural_branchings(pres, cells))
     classes = {}
     for phi in cells:
         steps = find_redexes(pres, phi)
         for s1, s2 in itertools.product(steps, steps):
             b = Branching(s1, s2)
-            classes[b] = oracle_classify(pres, b)
-    return OracleTable(classes, brute_force_criticals(pres, cells, classes))
+            classes[b] = oracle_classify(pres, b, natural)
+    return OracleTable(classes, brute_force_criticals(pres, cells, classes), natural)
 
 
 @pytest.fixture()

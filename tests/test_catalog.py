@@ -1,16 +1,20 @@
 """Built-in presentations: statistics, flags, rosters, shipped files."""
 
+import os
 import pathlib
+from importlib import resources
 
 import pytest
 
 from graypol import (
     BUILTIN_NAMES,
+    Tile,
     get_builtin,
     length,
     list_builtins,
     parse_presentation,
     serialize_presentation,
+    squier_completion,
     validate,
 )
 
@@ -94,11 +98,22 @@ def test_round_trip_is_identity():
         assert serialize_presentation(again) == text
 
 
-def test_shipped_files_parse_to_catalog_entries():
+def test_shipped_tiles_are_the_completion_of_the_tile_free_presentation():
+    """Squier completion of each bare Gray-mode file reproduces its tiles, in order, named R1..Rn."""
     for name in BUILTIN_NAMES:
-        path = ROOT / "presentations" / f"{name}.gray"
-        text = path.read_text(encoding="utf-8")
-        assert parse_presentation(text) == get_builtin(name).presentation
+        entry = get_builtin(name)
+        pres = entry.presentation
+        if pres.qmode is not None:
+            continue
+        emitted, _ = squier_completion(pres.with_tiles(()), interpretation=entry.interpretation, max_steps=20000)
+        renamed = tuple(Tile(f"R{i}", t.lhs, t.rhs) for i, t in enumerate(emitted, start=1))
+        assert renamed == pres.tiles, name
+
+
+def test_root_presentations_are_the_packaged_files():
+    packaged = resources.files("graypol") / "presentations"
+    for name in BUILTIN_NAMES:
+        assert os.path.samefile(ROOT / "presentations" / f"{name}.gray", str(packaged / f"{name}.gray"))
 
 
 def test_qmode_entry(selfduality_q):

@@ -1,9 +1,14 @@
 """Smaller contract points: error paths, budgets, order combination."""
 
+import dataclasses
+
 import pytest
 
 from graypol import (
     Branching,
+    CellError,
+    InternalError,
+    branching_key,
     certify_termination,
     enumerate_critical,
     eval_interpretation,
@@ -14,7 +19,7 @@ from graypol import (
     normalize2,
     seq_less,
 )
-from graypol.rewriting import RewritingError, classify
+from graypol.rewriting import RewritingError, classify, step_key
 from graypol.termination import _dominates
 
 from conftest import random_two_cell
@@ -27,6 +32,18 @@ def test_classify_rejects_non_branchings(pseudomonoid):
     s2 = find_redexes(pres, sig.gen3_source("L"))[0]
     with pytest.raises(RewritingError):
         classify(pres, Branching(s1, s2))
+
+
+def test_key_of_a_non_instance_is_an_internal_error(pseudomonoid):
+    # steps are built by graypol itself, so a step whose inner part is not
+    # a generator instance is a defect, never a refusal of the input
+    pres = pseudomonoid.presentation
+    s = find_redexes(pres, pres.sig.gen3_source("A"))[0]
+    bad = dataclasses.replace(s, inner="A")
+    for key in (lambda: step_key(bad), lambda: branching_key(Branching(s, bad))):
+        with pytest.raises(InternalError, match="not a generator instance") as info:
+            key()
+        assert not isinstance(info.value, CellError)
 
 
 def test_enumeration_candidate_budget(pseudomonoid):

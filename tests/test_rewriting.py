@@ -7,6 +7,7 @@ import pytest
 
 from graypol import (
     Branching,
+    CellError,
     Critical,
     Independent,
     Interchanger,
@@ -14,12 +15,14 @@ from graypol import (
     NonMinimal,
     OneCell,
     OpGen,
+    ShuffleEdge,
     Trivial,
     UnsupportedError,
     branching_key,
     classify,
     enumerate_critical,
     find_redexes,
+    interp_edge,
     length,
 )
 from graypol.cells import Step
@@ -159,9 +162,7 @@ def _try_peel(sig, s, tl, tr, nl, nr):
     rw = OneCell(sig.end0(rw_pre), sig.source(mid).word[len(sig.source(mid).word) - nr :])
     try:
         rebuilt = Step(
-            sig.compose(lam, sig.compose(sig.whisker0(lw, inner.lam, rw), rho, 1), 1)
-            if False
-            else sig.compose(lam, sig.whisker0(lw, inner.lam, rw), 1),
+            sig.compose(lam, sig.whisker0(lw, inner.lam, rw), 1),
             sig.compose(lw, inner.left, 0),
             inner.inner,
             sig.compose(inner.right, rw, 0),
@@ -196,14 +197,85 @@ def oracle_independent(pres, b):
     return False
 
 
-def oracle_classify(pres, b):
+def _window_above(sig, cells):
+    """Natural branchings ``(generator step, interchanger step)`` with the window on top.
+
+    For every instance ``A`` of a 3-generator, interchangers included,
+    whose source ``phi_A`` starts the source of one of ``cells``, and
+    every 2-cell ``psi`` of at least one row on the rest of that source:
+    the shared source is ``phi_A`` followed by ``psi``, the generator
+    step rewrites ``phi_A``, and the interchanger step, built by
+    ``interp_edge``, slides the last row of ``phi_A`` past the first
+    row of ``psi``.
+    """
+    max_rows = max(length(c) for c in cells)
+    out = set()
+    for top in {c.source1 for c in cells}:
+        for inst in _instances_at(sig, top):
+            phi_a = sig.inst_source(inst)
+            k = length(phi_a)
+            if not 0 < k < max_rows:
+                continue
+            n = len(phi_a.source1.word)
+            rest = OneCell(sig.end0(phi_a.source1), top.word[n:])
+            for psi in enumerate_two_cells(sig, max_rows - k, [rest]):
+                if not length(psi):
+                    continue
+                below = sig.compose(sig.target(phi_a), psi, 0)
+                s_op = Step(sig.id2(top), OneCell(top.start, ()), inst, rest, below)
+                edge = ShuffleEdge(
+                    tuple(("l", i) for i in range(1, k)), k, 1, tuple(("r", j) for j in range(2, length(psi) + 1))
+                )
+                s_x = interp_edge(sig, edge, phi_a, psi)
+                assert sig.step_source(s_op) == sig.step_source(s_x)
+                out.add(Branching(s_op, s_x))
+    return out
+
+
+def _instances_at(sig, top):
+    """Every 3-generator instance, interchangers included, whose source starts ``top``."""
+    insts = [OpGen(name) for name in sig.three]
+    for alpha, (src, _) in sig.two.items():
+        for cut in range(len(src.word), len(top.word) + 1):
+            mid = OneCell(sig.end0(src), top.word[len(src.word) : cut])
+            insts += [Interchanger(alpha, mid, beta) for beta in sig.two]
+    out = []
+    for inst in insts:
+        try:
+            level = sig.inst_source(inst).source1
+        except CellError:
+            continue
+        if level.start == top.start and top.word[: len(level.word)] == level.word:
+            out.append(inst)
+    return out
+
+
+def natural_branchings(pres, cells):
+    """Every natural branching whose source is one of ``cells``, by construction.
+
+    The window-on-top pattern of ``_window_above`` in both orders; the
+    mirror image, with the window at the bottom, is the same pattern
+    built over the rotated signature on the rotated cells, rotated back.
+    """
+    if pres.qmode is not None:
+        return set()
+    sig = pres.sig
+    rsig = sig.rotated()
+    out = _window_above(sig, cells)
+    mirrored = _window_above(rsig, [sig.rotate(c) for c in cells])
+    out |= {Branching(rsig.rotate(b.s1), rsig.rotate(b.s2)) for b in mirrored}
+    return out | {Branching(b.s2, b.s1) for b in out}
+
+
+def oracle_classify(pres, b, natural):
+    """The class of ``b``; ``natural`` holds the natural branchings of its source."""
     if b.s1 == b.s2:
         return "trivial"
     if not oracle_minimal(pres, b):
         return "nonminimal"
     if oracle_independent(pres, b):
         return "independent"
-    if is_natural(pres, b):
+    if b in natural:
         return "natural"
     return "critical"
 
@@ -225,11 +297,12 @@ def brute_force_criticals(pres, cells, classes=None):
     ``classes`` may hold the oracle's class of every such pair already.
     """
     found = {}
+    natural = natural_branchings(pres, cells) if classes is None else None
     for phi in cells:
         steps = find_redexes(pres, phi)
         for s1, s2 in itertools.product(steps, steps):
             b = canonical_branching(Branching(s1, s2))
-            cls = classes[b] if classes is not None else oracle_classify(pres, b)
+            cls = classes[b] if classes is not None else oracle_classify(pres, b, natural)
             if cls == "critical":
                 found[branching_key(b)] = b
     return found
@@ -654,6 +727,20 @@ def _is_natural_unfiltered(pres, b):
         ):
             return True
     return False
+
+
+def test_is_natural_matches_constructed_natural_branchings(pseudomonoid, pseudomonoid_oracle):
+    # every ordered redex pair of the sweep, minimal or not: ``is_natural``
+    # holds exactly on the branchings built from the definition
+    pres = pseudomonoid.presentation
+    natural = pseudomonoid_oracle.natural
+    found = 0
+    for b in pseudomonoid_oracle.classes:
+        assert is_natural(pres, b) == (b in natural), b
+        found += b in natural
+    assert found == 2260
+    kinds = {(type(b.s1.inner).__name__, type(b.s2.inner).__name__) for b in natural}
+    assert kinds == {("OpGen", "Interchanger"), ("Interchanger", "OpGen"), ("Interchanger", "Interchanger")}
 
 
 def test_natural_prefilter_matches_unfiltered_rule(pseudomonoid, pseudomonoid_oracle):
