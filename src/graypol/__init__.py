@@ -97,8 +97,6 @@ from .coherence import (
     zz_is_reduced,
     zz_of,
     zz_simplify,
-    zz_whisker0,
-    zz_whisker1,
 )
 from .catalog import BUILTIN_NAMES, BuiltinEntry, get_builtin, list_builtins
 from .textio import (

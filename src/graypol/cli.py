@@ -13,13 +13,14 @@ from __future__ import annotations
 import argparse
 import functools
 import json
+import os
 import sys
 
 from .catalog import BUILTIN_NAMES, get_builtin
 from .cells import CellError, length
-from .coherence import default_budget, key_json, normalize2, positive_budget, squier_completion
+from .coherence import DEFAULT_MAX_STEPS, key_json, normalize2, squier_completion
 from .presentation import validate
-from .rewriting import enumerate_critical
+from .rewriting import Branching, CriticalBranching, branching_key, enumerate_critical
 from .termination import STRATEGIES, TerminationRefused, certify_termination
 from .textio import ParseError, parse_cell, parse_presentation, render_cell, render_step
 
@@ -27,8 +28,19 @@ USAGE_ERROR = 2
 REFUSAL = 1
 
 
-class Refusal(Exception):
+class UsageError(Exception):
     pass
+
+
+def _positive_budget(value, origin: str) -> int:
+    """``value`` as a step budget; ``UsageError`` naming ``origin`` unless a positive integer."""
+    try:
+        budget = int(value)
+    except ValueError:
+        budget = 0
+    if budget <= 0:
+        raise UsageError(f"{origin} must be a positive integer, got {value!r}")
+    return budget
 
 
 def _load(source: str):
@@ -40,7 +52,7 @@ def _load(source: str):
         except KeyError as exc:
             if name in BUILTIN_NAMES:
                 raise
-            raise Refusal(exc.args[0]) from None
+            raise UsageError(exc.args[0]) from None
         return entry.presentation, entry.interpretation
     with open(source, "r", encoding="utf-8") as handle:
         text = handle.read()
@@ -71,8 +83,6 @@ def _cmd_critical_pairs(args) -> int:
     for cb in branchings:
         items = [cb]
         if args.include_symmetric:
-            from .rewriting import Branching, CriticalBranching, branching_key
-
             swapped = Branching(cb.branching.s2, cb.branching.s1)
             items.append(CriticalBranching(swapped, branching_key(swapped)))
         for item in items:
@@ -114,7 +124,7 @@ def _cmd_check_termination(args) -> int:
 def _cmd_normalize(args) -> int:
     pres, interp = _load(args.source)
     if not args.cell:
-        raise Refusal("normalize needs --cell")
+        raise UsageError("normalize needs --cell")
     cell = _parse_cell_arg(pres, args.cell)
     cert = None
     try:
@@ -156,7 +166,7 @@ def _cmd_report(args) -> int:
 def _cmd_render(args) -> int:
     pres, _ = _load(args.source)
     if not args.cell:
-        raise Refusal("render needs --cell")
+        raise UsageError("render needs --cell")
     cell = _parse_cell_arg(pres, args.cell)
     _emit(args, {"rendered": render_cell(pres.sig, cell, args.style)}, render_cell(pres.sig, cell, args.style))
     return 0
@@ -241,15 +251,15 @@ def main(argv=None) -> int:
         return USAGE_ERROR if exc.code not in (0, None) else 0
     try:
         if "max_steps" in args:
-            try:
-                if args.max_steps is None:
-                    args.max_steps = default_budget()
-                else:
-                    args.max_steps = positive_budget(args.max_steps, "--max-steps")
-            except ValueError as exc:
-                raise Refusal(str(exc)) from None
+            env = os.environ.get("GRAYPOL_MAX_STEPS")
+            if args.max_steps is not None:
+                args.max_steps = _positive_budget(args.max_steps, "--max-steps")
+            elif env:
+                args.max_steps = _positive_budget(env, "GRAYPOL_MAX_STEPS")
+            else:
+                args.max_steps = DEFAULT_MAX_STEPS
         return args.func(args)
-    except (ParseError, FileNotFoundError, Refusal) as exc:
+    except (ParseError, FileNotFoundError, UsageError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return USAGE_ERROR
     except CellError as exc:

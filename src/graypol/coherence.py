@@ -12,7 +12,6 @@ branching.
 
 from __future__ import annotations
 
-import os
 from dataclasses import dataclass, field
 from typing import List, Optional, Tuple
 
@@ -28,25 +27,6 @@ from .rewriting import Branching, enumerate_critical, find_redexes
 from .termination import TerminationCertificate, TerminationRefused, certify_termination
 
 DEFAULT_MAX_STEPS = 100000
-
-
-def default_budget() -> int:
-    """Step budget from ``GRAYPOL_MAX_STEPS``; ``ValueError`` unless a positive integer."""
-    env = os.environ.get("GRAYPOL_MAX_STEPS")
-    if not env:
-        return DEFAULT_MAX_STEPS
-    return positive_budget(env, "GRAYPOL_MAX_STEPS")
-
-
-def positive_budget(value, origin: str) -> int:
-    """``value`` as a step budget; ``ValueError`` naming ``origin`` unless a positive integer."""
-    try:
-        budget = int(value)
-    except ValueError:
-        budget = 0
-    if budget <= 0:
-        raise ValueError(f"{origin} must be a positive integer, got {value!r}")
-    return budget
 
 
 class NonTermination(CellError):
@@ -77,7 +57,7 @@ def normalize2(
     """
     if certificate is None and max_steps is None:
         raise CellError("normalize2 needs a termination certificate or an explicit step budget")
-    budget = max_steps if max_steps is not None else default_budget()
+    budget = max_steps if max_steps is not None else DEFAULT_MAX_STEPS
     sig = pres.sig
     reach = max([2] + [length(sig.gen3_source(name)) for name in pres.operational()])
     steps = []
@@ -209,7 +189,7 @@ def squier_completion(
             certificate = certify_termination(pres, None, interpretation)
         except TerminationRefused as exc:
             refusal = str(exc)
-    budget = max_steps if max_steps is not None else default_budget()
+    budget = max_steps if max_steps is not None else DEFAULT_MAX_STEPS
     sig = pres.sig
     criticals = enumerate_critical(pres)
     emitted: List[Tile] = []
@@ -276,22 +256,6 @@ def zz_compose(sig: Signature, a: Zigzag, b: Zigzag) -> Zigzag:
     if a.target2 != b.source2:
         raise CellError("zigzags are not composable")
     return Zigzag(a.source2, b.target2, a.entries + b.entries)
-
-
-def zz_whisker0(sig: Signature, left, z: Zigzag, right) -> Zigzag:
-    return Zigzag(
-        sig.whisker0(left, z.source2, right),
-        sig.whisker0(left, z.target2, right),
-        tuple((sig.whisker0(left, c, right), s) for c, s in z.entries),
-    )
-
-
-def zz_whisker1(sig: Signature, lam: TwoCell, z: Zigzag, rho: TwoCell) -> Zigzag:
-    return Zigzag(
-        sig.compose(sig.compose(lam, z.source2, 1), rho, 1),
-        sig.compose(sig.compose(lam, z.target2, 1), rho, 1),
-        tuple((sig.whisker1(lam, c, rho), s) for c, s in z.entries),
-    )
 
 
 def _zz_step(sig: Signature, entries):

@@ -19,6 +19,7 @@ from typing import Dict, List, Tuple
 from .cells import (
     CellError,
     Interchanger,
+    InternalError,
     Signature,
     Step,
     ThreeCell,
@@ -62,12 +63,16 @@ def check_composable0(sig: Signature, phi: TwoCell, psi: TwoCell):
         raise ShuffleError("2-cells are not 0-composable")
 
 
-def shuffle_words(k: int, kp: int) -> List[Word]:
-    """All shuffles of ``l1..lk`` with ``r1..rk'``."""
+def _check_size(k: int, kp: int):
     if k + kp > MAX_SHUFFLE_LETTERS:
         raise ShuffleError(
             f"shuffle graph on {k}+{kp} letters exceeds the supported size {MAX_SHUFFLE_LETTERS}"
         )
+
+
+def shuffle_words(k: int, kp: int) -> List[Word]:
+    """All shuffles of ``l1..lk`` with ``r1..rk'``."""
+    _check_size(k, kp)
     out = []
     for lpos in combinations(range(k + kp), k):
         word: List[Letter] = []
@@ -98,7 +103,8 @@ def shuffle_graph(sig: Signature, phi: TwoCell, psi: TwoCell):
     check_composable0(sig, phi, psi)
     k, kp = length(phi), length(psi)
     vertices = shuffle_words(k, kp)
-    assert len(vertices) == comb(k + kp, k)
+    if len(vertices) != comb(k + kp, k):
+        raise InternalError(f"shuffle graph on {k}+{kp} letters has {len(vertices)} vertices")
     edges = [e for w in vertices for e in word_edges(w)]
     return vertices, edges
 
@@ -184,17 +190,14 @@ def sigma_path(sig: Signature, phi: TwoCell, psi: TwoCell) -> List[ShuffleEdge]:
     """
     check_composable0(sig, phi, psi)
     k, kp = length(phi), length(psi)
-    if k + kp > MAX_SHUFFLE_LETTERS:
-        raise ShuffleError(
-            f"shuffle graph on {k}+{kp} letters exceeds the supported size {MAX_SHUFFLE_LETTERS}"
-        )
+    _check_size(k, kp)
     word: List[Letter] = [("l", i) for i in range(1, k + 1)] + [("r", j) for j in range(1, kp + 1)]
     edges = []
     for p in range(k, 0, -1):
         for q in range(1, kp + 1):
             pos = word.index(("l", p))
             if word[pos + 1] != ("r", q):
-                raise ShuffleError("staircase path lost track of the swap position")
+                raise InternalError("staircase path lost track of the swap position")
             edges.append(ShuffleEdge(tuple(word[:pos]), p, q, tuple(word[pos + 2 :])))
             word[pos], word[pos + 1] = word[pos + 1], word[pos]
     return edges

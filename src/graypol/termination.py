@@ -13,6 +13,13 @@ Four strategies are implemented:
 * ``selfdual``: the counting measure of the oriented self-duality
   system, valid on connected diagrams.
 
+Each invariant these orders compare (the interchange norm, the affine
+map of a linear interpretation, the connected components of the string
+diagram and the self-duality measure) is computed in one pass over the
+rows of a 2-cell.  The generator-level checks search a bounded set of
+contexts; the bounds are the module constants ``INTERCHANGER_MAX_MID``,
+``Q_RULE_MAX_MID`` and ``CLOSED_DIAGRAM_DEPTH``.
+
 Certificates carry replayable witnesses; refusal names the first
 failing comparison.
 """
@@ -38,6 +45,17 @@ class TerminationRefused(CellError):
         super().__init__(f"{strategy}: {reason}")
         self.strategy = strategy
         self.reason = reason
+
+
+# Search bound: the interchangers checked by the ``interp``, ``interchange``
+# and ``connected`` strategies have middle words of at most this length.
+INTERCHANGER_MAX_MID = 2
+# Search bound: the oriented rules checked by the ``selfdual`` strategy have
+# middle words of at most this length.
+Q_RULE_MAX_MID = 3
+# Search bound: ``connected`` looks for a cap feeding a cup within this many
+# rewrites of the cap's target, through 1-cells of at most this length + 2.
+CLOSED_DIAGRAM_DEPTH = 4
 
 
 # ---------------------------------------------------------------- interchange norm
@@ -77,10 +95,11 @@ def check_positive_intnorm(pres: GrayPresentation):
 
 
 def _small_interchangers(sig: Signature):
-    """``(alpha, mid, beta, source, target)`` for each interchanger whose middle word has at most two letters."""
+    """``(alpha, mid, beta, source, target)`` for each interchanger whose middle
+    word has at most ``INTERCHANGER_MAX_MID`` letters."""
     for alpha in sig.two:
         for beta in sig.two:
-            for mid in _small_middles(sig, alpha, beta, 2):
+            for mid in _small_middles(sig, alpha, beta, INTERCHANGER_MAX_MID):
                 yield (alpha, mid, beta, *sig.interchanger_boundaries(alpha, mid, beta))
 
 
@@ -133,35 +152,6 @@ class AffineMap:
         if any(v < 0 for row in matrix for v in row) or any(v < 0 for v in const):
             raise CellError("affine map: coefficients must be natural numbers")
         return AffineMap(int(m), matrix, const)
-
-    def after(self, other: "AffineMap") -> "AffineMap":
-        """Composite ``self . other`` (apply ``other`` first)."""
-        if self.m != other.n:
-            raise CellError("affine map composition arity mismatch")
-        mat = tuple(
-            tuple(
-                sum(self.matrix[i][k] * other.matrix[k][j] for k in range(other.n))
-                for j in range(other.m)
-            )
-            for i in range(self.n)
-        )
-        cst = tuple(
-            sum(self.matrix[i][k] * other.const[k] for k in range(other.n)) + self.const[i]
-            for i in range(self.n)
-        )
-        return AffineMap(other.m, mat, cst)
-
-    def widen(self, left: int, right: int) -> "AffineMap":
-        """Block sum ``id_left (+) self (+) id_right``."""
-        total = left + self.m + right
-        rows = []
-        for i in range(left):
-            rows.append(tuple(1 if j == i else 0 for j in range(total)))
-        for i in range(self.n):
-            rows.append((0,) * left + self.matrix[i] + (0,) * right)
-        for i in range(right):
-            rows.append(tuple(1 if j == left + self.m + i else 0 for j in range(total)))
-        return AffineMap(total, tuple(rows), (0,) * left + self.const + (0,) * right)
 
     def strictly_monotone(self) -> bool:
         if self.n == 0:
@@ -218,13 +208,30 @@ def _check_interpretation(sig: Signature, interp: LinearInterpretation):
 
 
 def eval_interpretation(sig: Signature, interp: LinearInterpretation, phi: TwoCell) -> AffineMap:
-    """Symbolic affine composite of a 2-cell under the interpretation."""
+    """Symbolic affine composite of a 2-cell under the interpretation.
+
+    Each output coordinate is kept as its coefficients over the source
+    variables followed by its constant.  A row ``left . g . right``
+    replaces the coordinates that ``g`` reads, which start at the weight
+    of ``left``, by the map of ``g`` applied to them.
+    """
     _check_interpretation(sig, interp)
-    acc = AffineMap.identity(interp.word_weight(sig.source(phi)))
+    width = interp.word_weight(sig.source(phi))
+    coords = [[int(i == j) for j in range(width)] + [0] for i in range(width)]
     for w in phi.whiskers:
-        stage = interp.maps[w.gen].widen(interp.word_weight(w.left), interp.word_weight(w.right))
-        acc = stage.after(acc)
-    return acc
+        f = interp.maps[w.gen]
+        a = interp.word_weight(w.left)
+        if a + f.m + interp.word_weight(w.right) != len(coords):
+            raise CellError("affine map composition arity mismatch")
+        ins, outs = coords[a : a + f.m], []
+        for row, cst in zip(f.matrix, f.const):
+            out = [0] * width + [cst]
+            for c, x in zip(row, ins):
+                for j, v in enumerate(x):
+                    out[j] += c * v
+            outs.append(out)
+        coords[a : a + f.m] = outs
+    return AffineMap(width, tuple(tuple(x[:-1]) for x in coords), tuple(x[-1] for x in coords))
 
 
 def _dominates(big: AffineMap, small: AffineMap) -> bool:
@@ -265,10 +272,12 @@ def check_interpretation_decrease(pres: GrayPresentation, interp: LinearInterpre
 
 @dataclass(frozen=True)
 class Cospan:
-    """Finite cospan up to component relabeling.
+    """Connected components of a 2-cell's string diagram, seen from its boundary.
 
-    ``left`` and ``right`` map boundary positions to components
-    ``0..parts-1``; ``floating`` counts components hit by neither map.
+    ``left`` and ``right`` give the component of each source and target
+    wire; components are numbered by first appearance on the source, then
+    on the target.  ``floating`` counts the components that no boundary
+    wire touches.
     """
 
     m: int
@@ -277,37 +286,16 @@ class Cospan:
     right: Tuple[int, ...]
     floating: int
 
-    @property
-    def parts(self) -> int:
-        return (max(self.left + self.right) + 1 if (self.left or self.right) else 0) + self.floating
 
+def cospan_of(sig: Signature, phi: TwoCell) -> Cospan:
+    """One union-find pass over the rows of ``phi``.
 
-def _canon_cospan(m, n, left, right, total_parts):
-    relabel = {}
-    for c in tuple(left) + tuple(right):
-        if c not in relabel:
-            relabel[c] = len(relabel)
-    floating = total_parts - len(relabel)
-    return Cospan(m, n, tuple(relabel[c] for c in left), tuple(relabel[c] for c in right), floating)
-
-
-def cospan_identity(m: int) -> Cospan:
-    return Cospan(m, m, tuple(range(m)), tuple(range(m)), 0)
-
-
-def cospan_generator(m: int, n: int) -> Cospan:
-    """A 2-generator collapses to a single component."""
-    if m == 0 and n == 0:
-        return Cospan(0, 0, (), (), 1)
-    return Cospan(m, n, (0,) * m, (0,) * n, 0)
-
-
-def cospan_compose(a: Cospan, b: Cospan) -> Cospan:
-    """Pushout along the shared boundary: merge glued components."""
-    if a.n != b.m:
-        raise CellError("cospan composition boundary mismatch")
-    pa, pb = a.parts, b.parts
-    parent = list(range(pa + pb))
+    The nodes are the source wires and one node per row.  A row's node
+    is joined to the wires it reads, and the wires it writes are that
+    node, so a generator without wires is a component of its own.
+    """
+    m = len(sig.source(phi).word)
+    parent = list(range(m))
 
     def find(i):
         while parent[i] != i:
@@ -315,44 +303,21 @@ def cospan_compose(a: Cospan, b: Cospan) -> Cospan:
             i = parent[i]
         return i
 
-    def union(i, j):
-        ri, rj = find(i), find(j)
-        if ri != rj:
-            parent[ri] = rj
-
-    for k in range(a.n):
-        union(a.right[k], pa + b.left[k])
-    roots = {}
-    def comp(i):
-        r = find(i)
-        if r not in roots:
-            roots[r] = len(roots)
-        return roots[r]
-
-    left = tuple(comp(c) for c in a.left)
-    right = tuple(comp(pa + c) for c in b.right)
-    total = len({find(i) for i in range(pa + pb)})
-    return _canon_cospan(a.m, b.n, left, right, total)
-
-
-def cospan_whisker(p: int, c: Cospan, q: int) -> Cospan:
-    shift = p
-    left = tuple(range(p)) + tuple(c.left[i] + shift for i in range(c.m)) + tuple(
-        p + c.parts + i for i in range(q)
-    )
-    right = tuple(range(p)) + tuple(c.right[i] + shift for i in range(c.n)) + tuple(
-        p + c.parts + i for i in range(q)
-    )
-    total = p + c.parts + q
-    return _canon_cospan(p + c.m + q, p + c.n + q, left, right, total)
-
-
-def cospan_of(sig: Signature, phi: TwoCell) -> Cospan:
-    acc = cospan_identity(len(sig.source(phi).word))
+    wires = list(range(m))
     for w in phi.whiskers:
-        gen = cospan_generator(len(sig.src1(w.gen).word), len(sig.tgt1(w.gen).word))
-        acc = cospan_compose(acc, cospan_whisker(len(w.left.word), gen, len(w.right.word)))
-    return acc
+        p, k, n = len(w.left.word), len(sig.src1(w.gen).word), len(sig.tgt1(w.gen).word)
+        if p + k + len(w.right.word) != len(wires):
+            raise CellError("cospan composition boundary mismatch")
+        node = len(parent)
+        parent.append(node)
+        for x in wires[p : p + k]:
+            parent[find(x)] = node
+        wires[p : p + k] = [node] * n
+    labels = {}
+    left = tuple(labels.setdefault(find(x), len(labels)) for x in range(m))
+    right = tuple(labels.setdefault(find(x), len(labels)) for x in wires)
+    components = sum(1 for i in range(len(parent)) if parent[i] == i)
+    return Cospan(m, len(wires), left, right, components - len(labels))
 
 
 def is_connected(sig: Signature, phi: TwoCell) -> bool:
@@ -360,7 +325,7 @@ def is_connected(sig: Signature, phi: TwoCell) -> bool:
     return cospan_of(sig, phi).floating == 0
 
 
-def _closed_diagram_possible(sig: Signature, depth: int = 4) -> Optional[str]:
+def _closed_diagram_possible(sig: Signature) -> Optional[str]:
     """Search for a cap feeding a cup, which yields floating components.
 
     Returns a description of the offending pair, or None.  The search
@@ -375,7 +340,7 @@ def _closed_diagram_possible(sig: Signature, depth: int = 4) -> Optional[str]:
             goal = sig.src1(cup)
             seen = {start}
             frontier = [start]
-            for _ in range(depth):
+            for _ in range(CLOSED_DIAGRAM_DEPTH):
                 nxt = []
                 for u in frontier:
                     if u == goal:
@@ -389,7 +354,7 @@ def _closed_diagram_possible(sig: Signature, depth: int = 4) -> Optional[str]:
                                 continue
                             post = u.word[cut + len(gs.word) :]
                             v = OneCell(u.start, pre.word + gt.word + post)
-                            if len(v.word) <= depth + 2 and v not in seen:
+                            if len(v.word) <= CLOSED_DIAGRAM_DEPTH + 2 and v not in seen:
                                 seen.add(v)
                                 nxt.append(v)
                 frontier = nxt
@@ -414,17 +379,17 @@ def selfdual_measure(pres: GrayPresentation, phi: TwoCell) -> SelfDualMeasure:
     if pres.qmode is None:
         raise TerminationRefused("selfdual", "presentation has no q-mode configuration")
     eta, eps = pres.qmode.eta, pres.qmode.eps
-    gens = [w.gen for w in phi.whiskers]
-    for g in gens:
-        if g not in (eta, eps):
-            raise TerminationRefused("selfdual", f"2-generator {g} is outside the measured alphabet")
     n1 = 0
-    for i in range(len(gens)):
-        for j in range(i + 1, len(gens)):
-            if gens[i] == eta and gens[j] == eps:
-                n1 += 1
-    etas = [len(w.right.word) for w in phi.whiskers if w.gen == eta]
-    epss = [len(w.right.word) for w in phi.whiskers if w.gen == eps]
+    etas, epss = [], []
+    for w in phi.whiskers:
+        if w.gen not in (eta, eps):
+            raise TerminationRefused("selfdual", f"2-generator {w.gen} is outside the measured alphabet")
+        if w.gen == eps:
+            # each eps pairs with every eta in the rows above it
+            n1 += len(etas)
+            epss.append(len(w.right.word))
+        if w.gen == eta:
+            etas.append(len(w.right.word))
     return SelfDualMeasure(n1, tuple(reversed(etas)), tuple(epss))
 
 
@@ -435,7 +400,7 @@ def measure_less(a: SelfDualMeasure, b: SelfDualMeasure) -> bool:
     return a.as_tuple() < b.as_tuple()
 
 
-def check_q_system(pres: GrayPresentation, max_mid: int = 3):
+def check_q_system(pres: GrayPresentation):
     """Measure decrease for each oriented rule kind and plain length drop."""
     if pres.qmode is None:
         raise TerminationRefused("selfdual", "presentation has no q-mode configuration")
@@ -448,7 +413,7 @@ def check_q_system(pres: GrayPresentation, max_mid: int = 3):
             )
         witnesses.append(("operational", name, length(src), length(tgt)))
     for alpha, beta, rev in pres.qmode.rules:
-        for mid in _small_middles(sig, alpha, beta, max_mid):
+        for mid in _small_middles(sig, alpha, beta, Q_RULE_MAX_MID):
             inst = QInterchanger(alpha, mid, beta, rev)
             src, tgt = sig.inst_boundaries(inst)
             if not measure_less(selfdual_measure(pres, tgt), selfdual_measure(pres, src)):

@@ -4,6 +4,7 @@ import json
 
 import pytest
 
+from graypol import certify_termination, get_builtin, normalize2, parse_cell, squier_completion
 from graypol.cli import main
 
 
@@ -166,11 +167,28 @@ def test_parse_error_has_location(tmp_path, capsys):
     assert "line 2" in err
 
 
-def test_max_steps_env(tmp_path, capsys, monkeypatch):
-    monkeypatch.setenv("GRAYPOL_MAX_STEPS", "17")
-    from graypol.coherence import default_budget
+TWO_STEP_CELL = "[.|mu|a];[.|mu|.];[.|eta|a];[.|mu|.]"
 
-    assert default_budget() == 17
+
+def test_max_steps_env(capsys, monkeypatch):
+    monkeypatch.setenv("GRAYPOL_MAX_STEPS", "1")
+    code, _, err = run(capsys, "normalize", "builtin:pseudomonoid", "--cell", TWO_STEP_CELL)
+    assert code == 1
+    assert "no normal form within 1 steps" in err
+    monkeypatch.setenv("GRAYPOL_MAX_STEPS", "2")
+    code, out, _ = run(capsys, "normalize", "builtin:pseudomonoid", "--cell", TWO_STEP_CELL)
+    assert code == 0 and "path length: 2" in out
+
+
+def test_library_ignores_max_steps_env(monkeypatch):
+    monkeypatch.setenv("GRAYPOL_MAX_STEPS", "abc")
+    entry = get_builtin("pseudomonoid")
+    pres = entry.presentation
+    cert = certify_termination(pres, None, entry.interpretation)
+    nf, path = normalize2(pres, parse_cell(pres.sig, TWO_STEP_CELL), cert)
+    assert len(path.steps) == 2
+    _, report = squier_completion(pres, interpretation=entry.interpretation)
+    assert report.verdict == "coherent-by-squier"
 
 
 def test_undeclared_endpoint_is_a_parse_error(tmp_path, capsys):

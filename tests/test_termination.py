@@ -5,10 +5,12 @@ import pytest
 
 from graypol import (
     AffineMap,
+    CellError,
     LinearInterpretation,
     OneCell,
     QInterchanger,
     TerminationRefused,
+    TwoCell,
     certify_termination,
     check_interpretation_decrease,
     check_positive_intnorm,
@@ -18,10 +20,11 @@ from graypol import (
     interchange_norm,
     is_connected,
     measure_less,
+    parse_presentation,
     selfdual_measure,
     seq_less,
 )
-from graypol.termination import EXTERNAL_INTERCHANGER_THEOREM, cospan_compose, cospan_identity
+from graypol.termination import EXTERNAL_INTERCHANGER_THEOREM
 
 from conftest import random_one_cell, random_two_cell
 
@@ -105,6 +108,70 @@ def test_interpretation_invariant_on_interchangers(pseudomonoid):
                 )
 
 
+def _block_composite(interp, phi, width):
+    """``eval_interpretation`` as a product of block-sum matrices, one per row."""
+
+    def after(f, g):
+        mat = tuple(
+            tuple(sum(f.matrix[i][k] * g.matrix[k][j] for k in range(g.n)) for j in range(g.m))
+            for i in range(f.n)
+        )
+        cst = tuple(sum(f.matrix[i][k] * g.const[k] for k in range(g.n)) + f.const[i] for i in range(f.n))
+        return AffineMap(g.m, mat, cst)
+
+    acc = AffineMap.identity(width)
+    for w in phi.whiskers:
+        f = interp.maps[w.gen]
+        p, q = interp.word_weight(w.left), interp.word_weight(w.right)
+        total = p + f.m + q
+        rows = [tuple(int(j == i) for j in range(total)) for i in range(p)]
+        rows += [(0,) * p + row + (0,) * q for row in f.matrix]
+        rows += [tuple(int(j == p + f.m + i) for j in range(total)) for i in range(q)]
+        acc = after(AffineMap(total, tuple(rows), (0,) * p + f.const + (0,) * q), acc)
+    return acc
+
+
+def _random_interpretation(sig, rng):
+    weights = {g: rng.randrange(1, 3) for g in sig.one}
+    maps = {}
+    for name, (src, tgt) in sig.two.items():
+        m = sum(weights[g] for g in src.word)
+        n = sum(weights[g] for g in tgt.word)
+        matrix = [[rng.randrange(3) for _ in range(m)] for _ in range(n)]
+        for j in range(m):
+            matrix[rng.randrange(n)][j] += 1
+        maps[name] = AffineMap.make(m, matrix, [rng.randrange(3) for _ in range(n)])
+    return LinearInterpretation(weights, maps)
+
+
+TWO_COLOURS = """presentation two-colours
+0 x
+1 a : x -> x
+1 b : x -> x
+2 mu : a a => a
+2 nu : a b => b a
+2 eta : @x => a
+2 beta : b => a b b
+"""
+
+
+def test_interpretation_matches_block_matrix_composite(pseudomonoid, rng):
+    for sig in (pseudomonoid.presentation.sig, parse_presentation(TWO_COLOURS).sig):
+        for _ in range(150):
+            interp = _random_interpretation(sig, rng)
+            phi = random_two_cell(sig, rng, rows=rng.randrange(9))
+            width = interp.word_weight(sig.source(phi))
+            assert eval_interpretation(sig, interp, phi) == _block_composite(interp, phi, width)
+
+
+def test_interpretation_rejects_row_of_wrong_arity(pseudomonoid):
+    sig = pseudomonoid.presentation.sig
+    mu = sig.gen2_cell("mu")
+    short = TwoCell(sig.make1("x", ("a",)), mu.whiskers)
+    with pytest.raises(CellError, match="arity mismatch"):
+        eval_interpretation(sig, pseudomonoid.interpretation, short)
+
+
 def test_interpretation_decrease_witnesses(pseudomonoid):
     wit = check_interpretation_decrease(pseudomonoid.presentation, pseudomonoid.interpretation)
     ops = {w[1] for w in wit if w[0] == "operational"}
@@ -149,16 +216,63 @@ def test_bubble_not_connected(selfduality):
     assert not is_connected(sig, bubble)
 
 
-def test_cospan_composition_unital_and_associative(selfduality, rng):
+def _components_by_search(sig, phi):
+    """Boundary partition and floating count of ``phi``'s string diagram, by graph search.
+
+    The nodes are the source wires, one node per row and the wires each
+    row writes; a row's node is adjacent to the wires it reads and writes.
+    """
+    adjacent = {("src", i): set() for i in range(len(phi.source1.word))}
+    level = list(adjacent)
+    for r, w in enumerate(phi.whiskers):
+        node = ("gen", r)
+        p, k = len(w.left.word), len(sig.src1(w.gen).word)
+        written = [("wire", r, j) for j in range(len(sig.tgt1(w.gen).word))]
+        adjacent[node] = set(level[p : p + k]) | set(written)
+        for x in level[p : p + k]:
+            adjacent[x].add(node)
+        for x in written:
+            adjacent[x] = {node}
+        level[p : p + k] = written
+    component = {}
+    for start in adjacent:
+        if start in component:
+            continue
+        component[start] = start
+        todo = [start]
+        while todo:
+            for y in adjacent[todo.pop()]:
+                if y not in component:
+                    component[y] = start
+                    todo.append(y)
+    boundary = [component[("src", i)] for i in range(len(phi.source1.word))] + [component[x] for x in level]
+    labels = {}
+    for c in boundary:
+        labels.setdefault(c, len(labels))
+    m = len(phi.source1.word)
+    floating = len(set(component.values()) - set(labels))
+    return tuple(labels[c] for c in boundary[:m]), tuple(labels[c] for c in boundary[m:]), floating
+
+
+def test_cospan_matches_graph_search(selfduality, frobenius, rng):
+    floating_seen = 0
+    for entry in (selfduality, frobenius):
+        sig = entry.presentation.sig
+        for _ in range(150):
+            phi = random_two_cell(sig, rng, rows=rng.randrange(13))
+            c = cospan_of(sig, phi)
+            assert (c.left, c.right, c.floating) == _components_by_search(sig, phi)
+            assert (c.m, c.n) == (len(sig.source(phi).word), len(sig.target(phi).word))
+            floating_seen += c.floating > 0
+    assert floating_seen >= 10
+
+
+def test_cospan_rejects_row_of_wrong_arity(selfduality):
     sig = selfduality.presentation.sig
-    for _ in range(40):
-        a = random_two_cell(sig, rng, rows=1)
-        b = random_two_cell(sig, rng, rows=1, start_cell=sig.target(a))
-        c = random_two_cell(sig, rng, rows=1, start_cell=sig.target(b))
-        ca, cb, cc = cospan_of(sig, a), cospan_of(sig, b), cospan_of(sig, c)
-        assert cospan_compose(cospan_compose(ca, cb), cc) == cospan_compose(ca, cospan_compose(cb, cc))
-        assert cospan_compose(cospan_identity(ca.m), ca) == ca
-        assert cospan_compose(ca, cospan_identity(ca.n)) == ca
+    eps = sig.gen2_cell("eps")
+    short = TwoCell(sig.make1("x", ("a",)), eps.whiskers)
+    with pytest.raises(CellError, match="boundary mismatch"):
+        cospan_of(sig, short)
 
 
 def test_cospan_invariance_of_generators(pseudoadjunction, selfduality):
