@@ -4,8 +4,9 @@ Subcommands: ``critical-pairs``, ``check-termination``, ``normalize``,
 ``report``, ``render``, ``validate``.  Presentations are addressed as
 ``builtin:NAME`` or a file path.  Exit status: 0 on success, 1 on an
 analysis refusal (termination refused, branching not joinable,
-unsupported analysis), 2 on usage or parse errors.  An
-``InternalError`` is a defect of graypol and propagates.
+unsupported analysis), 2 on usage or parse errors and on files that
+cannot be read or are not UTF-8 text.  An ``InternalError`` is a
+defect of graypol and propagates.
 """
 
 from __future__ import annotations
@@ -259,7 +260,7 @@ def main(argv=None) -> int:
             else:
                 args.max_steps = DEFAULT_MAX_STEPS
         return args.func(args)
-    except (ParseError, FileNotFoundError, UsageError) as exc:
+    except (ParseError, OSError, UnicodeDecodeError, UsageError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return USAGE_ERROR
     except CellError as exc:

@@ -7,12 +7,13 @@ Local branchings are classified as trivial, non-minimal, independent,
 natural or critical, and the complete finite list of critical
 branchings of a presentation is enumerated by the overlap analysis.
 
-Every candidate of that analysis is one of two things.  Either it is a
-glue of two generator windows, the first row of one laid on a row of
-the other (two operational windows, or an interchanger above an
-operational window), or it is an interchanger redex inside an
-operational source, paired with the bare step.  The interchanger below
-a window, and the right contexts of a glue, come from the 180° rotation.
+Every candidate of that analysis is one of two things, each a branching
+by construction, so no candidate is typed again.  Either it is a glue of
+two generator windows, the first row of one laid on a row of the other
+(two operational windows, or an interchanger above an operational
+window), or it is an interchanger redex inside an operational source,
+paired with the bare step.  The interchanger below a window, and the
+right contexts of a glue, come from the 180° rotation.
 """
 
 from __future__ import annotations
@@ -290,46 +291,10 @@ def canonical_branching(b: Branching) -> Branching:
 # ---------------------------------------------------------------- classification
 
 
-def _common_word_prefix(*words):
-    n = min(len(w) for w in words)
-    out = []
-    for i in range(n):
-        if all(w[i] == words[0][i] for w in words):
-            out.append(words[0][i])
-        else:
-            break
-    return tuple(out)
-
-
-def _common_word_suffix(*words):
-    rev = _common_word_prefix(*[tuple(reversed(w)) for w in words])
-    return tuple(reversed(rev))
-
-
-def _zero_prefix_bound(phi: TwoCell) -> Tuple[str, ...]:
-    words = [phi.source1.word] + [w.left.word for w in phi.whiskers]
-    return _common_word_prefix(*words)
-
-
-def _zero_suffix_bound(phi: TwoCell) -> Tuple[str, ...]:
-    words = [phi.source1.word] + [w.right.word for w in phi.whiskers]
-    return _common_word_suffix(*words)
-
-
-def _strip_step(sig: Signature, s: Step, t_lam: int, t_rho: int, nl: int, nr: int) -> Step:
-    """Remove ``t_lam``/``t_rho`` outer rows and ``nl``/``nr`` outer letters."""
-    lam = TwoCell(
-        _unpad1(sig, sig.source(slice2(sig, s.lam, t_lam, length(s.lam))), nl, nr),
-        tuple(_unpad_whisker(sig, w, nl, nr) for w in s.lam.whiskers[t_lam:]),
-    )
-    rho_keep = length(s.rho) - t_rho
-    rho = TwoCell(
-        _unpad1(sig, sig.source(slice2(sig, s.rho, 0, rho_keep)), nl, nr),
-        tuple(_unpad_whisker(sig, w, nl, nr) for w in s.rho.whiskers[:rho_keep]),
-    )
-    left = _unpad1(sig, s.left, nl, 0)
-    right = _unpad1(sig, s.right, 0, nr)
-    return Step(lam, left, s.inner, right, rho)
+def _common_prefix_len(words) -> int:
+    """Length of the longest common prefix of ``words``: that of the least and the greatest."""
+    lo, hi = min(words), max(words)
+    return next((i for i, (a, b) in enumerate(zip(lo, hi)) if a != b), len(lo))
 
 
 def _unpad1(sig: Signature, u: OneCell, nl: int, nr: int) -> OneCell:
@@ -338,30 +303,41 @@ def _unpad1(sig: Signature, u: OneCell, nl: int, nr: int) -> OneCell:
     return OneCell(sig.end0(pre), word)
 
 
-def _unpad_whisker(sig: Signature, w: Whisker2, nl: int, nr: int) -> Whisker2:
-    return Whisker2(_unpad1(sig, w.left, nl, 0), w.gen, _unpad1(sig, w.right, 0, nr))
+def _strip0(sig: Signature, phi: TwoCell, nl: int, nr: int) -> TwoCell:
+    """``phi`` without ``nl`` / ``nr`` outer letters in its source and every row's contexts."""
+    return TwoCell(
+        _unpad1(sig, phi.source1, nl, nr),
+        tuple(Whisker2(_unpad1(sig, w.left, nl, 0), w.gen, _unpad1(sig, w.right, 0, nr)) for w in phi.whiskers),
+    )
 
 
-def common_peel(pres: GrayPresentation, b: Branching):
-    """Maximal shared context ``(lam, l, r, rho)`` of a local branching."""
+def common_peel(pres: GrayPresentation, b: Branching, phi: TwoCell):
+    """Maximal shared context ``(lam, l, r, rho)`` of a local branching, and the reduced branching.
+
+    ``lam`` and ``rho`` are the rows of the shared source ``phi`` above
+    and below both windows; ``l`` and ``r`` are the letters that both
+    steps' contexts and every row in between start and end with.  The
+    reduced branching is the two steps on those rows, ``l`` and ``r`` stripped.
+    """
     sig = pres.sig
     s1, s2 = b.s1, b.s2
-    phi = sig.step_source(s1)
+    n = length(phi)
     t_lam = min(length(s1.lam), length(s2.lam))
     t_rho = min(length(s1.rho), length(s2.rho))
-    middle = slice2(sig, phi, t_lam, length(phi) - t_rho)
-    lw = _common_word_prefix(s1.left.word, s2.left.word, _zero_prefix_bound(middle))
-    rw = _common_word_suffix(s1.right.word, s2.right.word, _zero_suffix_bound(middle))
-    nl, nr = len(lw), len(rw)
+    middle = slice2(sig, phi, t_lam, n - t_rho)
+    top = middle.source1
+    nl = _common_prefix_len([s1.left.word, s2.left.word, top.word] + [w.left.word for w in middle.whiskers])
+    rights = [s1.right.word, s2.right.word, top.word] + [w.right.word for w in middle.whiskers]
+    nr = _common_prefix_len([u[::-1] for u in rights])
+    core = _strip0(sig, middle, nl, nr)
+    reduced = Branching(*(
+        _step_at(sig, core, length(s.lam) - t_lam, n - length(s.lam) - length(s.rho),
+                 _unpad1(sig, s.left, nl, 0), s.inner, _unpad1(sig, s.right, 0, nr))
+        for s in (s1, s2)
+    ))
     lam = slice2(sig, phi, 0, t_lam)
-    rho = slice2(sig, phi, length(phi) - t_rho, length(phi))
-    left = OneCell(middle.source1.start, lw)
-    right = _unpad1(sig, middle.source1, len(middle.source1.word) - nr, 0)
-    reduced = Branching(
-        _strip_step(sig, s1, t_lam, t_rho, nl, nr),
-        _strip_step(sig, s2, t_lam, t_rho, nl, nr),
-    )
-    return lam, left, right, rho, reduced
+    rho = slice2(sig, phi, n - t_rho, n)
+    return lam, OneCell(top.start, top.word[:nl]), _unpad1(sig, top, len(top.word) - nr, 0), rho, reduced
 
 
 def _is_independent_direct(sig: Signature, s1: Step, s2: Step) -> bool:
@@ -389,15 +365,9 @@ def is_independent(pres: GrayPresentation, b: Branching) -> bool:
 
 def _strip0_left(sig: Signature, phi: TwoCell, word: Tuple[str, ...]) -> Optional[TwoCell]:
     n = len(word)
-    if phi.source1.word[:n] != word:
+    if phi.source1.word[:n] != word or any(w.left.word[:n] != word for w in phi.whiskers):
         return None
-    for w in phi.whiskers:
-        if w.left.word[:n] != word:
-            return None
-    return TwoCell(
-        _unpad1(sig, phi.source1, n, 0),
-        tuple(_unpad_whisker(sig, w, n, 0) for w in phi.whiskers),
-    )
+    return _strip0(sig, phi, n, 0)
 
 
 def _natural_match(sig: Signature, s_op: Step, s_x: Step) -> bool:
@@ -460,17 +430,19 @@ def is_natural(pres: GrayPresentation, b: Branching) -> bool:
 def classify(pres: GrayPresentation, b: Branching):
     """Branching taxonomy; checks both the branching and its symmetric one.
 
-    In q mode the natural class is dropped.  Naturality is one pattern,
-    the generator window above the interchanger; the mirrored case, the
-    window below it, is that pattern on the branching's 180° rotation,
-    so no separate convention fixes its indices.
+    The shared source is built once, for the same-source check and for
+    ``common_peel``.  In q mode the natural class is dropped.  Naturality
+    is one pattern, the generator window above the interchanger; the
+    mirrored case, the window below it, is that pattern on the branching's
+    180° rotation, so no separate convention fixes its indices.
     """
     sig = pres.sig
-    if sig.step_source(b.s1) != sig.step_source(b.s2):
+    phi = sig.step_source(b.s1)
+    if sig.step_source(b.s2) != phi:
         raise RewritingError("not a branching: the two steps have different sources")
     if b.s1 == b.s2:
         return Trivial()
-    lam, left, right, rho, reduced = common_peel(pres, b)
+    lam, left, right, rho, reduced = common_peel(pres, b, phi)
     if length(lam) or length(rho) or left.word or right.word:
         return NonMinimal(lam, left, right, rho, reduced)
     if is_independent(pres, b):
@@ -481,22 +453,6 @@ def classify(pres: GrayPresentation, b: Branching):
 
 
 # ---------------------------------------------------------------- enumeration
-
-
-def _try_branching(pres: GrayPresentation, s1: Step, s2: Step) -> Optional[Branching]:
-    """``Branching(s1, s2)`` when both steps are well typed and share their source."""
-    sig = pres.sig
-    # A step's target needs no check of its own: a generator's source and
-    # target are parallel, so ``_step_side`` makes the same checks on the
-    # same 1-cells for either side and raises on both or on neither.
-    try:
-        src = sig.step_source(s1)
-        if sig.step_source(s2) != src:
-            return None
-        sig.check2(src)
-    except CellError:
-        return None
-    return Branching(s1, s2)
 
 
 def _solve_left_contexts(sig: Signature, u: OneCell, v: OneCell):
@@ -549,27 +505,25 @@ def _glue(pres: GrayPresentation, top, bottom, d: int):
                 continue
             if body1.whiskers[:over] != body2.whiskers[d : d + over]:
                 continue
+            # ``shared`` is well typed: two checked windows joined where their
+            # rows are equal, so each row starts where the row above it ends.
+            # Each step is its window of ``shared``, so both have it as source.
             rows = body2.whiskers[: d + over] + body1.whiskers[over:] + body2.whiskers[d + over :]
             shared = TwoCell(body2.source1, rows)
-            s1 = _step_at(sig, shared, d, k1, l1, inst1, r1)
-            s2 = _step_at(sig, shared, 0, k2, l2, inst2, r2)
-            b = _try_branching(pres, s1, s2)
-            if b is not None:
-                yield b
+            yield Branching(
+                _step_at(sig, shared, d, k1, l1, inst1, r1),
+                _step_at(sig, shared, 0, k2, l2, inst2, r2),
+            )
 
 
 def _op_x_inside(pres: GrayPresentation, name: str):
     """Interchangers inside an operational window: the interchanger
-    redexes of its source, each paired with the bare step."""
+    redexes of its checked source, each paired with the bare step."""
     sig = pres.sig
-    src = sig.gen3_source(name)
-    start, end = OneCell(src.source1.start, ()), OneCell(sig.end0(src.source1), ())
-    bare = _step_at(sig, src, 0, length(src), start, OpGen(name), end)
-    for s in find_redexes(pres, src):
+    bare = sig.gen3_cell(OpGen(name)).steps[0]
+    for s in find_redexes(pres, sig.gen3_source(name)):
         if isinstance(s.inner, Interchanger):
-            b = _try_branching(pres, bare, s)
-            if b is not None:
-                yield b
+            yield Branching(bare, s)
 
 
 def _op_x_above(pres: GrayPresentation, name: str):
@@ -619,8 +573,9 @@ def enumerate_critical(pres: GrayPresentation, max_candidates: int = 10**6) -> L
 
     ``max_candidates`` bounds the candidates of ``_candidates``; a window
     glued onto itself at row 0 is not one, since it is never critical.
-    A critical branching of two interchangers is a defect of the
-    enumeration and raises ``InternalError``, not a refusal.
+    A candidate that is not a branching, or a critical branching of two
+    interchangers, is a defect of the enumeration and raises
+    ``InternalError``, not a refusal.
     """
     if pres.qmode is not None:
         raise UnsupportedError(
@@ -634,21 +589,17 @@ def enumerate_critical(pres: GrayPresentation, max_candidates: int = 10**6) -> L
             "enumeration requires every operational 3-generator to have a nonempty source"
         )
     seen = {}
-    budget = max_candidates
-
-    def record(b: Branching):
-        b = canonical_branching(b)
-        if not isinstance(classify(pres, b), Critical):
-            return
-        key = branching_key(b)
-        if key not in seen:
-            seen[key] = CriticalBranching(b, key)
-
-    for b in _candidates(pres):
-        budget -= 1
-        if budget < 0:
+    for i, b in enumerate(_candidates(pres)):
+        if i >= max_candidates:
             raise RewritingError("candidate budget exceeded")
-        record(b)
+        b = canonical_branching(b)
+        key = branching_key(b)
+        try:
+            critical = isinstance(classify(pres, b), Critical)
+        except CellError as exc:
+            raise InternalError(f"internal invariant violated: candidate {key} is not a branching: {exc}") from exc
+        if critical and key not in seen:
+            seen[key] = CriticalBranching(b, key)
     out = sorted(seen.values(), key=lambda cb: cb.key)
     for cb in out:
         if isinstance(cb.branching.s1.inner, Interchanger) and isinstance(cb.branching.s2.inner, Interchanger):

@@ -213,15 +213,20 @@ def eval_interpretation(sig: Signature, interp: LinearInterpretation, phi: TwoCe
     Each output coordinate is kept as its coefficients over the source
     variables followed by its constant.  A row ``left . g . right``
     replaces the coordinates that ``g`` reads, which start at the weight
-    of ``left``, by the map of ``g`` applied to them.
+    of ``left``, by the map of ``g`` applied to them.  The interpretation
+    is not checked here (``check_interpretation_decrease`` checks it);
+    a generator it does not interpret, or a map whose arity does not fit
+    the rows, raises ``CellError``.
     """
-    _check_interpretation(sig, interp)
-    width = interp.word_weight(sig.source(phi))
+    try:
+        width = interp.word_weight(sig.source(phi))
+        rows = [(interp.maps[w.gen], interp.word_weight(w.left), interp.word_weight(w.right)) for w in phi.whiskers]
+        out_width = interp.word_weight(sig.target(phi))
+    except KeyError as exc:
+        raise CellError(f"the interpretation has no weight or map for generator {exc.args[0]}") from None
     coords = [[int(i == j) for j in range(width)] + [0] for i in range(width)]
-    for w in phi.whiskers:
-        f = interp.maps[w.gen]
-        a = interp.word_weight(w.left)
-        if a + f.m + interp.word_weight(w.right) != len(coords):
+    for f, a, b in rows:
+        if a + f.m + b != len(coords):
             raise CellError("affine map composition arity mismatch")
         ins, outs = coords[a : a + f.m], []
         for row, cst in zip(f.matrix, f.const):
@@ -231,6 +236,8 @@ def eval_interpretation(sig: Signature, interp: LinearInterpretation, phi: TwoCe
                     out[j] += c * v
             outs.append(out)
         coords[a : a + f.m] = outs
+    if len(coords) != out_width:
+        raise CellError("affine map composition arity mismatch")
     return AffineMap(width, tuple(tuple(x[:-1]) for x in coords), tuple(x[-1] for x in coords))
 
 

@@ -356,6 +356,40 @@ def test_internal_invariant_failure_is_not_a_refusal(monkeypatch, capsys):
     assert "refused:" not in capsys.readouterr().err
 
 
+def test_candidate_that_is_not_a_branching_is_an_internal_error(monkeypatch, capsys):
+    # candidates are typed by construction, so one whose steps have
+    # different sources is a defect of the enumeration, not a refusal
+    import itertools
+
+    from graypol import Branching, InternalError, find_redexes, get_builtin
+    from graypol import rewriting
+
+    pres = get_builtin("pseudomonoid").presentation
+    sig = pres.sig
+    sa = find_redexes(pres, sig.gen3_source("A"))[0]
+    sl = find_redexes(pres, sig.gen3_source("L"))[0]
+    assert sig.step_source(sa) != sig.step_source(sl)
+    candidates = rewriting._candidates
+    monkeypatch.setattr(rewriting, "_candidates", lambda p: itertools.chain(candidates(p), [Branching(sa, sl)]))
+    with pytest.raises(InternalError, match="is not a branching"):
+        main(["critical-pairs", "builtin:pseudomonoid"])
+    assert "refused:" not in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("case", ["source-is-a-directory", "source-is-not-utf8", "output-is-a-directory"])
+def test_unreadable_paths_are_usage_errors(tmp_path, capsys, case):
+    bad = tmp_path / "bad.gray"
+    bad.write_bytes(b"\xff\xfe 0 x\n")
+    argv = {
+        "source-is-a-directory": ["validate", str(tmp_path)],
+        "source-is-not-utf8": ["validate", str(bad)],
+        "output-is-a-directory": ["validate", "builtin:pseudomonoid", "-o", str(tmp_path)],
+    }[case]
+    code, _, err = run(capsys, *argv)
+    assert code == 2
+    assert err.startswith("error: ")
+
+
 def test_pipeline_commands_never_rebuild_a_window(monkeypatch, capsys):
     # every builtin, built cold, and every shipped file through the
     # benchmark's four pipeline commands: no call builds a whiskered

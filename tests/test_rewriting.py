@@ -25,7 +25,7 @@ from graypol import (
     interp_edge,
     length,
 )
-from graypol.cells import Step
+from graypol.cells import Step, TwoCell, Whisker2
 from graypol.rewriting import canonical_branching, is_natural, rotate_branching, step_key
 from graypol.cells import slice2
 
@@ -138,9 +138,22 @@ def oracle_minimal(pres, b):
     return True
 
 
-def _try_peel(sig, s, tl, tr, nl, nr):
-    from graypol.rewriting import _strip_step
+def _strip_step(sig, s, t_lam, t_rho, nl, nr):
+    """Remove ``t_lam``/``t_rho`` outer rows and ``nl``/``nr`` outer letters, part by part."""
 
+    def unpad1(u, nl, nr):
+        return OneCell(sig.end0(OneCell(u.start, u.word[:nl])), u.word[nl : len(u.word) - nr])
+
+    def rows(ws):
+        return tuple(Whisker2(unpad1(w.left, nl, 0), w.gen, unpad1(w.right, 0, nr)) for w in ws)
+
+    lam = TwoCell(unpad1(sig.source(slice2(sig, s.lam, t_lam, length(s.lam))), nl, nr), rows(s.lam.whiskers[t_lam:]))
+    rho_keep = length(s.rho) - t_rho
+    rho = TwoCell(unpad1(sig.source(slice2(sig, s.rho, 0, rho_keep)), nl, nr), rows(s.rho.whiskers[:rho_keep]))
+    return Step(lam, unpad1(s.left, nl, 0), s.inner, unpad1(s.right, 0, nr), rho)
+
+
+def _try_peel(sig, s, tl, tr, nl, nr):
     if length(s.lam) < tl or length(s.rho) < tr:
         return None
     if len(s.left.word) < nl:
@@ -691,6 +704,63 @@ def _gray_builtins_and_draws(count):
     from graypol import get_builtin
 
     return [get_builtin(name).presentation for name in GRAY_BUILTINS] + _positive_draws(count)
+
+
+def test_candidates_are_branchings_by_construction():
+    # enumeration types no candidate again: both steps of each have one
+    # source, a well-typed 2-cell, and both steps are well typed
+    from graypol.cells import ThreeCell
+    from graypol.rewriting import _candidates
+
+    count = 0
+    for pres in _gray_builtins_and_draws(100):
+        sig = pres.sig
+        for b in _candidates(pres):
+            src = sig.step_source(b.s1)
+            assert sig.step_source(b.s2) == src
+            sig.check2(src)
+            for s in (b.s1, b.s2):
+                sig.check3(ThreeCell(src, (s,)))
+            count += 1
+    assert count > 500
+
+
+def test_non_minimal_witness_rewraps_to_the_branching(monkeypatch):
+    # every non-minimal branching of the benchmark's sweep: the witness's
+    # context put back around the reduced steps gives the original steps,
+    # and the reduced branching has no common context left
+    import os
+
+    from graypol import get_builtin
+
+    root = os.path.join(os.path.dirname(os.path.abspath(__file__)), os.pardir)
+    monkeypatch.syspath_prepend(os.path.join(root, "bench"))
+    import expected
+    from workloads import words_from
+
+    witnesses = 0
+    for name, spec in expected.SWEEP.items():
+        pres = get_builtin(name).presentation
+        sig = pres.sig
+        starts = [u for x in sig.zero for u in words_from(sig, x, spec["letters"])]
+        for phi in enumerate_two_cells(sig, spec["rows"], starts):
+            steps = find_redexes(pres, phi)
+            for s1, s2 in itertools.product(steps, steps):
+                w = classify(pres, Branching(s1, s2))
+                if not isinstance(w, NonMinimal):
+                    continue
+                for s, r in ((s1, w.reduced.s1), (s2, w.reduced.s2)):
+                    rewrapped = Step(
+                        sig.compose(w.lam, sig.whisker0(w.left, r.lam, w.right), 1),
+                        sig.compose(w.left, r.left, 0),
+                        r.inner,
+                        sig.compose(r.right, w.right, 0),
+                        sig.compose(sig.whisker0(w.left, r.rho, w.right), w.rho, 1),
+                    )
+                    assert rewrapped == s
+                assert not isinstance(classify(pres, w.reduced), (Trivial, NonMinimal))
+                witnesses += 1
+    assert witnesses == sum(spec["tally"]["NonMinimal"] for spec in expected.SWEEP.values())
 
 
 def test_self_glue_at_row_zero_is_trivial():

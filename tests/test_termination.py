@@ -172,6 +172,42 @@ def test_interpretation_rejects_row_of_wrong_arity(pseudomonoid):
         eval_interpretation(sig, pseudomonoid.interpretation, short)
 
 
+def test_interpretation_without_a_generator_or_of_wrong_arity_is_a_cell_error(pseudomonoid):
+    # ``eval_interpretation`` does not check the interpretation first, so
+    # what that check would refuse still raises ``CellError``
+    sig = pseudomonoid.presentation.sig
+    interp = pseudomonoid.interpretation
+    bad = {
+        "no weight or map": [
+            LinearInterpretation({}, interp.maps),
+            LinearInterpretation(interp.weights, {k: f for k, f in interp.maps.items() if k != "mu"}),
+        ],
+        "arity mismatch": [
+            LinearInterpretation(interp.weights, {**interp.maps, "mu": AffineMap.make(2, ((1, 1), (1, 1)), (1, 1))}),
+        ],
+    }
+    for message, interps in bad.items():
+        for wrong in interps:
+            with pytest.raises(CellError, match=message):
+                eval_interpretation(sig, wrong, sig.gen2_cell("mu"))
+
+
+def test_interpretation_is_checked_once_per_certificate(pseudomonoid, monkeypatch):
+    from graypol import termination
+
+    calls = []
+    check = termination._check_interpretation
+
+    def counted(sig, interp):
+        calls.append(interp)
+        return check(sig, interp)
+
+    monkeypatch.setattr(termination, "_check_interpretation", counted)
+    cert = certify_termination(pseudomonoid.presentation, None, pseudomonoid.interpretation)
+    assert cert.strategy == "interp"
+    assert calls == [pseudomonoid.interpretation]
+
+
 def test_interpretation_decrease_witnesses(pseudomonoid):
     wit = check_interpretation_decrease(pseudomonoid.presentation, pseudomonoid.interpretation)
     ops = {w[1] for w in wit if w[0] == "operational"}
