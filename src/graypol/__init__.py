@@ -98,7 +98,7 @@ from .coherence import (
     zz_of,
     zz_simplify,
 )
-from .catalog import BUILTIN_NAMES, BuiltinEntry, get_builtin, list_builtins
+from .catalog import BUILTIN_NAMES, BuiltinEntry, get_builtin
 from .textio import (
     ParseError,
     parse_cell,

@@ -59,6 +59,3 @@ def get_builtin(name: str) -> BuiltinEntry:
     tile_names = tuple(t.name for t in pres.tiles)
     return BuiltinEntry(name, pres, *_METADATA[name], tile_names)
 
-
-def list_builtins() -> Tuple[str, ...]:
-    return BUILTIN_NAMES

@@ -56,7 +56,10 @@ def _load(source: str):
             raise UsageError(exc.args[0]) from None
         return entry.presentation, entry.interpretation
     with open(source, "r", encoding="utf-8") as handle:
-        text = handle.read()
+        try:
+            text = handle.read()
+        except UnicodeDecodeError as exc:
+            raise UsageError(f"{source}: not UTF-8 text ({exc.reason} at byte {exc.start})") from None
     return parse_presentation(text), None
 
 
@@ -260,7 +263,7 @@ def main(argv=None) -> int:
             else:
                 args.max_steps = DEFAULT_MAX_STEPS
         return args.func(args)
-    except (ParseError, OSError, UnicodeDecodeError, UsageError) as exc:
+    except (ParseError, OSError, UsageError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return USAGE_ERROR
     except CellError as exc:

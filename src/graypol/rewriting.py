@@ -4,8 +4,10 @@ Redexes of a 2-cell are found by sliding operational sources over
 contiguous whisker windows and solving for the context, and by matching
 consecutive whisker pairs against the interchanger source pattern.
 Local branchings are classified as trivial, non-minimal, independent,
-natural or critical, and the complete finite list of critical
-branchings of a presentation is enumerated by the overlap analysis.
+natural or critical, the last three by counting the rows and letters of
+the two windows on their shared source, and the complete finite list of
+critical branchings of a presentation is enumerated by the overlap
+analysis.
 
 Every candidate of that analysis is one of two things, each a branching
 by construction, so no candidate is typed again.  Either it is a glue of
@@ -37,7 +39,6 @@ from .cells import (
     slice2,
 )
 from .presentation import GrayPresentation, validate
-from .shuffle import ShuffleEdge, interp_edge
 
 
 class RewritingError(CellError):
@@ -340,62 +341,36 @@ def common_peel(pres: GrayPresentation, b: Branching, phi: TwoCell):
     return lam, OneCell(top.start, top.word[:nl]), _unpad1(sig, top, len(top.word) - nr, 0), rho, reduced
 
 
-def _is_independent_direct(sig: Signature, s1: Step, s2: Step) -> bool:
-    """The redex window of ``s1`` lies above that of ``s2``, separated by a middle 2-cell.
-
-    Precondition: the two steps have the same source, as ``classify``
-    checks first.  The definition asks for ``phi = win1 ; chi ; win2``
-    with ``s2.lam = win1 ; chi`` and ``s1.rho = chi ; win2``; on a
-    shared source both equations hold as soon as ``s1`` starts at the
-    top, ``s2`` ends at the bottom and ``s2``'s window starts below
-    ``s1``'s, so the row counts decide it.
-    """
-    k1 = length(sig.inst_source(s1.inner))
-    return length(s1.lam) == 0 and length(s2.rho) == 0 and length(s2.lam) >= k1
-
-
 def is_independent(pres: GrayPresentation, b: Branching) -> bool:
-    sig = pres.sig
-    k1 = length(sig.inst_source(b.s1.inner))
-    k2 = length(sig.inst_source(b.s2.inner))
-    if k1 == 0 or k2 == 0:
-        return _is_independent_direct(sig, b.s1, b.s2) or _is_independent_direct(sig, b.s2, b.s1)
-    return length(b.s1.lam) >= k2 or length(b.s1.rho) >= k2
+    """One window lies above the other, a middle 2-cell between them.
 
-
-def _strip0_left(sig: Signature, phi: TwoCell, word: Tuple[str, ...]) -> Optional[TwoCell]:
-    n = len(word)
-    if phi.source1.word[:n] != word or any(w.left.word[:n] != word for w in phi.whiskers):
-        return None
-    return _strip0(sig, phi, n, 0)
-
-
-def _natural_match(sig: Signature, s_op: Step, s_x: Step) -> bool:
-    """Interchange naturality pattern with the generator window on top.
-
-    The generator role may be played by any 3-generator, interchange
-    generators included.  ``s_x`` is an interchanger step; it swaps the
-    window's last row downwards past an unrelated 2-cell below it.  The
-    mirror image, with the window at the bottom, is this pattern on the
-    rotated branching.
+    The definition asks for ``phi = win1 ; chi ; win2`` with ``s2.lam =
+    win1 ; chi`` and ``s1.rho = chi ; win2``.  On the shared source that
+    ``classify`` checks first, both hold as soon as ``s1`` starts at the
+    top, ``s2`` ends at the bottom and ``s2``'s window starts below
+    ``s1``'s, so the row counts decide it, in either order.
     """
-    phi_a = sig.inst_source(s_op.inner)
-    k = length(phi_a)
-    if k == 0 or length(s_op.lam) or s_op.left.word or length(s_x.lam) != k - 1:
-        return False
-    psig = _strip0_left(sig, s_op.rho, sig.target(phi_a).word)
-    if psig is None or length(psig) < 1:
-        return False
-    edge = ShuffleEdge(
-        tuple(("l", i) for i in range(1, k)),
-        k,
-        1,
-        tuple(("r", j) for j in range(2, length(psig) + 1)),
+    sig = pres.sig
+    return any(
+        length(s1.lam) == 0 and length(s2.rho) == 0 and length(s2.lam) >= length(sig.inst_source(s1.inner))
+        for s1, s2 in ((b.s1, b.s2), (b.s2, b.s1))
     )
-    try:
-        return interp_edge(sig, edge, phi_a, psig) == s_x
-    except CellError:
-        return False
+
+
+def _window_on_interchanger(k: int, above: int, outer: int, x_above: int, keep: int, below) -> bool:
+    """The naturality rule on counts, with the generator window on top.
+
+    The window has ``k`` rows, ``above`` rows above it, ``outer`` letters
+    left of it and a ``keep``-letter target; ``below`` holds the
+    left-context length of each row below it, ``x_above`` the rows above
+    the interchanger step.  On a shared source, an interchanger step with
+    ``k - 1`` rows above swaps rows ``k - 1`` and ``k``, and only one step
+    does: ``match_interchanger_source`` solves for a unique middle word.
+    When the window starts the source at its left edge and every row
+    below keeps its target on the left, that is the step which slides the
+    window's last row down, the one ``shuffle.interp_edge`` builds.
+    """
+    return k >= 1 and above == 0 and outer == 0 and x_above == k - 1 and min(below, default=-1) >= keep
 
 
 def rotate_branching(sig: Signature, b: Branching) -> Branching:
@@ -404,26 +379,27 @@ def rotate_branching(sig: Signature, b: Branching) -> Branching:
 
 
 def is_natural(pres: GrayPresentation, b: Branching) -> bool:
-    """Naturality of ``b`` in either order, on ``b`` and on its rotation."""
+    """Naturality of ``b`` in either order, the window on top or at the bottom.
+
+    The window at the bottom is the 180° rotation of the window on top,
+    which swaps lam/rho, left/right and the window's target/source, so
+    it is the same rule on the mirrored counts; no cell is rotated.
+    """
     if pres.qmode is not None:
         return False
     sig = pres.sig
     for s_op, s_x in ((b.s1, b.s2), (b.s2, b.s1)):
-        # the rotation keeps interchangers, so only these orders can match
-        if not isinstance(s_x.inner, Interchanger):
-            continue
-        # ``_natural_match``'s first exits, read before anything is
-        # rotated; the rotation keeps ``k`` and swaps lam/rho and
-        # left/right, so the rotated pattern reads them mirrored
-        k = length(sig.inst_source(s_op.inner))
-        if not (length(s_op.lam) or s_op.left.word or length(s_x.lam) != k - 1) and _natural_match(
-            sig, s_op, s_x
-        ):
-            return True
-        if not (length(s_op.rho) or s_op.right.word or length(s_x.rho) != k - 1) and _natural_match(
-            pres.rotated.sig, sig.rotate(s_op), sig.rotate(s_x)
-        ):
-            return True
+        if isinstance(s_x.inner, Interchanger):
+            phi_a = sig.inst_source(s_op.inner)
+            k = length(phi_a)
+            if _window_on_interchanger(
+                k, length(s_op.lam), len(s_op.left.word), length(s_x.lam),
+                len(sig.target(phi_a).word), (len(w.left.word) for w in s_op.rho.whiskers),
+            ) or _window_on_interchanger(
+                k, length(s_op.rho), len(s_op.right.word), length(s_x.rho),
+                len(phi_a.source1.word), (len(w.right.word) for w in s_op.lam.whiskers),
+            ):
+                return True
     return False
 
 
@@ -431,10 +407,9 @@ def classify(pres: GrayPresentation, b: Branching):
     """Branching taxonomy; checks both the branching and its symmetric one.
 
     The shared source is built once, for the same-source check and for
-    ``common_peel``.  In q mode the natural class is dropped.  Naturality
-    is one pattern, the generator window above the interchanger; the
-    mirrored case, the window below it, is that pattern on the branching's
-    180° rotation, so no separate convention fixes its indices.
+    ``common_peel``.  On it, independence and naturality are read from
+    the row and letter counts of the two windows; no closing square is
+    built.  In q mode the natural class is dropped.
     """
     sig = pres.sig
     phi = sig.step_source(b.s1)

@@ -11,7 +11,6 @@ from graypol import (
     Tile,
     get_builtin,
     length,
-    list_builtins,
     parse_presentation,
     serialize_presentation,
     squier_completion,
@@ -21,8 +20,10 @@ from graypol import (
 ROOT = pathlib.Path(__file__).resolve().parent.parent
 
 
-def test_list_builtins():
-    assert set(list_builtins()) == set(BUILTIN_NAMES)
+def test_builtin_names_are_the_packaged_files():
+    packaged = resources.files("graypol") / "presentations"
+    shipped = {p.name for p in packaged.iterdir() if p.name.endswith(".gray")}
+    assert {f"{name}.gray" for name in BUILTIN_NAMES} == shipped
     with pytest.raises(KeyError):
         get_builtin("nonsense")
 

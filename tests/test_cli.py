@@ -380,14 +380,15 @@ def test_candidate_that_is_not_a_branching_is_an_internal_error(monkeypatch, cap
 def test_unreadable_paths_are_usage_errors(tmp_path, capsys, case):
     bad = tmp_path / "bad.gray"
     bad.write_bytes(b"\xff\xfe 0 x\n")
-    argv = {
-        "source-is-a-directory": ["validate", str(tmp_path)],
-        "source-is-not-utf8": ["validate", str(bad)],
-        "output-is-a-directory": ["validate", "builtin:pseudomonoid", "-o", str(tmp_path)],
+    path, argv = {
+        "source-is-a-directory": (tmp_path, ["validate", str(tmp_path)]),
+        "source-is-not-utf8": (bad, ["validate", str(bad)]),
+        "output-is-a-directory": (tmp_path, ["validate", "builtin:pseudomonoid", "-o", str(tmp_path)]),
     }[case]
     code, _, err = run(capsys, *argv)
     assert code == 2
     assert err.startswith("error: ")
+    assert str(path) in err
 
 
 def test_pipeline_commands_never_rebuild_a_window(monkeypatch, capsys):

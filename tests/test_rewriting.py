@@ -782,10 +782,37 @@ def test_self_glue_at_row_zero_is_trivial():
     assert glued >= 100
 
 
-def _is_natural_unfiltered(pres, b):
-    """``is_natural`` without the filter read before rotating."""
-    from graypol.rewriting import _natural_match
+def _natural_match(sig, s_op, s_x):
+    """Reference copy of the former naturality rule, the generator window on top.
 
+    The pair is natural when ``s_x`` is the interchanger step that
+    ``interp_edge`` builds to slide the window's last row down past the
+    2-cell below it, that 2-cell stripped of the window's target on the
+    left.
+    """
+    from graypol.rewriting import _strip0
+
+    phi_a = sig.inst_source(s_op.inner)
+    k = length(phi_a)
+    if k == 0 or length(s_op.lam) or s_op.left.word or length(s_x.lam) != k - 1:
+        return False
+    word, rho = sig.target(phi_a).word, s_op.rho
+    if rho.source1.word[: len(word)] != word or any(w.left.word[: len(word)] != word for w in rho.whiskers):
+        return False
+    psig = _strip0(sig, rho, len(word), 0)
+    if length(psig) < 1:
+        return False
+    edge = ShuffleEdge(
+        tuple(("l", i) for i in range(1, k)), k, 1, tuple(("r", j) for j in range(2, length(psig) + 1))
+    )
+    try:
+        return interp_edge(sig, edge, phi_a, psig) == s_x
+    except CellError:
+        return False
+
+
+def _is_natural_unfiltered(pres, b):
+    """The former ``is_natural``: ``_natural_match`` on ``b`` and on its rotation, in either order."""
     if pres.qmode is not None:
         return False
     sig = pres.sig
@@ -799,21 +826,52 @@ def _is_natural_unfiltered(pres, b):
     return False
 
 
-def test_is_natural_matches_constructed_natural_branchings(pseudomonoid, pseudomonoid_oracle):
+def _sweep_pairs(request, monkeypatch, name):
+    """Every ordered redex pair of the benchmark's sweep cells of ``name``,
+    and the natural branchings on those cells, built from the definition."""
+    if name == "pseudomonoid":
+        # the oracle fixture is built on these same cells
+        oracle = request.getfixturevalue("pseudomonoid_oracle")
+        return list(oracle.classes), oracle.natural
+    import os
+
+    root = os.path.join(os.path.dirname(os.path.abspath(__file__)), os.pardir)
+    monkeypatch.syspath_prepend(os.path.join(root, "bench"))
+    import expected
+    from workloads import words_from
+
+    pres = request.getfixturevalue(name).presentation
+    spec, sig = expected.SWEEP[name], pres.sig
+    starts = [u for x in sig.zero for u in words_from(sig, x, spec["letters"])]
+    cells = enumerate_two_cells(sig, spec["rows"], starts)
+    steps = [find_redexes(pres, phi) for phi in cells]
+    pairs = [Branching(s1, s2) for ss in steps for s1, s2 in itertools.product(ss, ss)]
+    return pairs, natural_branchings(pres, cells)
+
+
+@pytest.mark.parametrize(
+    "name, pairs, naturals",
+    [("pseudomonoid", 35442, 2260), ("pseudoadjunction", 738, 110), ("frobenius", 924, 88)],
+    ids=["pseudomonoid", "pseudoadjunction", "frobenius"],
+)
+def test_is_natural_matches_constructed_natural_branchings(name, pairs, naturals, request, monkeypatch):
     # every ordered redex pair of the sweep, minimal or not: ``is_natural``
     # holds exactly on the branchings built from the definition
-    pres = pseudomonoid.presentation
-    natural = pseudomonoid_oracle.natural
+    pres = request.getfixturevalue(name).presentation
+    branchings, natural = _sweep_pairs(request, monkeypatch, name)
+    assert len(branchings) == pairs
     found = 0
-    for b in pseudomonoid_oracle.classes:
+    for b in branchings:
         assert is_natural(pres, b) == (b in natural), b
         found += b in natural
-    assert found == 2260
+    assert found == naturals
     kinds = {(type(b.s1.inner).__name__, type(b.s2.inner).__name__) for b in natural}
     assert kinds == {("OpGen", "Interchanger"), ("Interchanger", "OpGen"), ("Interchanger", "Interchanger")}
 
 
 def test_natural_prefilter_matches_unfiltered_rule(pseudomonoid, pseudomonoid_oracle):
+    # the counting rule of ``is_natural`` against the former rule, which
+    # rebuilt the interchanger step with ``interp_edge``
     from graypol.rewriting import _candidates
 
     pres = pseudomonoid.presentation

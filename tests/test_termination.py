@@ -1,6 +1,9 @@
 """Reduction orders: interchange norm, linear interpretations, cospan
 connectedness, the self-duality measure, and certificates."""
 
+import os
+import random
+
 import pytest
 
 from graypol import (
@@ -138,7 +141,7 @@ def _random_interpretation(sig, rng):
         m = sum(weights[g] for g in src.word)
         n = sum(weights[g] for g in tgt.word)
         matrix = [[rng.randrange(3) for _ in range(m)] for _ in range(n)]
-        for j in range(m):
+        for j in range(m if n else 0):
             matrix[rng.randrange(n)][j] += 1
         maps[name] = AffineMap.make(m, matrix, [rng.randrange(3) for _ in range(n)])
     return LinearInterpretation(weights, maps)
@@ -457,3 +460,101 @@ def test_certificate_witnesses_replay(pseudomonoid):
             src, tgt = sig.interchanger_boundaries(alpha, OneCell("x", tuple(mid)), beta)
             assert interchange_norm(src) == ns and interchange_norm(tgt) == nt
             assert seq_less(nt, ns)
+
+
+def _random_draws(monkeypatch, seed, count):
+    """``count`` presentations of the benchmark's ``random_presentation``."""
+    root = os.path.join(os.path.dirname(os.path.abspath(__file__)), os.pardir)
+    monkeypatch.syspath_prepend(os.path.join(root, "bench"))
+    from workloads import random_presentation
+
+    rng = random.Random(seed)
+    return [
+        random_presentation(rng, f"r{i}", rng.choice([1, 2]), rng.randint(2, 5), rng.randint(0, 3))
+        for i in range(count)
+    ]
+
+
+def test_interchangers_keep_the_interpretation_and_the_cospan(
+    pseudomonoid, pseudoadjunction, selfduality, frobenius, monkeypatch
+):
+    # both sides of ``X(alpha, m, beta)`` act on disjoint coordinate blocks
+    # and wires, which is why no certificate checks an interchanger
+    from graypol.termination import _small_middles
+
+    rng = random.Random(3)
+    entries = (pseudomonoid, pseudoadjunction, selfduality, frobenius)
+    sigs = [e.presentation.sig for e in entries] + [parse_presentation(TWO_COLOURS).sig]
+    sigs += [p.sig for p in _random_draws(monkeypatch, 7, 40)]
+    checked = 0
+    for sig in sigs:
+        for _ in range(2):
+            interp = _random_interpretation(sig, rng)
+            for alpha in sig.two:
+                for beta in sig.two:
+                    for mid in _small_middles(sig, alpha, beta, 4):
+                        src, tgt = sig.interchanger_boundaries(alpha, mid, beta)
+                        assert eval_interpretation(sig, interp, src) == eval_interpretation(sig, interp, tgt)
+                        assert cospan_of(sig, src) == cospan_of(sig, tgt)
+                        checked += 1
+    assert checked > 2000
+
+
+def _chain(n):
+    """A cap, ``n`` rewrites of its wire and a cup at one 0-cell, beside an unrelated shrinking rule."""
+    lines = ["presentation chain", "0 x", "1 h : x -> x"] + [f"1 a{i} : x -> x" for i in range(n + 1)]
+    lines += ["2 cap : @x => a0"] + [f"2 r{i} : a{i - 1} => a{i}" for i in range(1, n + 1)]
+    lines += [f"2 cup : a{n} => @x", "2 k : h => h", "3 K : [.|k|.] => id(h)"]
+    return parse_presentation("\n".join(lines) + "\n")
+
+
+@pytest.mark.parametrize("n", range(1, 8))
+def test_connected_refuses_a_cap_that_reaches_a_cup(n, pseudoadjunction):
+    # the cap, the chain and the cup make a floating bubble, and two bubbles
+    # side by side interchange forever, however long the chain
+    with pytest.raises(TerminationRefused, match=r"closed diagrams are constructible \(cap feeds cup\)"):
+        certify_termination(_chain(n), "connected")
+    # a cap and a cup at different 0-cells bound no bubble
+    assert certify_termination(pseudoadjunction.presentation, "connected").strategy == "connected"
+
+
+def _bounded_closed_diagram_search(sig, depth=4):
+    """Reference copy of the former check: a cap whose target rewrites to a
+    cup's source within ``depth`` rounds, through 1-cells of at most
+    ``depth + 2`` letters."""
+    caps = [g for g, (s, _) in sig.two.items() if not s.word]
+    cups = [g for g, (_, t) in sig.two.items() if not t.word]
+    for cap in caps:
+        for cup in cups:
+            goal, frontier = sig.src1(cup), [sig.tgt1(cap)]
+            seen = set(frontier)
+            for _ in range(depth):
+                nxt = []
+                for u in frontier:
+                    if u == goal:
+                        return f"{cap} feeds {cup}"
+                    for gs, gt in sig.two.values():
+                        for cut in range(len(u.word) + 1):
+                            pre = OneCell(u.start, u.word[:cut])
+                            if sig.end0(pre) != gs.start or u.word[cut : cut + len(gs.word)] != gs.word:
+                                continue
+                            v = OneCell(u.start, pre.word + gt.word + u.word[cut + len(gs.word) :])
+                            if len(v.word) <= depth + 2 and v not in seen:
+                                seen.add(v)
+                                nxt.append(v)
+                frontier = nxt
+    return None
+
+
+def test_closed_diagram_check_refuses_whatever_the_bounded_search_finds(monkeypatch):
+    from graypol.termination import _closed_diagram_possible
+
+    named = 0
+    for pres in _random_draws(monkeypatch, 11, 300):
+        if _bounded_closed_diagram_search(pres.sig) is not None:
+            assert _closed_diagram_possible(pres.sig) is not None
+            named += 1
+    assert named >= 20
+    # the bounded search misses a cup four rewrites from the cap
+    assert _bounded_closed_diagram_search(_chain(4).sig) is None
+    assert _closed_diagram_possible(_chain(4).sig) == "cap feeds cup"
