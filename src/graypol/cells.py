@@ -13,6 +13,12 @@ signature are represented canonically:
 
 Equality of normal forms is structural equality, which decides equality
 of cells in the free precategory.  All values are immutable.
+
+A signature memoizes the two sides of every 3-generator instance it has
+built, keyed by the instance and the side.  This is sound because a
+signature never changes after construction and instances are frozen and
+compared by value, so a side, once built and checked, is the side on
+every later call; errors are never stored.
 """
 
 from __future__ import annotations
@@ -136,10 +142,10 @@ Cell = Union[OneCell, TwoCell, ThreeCell]
 
 
 def dim(c: Cell) -> int:
-    if isinstance(c, OneCell):
-        return 1
     if isinstance(c, TwoCell):
         return 2
+    if isinstance(c, OneCell):
+        return 1
     if isinstance(c, ThreeCell):
         return 3
     raise CellError(f"not a cell: {c!r}")
@@ -147,10 +153,10 @@ def dim(c: Cell) -> int:
 
 def length(c: Cell) -> int:
     """Whisker count: the length of the top-dimensional composite."""
-    if isinstance(c, OneCell):
-        return len(c.word)
     if isinstance(c, TwoCell):
         return len(c.whiskers)
+    if isinstance(c, OneCell):
+        return len(c.word)
     if isinstance(c, ThreeCell):
         return len(c.steps)
     raise CellError(f"not a cell: {c!r}")
@@ -166,7 +172,10 @@ class Signature:
     ``three`` holds the operational 3-generators only; interchange
     generators are materialized on demand as :class:`Interchanger`.
     A signature is immutable: ``one``, ``two`` and ``three`` are
-    read-only mappings, so its hash and its rotation are computed once.
+    read-only mappings, so its hash and its rotation are computed once,
+    and the sides of 3-generator instances are memoized (``_sides``,
+    keyed by ``(instance, source)``).  The memo is not part of the
+    value: equality and the hash read ``_key`` only.
     """
 
     def __init__(
@@ -211,6 +220,7 @@ class Signature:
         self._key = (self.zero, tuple(ones.items()), tuple(twos.items()), tuple(threes.items()))
         self._hash = None
         self._rotated = None
+        self._sides = {}
 
     def __eq__(self, other):
         return isinstance(other, Signature) and self._key == other._key
@@ -279,10 +289,28 @@ class Signature:
         return self.two[gen2][1]
 
     def whisker_source(self, w: Whisker2) -> OneCell:
-        return self._concat(w.left, self._concat(self.src1(w.gen), w.right))
+        return self._row_level(w, self.src1(w.gen))
 
     def whisker_target(self, w: Whisker2) -> OneCell:
-        return self._concat(w.left, self._concat(self.tgt1(w.gen), w.right))
+        return self._row_level(w, self.tgt1(w.gen))
+
+    def _row_level(self, w: Whisker2, mid: OneCell) -> OneCell:
+        """``w.left . mid . w.right`` as one 1-cell, built with one allocation.
+
+        The checks and messages are those of
+        ``_concat(w.left, _concat(mid, w.right))``, made in the same order.
+        """
+        left, right = w.left, w.right
+        if self.end0(mid) != right.start:
+            raise CompositionError(
+                f"1-cells not 0-composable: {mid!r} ends at {self.end0(mid)}, {right!r} starts at {right.start}"
+            )
+        if self.end0(left) != mid.start:
+            inner = OneCell(mid.start, mid.word + right.word)
+            raise CompositionError(
+                f"1-cells not 0-composable: {left!r} ends at {self.end0(left)}, {inner!r} starts at {mid.start}"
+            )
+        return OneCell(left.start, left.word + mid.word + right.word)
 
     def id2(self, u: OneCell) -> TwoCell:
         self.check1(u)
@@ -326,7 +354,27 @@ class Signature:
         return self.inst_boundaries(Interchanger(alpha, mid, beta))
 
     def inst_side(self, inst: GenInstance, source: bool) -> TwoCell:
-        """The source of a 3-generator instance, or else its target; only that side is built.
+        """The source of a 3-generator instance, or else its target; only that side is built."""
+        return self._side(inst, source)[0]
+
+    def _side(self, inst: GenInstance, source: bool) -> Tuple[TwoCell, OneCell]:
+        """An instance side and its target 1-cell, memoized in ``_sides`` by ``(inst, source)``.
+
+        Only a side that was built, and so checked, is stored: an invalid
+        instance raises on every call.
+        """
+        key = (inst, source)
+        try:
+            hit = self._sides.get(key)
+        except TypeError:
+            raise CellError(f"not a 3-generator instance: {inst!r}") from None
+        if hit is None:
+            side = self._build_side(inst, source)
+            hit = self._sides[key] = (side, self.target(side))
+        return hit
+
+    def _build_side(self, inst: GenInstance, source: bool) -> TwoCell:
+        """The side of ``inst`` asked for, built and checked.
 
         An interchanger's sides are 2-whisker cells: the source stacks
         ``alpha`` above ``beta``, shifted left; the target stacks them
@@ -399,22 +447,39 @@ class Signature:
     def _step_side(self, s: Step, source: bool) -> TwoCell:
         """``lam *1 (left *0 side *0 right) *1 rho`` for the instance's source, or else its target.
 
-        Only the side asked for is built.  Its rows are whiskered by
-        ``left`` and ``right`` and spliced between the rows of ``lam``
-        and ``rho``.  The checks are those of ``compose``, each a
-        comparison of 1-cells, because the side is a checked 2-cell:
-        ``CompositionError`` unless ``left`` and ``right`` 0-compose with
-        the side, the target of ``lam`` is the level above the window and
-        the source of ``rho`` is the level below it.
+        Only the side asked for is used, from the memo.  Its rows are
+        whiskered by ``left`` and ``right`` straight into the splice
+        between the rows of ``lam`` and ``rho``; no window cell is built.
+        The levels at the window's top and bottom are the side's source
+        and target words padded by ``left`` and ``right``.  The checks
+        are those of ``compose``, each a comparison of 1-cells, because
+        the side is a checked 2-cell: ``CompositionError`` unless ``left``
+        and ``right`` 0-compose with the side, the target of ``lam`` is
+        the level above the window and the source of ``rho`` is the level
+        below it.
         """
-        window = self.whisker_checked(s.left, self.inst_side(s.inner, source), s.right)
-        above = window.source1
-        if self.target(s.lam) != above:
-            raise CompositionError(f"2-cells not 1-composable: target {self.target(s.lam)!r} vs source {above!r}")
-        below = self.whisker_target(window.whiskers[-1]) if window.whiskers else above
-        if below != s.rho.source1:
-            raise CompositionError(f"2-cells not 1-composable: target {below!r} vs source {s.rho.source1!r}")
-        return TwoCell(s.lam.source1, s.lam.whiskers + window.whiskers + s.rho.whiskers)
+        side, bottom = self._side(s.inner, source)
+        left, right, lam, rho = s.left, s.right, s.lam, s.rho
+        top = side.source1
+        if self.end0(left) != top.start or self.end0(top) != right.start:
+            raise CompositionError("0-whiskering boundary mismatch")
+        start, lw, rw = left.start, left.word, right.word
+        # the two levels are compared field by field; a OneCell is built only for the message
+        above = self.target(lam)
+        if above.start != start or above.word != lw + top.word + rw:
+            raise CompositionError(
+                f"2-cells not 1-composable: target {above!r} vs source {OneCell(start, lw + top.word + rw)!r}"
+            )
+        below = rho.source1
+        if below.start != start or below.word != lw + bottom.word + rw:
+            raise CompositionError(
+                f"2-cells not 1-composable: target {OneCell(start, lw + bottom.word + rw)!r} vs source {below!r}"
+            )
+        rows = tuple([
+            Whisker2(OneCell(start, lw + w.left.word), w.gen, OneCell(w.right.start, w.right.word + rw))
+            for w in side.whiskers
+        ])
+        return TwoCell(lam.source1, lam.whiskers + rows + rho.whiskers)
 
     def step_source(self, s: Step) -> TwoCell:
         return self._step_side(s, True)
@@ -463,10 +528,10 @@ class Signature:
 
     def source(self, c: Cell):
         """One-step source boundary (codimension 1)."""
-        if isinstance(c, OneCell):
-            return c.start
         if isinstance(c, TwoCell):
             return c.source1
+        if isinstance(c, OneCell):
+            return c.start
         if isinstance(c, ThreeCell):
             return c.source2
         if isinstance(c, Step):
@@ -474,12 +539,12 @@ class Signature:
         raise CellError(f"not a cell: {c!r}")
 
     def target(self, c: Cell):
-        if isinstance(c, OneCell):
-            return self.end0(c)
         if isinstance(c, TwoCell):
             if not c.whiskers:
                 return c.source1
             return self.whisker_target(c.whiskers[-1])
+        if isinstance(c, OneCell):
+            return self.end0(c)
         if isinstance(c, ThreeCell):
             if not c.steps:
                 return c.source2

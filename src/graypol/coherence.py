@@ -17,6 +17,7 @@ from typing import List, Optional, Tuple
 
 from .cells import (
     CellError,
+    InternalError,
     Signature,
     ThreeCell,
     TwoCell,
@@ -52,8 +53,10 @@ def normalize2(
 
     Each step is applied by ``sig.step_target``, which splices the
     rewritten window between the rows of the step's ``lam`` and ``rho``
-    and checks the levels at the window's top and bottom.  The returned
-    path is made of ordinary steps, and ``check3`` replays it.
+    and checks the levels at the window's top and bottom.  So a step
+    costs its window, whose side comes from the signature's memo, plus
+    one tuple splice of the rows.  The returned path is made of
+    ordinary steps, and ``check3`` replays it.
     """
     if certificate is None and max_steps is None:
         raise CellError("normalize2 needs a termination certificate or an explicit step budget")
@@ -83,7 +86,7 @@ def normalize2(
         # So no window that ends above t can match now, and the windows left
         # to try, of at most ``reach`` rows, start at row t - reach + 1 or
         # later.
-        lowest = max(0, length(step.lam) - reach + 1)
+        lowest = max(0, len(step.lam.whiskers) - reach + 1)
 
 
 @dataclass(frozen=True)
@@ -210,6 +213,7 @@ def squier_completion(
             lhs = sig.compose(sig.step_cell(b.s1), rec.f1, 2)
             rhs = sig.compose(sig.step_cell(b.s2), rec.f2, 2)
             tile = Tile(f"T{idx}", lhs, rhs)
+            _check_tile(sig, tile)
             emitted.append(tile)
             emitted_name = tile.name
         reports.append(BranchingReport(cb.key, True, covered, emitted_name, rec.normal_form))
@@ -221,6 +225,22 @@ def squier_completion(
         verdict = "completed-with-new-tiles"
     report = CoherenceReport(certificate, refusal, reports, verdict)
     return emitted, report
+
+
+def _check_tile(sig: Signature, tile: Tile):
+    """Replay both sides of an emitted tile and check that they are parallel.
+
+    The sides are built from a branching and its two joins, so a side
+    that does not replay, or two sides that end apart, is a defect of
+    graypol: ``InternalError``, never a refusal.
+    """
+    try:
+        sig.check3(tile.lhs)
+        sig.check3(tile.rhs)
+    except CellError as exc:
+        raise InternalError(f"emitted tile {tile.name} does not replay: {exc}") from exc
+    if tile.lhs.source2 != tile.rhs.source2 or sig.target(tile.lhs) != sig.target(tile.rhs):
+        raise InternalError(f"emitted tile {tile.name}: sides are not parallel")
 
 
 # ---------------------------------------------------------------- zigzags

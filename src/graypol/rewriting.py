@@ -103,7 +103,7 @@ def _match_window(sig: Signature, phi: TwoCell, t: int, pattern: TwoCell) -> Lis
     Returns all solutions (one for nonempty patterns, possibly several
     for identity patterns sliding along a 1-cell).
     """
-    m = length(pattern)
+    m = len(pattern.whiskers)
     out = []
     if m == 0:
         level = level_at(sig, phi, t)
@@ -150,8 +150,10 @@ def _match_window(sig: Signature, phi: TwoCell, t: int, pattern: TwoCell) -> Lis
 
 
 def _step_at(sig: Signature, phi: TwoCell, t: int, m: int, l: OneCell, inner, r: OneCell) -> Step:
-    lam = slice2(sig, phi, 0, t)
-    rho = slice2(sig, phi, t + m, length(phi))
+    """The step on rows ``t..t+m-1`` of ``phi``; callers pass ``0 <= t <= t + m <= len(phi.whiskers)``."""
+    rows = phi.whiskers
+    lam = TwoCell(phi.source1, rows[:t])
+    rho = TwoCell(level_at(sig, phi, t + m), rows[t + m :])
     return Step(lam, l, inner, r, rho)
 
 
@@ -268,7 +270,7 @@ def _inst_key(inner) -> tuple:
 
 
 def step_key(s: Step) -> tuple:
-    return (length(s.lam), _inst_key(s.inner), len(s.left.word), len(s.right.word))
+    return (len(s.lam.whiskers), _inst_key(s.inner), len(s.left.word), len(s.right.word))
 
 
 def branching_key(b: Branching) -> tuple:

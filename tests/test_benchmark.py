@@ -50,3 +50,6 @@ def test_traced_smoke_round_keeps_its_digest(workload, digest):
     lines = _check_smoke_digest(workload, digest, "--trace", "1")
     checks = json.loads(next(line for line in lines if line.startswith("checks: "))[len("checks: "):])
     assert checks["traced_digest_equal"] is True
+    if workload == "normalize":
+        # normalize2 scans once per step plus once per cell; a kernel change must keep that
+        assert checks["find_redexes_calls_eq_steps_plus_cells"] is True

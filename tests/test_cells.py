@@ -3,16 +3,40 @@
 import pytest
 
 from graypol import (
+    CellError,
     CompositionError,
+    Interchanger,
     OneCell,
+    QInterchanger,
     Signature,
     SignatureError,
+    Step,
+    TwoCell,
+    Whisker2,
     dim,
+    find_redexes,
     length,
 )
 from graypol.expressions import eval_cell
 
 from conftest import GRAY_BUILTINS, random_one_cell, random_two_cell, two_cell_to_expr
+
+ALL_BUILTINS = GRAY_BUILTINS + ["selfduality_q"]
+
+
+def _copy(sig):
+    """A fresh signature equal to ``sig``, with an empty memo."""
+    return Signature(
+        sig.zero,
+        ((g, s, t) for g, (s, t) in sig.one.items()),
+        ((g, s, t) for g, (s, t) in sig.two.items()),
+        ((g, s, t) for g, (s, t) in sig.three.items()),
+    )
+
+
+def _redexes(pres, rng, cells=25):
+    """Every redex of ``cells`` random cells of 0 to 7 rows."""
+    return [s for _ in range(cells) for s in find_redexes(pres, random_two_cell(pres.sig, rng, rows=rng.randrange(8)))]
 
 
 def test_boundary_of_mu_whisker(pseudomonoid):
@@ -280,16 +304,20 @@ def test_signature_is_immutable_and_hashed_by_value(name, request):
             table["new"] = None
         with pytest.raises(TypeError):
             del table[next(iter(table))]
-    copy = Signature(
-        sig.zero,
-        ((g, s, t) for g, (s, t) in sig.one.items()),
-        ((g, s, t) for g, (s, t) in sig.two.items()),
-        ((g, s, t) for g, (s, t) in sig.three.items()),
-    )
+    copy = _copy(sig)
     assert copy is not sig and copy == sig
     assert hash(copy) == hash(sig) == first
     sig.rotated()
     assert hash(sig) == first
+    # filling the memo of instance sides changes neither the value nor the hash
+    for alpha in sig.two:
+        for beta in sig.two:
+            mid = sig.id1(sig.end0(sig.tgt1(alpha)))
+            if mid.start == sig.src1(beta).start:
+                sig.inst_boundaries(Interchanger(alpha, mid, beta))
+    assert sig._sides
+    assert hash(sig) == hash(copy) == first
+    assert sig == copy and copy == sig
 
 
 def test_cell_classes_are_slotted_and_frozen(pseudomonoid):
@@ -321,3 +349,102 @@ def test_cell_classes_are_slotted_and_frozen(pseudomonoid):
         # a new name has no slot; Python 3.11 reports it as a TypeError
         with pytest.raises((AttributeError, TypeError)):
             c.extra = 1
+
+
+def _reference_side(sig, s, source):
+    """``lam *1 (left *0 side *0 right) *1 rho`` built with ``compose`` and ``whisker0`` alone."""
+    window = sig.whisker0(s.left, sig.inst_side(s.inner, source), s.right)
+    return sig.compose(sig.compose(s.lam, window, 1), s.rho, 1)
+
+
+def _one_letter_more(u, letter):
+    return OneCell(u.start, u.word + (letter,))
+
+
+@pytest.mark.parametrize("name", ALL_BUILTINS)
+def test_step_sides_match_the_compose_reference(name, request, rng):
+    pres = request.getfixturevalue(name).presentation
+    sig = pres.sig
+    letter = next(iter(sig.one))
+    steps = _redexes(pres, rng, cells=40)
+    assert steps
+    if pres.qmode is not None:
+        assert any(isinstance(s.inner, QInterchanger) and s.inner.rev for s in steps)
+    for s in steps:
+        assert sig.step_source(s) == _reference_side(sig, s, True)
+        assert sig.step_target(s) == _reference_side(sig, s, False)
+        # each part moved off by one letter: the kernel and the reference both refuse
+        for bad in (
+            Step(s.lam, _one_letter_more(s.left, letter), s.inner, s.right, s.rho),
+            Step(s.lam, s.left, s.inner, _one_letter_more(s.right, letter), s.rho),
+            Step(TwoCell(_one_letter_more(sig.target(s.lam), letter), ()), s.left, s.inner, s.right, s.rho),
+            Step(s.lam, s.left, s.inner, s.right, TwoCell(_one_letter_more(s.rho.source1, letter), s.rho.whiskers)),
+        ):
+            for source in (True, False):
+                with pytest.raises(CompositionError):
+                    sig.step_source(bad) if source else sig.step_target(bad)
+                with pytest.raises(CompositionError):
+                    _reference_side(sig, bad, source)
+
+
+def _outcome(fn, *args):
+    try:
+        return fn(*args)
+    except CellError as exc:
+        return type(exc), str(exc)
+
+
+@pytest.mark.parametrize("name", ALL_BUILTINS)
+def test_row_levels_match_the_nested_concat_reference(name, request, rng):
+    sig = request.getfixturevalue(name).presentation.sig
+    kinds = set()
+    for _ in range(40):
+        for w in random_two_cell(sig, rng, rows=rng.randrange(1, 6)).whiskers:
+            u = random_one_cell(sig, rng)
+            for row in (w, Whisker2(u, w.gen, w.right), Whisker2(w.left, w.gen, u)):
+                for level, bound in ((sig.whisker_source, sig.src1), (sig.whisker_target, sig.tgt1)):
+                    got = _outcome(level, row)
+                    ref = _outcome(lambda r: sig._concat(r.left, sig._concat(bound(r.gen), r.right)), row)
+                    assert got == ref
+                    kinds.add(type(got))
+    assert OneCell in kinds
+    if len(sig.zero) > 1:
+        assert tuple in kinds
+
+
+@pytest.mark.parametrize("name", ALL_BUILTINS)
+def test_instance_sides_are_memoized_soundly(name, request, rng):
+    pres = request.getfixturevalue(name).presentation
+    sig = pres.sig
+    fresh = _copy(sig)
+    insts = {s.inner for s in _redexes(pres, rng)}
+    assert insts
+    for inst in insts:
+        for source in (True, False):
+            side = sig.inst_side(inst, source)
+            assert sig.inst_side(inst, source) is side
+            assert fresh.inst_side(inst, source) == side
+    assert fresh._sides is not sig._sides
+    # an ill-typed middle word raises on every call and is never stored
+    alpha = beta = next(iter(sig.two))
+    for mid in [OneCell(sig.zero[0], ("no-such-letter",))] + [
+        OneCell(z, ()) for z in sig.zero if z != sig.end0(sig.tgt1(alpha))
+    ]:
+        bad = Interchanger(alpha, mid, beta)
+        for _ in range(2):
+            with pytest.raises(CellError):
+                sig.inst_side(bad, True)
+        assert (bad, True) not in sig._sides
+
+
+def test_rotated_signature_has_its_own_memo(pseudomonoid):
+    sig = pseudomonoid.presentation.sig
+    inst = Interchanger("mu", sig.id1("x"), "mu")
+    side = sig.inst_side(inst, True)
+    rsig = sig.rotated()
+    assert rsig._sides is not sig._sides
+    # the same instance key names another side over the rotated signature
+    rside = rsig.inst_side(inst, True)
+    assert rside != side
+    assert rside == _copy(rsig).inst_side(inst, True)
+    assert sig.inst_side(inst, True) is side

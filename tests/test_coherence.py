@@ -348,6 +348,31 @@ def test_squier_pseudomonoid_without_tiles_emits_five(pseudomonoid):
         assert tile.rhs.steps[0] == cb.branching.s2
 
 
+@pytest.mark.parametrize("fault", ["wing does not replay", "wings end apart"])
+def test_emitted_tiles_are_checked(pseudomonoid, monkeypatch, fault):
+    import dataclasses
+
+    import graypol.coherence as coherence
+    from graypol import InternalError
+
+    pres = pseudomonoid.presentation.with_tiles(())
+    real = coherence.join_branching
+
+    def broken(pres, b, certificate=None, max_steps=None):
+        rec = real(pres, b, certificate, max_steps)
+        if fault == "wing does not replay":
+            # the branching's first step again, after the wing reached its normal form
+            f1 = ThreeCell(rec.f1.source2, rec.f1.steps + (b.s1,))
+        else:
+            # a wing that replays but stops short of the normal form
+            f1 = ThreeCell(rec.f1.source2, rec.f1.steps[:-1])
+        return dataclasses.replace(rec, f1=f1)
+
+    monkeypatch.setattr(coherence, "join_branching", broken)
+    with pytest.raises(InternalError, match="emitted tile T1"):
+        squier_completion(pres, interpretation=pseudomonoid.interpretation)
+
+
 def test_squier_pseudoadjunction(pseudoadjunction):
     tiles, report = squier_completion(pseudoadjunction.presentation)
     assert report.verdict == "coherent-by-squier"

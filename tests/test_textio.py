@@ -1,19 +1,27 @@
 """Presentation grammar, cell notation, and renderer round-trips."""
 
+import random
+
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from graypol import (
     OneCell,
     ParseError,
     Signature,
+    ThreeCell,
+    find_redexes,
+    get_builtin,
     parse_cell,
     parse_presentation,
     render_cell,
     serialize_presentation,
+    squier_completion,
 )
 from graypol.textio import parse_two, parse_three, render_three
 
 from conftest import random_two_cell
+from test_rewriting import _random_positive_presentation
 
 
 def test_empty_file_is_empty_presentation():
@@ -174,3 +182,50 @@ def test_unbalanced_brackets_raise(pseudomonoid):
 def test_serialize_stable(pseudomonoid):
     text = serialize_presentation(pseudomonoid.presentation)
     assert text == serialize_presentation(parse_presentation(text))
+
+
+# ---------------------------------------------------------------- metamorphic: parse after serialize is the identity
+
+_ROUND_TRIP = settings(max_examples=40, deadline=None, derandomize=True, database=None)
+
+
+@_ROUND_TRIP
+@given(st.integers(0, 10**6))
+def test_random_presentations_round_trip_with_their_completion_tiles(seed):
+    pres = _random_positive_presentation(seed)
+    if pres is None:
+        return
+    assert parse_presentation(serialize_presentation(pres)) == pres
+    tiles, _ = squier_completion(pres, max_steps=200)
+    completed = pres.with_tiles(tiles)
+    assert parse_presentation(serialize_presentation(completed)) == completed
+
+
+def test_q_mode_presentation_round_trips(selfduality_q):
+    pres = selfduality_q.presentation
+    assert parse_presentation(serialize_presentation(pres)) == pres
+
+
+@settings(_ROUND_TRIP, max_examples=150)
+@given(
+    st.sampled_from(["pseudomonoid", "pseudoadjunction", "selfduality", "selfduality-q", "frobenius"]),
+    st.integers(0, 2**32),
+    st.integers(0, 8),
+    st.integers(0, 5),
+)
+def test_random_cells_round_trip(name, seed, rows, steps):
+    """A random 2-cell and a random rewriting path out of it read back as themselves."""
+    pres = get_builtin(name).presentation
+    sig = pres.sig
+    rng = random.Random(seed)
+    phi = random_two_cell(sig, rng, rows=rows)
+    assert parse_cell(sig, render_cell(sig, phi), pres.qmode) == phi
+    path, cur = [], phi
+    for _ in range(steps):
+        redexes = find_redexes(pres, cur)
+        if not redexes:
+            break
+        path.append(rng.choice(redexes))
+        cur = sig.step_target(path[-1])
+    F = ThreeCell(phi, tuple(path))
+    assert parse_cell(sig, render_cell(sig, F), pres.qmode) == F
