@@ -177,21 +177,20 @@ def key_json(key):
 
 def squier_completion(
     pres: GrayPresentation,
-    certificate: Optional[TerminationCertificate] = None,
     interpretation=None,
     max_steps: Optional[int] = None,
 ) -> Tuple[List[Tile], CoherenceReport]:
     """One tile per uncovered critical branching, plus the verdict.
 
+    Termination is certified first, with ``interpretation`` if given.
     With refused termination the joins still run under the step budget
     and the verdict stays inconclusive.
     """
-    refusal = None
-    if certificate is None:
-        try:
-            certificate = certify_termination(pres, None, interpretation)
-        except TerminationRefused as exc:
-            refusal = str(exc)
+    certificate = refusal = None
+    try:
+        certificate = certify_termination(pres, None, interpretation)
+    except TerminationRefused as exc:
+        refusal = str(exc)
     budget = max_steps if max_steps is not None else DEFAULT_MAX_STEPS
     sig = pres.sig
     criticals = enumerate_critical(pres)

@@ -2,12 +2,14 @@
 
 Redexes of a 2-cell are found by sliding operational sources over
 contiguous whisker windows and solving for the context, and by matching
-consecutive whisker pairs against the interchanger source pattern.
-Local branchings are classified as trivial, non-minimal, independent,
-natural or critical, the last three by counting the rows and letters of
-the two windows on their shared source, and the complete finite list of
-critical branchings of a presentation is enumerated by the overlap
-analysis.
+consecutive whisker pairs against the interchanger shapes the mode
+rewrites: the source shape in Gray mode, and in q mode also the target
+shape, which is the source shape upside down.  Local branchings are
+classified as trivial, non-minimal, independent, natural or critical, all
+but the first by counting the rows and letters of the two windows on
+their shared source; a cell is built only for a non-minimal witness.
+The complete finite list of critical branchings of a presentation is
+enumerated by the overlap analysis.
 
 Every candidate of that analysis is one of two things, each a branching
 by construction, so no candidate is typed again.  Either it is a glue of
@@ -104,19 +106,14 @@ def _match_window(sig: Signature, phi: TwoCell, t: int, pattern: TwoCell) -> Lis
     for identity patterns sliding along a 1-cell).
     """
     m = len(pattern.whiskers)
-    out = []
     if m == 0:
-        level = level_at(sig, phi, t)
-        pw = pattern.source1.word
+        level, pw, out = level_at(sig, phi, t), pattern.source1.word, []
         for cut in range(len(level.word) - len(pw) + 1):
-            if tuple(level.word[cut : cut + len(pw)]) != pw:
+            if level.word[cut : cut + len(pw)] != pw:
                 continue
             l = OneCell(level.start, level.word[:cut])
-            if sig.end0(l) != pattern.source1.start:
-                continue
-            rstart = sig.end0(pattern.source1)
-            r = OneCell(rstart, level.word[cut + len(pw) :])
-            out.append((l, r))
+            if sig.end0(l) == pattern.source1.start:
+                out.append((l, OneCell(sig.end0(pattern.source1), level.word[cut + len(pw) :])))
         return out
     rows = phi.whiskers[t : t + m]
     if len(rows) < m:
@@ -138,15 +135,16 @@ def _match_window(sig: Signature, phi: TwoCell, t: int, pattern: TwoCell) -> Lis
             or row.right.start != prow.right.start
         ):
             return []
-    # the typing checks of the whiskering; the pattern is a checked
-    # 3-generator source, so these two cover every row of it
+    # the typing checks of the whiskering.  The pattern is a checked
+    # 3-generator source, so every row's right context ends where its
+    # source does and ``r`` starts there; ``l`` must end where it begins.
     l = OneCell(first.left.start, lw)
-    r = _unpad1(sig, first.right, len(first.right.word) - dr, 0)
-    if sig.end0(l) != pattern.source1.start or r.start != sig.end0(pattern.source1):
+    if sig.end0(l) != pattern.source1.start:
         return []
-    if level_at(sig, phi, t) != OneCell(l.start, lw + pattern.source1.word + rw):
+    above = level_at(sig, phi, t)
+    if above.start != l.start or above.word != lw + pattern.source1.word + rw:
         return []
-    return [(l, r)]
+    return [(l, OneCell(sig.end0(pattern.source1), rw))]
 
 
 def _step_at(sig: Signature, phi: TwoCell, t: int, m: int, l: OneCell, inner, r: OneCell) -> Step:
@@ -157,51 +155,29 @@ def _step_at(sig: Signature, phi: TwoCell, t: int, m: int, l: OneCell, inner, r:
     return Step(lam, l, inner, r, rho)
 
 
-def match_interchanger_source(sig: Signature, wa: Whisker2, wb: Whisker2):
-    """Match two consecutive whiskers against the interchanger source shape.
+def match_interchanger(sig: Signature, wa: Whisker2, wb: Whisker2, target: bool):
+    """Match two consecutive whiskers against the interchanger source shape, or its target shape.
 
+    Between the rows of the source shape lie ``alpha``'s target, the
+    middle word and ``beta``'s source.  The target shape is the source
+    shape upside down with each 2-generator's source and target swapped.
     Returns ``(l, alpha, mid, beta, r)`` or ``None``; the middle word is
     the unique solution of the boundary equations.
     """
+    if target:
+        wa, wb = wb, wa
+        a_side, b_side = sig.src1, sig.tgt1
+    else:
+        a_side, b_side = sig.tgt1, sig.src1
     l, r = wa.left, wb.right
-    fp = sig.tgt1(wa.gen)
-    need = l.word + fp.word
+    fa = a_side(wa.gen)
+    need = l.word + fa.word
     if wb.left.word[: len(need)] != need or wb.left.start != l.start:
         return None
-    mid = OneCell(sig.end0(fp), wb.left.word[len(need) :])
-    h = sig.src1(wb.gen)
-    if wa.right.word != mid.word + h.word + r.word:
-        return None
-    if wa.right.start != mid.start:
+    mid = OneCell(sig.end0(fa), wb.left.word[len(need) :])
+    if wa.right.start != mid.start or wa.right.word != mid.word + b_side(wb.gen).word + r.word:
         return None
     return (l, wa.gen, mid, wb.gen, r)
-
-
-def match_interchanger_target(sig: Signature, wa: Whisker2, wb: Whisker2):
-    """Match against the interchanger target shape (upper whisker shifted right)."""
-    l, r = wb.left, wa.right
-    f = sig.src1(wb.gen)
-    need = l.word + f.word
-    if wa.left.word[: len(need)] != need or wa.left.start != l.start:
-        return None
-    mid = OneCell(sig.end0(f), wa.left.word[len(need) :])
-    hp = sig.tgt1(wa.gen)
-    if wb.right.word != mid.word + hp.word + r.word:
-        return None
-    if wb.right.start != mid.start:
-        return None
-    return (l, wb.gen, mid, wa.gen, r)
-
-
-def _q_inner(pres: GrayPresentation, alpha: str, mid: OneCell, beta: str, from_target: bool):
-    """Oriented self-duality interchange instance for a matched window, if any.
-
-    A window matched against the interchanger target can only be rewritten
-    by a reversed rule, one matched against its source by a forward rule.
-    """
-    if (alpha, beta, from_target) in pres.qmode.rules:
-        return QInterchanger(alpha, mid, beta, rev=from_target)
-    return None
 
 
 def find_redexes(pres: GrayPresentation, phi: TwoCell, lowest_from: Optional[int] = None) -> List[Step]:
@@ -209,13 +185,16 @@ def find_redexes(pres: GrayPresentation, phi: TwoCell, lowest_from: Optional[int
 
     The scan goes row by row: at start row ``t`` it tries the operational
     sources that ``pres.redex_sources`` lists for the generators of rows
-    ``t`` and ``t+1``, then the interchanger pair ``(t, t+1)``.  With
-    ``lowest_from=k`` it starts at row ``k`` and returns only the steps
-    of the first row ``>= k`` that has any, which are the steps with the
-    smallest ``|lam| >= k``.
+    ``t`` and ``t+1``, then the interchanger pair ``(t, t+1)``: in Gray
+    mode against the source shape, in q mode against the source and the
+    target shape as a forward and a reversed rule, each kept when listed
+    in ``pres.qmode.rules``.  With ``lowest_from=k`` it starts at row
+    ``k`` and returns only the steps of the first row ``>= k`` that has
+    any, which are the steps with the smallest ``|lam| >= k``.
     """
     sig = pres.sig
     qmode = pres.qmode
+    shapes = (False,) if qmode is None else (False, True)
     whiskers = phi.whiskers
     n = len(whiskers)
     sources = pres.redex_sources
@@ -233,23 +212,15 @@ def find_redexes(pres: GrayPresentation, phi: TwoCell, lowest_from: Optional[int
             for l, r in _match_window(sig, phi, t, src):
                 out.append(_step_at(sig, phi, t, m, l, OpGen(name), r))
         if t + 1 < n:
-            wa, wb = whiskers[t], whiskers[t + 1]
-            hit = match_interchanger_source(sig, wa, wb)
-            if hit is not None:
+            for rev in shapes:
+                hit = match_interchanger(sig, whiskers[t], whiskers[t + 1], rev)
+                if hit is None:
+                    continue
                 l, alpha, mid, beta, r = hit
                 if qmode is None:
                     out.append(_step_at(sig, phi, t, 2, l, Interchanger(alpha, mid, beta), r))
-                else:
-                    inner = _q_inner(pres, alpha, mid, beta, from_target=False)
-                    if inner is not None:
-                        out.append(_step_at(sig, phi, t, 2, l, inner, r))
-            if qmode is not None:
-                hit = match_interchanger_target(sig, wa, wb)
-                if hit is not None:
-                    l, alpha, mid, beta, r = hit
-                    inner = _q_inner(pres, alpha, mid, beta, from_target=True)
-                    if inner is not None:
-                        out.append(_step_at(sig, phi, t, 2, l, inner, r))
+                elif (alpha, beta, rev) in qmode.rules:
+                    out.append(_step_at(sig, phi, t, 2, l, QInterchanger(alpha, mid, beta, rev), r))
         if out and lowest_from is not None:
             break
     out.sort(key=step_key)
@@ -275,12 +246,7 @@ def step_key(s: Step) -> tuple:
 
 def branching_key(b: Branching) -> tuple:
     """Canonical-form key ``(inner1, inner2, |lam1|, |lam2|)``."""
-    return (
-        _inst_key(b.s1.inner),
-        _inst_key(b.s2.inner),
-        length(b.s1.lam),
-        length(b.s2.lam),
-    )
+    return (_inst_key(b.s1.inner), _inst_key(b.s2.inner), length(b.s1.lam), length(b.s2.lam))
 
 
 def canonical_branching(b: Branching) -> Branching:
@@ -315,12 +281,13 @@ def _strip0(sig: Signature, phi: TwoCell, nl: int, nr: int) -> TwoCell:
 
 
 def common_peel(pres: GrayPresentation, b: Branching, phi: TwoCell):
-    """Maximal shared context ``(lam, l, r, rho)`` of a local branching, and the reduced branching.
+    """Maximal shared context ``(lam, l, r, rho)`` of a local branching and the reduced branching.
 
     ``lam`` and ``rho`` are the rows of the shared source ``phi`` above
     and below both windows; ``l`` and ``r`` are the letters that both
     steps' contexts and every row in between start and end with.  The
-    reduced branching is the two steps on those rows, ``l`` and ``r`` stripped.
+    reduced branching is the two steps on those rows, ``l`` and ``r``
+    stripped.  ``None`` when all four are empty; no cell is built then.
     """
     sig = pres.sig
     s1, s2 = b.s1, b.s2
@@ -332,6 +299,8 @@ def common_peel(pres: GrayPresentation, b: Branching, phi: TwoCell):
     nl = _common_prefix_len([s1.left.word, s2.left.word, top.word] + [w.left.word for w in middle.whiskers])
     rights = [s1.right.word, s2.right.word, top.word] + [w.right.word for w in middle.whiskers]
     nr = _common_prefix_len([u[::-1] for u in rights])
+    if not (t_lam or t_rho or nl or nr):
+        return None
     core = _strip0(sig, middle, nl, nr)
     reduced = Branching(*(
         _step_at(sig, core, length(s.lam) - t_lam, n - length(s.lam) - length(s.rho),
@@ -367,7 +336,7 @@ def _window_on_interchanger(k: int, above: int, outer: int, x_above: int, keep: 
     left-context length of each row below it, ``x_above`` the rows above
     the interchanger step.  On a shared source, an interchanger step with
     ``k - 1`` rows above swaps rows ``k - 1`` and ``k``, and only one step
-    does: ``match_interchanger_source`` solves for a unique middle word.
+    does: ``match_interchanger`` solves for a unique middle word.
     When the window starts the source at its left edge and every row
     below keeps its target on the left, that is the step which slides the
     window's last row down, the one ``shuffle.interp_edge`` builds.
@@ -409,9 +378,10 @@ def classify(pres: GrayPresentation, b: Branching):
     """Branching taxonomy; checks both the branching and its symmetric one.
 
     The shared source is built once, for the same-source check and for
-    ``common_peel``.  On it, independence and naturality are read from
-    the row and letter counts of the two windows; no closing square is
-    built.  In q mode the natural class is dropped.
+    ``common_peel``.  Minimality, independence and naturality are read
+    from the row and letter counts of the two windows on it; the only
+    cells built are a non-minimal branching's witness, and no closing
+    square is built.  In q mode the natural class is dropped.
     """
     sig = pres.sig
     phi = sig.step_source(b.s1)
@@ -419,9 +389,9 @@ def classify(pres: GrayPresentation, b: Branching):
         raise RewritingError("not a branching: the two steps have different sources")
     if b.s1 == b.s2:
         return Trivial()
-    lam, left, right, rho, reduced = common_peel(pres, b, phi)
-    if length(lam) or length(rho) or left.word or right.word:
-        return NonMinimal(lam, left, right, rho, reduced)
+    peel = common_peel(pres, b, phi)
+    if peel is not None:
+        return NonMinimal(*peel)
     if is_independent(pres, b):
         return Independent()
     if is_natural(pres, b):
@@ -433,27 +403,26 @@ def classify(pres: GrayPresentation, b: Branching):
 
 
 def _solve_left_contexts(sig: Signature, u: OneCell, v: OneCell):
-    """Solutions ``(l1, l2)`` of ``l1 * u == l2 * v`` with one side empty.
+    """The solution ``(l1, l2)`` of ``l1 * u == l2 * v`` with one side empty, or ``None``.
 
     There is at most one: the shorter word is a suffix of the longer.
     """
     if len(u.word) > len(v.word):
-        return [(l1, l2) for l2, l1 in _solve_left_contexts(sig, v, u)]
+        hit = _solve_left_contexts(sig, v, u)
+        return None if hit is None else (hit[1], hit[0])
     d = len(v.word) - len(u.word)
     l1 = OneCell(v.start, v.word[:d])
     if v.word[d:] != u.word or sig.end0(l1) != u.start:
-        return []
-    return [(l1, OneCell(v.start, ()))]
+        return None
+    return l1, OneCell(v.start, ())
 
 
 def _solve_right_contexts(sig: Signature, u: OneCell, v: OneCell):
-    """Solutions ``(r1, r2)`` of ``u * r1 == v * r2`` with one side empty:
-    the left contexts of the rotated words, rotated back."""
+    """The solution ``(r1, r2)`` of ``u * r1 == v * r2`` with one side empty, or
+    ``None``: the left contexts of the rotated words, rotated back."""
     rsig = sig.rotated()
-    return [
-        (rsig.rotate(r1), rsig.rotate(r2))
-        for r1, r2 in _solve_left_contexts(rsig, sig.rotate(u), sig.rotate(v))
-    ]
+    hit = _solve_left_contexts(rsig, sig.rotate(u), sig.rotate(v))
+    return None if hit is None else (rsig.rotate(hit[0]), rsig.rotate(hit[1]))
 
 
 def _glue(pres: GrayPresentation, top, bottom, d: int):
@@ -463,7 +432,7 @@ def _glue(pres: GrayPresentation, top, bottom, d: int):
     contexts that are empty on one side.  The shared 2-cell is ``top``
     down to the end of the overlap, then the rest of ``bottom``, then the
     rest of ``top``, so a window inside the other is no special case.
-    Yields ``Branching(bottom step, top step)``.
+    Yields the one ``Branching(bottom step, top step)``, if there is one.
     """
     sig = pres.sig
     (inst1, src1), (inst2, src2) = bottom, top
@@ -472,25 +441,27 @@ def _glue(pres: GrayPresentation, top, bottom, d: int):
     w1, w2 = src1.whiskers[0], src2.whiskers[d]
     if w1.gen != w2.gen:
         return
+    lefts = _solve_left_contexts(sig, w1.left, w2.left)
     rights = _solve_right_contexts(sig, w1.right, w2.right)
-    for l1, l2 in _solve_left_contexts(sig, w1.left, w2.left):
-        for r1, r2 in rights:
-            try:
-                body1 = sig.whisker_checked(l1, src1, r1)
-                body2 = sig.whisker_checked(l2, src2, r2)
-            except CellError:
-                continue
-            if body1.whiskers[:over] != body2.whiskers[d : d + over]:
-                continue
-            # ``shared`` is well typed: two checked windows joined where their
-            # rows are equal, so each row starts where the row above it ends.
-            # Each step is its window of ``shared``, so both have it as source.
-            rows = body2.whiskers[: d + over] + body1.whiskers[over:] + body2.whiskers[d + over :]
-            shared = TwoCell(body2.source1, rows)
-            yield Branching(
-                _step_at(sig, shared, d, k1, l1, inst1, r1),
-                _step_at(sig, shared, 0, k2, l2, inst2, r2),
-            )
+    if lefts is None or rights is None:
+        return
+    (l1, l2), (r1, r2) = lefts, rights
+    try:
+        body1 = sig.whisker_checked(l1, src1, r1)
+        body2 = sig.whisker_checked(l2, src2, r2)
+    except CellError:
+        return
+    if body1.whiskers[:over] != body2.whiskers[d : d + over]:
+        return
+    # ``shared`` is well typed: two checked windows joined where their
+    # rows are equal, so each row starts where the row above it ends.
+    # Each step is its window of ``shared``, so both have it as source.
+    rows = body2.whiskers[: d + over] + body1.whiskers[over:] + body2.whiskers[d + over :]
+    shared = TwoCell(body2.source1, rows)
+    yield Branching(
+        _step_at(sig, shared, d, k1, l1, inst1, r1),
+        _step_at(sig, shared, 0, k2, l2, inst2, r2),
+    )
 
 
 def _op_x_inside(pres: GrayPresentation, name: str):

@@ -51,8 +51,9 @@ class TerminationRefused(CellError):
         self.reason = reason
 
 
-# Search bound: the interchangers whose norm drop ``check_positive_intnorm``
-# checks and lists as witnesses have middle words of at most this length.
+# Witness bound: ``check_positive_intnorm`` lists the norm drop of the
+# interchangers whose middle words have at most this length.  It bounds only
+# the list: positivity makes the norm drop whatever the middle word.
 INTERCHANGER_MAX_MID = 2
 # Search bound: the oriented rules checked by the ``selfdual`` strategy have
 # middle words of at most this length.
@@ -75,7 +76,17 @@ def seq_less(a: Tuple[int, ...], b: Tuple[int, ...]) -> Optional[bool]:
 
 
 def check_positive_intnorm(pres: GrayPresentation):
-    """Positivity makes the interchange norm drop across every interchanger."""
+    """Positivity makes the interchange norm drop across every interchanger.
+
+    The source of ``X(alpha, m, beta)`` has rows ``alpha`` (left context
+    empty) above ``beta`` (left context ``fp . m``, ``fp`` the target of
+    ``alpha``), so its reversed left lengths are ``(|fp| + |m|, 0)``.  Its
+    target has ``beta`` (left context ``f . m``) above ``alpha``, so they
+    are ``(0, |f| + |m|)``.  Positivity gives ``|fp| >= 1``, and the target
+    is lexicographically smaller whatever ``m`` is.  So the check is
+    positivity itself; the witnesses list the drop on the interchangers
+    with middle words of at most ``INTERCHANGER_MAX_MID`` letters.
+    """
     sig = pres.sig
     for name, (_, tgt) in sig.two.items():
         if length(tgt) == 0:

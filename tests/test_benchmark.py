@@ -4,6 +4,7 @@ The pipeline digest covers every ``critical-pairs`` and ``report``
 answer on the catalog sources and on three random presentations.
 """
 
+import importlib
 import json
 import os
 import subprocess
@@ -12,6 +13,22 @@ import sys
 import pytest
 
 ROOT = os.path.join(os.path.dirname(os.path.abspath(__file__)), os.pardir)
+
+
+def test_traced_names_resolve(monkeypatch):
+    # the tracer wraps functions by name; a removed or renamed one fails
+    # here by name, without running a traced round
+    from graypol.cells import Signature
+
+    monkeypatch.syspath_prepend(os.path.join(ROOT, "bench"))
+    import spans
+
+    for layer, owner, attr in spans.SPANNED + spans.COUNTED:
+        if owner == "Signature":
+            assert attr in Signature.__dict__, f"{layer}: Signature.{attr}"
+        else:
+            assert owner.startswith("graypol"), f"{layer}: {owner}"
+            assert callable(getattr(importlib.import_module(owner), attr, None)), f"{layer}: {owner}.{attr}"
 
 
 def _check_smoke_digest(workload, digest, *flags):

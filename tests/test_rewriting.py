@@ -29,7 +29,7 @@ from graypol.cells import Step, TwoCell, Whisker2
 from graypol.rewriting import canonical_branching, is_natural, rotate_branching, step_key
 from graypol.cells import slice2
 
-from conftest import GRAY_BUILTINS, enumerate_two_cells, random_two_cell
+from conftest import GRAY_BUILTINS, enumerate_two_cells, random_one_cell, random_two_cell
 
 
 # ---------------------------------------------------------------- oracles
@@ -378,6 +378,40 @@ def test_interchanger_round_trip_lengths(pseudomonoid):
     sig = pres.sig
     src, tgt = sig.interchanger_boundaries("mu", sig.id1("x"), "mu")
     assert length(src) == length(tgt) == 2
+
+
+def test_interchanger_shapes_match_the_built_sides(rng):
+    # every builtin's interchangers with middle words of at most 2 letters,
+    # and the oriented rules of selfduality-q, whiskered by random contexts:
+    # the source rows match one shape and the target rows the other
+    from graypol import QInterchanger, get_builtin
+    from graypol.catalog import BUILTIN_NAMES
+    from graypol.rewriting import match_interchanger
+    from graypol.termination import _small_middles
+
+    instances = []
+    for name in BUILTIN_NAMES:
+        pres = get_builtin(name).presentation
+        sig = pres.sig
+        for alpha, beta in itertools.product(sig.two, repeat=2):
+            for mid in _small_middles(sig, alpha, beta, 2):
+                instances.append((sig, Interchanger(alpha, mid, beta), False))
+        for alpha, beta, rev in pres.qmode.rules if pres.qmode else ():
+            for mid in _small_middles(sig, alpha, beta, 2):
+                instances.append((sig, QInterchanger(alpha, mid, beta, rev), rev))
+    assert sum(isinstance(inst, QInterchanger) for _, inst, _ in instances) >= 4
+    # a reversed rule's source is the target shape
+    for sig, inst, rev in instances:
+        src, tgt = sig.inst_boundaries(inst)
+        rsig = sig.rotated()
+        for _ in range(3):
+            # a left context ending where ``src`` starts: a rotated right context
+            l = rsig.rotate(random_one_cell(rsig, rng, 2, start=src.source1.start))
+            r = random_one_cell(sig, rng, 2, start=sig.end0(src.source1))
+            want = (l, inst.alpha, inst.mid, inst.beta, r)
+            for side, target in ((src, rev), (tgt, not rev)):
+                rows = sig.whisker_checked(l, side, r).whiskers
+                assert match_interchanger(sig, *rows, target) == want
 
 
 def test_step_boundaries_are_parallel(pseudomonoid, rng):

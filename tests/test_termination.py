@@ -78,6 +78,31 @@ def test_positive_presentations(pseudomonoid, frobenius):
     assert check_positive_intnorm(frobenius.presentation)
 
 
+def test_intnorm_drops_across_long_middle_words(pseudomonoid, frobenius):
+    # positivity alone makes the norm drop, so the witness bound on middle
+    # words limits only the list: check middles of 3 to 6 letters too
+    from graypol.termination import _small_middles
+
+    from test_rewriting import _positive_draws
+
+    checked = 0
+    for pres in [pseudomonoid.presentation, frobenius.presentation] + _positive_draws(20):
+        sig = pres.sig
+        assert check_positive_intnorm(pres)
+        for alpha in sig.two:
+            for beta in sig.two:
+                for mid in _small_middles(sig, alpha, beta, 6):
+                    if len(mid.word) < 3:
+                        continue
+                    src, tgt = sig.interchanger_boundaries(alpha, mid, beta)
+                    ns, nt = interchange_norm(src), interchange_norm(tgt)
+                    assert ns == (len(sig.tgt1(alpha).word) + len(mid.word), 0)
+                    assert nt == (0, len(sig.src1(alpha).word) + len(mid.word))
+                    assert seq_less(nt, ns)
+                    checked += 1
+    assert checked >= 100
+
+
 # ---------------------------------------------------------------- interpretations
 
 
