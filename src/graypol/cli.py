@@ -18,12 +18,12 @@ import os
 import sys
 
 from .catalog import BUILTIN_NAMES, get_builtin
-from .cells import CellError, length
+from .cells import CellError, dim, length
 from .coherence import DEFAULT_MAX_STEPS, key_json, normalize2, squier_completion
 from .presentation import validate
 from .rewriting import Branching, CriticalBranching, branching_key, enumerate_critical
 from .termination import STRATEGIES, TerminationRefused, certify_termination
-from .textio import ParseError, parse_cell, parse_presentation, render_cell, render_step
+from .textio import RENDER_FORMATS, ParseError, parse_cell, parse_presentation, render_cell, render_step
 
 USAGE_ERROR = 2
 REFUSAL = 1
@@ -61,14 +61,6 @@ def _load(source: str):
         except UnicodeDecodeError as exc:
             raise UsageError(f"{source}: not UTF-8 text ({exc.reason} at byte {exc.start})") from None
     return parse_presentation(text), None
-
-
-def _parse_cell_arg(pres, text: str):
-    """``--cell`` as a cell of ``pres``; text that does not spell a well-typed cell is a parse error."""
-    try:
-        return parse_cell(pres.sig, text, pres.qmode)
-    except CellError as exc:
-        raise ParseError(str(exc)) from None
 
 
 def _emit(args, payload_json, payload_text: str):
@@ -129,21 +121,19 @@ def _cmd_normalize(args) -> int:
     pres, interp = _load(args.source)
     if not args.cell:
         raise UsageError("normalize needs --cell")
-    cell = _parse_cell_arg(pres, args.cell)
-    cert = None
+    cell = parse_cell(pres.sig, args.cell, pres.qmode)
+    if dim(cell) != 2:
+        raise UsageError(f"normalize needs a 2-cell, got a {dim(cell)}-cell")
     try:
         cert = certify_termination(pres, None, interp)
     except TerminationRefused:
         cert = None
     nf, path = normalize2(pres, cell, cert, args.max_steps)
+    rendered = render_cell(pres.sig, nf)
     _emit(
         args,
-        {
-            "normal_form": render_cell(pres.sig, nf),
-            "path_length": length(path),
-            "certified": cert is not None,
-        },
-        f"normal form: {render_cell(pres.sig, nf)}\npath length: {length(path)}",
+        {"normal_form": rendered, "path_length": length(path), "certified": cert is not None},
+        f"normal form: {rendered}\npath length: {length(path)}",
     )
     return 0
 
@@ -171,8 +161,9 @@ def _cmd_render(args) -> int:
     pres, _ = _load(args.source)
     if not args.cell:
         raise UsageError("render needs --cell")
-    cell = _parse_cell_arg(pres, args.cell)
-    _emit(args, {"rendered": render_cell(pres.sig, cell, args.style)}, render_cell(pres.sig, cell, args.style))
+    cell = parse_cell(pres.sig, args.cell, pres.qmode)
+    rendered = render_cell(pres.sig, cell, args.style)
+    _emit(args, {"rendered": rendered}, rendered)
     return 0
 
 
@@ -238,7 +229,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("render", help="render a cell")
     common(p)
     p.add_argument("--cell", default=None, help="cell in linear notation")
-    p.add_argument("--style", choices=("linear", "ascii", "tikz"), default="linear")
+    p.add_argument("--style", choices=RENDER_FORMATS, default="linear")
     p.set_defaults(func=_cmd_render)
 
     p = sub.add_parser("validate", help="validate a presentation")

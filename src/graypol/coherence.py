@@ -21,6 +21,7 @@ from .cells import (
     Signature,
     ThreeCell,
     TwoCell,
+    dim,
     length,
 )
 from .presentation import GrayPresentation, Tile
@@ -44,7 +45,7 @@ def normalize2(
     certificate: Optional[TerminationCertificate] = None,
     max_steps: Optional[int] = None,
 ) -> Tuple[TwoCell, ThreeCell]:
-    """Normal form of ``phi`` plus the witnessing rewriting path.
+    """Normal form of the 2-cell ``phi`` plus the witnessing rewriting path.
 
     Requires a termination certificate or an explicit step budget.  A
     budget of ``B`` allows ``B`` steps; ``NonTermination`` (with the
@@ -58,6 +59,8 @@ def normalize2(
     one tuple splice of the rows.  The returned path is made of
     ordinary steps, and ``check3`` replays it.
     """
+    if not isinstance(phi, TwoCell):
+        raise CellError(f"normalize2 needs a 2-cell, got a {dim(phi)}-cell")
     if certificate is None and max_steps is None:
         raise CellError("normalize2 needs a termination certificate or an explicit step budget")
     budget = max_steps if max_steps is not None else DEFAULT_MAX_STEPS

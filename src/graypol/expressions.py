@@ -2,8 +2,9 @@
 
 Expressions are trees denoting formal composites of generators over a
 signature: leaves are generator references or identity markers, inner
-nodes are binary compositions tagged with a dimension.  They exist as
-parser and oracle input only; the normal-form cells of
+nodes are binary compositions tagged with a dimension.  They are an
+independent oracle for the cell algebra (the text parser builds cells
+directly, not expressions); the normal-form cells of
 :mod:`graypol.cells` are the primary representation.
 
 ``normalize_expression`` rewrites a well-typed expression to its unique

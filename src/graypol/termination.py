@@ -55,8 +55,10 @@ class TerminationRefused(CellError):
 # interchangers whose middle words have at most this length.  It bounds only
 # the list: positivity makes the norm drop whatever the middle word.
 INTERCHANGER_MAX_MID = 2
-# Search bound: the oriented rules checked by the ``selfdual`` strategy have
-# middle words of at most this length.
+# Search bound: ``check_q_system`` compares the measure across the oriented
+# rules whose middle words have at most this length.  When ``eta != eps`` a
+# longer middle word only widens the drop, and every middle word longer than
+# the bound is nonempty, so the drop holds there too (see ``check_q_system``).
 Q_RULE_MAX_MID = 3
 
 
@@ -410,7 +412,31 @@ def measure_less(a: SelfDualMeasure, b: SelfDualMeasure) -> bool:
 
 
 def check_q_system(pres: GrayPresentation):
-    """Measure decrease for each oriented rule kind and plain length drop."""
+    """Measure decrease for each oriented rule kind and plain length drop.
+
+    The measure is ``(n1, n2_eta, n2_eps)``: ``n1`` counts the eta rows
+    above an eps row, ``n2_eta`` lists the right-context lengths of the
+    eta rows bottom up and ``n2_eps`` those of the eps rows top down.  For
+    an oriented rule with middle word ``m`` (``s`` and ``t`` the source and
+    target of a 2-generator):
+
+    * ``(eta, eps, fwd)`` and ``(eps, eta, rev)`` each remove one eta row
+      above an eps row, so ``n1`` drops by one whatever ``m`` is;
+    * ``(eta, eta, rev)`` keeps ``n1`` and takes ``n2_eta`` from
+      ``(|m| + |t(eta)|, 0)`` to ``(0, |m| + |s(eta)|)``;
+    * ``(eps, eps, fwd)`` keeps ``n1`` and ``n2_eta`` and takes ``n2_eps``
+      from ``(|m| + |s(eps)|, 0)`` to ``(0, |m| + |t(eps)|)``.
+
+    So a longer middle word only widens the drop, and the shortest middle
+    word decides: the last two rules drop unless ``m`` and ``t(eta)``
+    (``s(eps)``) are both empty, and a middle word longer than
+    ``Q_RULE_MAX_MID`` is not empty.  Checking the middle words of at most
+    that length is therefore exact.  When ``eta == eps`` every row counts
+    as both, and the four rules are the interchangers on ``(eta, eta)`` in
+    both orientations: no measure drops both ways, and the check refuses
+    at the first middle word it tries.  It tries none, and certifies, when
+    every middle word has more than ``Q_RULE_MAX_MID`` letters.
+    """
     if pres.qmode is None:
         raise TerminationRefused("selfdual", "presentation has no q-mode configuration")
     sig = pres.sig

@@ -19,11 +19,19 @@ rules), or ``id2(twocell)``.  Words are ``.`` (empty), ``@x`` (empty at
 ``x``), a number (over single-wire signatures), or space-separated
 1-generator names.  Parsing a serialized presentation returns an equal
 presentation.
+
+The ``1``, ``2``, ``3`` and ``tile`` lines are read by one split, as the
+``_DECLARATIONS`` table says.  ``parse_presentation`` and ``parse_cell``
+raise only ``ParseError``: a typing error met while building the parsed
+cells is reported as one, naming the declaration and its line.
+``render_cell`` writes a cell in one of ``RENDER_FORMATS``: ``linear``
+reads back through ``parse_cell``; ``ascii`` and ``tikz`` do not.
 """
 
 from __future__ import annotations
 
-from typing import List, Optional, Tuple
+from contextlib import contextmanager
+from typing import Dict, List, Optional, Tuple
 
 from .cells import (
     CellError,
@@ -41,16 +49,21 @@ from .presentation import GrayPresentation, QMode, Tile
 
 
 class ParseError(CellError):
-    def __init__(self, message: str, line: Optional[int] = None, col: Optional[int] = None):
-        loc = ""
-        if line is not None:
-            loc = f"line {line}"
-            if col is not None:
-                loc += f", col {col}"
-            loc = f" ({loc})"
-        super().__init__(message + loc)
+    """Text that spells no presentation or cell; ``line`` is its line in a file, when known."""
+
+    def __init__(self, message: str, line: Optional[int] = None):
+        super().__init__(message if line is None else f"{message} (line {line})")
         self.line = line
-        self.col = col
+
+
+@contextmanager
+def _reported(prefix: str = "", line: Optional[int] = None):
+    """Report a ``CellError`` raised while typing parsed text as a ``ParseError``,
+    its message after ``prefix`` (the declaration it types) and at ``line``."""
+    try:
+        yield
+    except CellError as exc:
+        raise ParseError(prefix + str(exc), line) from exc
 
 
 # ---------------------------------------------------------------- words
@@ -60,14 +73,8 @@ class ParseError(CellError):
 MAX_NUMERIC_WORD = 10_000
 
 
-def _render_word(sig: Signature, u: OneCell, identity_style: str = "dot", numeric: bool = False) -> str:
-    if not u.word:
-        if identity_style == "at":
-            return f"@{u.start}"
-        return "0" if numeric and len(sig.one) == 1 else "."
-    if numeric and len(sig.one) == 1:
-        return str(len(u.word))
-    return " ".join(u.word)
+def _render_word(u: OneCell) -> str:
+    return " ".join(u.word) if u.word else f"@{u.start}"
 
 
 def _parse_word(sig: Signature, text: str, start_hint: Optional[str], where: str) -> OneCell:
@@ -104,17 +111,19 @@ def _parse_word(sig: Signature, text: str, start_hint: Optional[str], where: str
 # ---------------------------------------------------------------- 2-cells
 
 
-def render_two(sig: Signature, phi: TwoCell, brackets: str = "[]", numeric: bool = False) -> str:
-    lb, rb = brackets
+def render_two(sig: Signature, phi: TwoCell, linear: bool = False) -> str:
+    """Whiskers ``[l|gen|r]``, an empty context written ``.``, as in files; or,
+    with ``linear``, the cell notation ``(l|gen|r)``, whose contexts are
+    lengths over a single-wire signature."""
     if not phi.whiskers:
-        if phi.source1.word:
-            return f"id({' '.join(phi.source1.word)})"
-        return f"id(@{phi.source1.start})"
-    return ";".join(
-        f"{lb}{_render_word(sig, w.left, numeric=numeric)}|{w.gen}"
-        f"|{_render_word(sig, w.right, numeric=numeric)}{rb}"
-        for w in phi.whiskers
-    )
+        return f"id({_render_word(phi.source1)})"
+    numeric = linear and len(sig.one) == 1
+
+    def context(u: OneCell) -> str:
+        return str(len(u.word)) if numeric else " ".join(u.word) or "."
+
+    lb, rb = "()" if linear else "[]"
+    return ";".join(f"{lb}{context(w.left)}|{w.gen}|{context(w.right)}{rb}" for w in phi.whiskers)
 
 
 def _split_top(text: str, sep: str) -> List[str]:
@@ -179,13 +188,12 @@ def _parse_rows(sig: Signature, text: str) -> TwoCell:
 # ---------------------------------------------------------------- 3-cells
 
 
-def _render_inst(sig: Signature, inst) -> str:
+def _render_inst(inst) -> str:
     if isinstance(inst, OpGen):
         return inst.name
-    if isinstance(inst, Interchanger):
-        return f"X({inst.alpha}, {_render_word(sig, inst.mid, 'at')}, {inst.beta})"
-    if isinstance(inst, QInterchanger):
-        return f"X'({inst.alpha}, {_render_word(sig, inst.mid, 'at')}, {inst.beta})"
+    if isinstance(inst, (Interchanger, QInterchanger)):
+        prime = "'" if isinstance(inst, QInterchanger) else ""
+        return f"X{prime}({inst.alpha}, {_render_word(inst.mid)}, {inst.beta})"
     raise CellError(f"not a generator instance: {inst!r}")
 
 
@@ -212,19 +220,8 @@ def _parse_inst(sig: Signature, token: str, qmode: Optional[QMode]):
 
 
 def render_step(sig: Signature, s: Step) -> str:
-    return (
-        "{"
-        + render_two(sig, s.lam)
-        + " ; "
-        + _render_word(sig, s.left, "at")
-        + " ; "
-        + _render_inst(sig, s.inner)
-        + " ; "
-        + _render_word(sig, s.right, "at")
-        + " ; "
-        + render_two(sig, s.rho)
-        + "}"
-    )
+    parts = (render_two(sig, s.lam), _render_word(s.left), _render_inst(s.inner), _render_word(s.right))
+    return "{" + " ; ".join(parts + (render_two(sig, s.rho),)) + "}"
 
 
 def _is_cell_token(tok: str) -> bool:
@@ -286,34 +283,33 @@ def parse_three(sig: Signature, text: str, qmode: Optional[QMode]) -> ThreeCell:
 
 
 def parse_cell(sig: Signature, text: str, qmode: Optional[QMode] = None):
-    """Parse the linear notation for a 1-, 2- or 3-cell."""
+    """Parse the linear notation for a 1-, 2- or 3-cell.
+
+    Text that spells no well-typed cell raises ``ParseError``."""
     text = text.strip()
-    if text.startswith("{") or text.startswith("id2("):
-        return parse_three(sig, text, qmode)
-    if (
-        text.startswith("id(")
-        or text.startswith("[")
-        or (text.startswith("(") and "|" in text)
-    ):
-        return parse_two(sig, text)
-    return _parse_word(sig, text, None, "cell")
+    with _reported():
+        if text.startswith("{") or text.startswith("id2("):
+            return parse_three(sig, text, qmode)
+        if text.startswith("id(") or text.startswith("[") or (text.startswith("(") and "|" in text):
+            return parse_two(sig, text)
+        return _parse_word(sig, text, None, "cell")
 
 
 def render_cell(sig: Signature, cell, fmt: str = "linear") -> str:
-    """Render a cell; ``linear`` is re-parseable, ascii and tikz are not."""
-    if fmt == "linear":
-        if isinstance(cell, OneCell):
-            return _render_word(sig, cell, "at")
-        if isinstance(cell, TwoCell):
-            return render_two(sig, cell, brackets="()", numeric=True)
-        if isinstance(cell, ThreeCell):
-            return render_three(sig, cell)
-        raise CellError(f"not a cell: {cell!r}")
-    if fmt == "ascii":
-        return render_ascii(sig, cell)
-    if fmt == "tikz":
-        return render_tikz(sig, cell)
-    raise CellError(f"unknown render format {fmt!r}")
+    """Render a cell in one of ``RENDER_FORMATS``."""
+    if fmt not in _RENDERERS:
+        raise CellError(f"unknown render format {fmt!r}")
+    return _RENDERERS[fmt](sig, cell)
+
+
+def _render_linear(sig: Signature, cell) -> str:
+    if isinstance(cell, OneCell):
+        return _render_word(cell)
+    if isinstance(cell, TwoCell):
+        return render_two(sig, cell, linear=True)
+    if isinstance(cell, ThreeCell):
+        return render_three(sig, cell)
+    raise CellError(f"not a cell: {cell!r}")
 
 
 def render_ascii(sig: Signature, cell) -> str:
@@ -321,14 +317,10 @@ def render_ascii(sig: Signature, cell) -> str:
         return " ".join(cell.word) if cell.word else f"(empty at {cell.start})"
     if isinstance(cell, ThreeCell):
         parts = [render_ascii(sig, cell.source2)]
-        cur = cell.source2
         for s in cell.steps:
-            cur = sig.step_target(s)
-            parts.append("  =>")
-            parts.append(render_ascii(sig, cur))
+            parts += ["  =>", render_ascii(sig, sig.step_target(s))]
         return "\n".join(parts)
-    lines = []
-    lines.append(" ".join(sig.source(cell).word) or "(empty)")
+    lines = [" ".join(sig.source(cell).word) or "(empty)"]
     for w in cell.whiskers:
         pad = "| " * len(w.left.word)
         rpad = " |" * len(w.right.word)
@@ -358,6 +350,11 @@ def render_tikz(sig: Signature, cell) -> str:
     return "\n".join(lines)
 
 
+# format name -> renderer(sig, cell); ``linear`` is re-parseable, ascii and tikz are not
+_RENDERERS = {"linear": _render_linear, "ascii": render_ascii, "tikz": render_tikz}
+RENDER_FORMATS = tuple(_RENDERERS)
+
+
 # ---------------------------------------------------------------- presentation files
 
 
@@ -369,7 +366,7 @@ def serialize_presentation(pres: GrayPresentation) -> str:
     for g, (s, t) in sig.one.items():
         out.append(f"1 {g} : {s} -> {t}")
     for g, (s, t) in sig.two.items():
-        out.append(f"2 {g} : {_render_word(sig, s, 'at')} => {_render_word(sig, t, 'at')}")
+        out.append(f"2 {g} : {_render_word(s)} => {_render_word(t)}")
     for g, (s, t) in sig.three.items():
         out.append(f"3 {g} : {render_two(sig, s)} => {render_two(sig, t)}")
     if pres.qmode is not None:
@@ -379,14 +376,26 @@ def serialize_presentation(pres: GrayPresentation) -> str:
     return "\n".join(out) + "\n"
 
 
+# directive -> (what it declares, its sides ``LEFT SEP RIGHT``); each line
+# ``DIRECTIVE NAME : LEFT SEP RIGHT`` is split at the first ``SEP``
+_DECLARATIONS: Dict[str, Tuple[str, str]] = {
+    "1": ("1-generator", "SRC -> TGT"),
+    "2": ("2-generator", "SRC => TGT"),
+    "3": ("3-generator", "SRC => TGT"),
+    "tile": ("tile", "LHS == RHS"),
+}
+
+
 def parse_presentation(text: str) -> GrayPresentation:
-    """Parse and validate a presentation file."""
+    """Parse and validate a presentation file; a bad file raises ``ParseError``.
+
+    The 0- and 1-generators are typed first, then the 2-generators over
+    them, the 3-generators over those, and last the tiles.  A typing
+    error names the declaration and its line.
+    """
     name = ""
     zero: List[str] = []
-    one: List[Tuple[str, str, str]] = []
-    two_raw: List[Tuple[str, str, str, int]] = []
-    three_raw: List[Tuple[str, str, str, int]] = []
-    tiles_raw: List[Tuple[str, str, str, int]] = []
+    declared: Dict[str, List[Tuple[str, str, str, int]]] = {d: [] for d in _DECLARATIONS}
     qmode: Optional[QMode] = None
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
@@ -394,74 +403,41 @@ def parse_presentation(text: str) -> GrayPresentation:
             continue
         head, _, rest = line.partition(" ")
         rest = rest.strip()
-        try:
-            if head == "presentation":
-                name = rest
-            elif head == "0":
-                zero.append(rest)
-            elif head == "1":
-                gen, _, sig_part = rest.partition(":")
-                src, arrow, tgt = sig_part.partition("->")
-                if not arrow:
-                    raise ParseError("1-generator needs SRC -> TGT", lineno)
-                one.append((gen.strip(), src.strip(), tgt.strip()))
-            elif head == "2":
-                gen, _, sig_part = rest.partition(":")
-                src, arrow, tgt = sig_part.partition("=>")
-                if not arrow:
-                    raise ParseError("2-generator needs SRC => TGT", lineno)
-                two_raw.append((gen.strip(), src.strip(), tgt.strip(), lineno))
-            elif head == "3":
-                gen, _, sig_part = rest.partition(":")
-                src, arrow, tgt = sig_part.partition("=>")
-                if not arrow:
-                    raise ParseError("3-generator needs SRC => TGT", lineno)
-                three_raw.append((gen.strip(), src.strip(), tgt.strip(), lineno))
-            elif head == "qmode":
-                parts = rest.split()
-                if len(parts) != 2:
-                    raise ParseError("qmode needs two 2-generator names", lineno)
-                qmode = QMode(parts[0], parts[1])
-            elif head == "tile":
-                tag, _, body = rest.partition(":")
-                lhs, eqeq, rhs = body.partition("==")
-                if not eqeq:
-                    raise ParseError("tile needs LHS == RHS", lineno)
-                tiles_raw.append((tag.strip(), lhs.strip(), rhs.strip(), lineno))
-            else:
-                raise ParseError(f"unknown directive {head!r}", lineno)
-        except ParseError:
-            raise
-        except CellError as exc:
-            raise ParseError(str(exc), lineno) from exc
-    try:
-        sig01 = Signature(zero=zero, one=one)
-    except CellError as exc:
-        raise ParseError(str(exc)) from exc
+        if head in _DECLARATIONS:
+            kind, sides = _DECLARATIONS[head]
+            gen, _, body = rest.partition(":")
+            left, sep, right = body.partition(sides.split()[1])
+            if not sep:
+                raise ParseError(f"{kind} needs {sides}", lineno)
+            declared[head].append((gen.strip(), left.strip(), right.strip(), lineno))
+        elif head == "presentation":
+            name = rest
+        elif head == "0":
+            zero.append(rest)
+        elif head == "qmode":
+            parts = rest.split()
+            if len(parts) != 2:
+                raise ParseError("qmode needs two 2-generator names", lineno)
+            qmode = QMode(parts[0], parts[1])
+        else:
+            raise ParseError(f"unknown directive {head!r}", lineno)
+    one = [(gen, src, tgt) for gen, src, tgt, _ in declared["1"]]
+    with _reported():
+        sig = Signature(zero=zero, one=one)
     two = []
-    for gen, sraw, traw, lineno in two_raw:
-        try:
-            two.append((gen, _parse_word(sig01, sraw, None, gen), _parse_word(sig01, traw, None, gen)))
-        except CellError as exc:
-            raise ParseError(f"2-generator {gen}: {exc}", lineno) from exc
-    try:
-        sig012 = Signature(zero=zero, one=one, two=two)
-    except CellError as exc:
-        raise ParseError(str(exc)) from exc
+    for gen, sraw, traw, lineno in declared["2"]:
+        with _reported(f"2-generator {gen}: ", lineno):
+            two.append((gen, _parse_word(sig, sraw, None, gen), _parse_word(sig, traw, None, gen)))
+    with _reported():
+        sig = Signature(zero=zero, one=one, two=two)
     three = []
-    for gen, sraw, traw, lineno in three_raw:
-        try:
-            three.append((gen, parse_two(sig012, sraw), parse_two(sig012, traw)))
-        except CellError as exc:
-            raise ParseError(f"3-generator {gen}: {exc}", lineno) from exc
-    try:
+    for gen, sraw, traw, lineno in declared["3"]:
+        with _reported(f"3-generator {gen}: ", lineno):
+            three.append((gen, parse_two(sig, sraw), parse_two(sig, traw)))
+    with _reported():
         sig = Signature(zero=zero, one=one, two=two, three=three)
-    except CellError as exc:
-        raise ParseError(str(exc)) from exc
     tiles = []
-    for tag, lraw, rraw, lineno in tiles_raw:
-        try:
+    for tag, lraw, rraw, lineno in declared["tile"]:
+        with _reported(f"tile {tag}: ", lineno):
             tiles.append(Tile(tag, parse_three(sig, lraw, qmode), parse_three(sig, rraw, qmode)))
-        except CellError as exc:
-            raise ParseError(f"tile {tag}: {exc}", lineno) from exc
     return GrayPresentation(name, sig, tuple(tiles), qmode)

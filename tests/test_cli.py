@@ -4,7 +4,7 @@ import json
 
 import pytest
 
-from graypol import certify_termination, get_builtin, normalize2, parse_cell, squier_completion
+from graypol import CellError, certify_termination, get_builtin, normalize2, parse_cell, squier_completion
 from graypol.cli import main
 
 
@@ -83,6 +83,19 @@ def test_normalize_zigzag(capsys):
     assert code == 0
     assert "normal form: id(f)" in out
     assert "path length: 1" in out
+
+
+@pytest.mark.parametrize(
+    "text, dimension", [("a a", 1), ("0", 1), ("@x", 1), ("id2([.|mu|.])", 3)], ids=["word", "zero", "at", "id2"]
+)
+def test_normalize_refuses_a_cell_that_is_not_a_2_cell(capsys, text, dimension):
+    code, out, err = run(capsys, "normalize", "builtin:pseudomonoid", f"--cell={text}")
+    assert code == 2
+    assert out == ""
+    assert err == f"error: normalize needs a 2-cell, got a {dimension}-cell\n"
+    pres = get_builtin("pseudomonoid").presentation
+    with pytest.raises(CellError, match=f"normalize2 needs a 2-cell, got a {dimension}-cell"):
+        normalize2(pres, parse_cell(pres.sig, text), max_steps=10)
 
 
 def test_report_verdicts(capsys):

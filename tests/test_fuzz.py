@@ -4,9 +4,10 @@ import contextlib
 import io
 import os
 
+import pytest
 from hypothesis import given, settings, strategies as st
 
-from graypol import ParseError, parse_presentation
+from graypol import ParseError, get_builtin, parse_cell, parse_presentation
 from graypol.cli import main
 
 
@@ -63,12 +64,37 @@ def test_parse_presentation_raises_only_parse_errors(text):
         pass
 
 
+@pytest.mark.parametrize("name", ["pseudomonoid", "selfduality-q", "pseudoadjunction"])
 @_FUZZ
-@given(_cells)
-def test_render_cell_exits_cleanly(text):
+@given(text=_cells)
+def test_parse_cell_raises_only_parse_errors(name, text):
+    pres = get_builtin(name).presentation
+    try:
+        parse_cell(pres.sig, text, pres.qmode)
+    except ParseError:
+        pass
+
+
+def _run_cell_command(command, text):
+    """Exit code and stderr of ``graypol COMMAND builtin:pseudomonoid --cell=TEXT``."""
     out, err = io.StringIO(), io.StringIO()
     with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
         # "--cell=TEXT" keeps a leading "-" from reading as an option
-        code = main(["render", "builtin:pseudomonoid", f"--cell={text}"])
+        code = main([command, "builtin:pseudomonoid", f"--cell={text}"])
+    return code, err.getvalue()
+
+
+@_FUZZ
+@given(_cells)
+def test_render_cell_exits_cleanly(text):
+    code, err = _run_cell_command("render", text)
     assert code in (0, 2)
-    assert "Traceback" not in err.getvalue()
+    assert "Traceback" not in err
+
+
+@_FUZZ
+@given(_cells)
+def test_normalize_cell_exits_cleanly(text):
+    code, err = _run_cell_command("normalize", text)
+    assert code in (0, 2)
+    assert "Traceback" not in err

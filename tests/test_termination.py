@@ -417,6 +417,28 @@ def test_q_system_check(selfduality_q):
     assert kinds == {"operational", "oriented-interchange"}
 
 
+def test_q_rules_drop_across_long_middle_words(selfduality_q):
+    # the measure drops on each oriented rule whatever its middle word, so the
+    # search bound on middle words is exact: check middles of 4 to 6 letters too
+    pres = selfduality_q.presentation
+    sig = pres.sig
+    eta, eps = pres.qmode.eta, pres.qmode.eps
+    size = {g: (len(sig.src1(g).word), len(sig.tgt1(g).word)) for g in (eta, eps)}
+    for alpha, beta, rev in pres.qmode.rules:
+        for n in (4, 5, 6):
+            src, tgt = sig.inst_boundaries(QInterchanger(alpha, OneCell("x", ("a",) * n), beta, rev))
+            before, after = selfdual_measure(pres, src), selfdual_measure(pres, tgt)
+            if alpha != beta:
+                assert (before.n1, after.n1) == (1, 0)
+            elif alpha == eta:
+                assert before.n2_eta == (n + size[eta][1], 0)
+                assert after.n2_eta == (0, n + size[eta][0])
+            else:
+                assert before.n2_eps == (n + size[eps][0], 0)
+                assert after.n2_eps == (0, n + size[eps][1])
+            assert measure_less(after, before)
+
+
 def test_measure_wrong_signature(pseudomonoid, selfduality_q):
     pres = selfduality_q.presentation
     with pytest.raises(TerminationRefused):

@@ -66,6 +66,46 @@ def test_unknown_directive_reports_line():
     assert "line 2" in str(err.value)
 
 
+_PRELUDE = "presentation p\n0 x\n1 a : x -> x\n2 mu : a a => a\n"
+_ASSOC = "3 A : [.|mu|a];[.|mu|.] => [a|mu|.];[.|mu|.]\n"
+
+
+@pytest.mark.parametrize(
+    "text, message, line",
+    [
+        ("0 x\n1 a : x x\n", "1-generator needs SRC -> TGT (line 2)", 2),
+        ("0 x\n1 a : x -> x\n2 mu : a a a\n", "2-generator needs SRC => TGT (line 3)", 3),
+        (_PRELUDE + "3 A : [.|mu|a];[.|mu|.] [a|mu|.];[.|mu|.]\n", "3-generator needs SRC => TGT (line 5)", 5),
+        (_PRELUDE + _ASSOC + "tile R : id2([.|mu|.]) id2([.|mu|.])\n", "tile needs LHS == RHS (line 6)", 6),
+        (_PRELUDE + "bogus line here\n", "unknown directive 'bogus' (line 5)", 5),
+        (_PRELUDE + "qmode mu\n", "qmode needs two 2-generator names (line 5)", 5),
+        ("0 x\n1 a : x -> y\n", "1-generator a has undeclared endpoint", None),
+        (_PRELUDE + "2 mu : a => a\n", "duplicate 2-generator mu", None),
+        (_PRELUDE + "2 nu : a b => a\n", "2-generator nu: nu: unknown 1-generator 'b' (line 5)", 5),
+        (
+            _PRELUDE + "3 A : [.|mu|a];[a|mu|.] => [a|mu|.];[.|mu|.]\n",
+            "3-generator A: 2-cell whisker chain broken at mu: expected 1-source <1:a a>, got <1:a a a> (line 5)",
+            5,
+        ),
+        (
+            _PRELUDE + _ASSOC + "tile R : {. ; A ; .}|{. ; A ; .} == id2([.|mu|a];[.|mu|.])\n",
+            "tile R: 3-cell step chain broken: expected 2-source <2:(1|mu|0);(0|mu|0)>, "
+            "got <2:(0|mu|1);(0|mu|0)> (line 6)",
+            6,
+        ),
+    ],
+    ids=[
+        "1-no-arrow", "2-no-arrow", "3-no-arrow", "tile-no-equals", "unknown-directive", "qmode-one-name",
+        "undeclared-endpoint", "duplicate-generator", "unknown-letter", "ill-typed-3-source", "unchained-tile",
+    ],
+)
+def test_malformed_presentations_report_message_and_line(text, message, line):
+    with pytest.raises(ParseError) as err:
+        parse_presentation(text)
+    assert str(err.value) == message
+    assert err.value.line == line
+
+
 def test_linear_rendering_notation(pseudomonoid):
     sig = pseudomonoid.presentation.sig
     mu = sig.gen2_cell("mu")

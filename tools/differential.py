@@ -1,0 +1,339 @@
+"""Differential check: graypol's observable results on one fixed, seeded input set.
+
+Run with no argument, it prints one canonical JSON line per record::
+
+    python3 tools/differential.py
+
+With ``--against TREE`` it also builds the same records with the
+``graypol`` package of ``TREE/src`` (in a subprocess), compares the two
+lists and prints the first differing record with its input::
+
+    python3 tools/differential.py --against /path/to/other/checkout
+
+It exits 0 when the records agree and 1 when they differ.  The inputs are
+the builtins, the shipped presentation files and their token-level
+mutations, seeded random one-wire presentations, random 2-cells and
+rewriting paths of each presentation, and random token soup for the cell
+parser.  They are drawn with ``random.Random`` from fixed seeds, by this
+file only, so both trees see the same inputs.  A record holds:
+
+* ``parse_presentation``: the serialization, or the error message and line;
+* ``parse_cell``: the re-parsed cell, or the error message and line, and
+  ``render_cell`` in every format;
+* ``cli``: exit code, stdout and stderr of each command on the builtins
+  and the shipped files;
+* ``find_redexes`` (full and resumed at each row), with each step's
+  source and target; ``classify`` on each ordered pair of redexes;
+* ``enumerate_critical``'s keys; ``normalize2``'s path, or its partial
+  path; ``certify_termination``'s strategy and scope, or its refusal;
+  ``squier_completion``'s tiles and verdict.
+
+Exceptions are recorded by type and message, so a crash is a record too.
+"""
+
+from __future__ import annotations
+
+import argparse
+import contextlib
+import hashlib
+import io
+import json
+import random
+import subprocess
+import sys
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parent.parent
+FILES = sorted((ROOT / "src" / "graypol" / "presentations").glob("*.gray"))
+MAX_STEPS = 40
+SEED = 20211
+
+
+def canonical(record: dict) -> str:
+    return json.dumps(record, sort_keys=True, ensure_ascii=True, separators=(",", ":"))
+
+
+def digest(lines) -> str:
+    return hashlib.sha256("\n".join(lines).encode()).hexdigest()[:16]
+
+
+def _attempt(fn, *args):
+    """``{"ok": fn(*args)}``, or the exception's type and message."""
+    try:
+        return {"ok": fn(*args)}
+    except Exception as exc:  # a crash is an observable result too
+        return {"raised": type(exc).__name__, "message": str(exc)}
+
+
+def _parsed(fn, *args):
+    """``{"ok": fn(*args)}``, or a parse error's message and line (its type is not recorded)."""
+    from graypol import CellError
+
+    try:
+        return {"ok": fn(*args)}
+    except CellError as exc:
+        return {"error": str(exc), "line": getattr(exc, "line", None)}
+
+
+# ---------------------------------------------------------------- inputs
+
+
+def _tokens():
+    texts = [path.read_text(encoding="utf-8") for path in FILES]
+    pieces = ["[", "]", "{", "}", "(", ")", "|", ";", ",", "@", "#", "X(", "X'(", "id(", "id2(", "0", "00", "3", "²"]
+    return texts, sorted({tok for text in texts for tok in text.split()}) + pieces
+
+
+def _mutated(rng: random.Random, texts, tokens) -> str:
+    lines = [line.split(" ") for line in rng.choice(texts).splitlines()]
+    for _ in range(rng.randint(1, 4)):
+        toks = rng.choice(lines)
+        toks[rng.randrange(len(toks))] = rng.choice(tokens)
+    return "\n".join(" ".join(toks) for toks in lines)
+
+
+def _word(n: int) -> str:
+    return " ".join(["a"] * n) or "."
+
+
+def _random_presentation(rng: random.Random, index: int) -> str:
+    """A one-wire presentation: one or two 2-generators, and 3-generators
+    between random parallel 2-cells of one or two rows."""
+    gens = {}
+    lines = [f"presentation draw{index}", "0 x", "1 a : x -> x"]
+    for name in ("u", "v")[: rng.randint(1, 2)]:
+        gens[name] = (rng.randint(0, 2), rng.randint(1, 2))
+        lines.append(f"2 {name} : {_word(gens[name][0])} => {_word(gens[name][1])}")
+    by_boundary = {}
+    for _ in range(24):
+        start = cur = rng.randint(0, 3)
+        rows = []
+        for _ in range(rng.randint(1, 2)):
+            options = [(g, p) for g, (s, _) in gens.items() for p in range(cur - s + 1)]
+            if not options:
+                break
+            g, p = rng.choice(options)
+            s, t = gens[g]
+            rows.append(f"[{_word(p)}|{g}|{_word(cur - p - s)}]")
+            cur += t - s
+        if rows:
+            by_boundary.setdefault((start, cur), set()).add(";".join(rows))
+    count = 0
+    for cells in by_boundary.values():
+        if len(cells) >= 2 and count < 2:
+            src, tgt = rng.sample(sorted(cells), 2)
+            lines.append(f"3 G{count} : {src} => {tgt}")
+            count += 1
+    return "\n".join(lines) + "\n"
+
+
+def _random_cell(sig, rng: random.Random, rows: int):
+    """A random 2-cell: ``rows`` whiskers, fewer when no generator fits."""
+    from graypol import OneCell
+
+    start = rng.choice(sig.zero)
+    word, here = [], start
+    for _ in range(rng.randint(0, 4)):
+        outgoing = [g for g, (s, _) in sig.one.items() if s == here]
+        if not outgoing:
+            break
+        word.append(rng.choice(outgoing))
+        here = sig.one[word[-1]][1]
+    level = OneCell(start, tuple(word))
+    cell = sig.id2(level)
+    for _ in range(rows):
+        options = []
+        for gen, (src, _) in sig.two.items():
+            n = len(src.word)
+            for cut in range(len(level.word) - n + 1):
+                pre = OneCell(level.start, level.word[:cut])
+                if level.word[cut : cut + n] == src.word and sig.end0(pre) == src.start:
+                    options.append((gen, pre, cut + n))
+        if not options:
+            break
+        gen, pre, end = rng.choice(options)
+        post = OneCell(sig.end0(sig.tgt1(gen)), level.word[end:])
+        cell = sig.compose(cell, sig.whisker0(pre, sig.gen2_cell(gen), post), 1)
+        level = sig.target(cell)
+    return cell
+
+
+# ---------------------------------------------------------------- records
+#
+# Each generator below yields ``(op, input, output)`` triples; ``records``
+# makes them dicts.
+
+
+def _cli(argv):
+    from graypol.cli import main
+
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        result = _attempt(main, argv)
+    return {"result": result, "stdout": out.getvalue(), "stderr": err.getvalue()}
+
+
+def _reprs(items):
+    return [repr(item) for item in items]
+
+
+def _cell_records(pres, text: str):
+    from graypol import parse_cell, render_cell
+
+    parsed = _parsed(parse_cell, pres.sig, text, pres.qmode)
+    yield "parse_cell", [pres.name, text], {"ok": repr(parsed["ok"])} if "ok" in parsed else parsed
+    if "ok" in parsed:
+        for fmt in ("linear", "ascii", "tikz"):
+            yield "render_cell", [pres.name, text, fmt], _attempt(render_cell, pres.sig, parsed["ok"], fmt)
+
+
+def _normalized(pres, phi, cert):
+    from graypol import NonTermination, normalize2
+
+    try:
+        nf, path = normalize2(pres, phi, cert, MAX_STEPS)
+    except NonTermination as exc:
+        return {"partial": _reprs(exc.partial.steps)}
+    except Exception as exc:
+        return {"raised": type(exc).__name__, "message": str(exc)}
+    return {"ok": [repr(nf), _reprs(path.steps)]}
+
+
+def _rewriting_records(pres, interp, rng: random.Random):
+    """Redexes, step sides, classes, normal forms and paths of random 2-cells."""
+    from graypol import Branching, ThreeCell, certify_termination, classify, find_redexes, render_cell
+
+    sig, name = pres.sig, pres.name
+    cert = _attempt(certify_termination, pres, None, interp).get("ok")
+    for _ in range(10):
+        phi = _random_cell(sig, rng, rng.randint(0, 6))
+        text = render_cell(sig, phi)
+        yield from _cell_records(pres, text)
+        redexes = find_redexes(pres, phi)
+        yield "find_redexes", [name, text], _reprs(redexes)
+        for k in range(len(phi.whiskers) + 1):
+            yield "find_redexes", [name, text, k], _attempt(lambda: _reprs(find_redexes(pres, phi, lowest_from=k)))
+        for i, s in enumerate(redexes):
+            yield "step_sides", [name, text, i], _attempt(lambda: [repr(sig.step_source(s)), repr(sig.step_target(s))])
+            for j, s2 in enumerate(redexes):
+                yield "classify", [name, text, i, j], _attempt(lambda: repr(classify(pres, Branching(s, s2))))
+        yield "normalize2", [name, text], _normalized(pres, phi, cert)
+        steps, cur = [], phi
+        for _ in range(rng.randint(1, 4)):
+            options = find_redexes(pres, cur)
+            if not options:
+                break
+            steps.append(rng.choice(options))
+            cur = sig.step_target(steps[-1])
+        if steps:
+            yield from _cell_records(pres, render_cell(sig, ThreeCell(phi, tuple(steps))))
+
+
+def _analysis_records(pres, interp):
+    """Critical keys, every termination strategy, and the completion."""
+    from graypol import certify_termination, enumerate_critical, serialize_presentation, squier_completion
+    from graypol.termination import STRATEGIES
+
+    def completion():
+        tiles, report = squier_completion(pres, interpretation=interp, max_steps=MAX_STEPS)
+        return [serialize_presentation(pres.with_tiles(tiles)), report.summary()]
+
+    yield "enumerate_critical", pres.name, _attempt(lambda: [repr(cb.key) for cb in enumerate_critical(pres)])
+    for strategy in (None,) + STRATEGIES:
+        summary = _attempt(lambda: certify_termination(pres, strategy, interp).summary())
+        yield "certify_termination", [pres.name, strategy], summary
+    yield "squier_completion", pres.name, _attempt(completion)
+
+
+def _cli_records(source: str, label: str, cells):
+    """The six commands on ``source``, normalize and render on each of ``cells``."""
+    budget = ["--max-steps", str(MAX_STEPS)]
+    for command in ("critical-pairs", "check-termination", "report", "validate"):
+        extra = budget if command == "report" else []
+        yield "cli", [label, command], _cli([command, source, "--format", "json", *extra])
+        yield "cli", [label, command, "text"], _cli([command, source, *extra])
+    for text in cells:
+        yield "cli", [label, "normalize", text], _cli(["normalize", source, f"--cell={text}", *budget])
+        for style in ("linear", "ascii", "tikz"):
+            yield "cli", [label, "render", text, style], _cli(["render", source, f"--cell={text}", f"--style={style}"])
+
+
+def _all_records():
+    from graypol import BUILTIN_NAMES, get_builtin, parse_presentation, render_cell, serialize_presentation
+
+    rng = random.Random(SEED)
+    texts, tokens = _tokens()
+    builtins = [get_builtin(name) for name in BUILTIN_NAMES]
+    sources = [(f"builtin:{name}", f"builtin:{name}") for name in BUILTIN_NAMES]
+    sources += [(str(path), f"file:{path.name}") for path in FILES]
+    shipped = [entry.presentation for entry in builtins]
+    shipped += [parse_presentation(path.read_text(encoding="utf-8")) for path in FILES]
+    for (source, label), pres in zip(sources, shipped):
+        cells = [render_cell(pres.sig, _random_cell(pres.sig, rng, rows)) for rows in (2, 4)]
+        yield from _cli_records(source, label, cells + ["a a", "0", "@x", "id2([.|mu|.])", "[", "x y"])
+    pool = [(entry.presentation, entry.interpretation) for entry in builtins]
+    for index in range(12):
+        text = _random_presentation(rng, index)
+        yield "parse_presentation", text, _parsed(lambda: serialize_presentation(parse_presentation(text)))
+        pool.append((parse_presentation(text), None))
+    for _ in range(240):
+        text = _mutated(rng, texts, tokens)
+        yield "parse_presentation", text, _parsed(lambda: serialize_presentation(parse_presentation(text)))
+    for pres, interp in pool:
+        yield from _analysis_records(pres, interp)
+        yield from _rewriting_records(pres, interp, rng)
+    for pres, _ in pool[: len(builtins)]:
+        for _ in range(60):
+            soup = [rng.choice(tokens) for _ in range(rng.randint(0, 8))]
+            yield from _cell_records(pres, rng.choice((" ", "")).join(soup))
+
+
+def records():
+    """Every record of the input set, in a fixed order."""
+    for op, given, out in _all_records():
+        yield {"op": op, "in": given, "out": out}
+
+
+def _lines_of(tree: Path):
+    """The record lines built with ``tree/src``'s graypol, in a subprocess."""
+    code = "import sys; sys.path[:0] = sys.argv[1:3]; import differential; differential.write(sys.stdout)"
+    proc = subprocess.run(
+        [sys.executable, "-c", code, str(tree / "src"), str(Path(__file__).resolve().parent)],
+        capture_output=True,
+        text=True,
+    )
+    if proc.returncode != 0:
+        raise SystemExit(f"records under {tree} failed:\n{proc.stderr}")
+    return proc.stdout.splitlines()
+
+
+def write(stream) -> None:
+    for record in records():
+        stream.write(canonical(record) + "\n")
+
+
+def main(argv=None) -> int:
+    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    parser.add_argument("--against", metavar="TREE", type=Path, help="checkout whose src/graypol to compare with")
+    args = parser.parse_args(argv)
+    if args.against is None:
+        sys.path.insert(0, str(ROOT / "src"))
+        write(sys.stdout)
+        return 0
+    ours, theirs = _lines_of(ROOT), _lines_of(args.against.resolve())
+    differing = [i for i, (a, b) in enumerate(zip(ours, theirs)) if a != b]
+    if not differing and len(ours) == len(theirs):
+        print(f"no difference in {len(ours)} records (digest {digest(ours)})")
+        return 0
+    if differing:
+        i = differing[0]
+        print(f"{len(differing)} of {min(len(ours), len(theirs))} records differ; the first, record {i}:")
+        print(f"  here:  {ours[i]}")
+        print(f"  there: {theirs[i]}")
+    if len(ours) != len(theirs):
+        print(f"record counts differ: {len(ours)} here, {len(theirs)} there")
+    return 1
+
+
+if __name__ == "__main__":
+    sys.exit(main())
