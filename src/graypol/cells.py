@@ -176,6 +176,10 @@ class Signature:
     and the sides of 3-generator instances are memoized (``_sides``,
     keyed by ``(instance, source)``).  The memo is not part of the
     value: equality and the hash read ``_key`` only.
+
+    The constructor checks every generator.  ``rotated`` and, for the
+    parser only, ``_extended`` build a signature from generator sides
+    that are already checked, and check only what is new.
     """
 
     def __init__(
@@ -185,9 +189,9 @@ class Signature:
         two: Iterable[Tuple[str, OneCell, OneCell]] = (),
         three: Iterable[Tuple[str, TwoCell, TwoCell]] = (),
     ):
-        self.zero: Tuple[str, ...] = tuple(zero)
-        zset = set(self.zero)
-        if len(zset) != len(self.zero):
+        zero = tuple(zero)
+        zset = set(zero)
+        if len(zset) != len(zero):
             raise SignatureError("duplicate 0-generator")
         ones = {}
         for name, s, t in one:
@@ -196,31 +200,49 @@ class Signature:
             if s not in zset or t not in zset:
                 raise SignatureError(f"1-generator {name} has undeclared endpoint")
             ones[name] = (s, t)
+        self._build(zero, ones, {}, {}, two, three, typed=False)
+
+    def _build(self, zero, ones: dict, twos: dict, threes: dict, two, three, typed: bool):
+        """Set the generator tables, then add the 2-generators ``two`` and the 3-generators ``three``.
+
+        Each added generator needs a name not yet declared and a source
+        parallel to its target.  Unless ``typed``, each of its sides is
+        first checked as a cell over the generators of lower dimension.
+        The tables given are taken as they are, with no check.
+        """
+        self.zero: Tuple[str, ...] = zero
         self.one = MappingProxyType(ones)
-        twos = {}
-        for name, s, t in two:
-            if name in twos:
-                raise SignatureError(f"duplicate 2-generator {name}")
-            self.check1(s)
-            self.check1(t)
-            if s.start != t.start or self.end0(s) != self.end0(t):
-                raise SignatureError(f"2-generator {name}: source and target not parallel")
-            twos[name] = (s, t)
         self.two = MappingProxyType(twos)
-        threes = {}
-        for name, s, t in three:
-            if name in threes:
-                raise SignatureError(f"duplicate 3-generator {name}")
-            self.check2(s)
-            self.check2(t)
-            if self.source(s) != self.source(t) or self.target(s) != self.target(t):
-                raise SignatureError(f"3-generator {name}: source and target not parallel")
-            threes[name] = (s, t)
         self.three = MappingProxyType(threes)
-        self._key = (self.zero, tuple(ones.items()), tuple(twos.items()), tuple(threes.items()))
         self._hash = None
         self._rotated = None
         self._sides = {}
+        for k, table, gens, check in ((2, twos, two, self.check1), (3, threes, three, self.check2)):
+            for name, s, t in gens:
+                if name in table:
+                    raise SignatureError(f"duplicate {k}-generator {name}")
+                if not typed:
+                    check(s)
+                    check(t)
+                if self.source(s) != self.source(t) or self.target(s) != self.target(t):
+                    raise SignatureError(f"{k}-generator {name}: source and target not parallel")
+                table[name] = (s, t)
+        self._key = (zero, tuple(ones.items()), tuple(twos.items()), tuple(threes.items()))
+
+    def _extended(self, two=(), three=()) -> "Signature":
+        """This signature with the 2-generators ``two``, then the 3-generators ``three``, added.
+
+        For ``textio.parse_presentation`` only, which checks each side as
+        it reads it.  The sides are trusted to be checked cells: each word
+        of ``two`` a 1-cell of this signature, each side of ``three`` a
+        2-cell of this signature with ``two`` added.  Only the names and
+        parallel sides of the new generators are checked here; an
+        unchecked side would break the guarantee that a signature's
+        generators are well typed, so other callers use the constructor.
+        """
+        sig = Signature.__new__(Signature)
+        sig._build(self.zero, dict(self.one), dict(self.two), dict(self.three), two, three, typed=True)
+        return sig
 
     def __eq__(self, other):
         return isinstance(other, Signature) and self._key == other._key
@@ -681,14 +703,23 @@ class Signature:
     def rotated(self) -> "Signature":
         """Signature of the rotated cells: every 1-generator reversed and
         every 2-generator's source and target swapped.  Built once per
-        signature."""
+        signature.
+
+        Its generator tables are the rotated tables of this signature,
+        taken as they are: the rotation maps checked cells to checked
+        cells and parallel sides to parallel sides, and keeps names
+        distinct, so the checks of the constructor would all pass.
+        """
         if self._rotated is None:
-            self._rotated = Signature(
+            rot = Signature.__new__(Signature)
+            rot._build(
                 self.zero,
-                ((name, t, s) for name, (s, t) in self.one.items()),
-                ((name, self.rotate(t), self.rotate(s)) for name, (s, t) in self.two.items()),
-                ((name, self.rotate(s), self.rotate(t)) for name, (s, t) in self.three.items()),
+                {name: (t, s) for name, (s, t) in self.one.items()},
+                {name: (self.rotate(t), self.rotate(s)) for name, (s, t) in self.two.items()},
+                {name: (self.rotate(s), self.rotate(t)) for name, (s, t) in self.three.items()},
+                (), (), typed=True,
             )
+            self._rotated = rot
         return self._rotated
 
     # ---- identity on any cell ------------------------------------

@@ -13,7 +13,7 @@ never enumerated; tiles are the user-supplied (or completion-emitted)
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import cached_property
 from typing import Optional, Tuple
 
@@ -55,6 +55,12 @@ class GrayPresentation:
     sig: Signature
     tiles: Tuple[Tile, ...] = ()
     qmode: Optional[QMode] = None
+    # True when both sides of every tile were checked with ``sig.check3``
+    # as the presentation was built.  Only ``textio.parse_presentation``
+    # sets it, after construction; no caller can pass it, and a copy
+    # (``with_tiles``, ``dataclasses.replace``) starts with it False.
+    # Not part of the value.
+    tiles_typed: bool = field(init=False, default=False, compare=False, repr=False)
 
     def with_tiles(self, tiles) -> "GrayPresentation":
         return GrayPresentation(self.name, self.sig, tuple(tiles), self.qmode)
@@ -103,7 +109,15 @@ class GrayPresentation:
 
     @cached_property
     def validation(self) -> "ValidationReport":
-        """Well-typedness and positivity diagnostics, computed once; never raises."""
+        """Well-typedness and positivity diagnostics, computed once; never raises.
+
+        The tiles of a parsed presentation (``tiles_typed``) are not
+        checked again: the parser typed each side with ``check3`` over
+        this same immutable signature and refused the file otherwise,
+        so a second check could only pass.  Other tiles are checked
+        here.  Every tile's sides are then compared for parallelism,
+        which the parser does not require.
+        """
         sig = self.sig
         well_typed = positive = sources_positive = True
         messages = []
@@ -116,13 +130,14 @@ class GrayPresentation:
                 sources_positive = False
                 messages.append(f"3-generator {name} has an identity source")
         for tile in self.tiles:
-            try:
-                sig.check3(tile.lhs)
-                sig.check3(tile.rhs)
-            except CellError as exc:
-                well_typed = False
-                messages.append(f"tile {tile.name}: {exc}")
-                continue
+            if not self.tiles_typed:
+                try:
+                    sig.check3(tile.lhs)
+                    sig.check3(tile.rhs)
+                except CellError as exc:
+                    well_typed = False
+                    messages.append(f"tile {tile.name}: {exc}")
+                    continue
             if sig.source(tile.lhs) != sig.source(tile.rhs) or sig.target(tile.lhs) != sig.target(tile.rhs):
                 well_typed = False
                 messages.append(f"tile {tile.name}: boundaries are not parallel 3-cells")

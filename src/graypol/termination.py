@@ -433,12 +433,19 @@ def check_q_system(pres: GrayPresentation):
     ``Q_RULE_MAX_MID`` is not empty.  Checking the middle words of at most
     that length is therefore exact.  When ``eta == eps`` every row counts
     as both, and the four rules are the interchangers on ``(eta, eta)`` in
-    both orientations: no measure drops both ways, and the check refuses
-    at the first middle word it tries.  It tries none, and certifies, when
-    every middle word has more than ``Q_RULE_MAX_MID`` letters.
+    both orientations, which undo each other: no measure drops both ways.
+    The check refuses such a configuration before any search, since a
+    search over short middle words finds nothing to compare when every
+    middle word is longer than ``Q_RULE_MAX_MID``.
     """
     if pres.qmode is None:
         raise TerminationRefused("selfdual", "presentation has no q-mode configuration")
+    if pres.qmode.eta == pres.qmode.eps:
+        raise TerminationRefused(
+            "selfdual",
+            f"eta == eps ({pres.qmode.eta}): the oriented rules on ({pres.qmode.eta}, {pres.qmode.eta}) "
+            "undo each other",
+        )
     sig = pres.sig
     witnesses = []
     for name, (src, tgt) in sig.three.items():

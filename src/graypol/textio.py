@@ -21,9 +21,19 @@ rules), or ``id2(twocell)``.  Words are ``.`` (empty), ``@x`` (empty at
 presentation.
 
 The ``1``, ``2``, ``3`` and ``tile`` lines are read by one split, as the
-``_DECLARATIONS`` table says.  ``parse_presentation`` and ``parse_cell``
-raise only ``ParseError``: a typing error met while building the parsed
-cells is reported as one, naming the declaration and its line.
+``_DECLARATIONS`` table says.  A file is read in one tokenizing pass and
+typed in one typing pass: each 3-cell's text is split into steps and
+each step into its fields once, and the lambda and rho tokens are read
+as they are, not joined and split again; each distinct whisker token is
+read once per parse; each generator and each tile side is checked once,
+where it is read (the words by ``make1``, the 3-generator sides by
+``check2``, the tile sides by ``check3``).  What is built from the
+result trusts that typing: the signature takes the checked generators
+without checking them again (``Signature._extended``), and
+``GrayPresentation.validation`` does not check the parsed tiles again.
+``parse_presentation`` and ``parse_cell`` raise only ``ParseError``: a
+typing error met while building the parsed cells is reported as one,
+naming the declaration and its line.
 ``render_cell`` writes a cell in one of ``RENDER_FORMATS``: ``linear``
 reads back through ``parse_cell``; ``ascii`` and ``tikz`` do not.
 """
@@ -77,24 +87,26 @@ def _render_word(u: OneCell) -> str:
     return " ".join(u.word) if u.word else f"@{u.start}"
 
 
-def _parse_word(sig: Signature, text: str, start_hint: Optional[str], where: str) -> OneCell:
+def _parse_word(sig: Signature, text: str, start_hint: Optional[str], where: str = "") -> OneCell:
+    """The checked 1-cell ``text``; an error message starts with ``where``, when given."""
+    at = f"{where}: " if where else ""
     text = text.strip()
     count = None
     if text.isascii() and text.isdigit():
         # a lone "0" is the empty word over any signature
         if text != "0" and len(sig.one) != 1:
-            raise ParseError(f"{where}: numeric words need a single-wire signature")
+            raise ParseError(f"{at}numeric words need a single-wire signature")
         digits = text.lstrip("0") or "0"
         # lengths first: int() refuses strings of more than 4300 digits
         if len(digits) > len(str(MAX_NUMERIC_WORD)) or int(digits) > MAX_NUMERIC_WORD:
-            raise ParseError(f"{where}: numeric word longer than {MAX_NUMERIC_WORD} letters")
+            raise ParseError(f"{at}numeric word longer than {MAX_NUMERIC_WORD} letters")
         count = int(digits)
     if text in ("", ".") or count == 0:
         if start_hint is None:
             if len(sig.zero) == 1:
                 start_hint = sig.zero[0]
             else:
-                raise ParseError(f"{where}: empty word needs an explicit start, write @POINT")
+                raise ParseError(f"{at}empty word needs an explicit start, write @POINT")
         return sig.id1(start_hint)
     if text.startswith("@"):
         return sig.id1(text[1:])
@@ -104,7 +116,7 @@ def _parse_word(sig: Signature, text: str, start_hint: Optional[str], where: str
     names = text.split()
     for g in names:
         if g not in sig.one:
-            raise ParseError(f"{where}: unknown 1-generator {g!r}")
+            raise ParseError(f"{at}unknown 1-generator {g!r}")
     return sig.make1(sig.one[names[0]][0], tuple(names))
 
 
@@ -146,9 +158,20 @@ def _split_top(text: str, sep: str) -> List[str]:
     return [p.strip() for p in out]
 
 
-def _parse_whisker(sig: Signature, token: str) -> Whisker2:
-    inner = token[1:-1]
-    parts = _split_top(inner, "|")
+def _parse_whisker(sig: Signature, token: str, memo: dict) -> Whisker2:
+    """The whisker ``[l|gen|r]`` (or ``(l|gen|r)``) spelled by ``token``.
+
+    ``memo`` maps the tokens read so far in one parse to their whiskers,
+    so that each distinct token is read once per parse.  A whisker depends
+    only on the 0-, 1- and 2-generators, which every signature of one
+    parse shares; a token that fails raises and is not stored.
+    """
+    w = memo.get(token)
+    if w is not None:
+        return w
+    if not ((token.startswith("[") and token.endswith("]")) or (token.startswith("(") and token.endswith(")"))):
+        raise ParseError(f"expected a whisker [l|gen|r], got {token!r}")
+    parts = _split_top(token[1:-1], "|")
     if len(parts) != 3:
         raise ParseError(f"whisker must be LEFT|GEN|RIGHT, got {token!r}")
     lraw, gen, rraw = parts
@@ -157,32 +180,35 @@ def _parse_whisker(sig: Signature, token: str) -> Whisker2:
     src = sig.src1(gen)
     left = _parse_word(sig, lraw, src.start, f"whisker {token}")
     right = _parse_word(sig, rraw, sig.end0(src), f"whisker {token}")
-    return Whisker2(left, gen, right)
+    w = memo[token] = Whisker2(left, gen, right)
+    return w
 
 
 def parse_two(sig: Signature, text: str) -> TwoCell:
-    phi = _parse_rows(sig, text)
+    """The checked 2-cell ``text``: ``id(WORD)`` or ``;``-joined whiskers."""
+    return _parse_two(sig, text, {})
+
+
+def _parse_two(sig: Signature, text: str, memo: dict) -> TwoCell:
+    """``parse_two``, its whiskers read through ``memo`` (see ``_parse_whisker``)."""
+    text = text.strip()
+    toks = [text] if text.startswith("id(") and text.endswith(")") else _split_top(text, ";")
+    phi = _parse_rows(sig, toks, memo)
     sig.check2(phi)
     return phi
 
 
-def _parse_rows(sig: Signature, text: str) -> TwoCell:
-    """A 2-cell's rows; each word is a checked 1-cell, but the chain of rows is not checked."""
-    text = text.strip()
-    if text.startswith("id(") and text.endswith(")"):
-        u = _parse_word(sig, text[3:-1], None, "id(...)")
-        return TwoCell(u, ())
-    whiskers = []
-    for token in _split_top(text, ";"):
-        if not (
-            (token.startswith("[") and token.endswith("]"))
-            or (token.startswith("(") and token.endswith(")"))
-        ):
-            raise ParseError(f"expected a whisker [l|gen|r], got {token!r}")
-        whiskers.append(_parse_whisker(sig, token))
-    if not whiskers:
-        raise ParseError("empty 2-cell needs id(...)")
-    return TwoCell(sig.whisker_source(whiskers[0]), tuple(whiskers))
+def _parse_rows(sig: Signature, toks: List[str], memo: dict) -> TwoCell:
+    """A 2-cell from its tokens, the text split at top-level ``;``.
+
+    Each word is a checked 1-cell, but the chain of rows is not checked.
+    Tokens that begin with ``id(`` and end with ``)`` are read as one
+    text ``id(WORD)``, as ``parse_two`` reads the unsplit text.
+    """
+    if toks[0].startswith("id(") and toks[-1].endswith(")"):
+        return TwoCell(_parse_word(sig, ";".join(toks)[3:-1], None, "id(...)"), ())
+    rows = tuple([_parse_whisker(sig, token, memo) for token in toks])
+    return TwoCell(sig.whisker_source(rows[0]), rows)
 
 
 # ---------------------------------------------------------------- 3-cells
@@ -228,32 +254,34 @@ def _is_cell_token(tok: str) -> bool:
     return tok.startswith("[") or tok.startswith("(") or tok.startswith("id(")
 
 
-def parse_step(sig: Signature, text: str, qmode: Optional[QMode]) -> Step:
-    """One step; its rows are not typed here, ``parse_three`` types the whole cell."""
+def _parse_step(sig: Signature, text: str, qmode: Optional[QMode], memo: dict) -> Step:
+    """The step ``{lambda ; left ; GEN ; right ; rho}``.
+
+    Its text is split at ``;`` once, and the lambda and rho tokens go to
+    ``_parse_rows`` as they are.  Its rows are not typed here:
+    ``parse_three`` types the whole cell.
+    """
     if not (text.startswith("{") and text.endswith("}")):
         raise ParseError(f"step must be braced, got {text!r}")
     toks = _split_top(text[1:-1], ";")
-    lam_toks = []
     i = 0
     while i < len(toks) and _is_cell_token(toks[i]):
-        lam_toks.append(toks[i])
         i += 1
     if len(toks) - i < 3:
         raise ParseError(f"step needs lambda ; left ; GEN ; right ; rho, got {text!r}")
-    lraw, genraw, rraw = toks[i], toks[i + 1], toks[i + 2]
-    rho_toks = toks[i + 3 :]
+    lam_toks, (lraw, genraw, rraw), rho_toks = toks[:i], toks[i : i + 3], toks[i + 3 :]
     if not all(_is_cell_token(t) for t in rho_toks):
         raise ParseError(f"malformed step tail in {text!r}")
     inner = _parse_inst(sig, genraw, qmode)
     src = sig.inst_source(inner)
     left = _parse_word(sig, lraw, src.source1.start, text)
-    right = _parse_word(sig, rraw, sig.end0(sig.source(src)), text)
+    right = _parse_word(sig, rraw, sig.end0(src.source1), text)
     if lam_toks:
-        lam = _parse_rows(sig, ";".join(lam_toks))
+        lam = _parse_rows(sig, lam_toks, memo)
     else:
         lam = TwoCell(OneCell(left.start, left.word + src.source1.word + right.word), ())
     if rho_toks:
-        rho = _parse_rows(sig, ";".join(rho_toks))
+        rho = _parse_rows(sig, rho_toks, memo)
     else:
         rho = TwoCell(OneCell(left.start, left.word + sig.target(src).word + right.word), ())
     return Step(lam, left, inner, right, rho)
@@ -266,12 +294,18 @@ def render_three(sig: Signature, F: ThreeCell) -> str:
 
 
 def parse_three(sig: Signature, text: str, qmode: Optional[QMode]) -> ThreeCell:
+    """The checked 3-cell ``text``: ``id2(2-cell)`` or ``|``-joined steps."""
+    return _parse_three(sig, text, qmode, {})
+
+
+def _parse_three(sig: Signature, text: str, qmode: Optional[QMode], memo: dict) -> ThreeCell:
+    """``parse_three``, its whiskers read through ``memo`` (see ``_parse_whisker``)."""
     text = text.strip()
     if text.startswith("id2(") and text.endswith(")"):
-        return ThreeCell(parse_two(sig, text[4:-1]), ())
-    steps = tuple(parse_step(sig, tok, qmode) for tok in _split_top(text, "|"))
+        return ThreeCell(_parse_two(sig, text[4:-1], memo), ())
+    steps = tuple(_parse_step(sig, step, qmode, memo) for step in _split_top(text, "|"))
     cell = ThreeCell(sig.step_source(steps[0]), steps)
-    # This one check also types every step, so parse_step checks none:
+    # This one check also types every step, so _parse_step checks none:
     # step 1's source is the checked ``source2``, each later step's source
     # must equal the previous step's target, and ``step_source`` and
     # ``step_target`` refuse a step whose parts do not meet.
@@ -391,7 +425,15 @@ def parse_presentation(text: str) -> GrayPresentation:
 
     The 0- and 1-generators are typed first, then the 2-generators over
     them, the 3-generators over those, and last the tiles.  A typing
-    error names the declaration and its line.
+    error names the declaration and its line.  Each stage is typed once:
+    the words of a 2-generator as they are read, the sides of a
+    3-generator by ``parse_two``'s check, each tile side by
+    ``parse_three``'s.  ``Signature._extended`` then adds each stage's
+    generators without checking their sides again, and the presentation
+    is marked ``tiles_typed`` so that its validation does not check the
+    tiles again.  Both are sound because the sides were checked over a
+    signature with the same generators of lower dimension, and a
+    signature never changes.
     """
     name = ""
     zero: List[str] = []
@@ -427,17 +469,20 @@ def parse_presentation(text: str) -> GrayPresentation:
     two = []
     for gen, sraw, traw, lineno in declared["2"]:
         with _reported(f"2-generator {gen}: ", lineno):
-            two.append((gen, _parse_word(sig, sraw, None, gen), _parse_word(sig, traw, None, gen)))
+            two.append((gen, _parse_word(sig, sraw, None), _parse_word(sig, traw, None)))
     with _reported():
-        sig = Signature(zero=zero, one=one, two=two)
+        sig = sig._extended(two=two)
+    memo: dict = {}
     three = []
     for gen, sraw, traw, lineno in declared["3"]:
         with _reported(f"3-generator {gen}: ", lineno):
-            three.append((gen, parse_two(sig, sraw), parse_two(sig, traw)))
+            three.append((gen, _parse_two(sig, sraw, memo), _parse_two(sig, traw, memo)))
     with _reported():
-        sig = Signature(zero=zero, one=one, two=two, three=three)
+        sig = sig._extended(three=three)
     tiles = []
     for tag, lraw, rraw, lineno in declared["tile"]:
         with _reported(f"tile {tag}: ", lineno):
-            tiles.append(Tile(tag, parse_three(sig, lraw, qmode), parse_three(sig, rraw, qmode)))
-    return GrayPresentation(name, sig, tuple(tiles), qmode)
+            tiles.append(Tile(tag, _parse_three(sig, lraw, qmode, memo), _parse_three(sig, rraw, qmode, memo)))
+    pres = GrayPresentation(name, sig, tuple(tiles), qmode)
+    object.__setattr__(pres, "tiles_typed", True)
+    return pres

@@ -295,6 +295,55 @@ def test_rotation_keeps_interchangers_and_three_cells(name, request):
     assert swaps > 0
 
 
+def _rotated_by_constructor(sig):
+    """The rotation of ``sig`` built, and so checked, by the ``Signature`` constructor."""
+    return Signature(
+        sig.zero,
+        [(name, t, s) for name, (s, t) in sig.one.items()],
+        [(name, sig.rotate(t), sig.rotate(s)) for name, (s, t) in sig.two.items()],
+        [(name, sig.rotate(s), sig.rotate(t)) for name, (s, t) in sig.three.items()],
+    )
+
+
+def _rotation_signatures():
+    from itertools import islice
+
+    from graypol import BUILTIN_NAMES, get_builtin
+    from test_rewriting import _random_positive_presentation
+
+    draws = (_random_positive_presentation(seed) for seed in range(1000))
+    randoms = list(islice((pres.sig for pres in draws if pres is not None), 20))
+    assert len(randoms) == 20
+    return [get_builtin(name).presentation.sig for name in BUILTIN_NAMES] + randoms
+
+
+def test_rotated_signature_equals_its_checked_construction():
+    # rotated() takes the rotated tables without checking them; the
+    # constructor checks every side and would refuse an ill-typed one
+    for sig in _rotation_signatures():
+        rsig = sig.rotated()
+        assert rsig == _rotated_by_constructor(sig)
+        assert hash(rsig) == hash(_rotated_by_constructor(sig))
+        assert rsig.rotated() == sig
+
+
+def test_parser_extension_checks_only_new_names_and_parallel_sides(pseudomonoid):
+    # _extended trusts the sides it is given (the parser checked them)
+    sig = pseudomonoid.presentation.sig
+    base = Signature(sig.zero, [(name, s, t) for name, (s, t) in sig.one.items()])
+    staged = base._extended(two=[(name, s, t) for name, (s, t) in sig.two.items()])
+    staged = staged._extended(three=[(name, s, t) for name, (s, t) in sig.three.items()])
+    assert staged == sig and hash(staged) == hash(sig)
+    assert not base.two and not base.three
+    a, aa = sig.make1("x", ("a",)), sig.make1("x", ("a", "a"))
+    with pytest.raises(SignatureError, match="duplicate 2-generator mu"):
+        sig._extended(two=[("mu", aa, a)])
+    with pytest.raises(SignatureError, match="duplicate 3-generator A"):
+        sig._extended(three=[("A",) + sig.three["L"]])
+    with pytest.raises(SignatureError, match="3-generator B: source and target not parallel"):
+        sig._extended(three=[("B", sig.gen3_source("A"), sig.gen3_source("L"))])
+
+
 @pytest.mark.parametrize("name", GRAY_BUILTINS)
 def test_signature_is_immutable_and_hashed_by_value(name, request):
     sig = request.getfixturevalue(name).presentation.sig

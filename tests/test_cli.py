@@ -436,3 +436,36 @@ def test_pipeline_commands_never_rebuild_a_window(monkeypatch, capsys):
             assert main([command[0], source, *command[1:]]) in (0, 1)
     capsys.readouterr()
     assert calls == []
+
+
+# The self-duality q-mode with eta == eps: ``e : f => f`` crosses itself
+# across the path g1 g2 g3 g4, a middle word longer than Q_RULE_MAX_MID.
+_EQUAL_Q_RULES = """presentation loop
+0 x
+0 y
+0 p
+0 q
+0 r
+1 f : x -> y
+1 g1 : y -> p
+1 g2 : p -> q
+1 g3 : q -> r
+1 g4 : r -> x
+2 e : f => f
+qmode e e
+"""
+
+
+def test_selfdual_refuses_when_eta_is_eps(tmp_path, capsys):
+    path = tmp_path / "loop.gray"
+    path.write_text(_EQUAL_Q_RULES, encoding="utf-8")
+    code, out, _ = run(capsys, "check-termination", str(path), "--strategy", "selfdual", "--format", "json")
+    assert code == 1
+    payload = json.loads(out)
+    assert not payload["certified"]
+    assert "eta == eps" in payload["reason"]
+    # the refusal is right: the two oriented rules undo each other
+    cell = "[.|e|g1 g2 g3 g4 f];[f g1 g2 g3 g4|e|.]"
+    code, _, err = run(capsys, "normalize", str(path), "--cell", cell, "--max-steps", "50")
+    assert code == 1
+    assert "no normal form within 50 steps" in err

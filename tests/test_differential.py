@@ -14,8 +14,8 @@ _spec = importlib.util.spec_from_file_location("differential", os.path.join(ROOT
 differential = importlib.util.module_from_spec(_spec)
 _spec.loader.exec_module(differential)
 
-RECORDS = 4048
-DIGEST = "25d0d23c285a3136"
+RECORDS = 4228
+DIGEST = "d7ee850bdda68c17"
 
 
 def test_differential_records_are_pinned():

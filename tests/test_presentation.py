@@ -1,5 +1,8 @@
 """Presentation container, validation diagnostics, interchanger schema."""
 
+import dataclasses
+import os
+
 import pytest
 
 from graypol import (
@@ -9,8 +12,12 @@ from graypol import (
     Signature,
     Tile,
     length,
+    parse_presentation,
     validate,
 )
+from graypol.cli import main
+
+FROBENIUS_FILE = os.path.join(os.path.dirname(__file__), os.pardir, "presentations", "frobenius.gray")
 
 
 def test_empty_presentation_valid():
@@ -54,6 +61,52 @@ def test_bad_tile_reported(pseudomonoid):
     rep = validate(bad)
     assert not rep.ok
     assert any("broken" in m for m in rep.messages)
+
+
+def _counted_check3(monkeypatch):
+    """The cells ``Signature.check3`` is called on from now on."""
+    calls = []
+    check3 = Signature.check3
+
+    def counted(self, F):
+        calls.append(F)
+        return check3(self, F)
+
+    monkeypatch.setattr(Signature, "check3", counted)
+    return calls
+
+
+@pytest.mark.parametrize("command", ["validate", "check-termination"])
+def test_each_tile_side_is_typed_once_per_command(command, monkeypatch, capsys):
+    # the parser types each side of the 19 tiles; validation trusts that
+    with open(FROBENIUS_FILE, encoding="utf-8") as handle:
+        tiles = parse_presentation(handle.read()).tiles
+    calls = _counted_check3(monkeypatch)
+    main([command, FROBENIUS_FILE])
+    assert len(tiles) == 19
+    assert calls == [side for tile in tiles for side in (tile.lhs, tile.rhs)]
+
+
+def test_parsed_tiles_are_compared_without_being_typed_again(monkeypatch):
+    text = (
+        "presentation p\n0 x\n1 a : x -> x\n2 mu : a a => a\n"
+        "3 A : [.|mu|a];[.|mu|.] => [a|mu|.];[.|mu|.]\n"
+        "tile T : id2([.|mu|a]) == id2([a|mu|.])\n"
+    )
+    pres = parse_presentation(text)
+    assert pres.tiles_typed
+    calls = _counted_check3(monkeypatch)
+    rep = validate(pres)
+    assert not calls
+    assert not rep.ok
+    assert rep.messages == ("tile T: boundaries are not parallel 3-cells",)
+    # the same tiles given by hand are typed by validation
+    assert not validate(pres.with_tiles(pres.tiles)).ok
+    assert len(calls) == 2
+    # no caller can mark tiles typed, and a copy starts unmarked
+    with pytest.raises(TypeError):
+        GrayPresentation(pres.name, pres.sig, pres.tiles, tiles_typed=True)
+    assert not dataclasses.replace(pres).tiles_typed
 
 
 def test_interchanger_boundaries_pseudomonoid(pseudomonoid):

@@ -81,7 +81,7 @@ _ASSOC = "3 A : [.|mu|a];[.|mu|.] => [a|mu|.];[.|mu|.]\n"
         (_PRELUDE + "qmode mu\n", "qmode needs two 2-generator names (line 5)", 5),
         ("0 x\n1 a : x -> y\n", "1-generator a has undeclared endpoint", None),
         (_PRELUDE + "2 mu : a => a\n", "duplicate 2-generator mu", None),
-        (_PRELUDE + "2 nu : a b => a\n", "2-generator nu: nu: unknown 1-generator 'b' (line 5)", 5),
+        (_PRELUDE + "2 nu : a b => a\n", "2-generator nu: unknown 1-generator 'b' (line 5)", 5),
         (
             _PRELUDE + "3 A : [.|mu|a];[a|mu|.] => [a|mu|.];[.|mu|.]\n",
             "3-generator A: 2-cell whisker chain broken at mu: expected 1-source <1:a a>, got <1:a a a> (line 5)",

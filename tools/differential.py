@@ -11,8 +11,8 @@ lists and prints the first differing record with its input::
     python3 tools/differential.py --against /path/to/other/checkout
 
 It exits 0 when the records agree and 1 when they differ.  The inputs are
-the builtins, the shipped presentation files and their token-level
-mutations, seeded random one-wire presentations, random 2-cells and
+the builtins, the shipped presentation files and their token-level and
+step-level mutations, seeded random one-wire presentations, random 2-cells and
 rewriting paths of each presentation, and random token soup for the cell
 parser.  They are drawn with ``random.Random`` from fixed seeds, by this
 file only, so both trees see the same inputs.  A record holds:
@@ -39,6 +39,7 @@ import hashlib
 import io
 import json
 import random
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -90,6 +91,89 @@ def _mutated(rng: random.Random, texts, tokens) -> str:
         toks = rng.choice(lines)
         toks[rng.randrange(len(toks))] = rng.choice(tokens)
     return "\n".join(" ".join(toks) for toks in lines)
+
+
+# A step of a tile line; the shipped files nest no brace inside a step.
+_STEP = re.compile(r"\{[^{}]*\}")
+
+
+def _with_fields(line: str, step, fields) -> str:
+    """``line`` with the step matched by ``step`` written with ``fields``."""
+    return line[: step.start()] + "{" + " ; ".join(fields) + "}" + line[step.end() :]
+
+
+def _drop_brace(rng: random.Random, line: str, steps) -> str:
+    """One brace of the line dropped."""
+    i = rng.choice([i for i, ch in enumerate(line) if ch in "{}"])
+    return line[:i] + line[i + 1 :]
+
+
+def _swap_fields(rng: random.Random, line: str, steps) -> str:
+    """Two ``;`` fields of a step swapped."""
+    step = rng.choice(steps)
+    fields = step.group()[1:-1].split(" ; ")
+    i, j = rng.sample(range(len(fields)), 2)
+    fields[i], fields[j] = fields[j], fields[i]
+    return _with_fields(line, step, fields)
+
+
+def _unknown_generator(rng: random.Random, line: str, steps) -> str:
+    """A letter of ``zz`` in a row of lam or rho, as the 2-generator or in a context."""
+    step = rng.choice(steps)
+    fields = step.group()[1:-1].split(" ; ")
+    k = rng.choice((0, -1))
+    rows = fields[k].split(";")
+    r = rng.randrange(len(rows))
+    if rows[r].startswith("id("):
+        rows[r] = "id(zz)"
+    else:
+        parts = rows[r][1:-1].split("|")
+        parts[rng.randrange(3)] = "zz"
+        rows[r] = "[" + "|".join(parts) + "]"
+    fields[k] = ";".join(rows)
+    return _with_fields(line, step, fields)
+
+
+def _unbalanced_bracket(rng: random.Random, line: str, steps) -> str:
+    """One ``[``, ``]``, ``(`` or ``)`` of a step dropped, or one added."""
+    step = rng.choice(steps)
+    marks = [i for i in range(step.start() + 1, step.end() - 1) if line[i] in "[]()"]
+    if marks and rng.random() < 0.5:
+        i = rng.choice(marks)
+        return line[:i] + line[i + 1 :]
+    i = rng.randrange(step.start() + 1, step.end() - 1)
+    return line[:i] + rng.choice("[]()") + line[i:]
+
+
+def _rho_mismatch(rng: random.Random, line: str, steps) -> str:
+    """A step's rho with its last row dropped, or with its rows doubled when it has one,
+    so that its target changes: the next step of its side, if any, no longer meets it."""
+    inner = [m for m in steps if line[m.end() : m.end() + 1] == "|"]
+    step = rng.choice(inner or steps)
+    fields = step.group()[1:-1].split(" ; ")
+    rows = fields[-1].split(";")
+    fields[-1] = ";".join(rows[:-1] if len(rows) > 1 else rows * 2)
+    return _with_fields(line, step, fields)
+
+
+def _joined_steps(rng: random.Random, line: str, steps) -> str:
+    """The ``|`` between two steps dropped, so that one ``{...}{...}`` stands for both."""
+    cuts = [m.end() for m in steps if line[m.end() : m.end() + 1] == "|"]
+    if not cuts:
+        return line
+    i = rng.choice(cuts)
+    return line[:i] + line[i + 1 :]
+
+
+STEP_MUTATIONS = (_drop_brace, _swap_fields, _unknown_generator, _unbalanced_bracket, _rho_mismatch, _joined_steps)
+
+
+def _step_mutated(rng: random.Random, texts, mutate) -> str:
+    """A shipped file with one step of one tile line changed by ``mutate``."""
+    lines = rng.choice([text for text in texts if "\ntile " in text]).splitlines()
+    k = rng.choice([k for k, line in enumerate(lines) if line.startswith("tile ")])
+    lines[k] = mutate(rng, lines[k], list(_STEP.finditer(lines[k])))
+    return "\n".join(lines)
 
 
 def _word(n: int) -> str:
@@ -279,6 +363,12 @@ def _all_records():
     for _ in range(240):
         text = _mutated(rng, texts, tokens)
         yield "parse_presentation", text, _parsed(lambda: serialize_presentation(parse_presentation(text)))
+    # the step-level mutations draw from their own stream, so the other inputs stay as they were
+    step_rng = random.Random(SEED + 1)
+    for mutate in STEP_MUTATIONS:
+        for _ in range(30):
+            text = _step_mutated(step_rng, texts, mutate)
+            yield "parse_presentation", text, _parsed(lambda: serialize_presentation(parse_presentation(text)))
     for pres, interp in pool:
         yield from _analysis_records(pres, interp)
         yield from _rewriting_records(pres, interp, rng)
