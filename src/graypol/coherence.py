@@ -24,7 +24,7 @@ from .cells import (
     dim,
     length,
 )
-from .presentation import GrayPresentation, Tile
+from .presentation import GrayPresentation, Tile, _tile_fault
 from .rewriting import Branching, enumerate_critical, find_redexes
 from .termination import TerminationCertificate, TerminationRefused, certify_termination
 
@@ -215,7 +215,11 @@ def squier_completion(
             lhs = sig.compose(sig.step_cell(b.s1), rec.f1, 2)
             rhs = sig.compose(sig.step_cell(b.s2), rec.f2, 2)
             tile = Tile(f"T{idx}", lhs, rhs)
-            _check_tile(sig, tile)
+            # the sides are built from a branching and its two joins, so a
+            # fault here is a defect of graypol, never a refusal
+            fault = _tile_fault(sig, tile)
+            if fault is not None:
+                raise InternalError(f"emitted tile {tile.name} is not a pair of parallel 3-cells: {fault}")
             emitted.append(tile)
             emitted_name = tile.name
         reports.append(BranchingReport(cb.key, True, covered, emitted_name, rec.normal_form))
@@ -227,22 +231,6 @@ def squier_completion(
         verdict = "completed-with-new-tiles"
     report = CoherenceReport(certificate, refusal, reports, verdict)
     return emitted, report
-
-
-def _check_tile(sig: Signature, tile: Tile):
-    """Replay both sides of an emitted tile and check that they are parallel.
-
-    The sides are built from a branching and its two joins, so a side
-    that does not replay, or two sides that end apart, is a defect of
-    graypol: ``InternalError``, never a refusal.
-    """
-    try:
-        sig.check3(tile.lhs)
-        sig.check3(tile.rhs)
-    except CellError as exc:
-        raise InternalError(f"emitted tile {tile.name} does not replay: {exc}") from exc
-    if tile.lhs.source2 != tile.rhs.source2 or sig.target(tile.lhs) != sig.target(tile.rhs):
-        raise InternalError(f"emitted tile {tile.name}: sides are not parallel")
 
 
 # ---------------------------------------------------------------- zigzags

@@ -121,40 +121,22 @@ def typecheck(sig: Signature, e: Expr, top: int):
         else:
             sig.check(e.cell)
         return e.cell, e.cell
-    if isinstance(e, ELowL):
+    if isinstance(e, (ELowL, ELowR)):
+        left = isinstance(e, ELowL)
+        rule, side = ("comp-left", "left") if left else ("comp-right", "right")
         if not 0 <= e.i < top - 1:
-            raise TypingError("comp-left", f"composition dimension {e.i} out of range")
+            raise TypingError(rule, f"composition dimension {e.i} out of range")
         if _low_dim(e.cell) != e.i + 1:
-            raise TypingError(
-                "comp-left", f"left operand of *_{e.i} must be a {e.i + 1}-cell, got {e.cell!r}"
-            )
+            raise TypingError(rule, f"{side} operand of *_{e.i} must be a {e.i + 1}-cell, got {e.cell!r}")
         sig.check(e.cell)
         s, t = typecheck(sig, e.expr, top)
-        utgt = sig.target(e.cell) if not isinstance(e.cell, str) else e.cell
-        vsrc = _iter_boundary(sig, s, e.i, "-")
-        if utgt != vsrc:
-            raise TypingError(
-                "comp-left",
-                f"*_{e.i}: target of left operand {utgt!r} differs from {e.i}-source {vsrc!r}",
-            )
-        return sig.compose(e.cell, s, e.i), sig.compose(e.cell, t, e.i)
-    if isinstance(e, ELowR):
-        if not 0 <= e.i < top - 1:
-            raise TypingError("comp-right", f"composition dimension {e.i} out of range")
-        if _low_dim(e.cell) != e.i + 1:
-            raise TypingError(
-                "comp-right", f"right operand of *_{e.i} must be a {e.i + 1}-cell, got {e.cell!r}"
-            )
-        sig.check(e.cell)
-        s, t = typecheck(sig, e.expr, top)
-        vtgt = _iter_boundary(sig, s, e.i, "+")
-        usrc = sig.source(e.cell) if not isinstance(e.cell, str) else e.cell
-        if vtgt != usrc:
-            raise TypingError(
-                "comp-right",
-                f"*_{e.i}: {e.i}-target {vtgt!r} differs from source of right operand {usrc!r}",
-            )
-        return sig.compose(s, e.cell, e.i), sig.compose(t, e.cell, e.i)
+        ucell = sig.target(e.cell) if left else sig.source(e.cell)
+        uexpr = sig.boundary(s, e.i, "-" if left else "+")
+        if ucell != uexpr and left:
+            raise TypingError(rule, f"*_{e.i}: target of left operand {ucell!r} differs from {e.i}-source {uexpr!r}")
+        if ucell != uexpr:
+            raise TypingError(rule, f"*_{e.i}: {e.i}-target {uexpr!r} differs from source of right operand {ucell!r}")
+        return tuple(sig.compose(e.cell, v, e.i) if left else sig.compose(v, e.cell, e.i) for v in (s, t))
     if isinstance(e, ETop):
         s1, t1 = typecheck(sig, e.left, top)
         s2, t2 = typecheck(sig, e.right, top)
@@ -164,16 +146,6 @@ def typecheck(sig: Signature, e: Expr, top: int):
             )
         return s1, t2
     raise TypingError("expression", f"not an expression: {e!r}")
-
-
-def _iter_boundary(sig: Signature, c, k: int, eps: str):
-    if isinstance(c, str):
-        if k != 0:
-            raise TypingError("boundary", "0-cells have no lower boundary")
-        return c
-    if cell_dim(c) == k:
-        return c
-    return sig.boundary(c, k, eps)
 
 
 def eval_cell(sig: Signature, e: Expr, top: int):

@@ -34,6 +34,23 @@ class Tile:
     rhs: ThreeCell
 
 
+def _tile_fault(sig: Signature, tile: Tile, typed: bool = False) -> Optional[str]:
+    """Why ``tile`` is not a pair of parallel, typed 3-cells, or ``None``.
+
+    With ``typed``, the sides are known to type-check (``check3``) and
+    only their boundaries are compared.
+    """
+    if not typed:
+        try:
+            sig.check3(tile.lhs)
+            sig.check3(tile.rhs)
+        except CellError as exc:
+            return str(exc)
+    if sig.source(tile.lhs) != sig.source(tile.rhs) or sig.target(tile.lhs) != sig.target(tile.rhs):
+        return "boundaries are not parallel 3-cells"
+    return None
+
+
 @dataclass(frozen=True)
 class QMode:
     """Names of the cap and cup 2-generators driving the oriented rules."""
@@ -130,17 +147,10 @@ class GrayPresentation:
                 sources_positive = False
                 messages.append(f"3-generator {name} has an identity source")
         for tile in self.tiles:
-            if not self.tiles_typed:
-                try:
-                    sig.check3(tile.lhs)
-                    sig.check3(tile.rhs)
-                except CellError as exc:
-                    well_typed = False
-                    messages.append(f"tile {tile.name}: {exc}")
-                    continue
-            if sig.source(tile.lhs) != sig.source(tile.rhs) or sig.target(tile.lhs) != sig.target(tile.rhs):
+            fault = _tile_fault(sig, tile, typed=self.tiles_typed)
+            if fault is not None:
                 well_typed = False
-                messages.append(f"tile {tile.name}: boundaries are not parallel 3-cells")
+                messages.append(f"tile {tile.name}: {fault}")
         if self.qmode is not None:
             for gen in (self.qmode.eta, self.qmode.eps):
                 if gen not in sig.two:

@@ -70,22 +70,18 @@ def _check_size(k: int, kp: int):
         )
 
 
+def _letters(kind: str, n: int) -> Word:
+    return tuple((kind, idx) for idx in range(1, n + 1))
+
+
 def shuffle_words(k: int, kp: int) -> List[Word]:
     """All shuffles of ``l1..lk`` with ``r1..rk'``."""
     _check_size(k, kp)
+    ls, rs = _letters("l", k), _letters("r", kp)
     out = []
     for lpos in combinations(range(k + kp), k):
-        word: List[Letter] = []
-        li, ri = 1, 1
-        lset = set(lpos)
-        for p in range(k + kp):
-            if p in lset:
-                word.append(("l", li))
-                li += 1
-            else:
-                word.append(("r", ri))
-                ri += 1
-        out.append(tuple(word))
+        placed, rest = dict(zip(lpos, ls)), iter(rs)
+        out.append(tuple(placed[p] if p in placed else next(rest) for p in range(k + kp)))
     return out
 
 
@@ -142,44 +138,55 @@ def path_exists(word: Word, word2: Word) -> bool:
     return all(a[i] <= b[i] for i in range(1, k + 1))
 
 
+def _row(cells, at, letter: Letter):
+    """The side and row of ``letter``, the next unread row of its cell; ``at`` counts rows read."""
+    kind, idx = letter
+    if kind not in ("l", "r"):
+        raise ShuffleError(f"unknown letter {kind}_{idx}")
+    side = int(kind == "r")
+    rows = cells[side].whiskers
+    if idx != at[side] + 1:
+        raise ShuffleError(f"expected {kind}_{at[side] + 1}, found {kind}_{idx}")
+    if idx > len(rows):
+        raise ShuffleError(f"{kind}_{idx} is past the last row of a {len(rows)}-row cell")
+    at[side] = idx
+    return side, rows[idx - 1]
+
+
+def _interleave(sig: Signature, cells, at, word: Word) -> TwoCell:
+    """The 2-cell of ``word`` read from ``at``: each row whiskered, on the other
+    cell's side, by the level that the other cell's letters have reached."""
+    source = sig.compose(level_at(sig, cells[0], at[0]), level_at(sig, cells[1], at[1]), 0)
+    whiskers = []
+    for letter in word:
+        side, w = _row(cells, at, letter)
+        other = level_at(sig, cells[1 - side], at[1 - side])
+        left = sig.compose(other, w.left, 0) if side else w.left
+        right = w.right if side else sig.compose(w.right, other, 0)
+        whiskers.append(Whisker2(left, w.gen, right))
+    return TwoCell(source, tuple(whiskers))
+
+
 def interp_vertex(sig: Signature, word: Word, i: int, j: int, phi: TwoCell, psi: TwoCell) -> TwoCell:
     """Interleaved 2-cell of a shuffle of ``l_i..`` and ``r_j..``.
 
     ``i`` and ``j`` locate the first letters the word may draw from;
     the boundary state on each side starts just before them.
     """
-    start_l, start_r = level_at(sig, phi, i - 1), level_at(sig, psi, j - 1)
-    state_l, state_r = start_l, start_r
-    want_l, want_r = i, j
-    whiskers = []
-    for kind, idx in word:
-        if kind == "l":
-            if idx != want_l:
-                raise ShuffleError(f"expected l_{want_l}, found l_{idx}")
-            w = phi.whiskers[idx - 1]
-            whiskers.append(Whisker2(w.left, w.gen, sig.compose(w.right, state_r, 0)))
-            state_l = sig.whisker_target(w)
-            want_l += 1
-        else:
-            if idx != want_r:
-                raise ShuffleError(f"expected r_{want_r}, found r_{idx}")
-            w = psi.whiskers[idx - 1]
-            whiskers.append(Whisker2(sig.compose(state_l, w.left, 0), w.gen, w.right))
-            state_r = sig.whisker_target(w)
-            want_r += 1
-    return TwoCell(sig.compose(start_l, start_r, 0), tuple(whiskers))
+    for kind, first, cell in (("l", i, phi), ("r", j, psi)):
+        if not 1 <= first <= length(cell) + 1:
+            raise ShuffleError(f"first letter {kind}_{first} is outside {kind}_1..{kind}_{length(cell) + 1}")
+    return _interleave(sig, (phi, psi), [i - 1, j - 1], word)
 
 
 def interp_edge(sig: Signature, edge: ShuffleEdge, phi: TwoCell, psi: TwoCell) -> Step:
     """Interchange rewriting step between the two endpoint interpretations."""
-    i, j = edge.i, edge.j
-    lam = interp_vertex(sig, edge.prefix, 1, 1, phi, psi)
-    wl = phi.whiskers[i - 1]
-    wr = psi.whiskers[j - 1]
-    mid = sig.compose(wl.right, wr.left, 0)
-    inner = Interchanger(wl.gen, mid, wr.gen)
-    rho = interp_vertex(sig, edge.suffix, i + 1, j + 1, phi, psi)
-    return Step(lam, wl.left, inner, wr.right, rho)
+    cells, at = (phi, psi), [0, 0]
+    lam = _interleave(sig, cells, at, edge.prefix)
+    _, wl = _row(cells, at, ("l", edge.i))
+    _, wr = _row(cells, at, ("r", edge.j))
+    inner = Interchanger(wl.gen, sig.compose(wl.right, wr.left, 0), wr.gen)
+    return Step(lam, wl.left, inner, wr.right, _interleave(sig, cells, at, edge.suffix))
 
 
 def sigma_path(sig: Signature, phi: TwoCell, psi: TwoCell) -> List[ShuffleEdge]:
@@ -191,27 +198,16 @@ def sigma_path(sig: Signature, phi: TwoCell, psi: TwoCell) -> List[ShuffleEdge]:
     check_composable0(sig, phi, psi)
     k, kp = length(phi), length(psi)
     _check_size(k, kp)
-    word: List[Letter] = [("l", i) for i in range(1, k + 1)] + [("r", j) for j in range(1, kp + 1)]
-    edges = []
-    for p in range(k, 0, -1):
-        for q in range(1, kp + 1):
-            pos = word.index(("l", p))
-            if word[pos + 1] != ("r", q):
-                raise InternalError("staircase path lost track of the swap position")
-            edges.append(ShuffleEdge(tuple(word[:pos]), p, q, tuple(word[pos + 2 :])))
-            word[pos], word[pos + 1] = word[pos + 1], word[pos]
-    return edges
+    ls, rs = _letters("l", k), _letters("r", kp)
+    return [
+        ShuffleEdge(ls[: p - 1] + rs[: q - 1], p, q, rs[q:] + ls[p:])
+        for p in range(k, 0, -1)
+        for q in range(1, kp + 1)
+    ]
 
 
 def big_x(sig: Signature, phi: TwoCell, psi: TwoCell) -> ThreeCell:
     """Composite interchanger 3-cell exchanging ``phi`` past ``psi``."""
-    start = interp_vertex(
-        sig,
-        tuple([("l", i) for i in range(1, length(phi) + 1)] + [("r", j) for j in range(1, length(psi) + 1)]),
-        1,
-        1,
-        phi,
-        psi,
-    )
-    steps = tuple(interp_edge(sig, e, phi, psi) for e in sigma_path(sig, phi, psi))
-    return ThreeCell(start, steps)
+    path = sigma_path(sig, phi, psi)
+    start = interp_vertex(sig, _letters("l", length(phi)) + _letters("r", length(psi)), 1, 1, phi, psi)
+    return ThreeCell(start, tuple(interp_edge(sig, e, phi, psi) for e in path))

@@ -1,9 +1,12 @@
-"""Shared fixtures: builtin entries, random cell generators, and the
-expression-tree converter used by boundary oracles."""
+"""Shared fixtures: builtin entries, random cell generators, the
+expression-tree converter used by boundary oracles, and
+``tools/differential.py`` loaded as the module ``differential``."""
 
+import importlib.util
 import itertools
 import random
 from dataclasses import dataclass
+from pathlib import Path
 
 import pytest
 
@@ -25,6 +28,13 @@ from graypol import (
 
 # the builtins whose engine mode is Gray (not q)
 GRAY_BUILTINS = ["pseudomonoid", "pseudoadjunction", "selfduality", "frobenius"]
+
+# the differential record set, and ``disjoint_copies`` of a shipped file
+_spec = importlib.util.spec_from_file_location(
+    "differential", Path(__file__).resolve().parent.parent / "tools" / "differential.py"
+)
+differential = importlib.util.module_from_spec(_spec)
+_spec.loader.exec_module(differential)
 
 
 @pytest.fixture(scope="session")

@@ -9,6 +9,8 @@ import pytest
 from graypol import (
     BUILTIN_NAMES,
     Tile,
+    certify_termination,
+    enumerate_critical,
     get_builtin,
     length,
     parse_presentation,
@@ -16,6 +18,8 @@ from graypol import (
     squier_completion,
     validate,
 )
+
+from conftest import differential
 
 ROOT = pathlib.Path(__file__).resolve().parent.parent
 
@@ -122,3 +126,15 @@ def test_qmode_entry(selfduality_q):
     assert pres.qmode is not None
     assert pres.qmode.eta == "eta" and pres.qmode.eps == "eps"
     assert selfduality_q.expected_strategy == "selfdual"
+
+
+@pytest.mark.parametrize("k", [1, 2, 3])
+@pytest.mark.parametrize("name,critical", [("pseudomonoid", 5), ("pseudoadjunction", 2), ("frobenius", 19)])
+def test_disjoint_copies_have_k_times_the_critical_branchings(name, critical, k):
+    text = (ROOT / "src" / "graypol" / "presentations" / f"{name}.gray").read_text(encoding="utf-8")
+    pres = parse_presentation(differential.disjoint_copies(text, k))
+    assert not pres.tiles
+    assert len(pres.sig.zero) == k * len(get_builtin(name).presentation.sig.zero)
+    assert len(enumerate_critical(pres)) == critical * k
+    if name == "pseudoadjunction":
+        assert certify_termination(pres, "connected").strategy == "connected"

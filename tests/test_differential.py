@@ -1,21 +1,20 @@
 """The differential record set of ``tools/differential.py``, pinned by its digest.
 
 A change that alters any parse message, serialization, rendering, CLI
-output or rewriting result on the set changes the digest.  When that is
+output, rewriting result, shuffle interpretation, expression typing or
+zigzag reduction on the set changes the digest.  When that is
 intended, compare against the previous tree with
 ``python3 tools/differential.py --against TREE`` and update the pin.
 """
 
-import importlib.util
 import os
 
-ROOT = os.path.join(os.path.dirname(__file__), os.pardir)
-_spec = importlib.util.spec_from_file_location("differential", os.path.join(ROOT, "tools", "differential.py"))
-differential = importlib.util.module_from_spec(_spec)
-_spec.loader.exec_module(differential)
+from conftest import differential
 
-RECORDS = 4228
-DIGEST = "d7ee850bdda68c17"
+ROOT = os.path.join(os.path.dirname(__file__), os.pardir)
+
+RECORDS = 9335
+DIGEST = "97a2c2f2c45b88ea"
 
 
 def test_differential_records_are_pinned():

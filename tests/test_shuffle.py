@@ -19,7 +19,7 @@ from graypol import (
     shuffle_graph,
     sigma_path,
 )
-from graypol.shuffle import ShuffleError, word_edges
+from graypol.shuffle import ShuffleEdge, ShuffleError, word_edges
 
 from conftest import random_two_cell
 
@@ -264,3 +264,19 @@ def test_interchanger_boundaries_example(pseudomonoid):
     assert length(src) == length(tgt) == 2
     assert sig.source(src) == sig.source(tgt)
     assert sig.target(src) == sig.target(tgt)
+
+
+MALFORMED = {
+    "edge past the last l row": lambda sig, eta, eps: interp_edge(sig, ShuffleEdge((), 3, 1, ()), eta, eta),
+    "letter past the last l row": lambda sig, eta, eps: interp_vertex(sig, (("l", 2),), 2, 1, eta, eta),
+    "start past the last l row": lambda sig, eta, eps: interp_vertex(sig, (), 3, 1, eta, eta),
+    "unknown letter": lambda sig, eta, eps: interp_vertex(sig, (("x", 1),), 1, 1, eta, eta),
+    "big_x of cells that are not 0-composable": lambda sig, eta, eps: big_x(sig, eta, eps),
+}
+
+
+@pytest.mark.parametrize("case", sorted(MALFORMED))
+def test_malformed_input_raises_shuffle_error(pseudoadjunction, case):
+    sig = pseudoadjunction.presentation.sig
+    with pytest.raises(ShuffleError):
+        MALFORMED[case](sig, sig.gen2_cell("eta"), sig.gen2_cell("eps"))

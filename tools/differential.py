@@ -13,9 +13,11 @@ lists and prints the first differing record with its input::
 It exits 0 when the records agree and 1 when they differ.  The inputs are
 the builtins, the shipped presentation files and their token-level and
 step-level mutations, seeded random one-wire presentations, random 2-cells and
-rewriting paths of each presentation, and random token soup for the cell
-parser.  They are drawn with ``random.Random`` from fixed seeds, by this
-file only, so both trees see the same inputs.  A record holds:
+rewriting paths of each presentation, random token soup for the cell
+parser, two disjoint renamed copies of each Gray-mode shipped file, pairs
+of 2-cells of at most 3 rows, random expressions and short zigzags.  They
+are drawn with ``random.Random`` from fixed seeds, by this file only, so
+both trees see the same inputs.  A record holds:
 
 * ``parse_presentation``: the serialization, or the error message and line;
 * ``parse_cell``: the re-parsed cell, or the error message and line, and
@@ -26,7 +28,13 @@ file only, so both trees see the same inputs.  A record holds:
   source and target; ``classify`` on each ordered pair of redexes;
 * ``enumerate_critical``'s keys; ``normalize2``'s path, or its partial
   path; ``certify_termination``'s strategy and scope, or its refusal;
-  ``squier_completion``'s tiles and verdict.
+  ``squier_completion``'s tiles and verdict;
+* ``shuffle_words``; ``shuffle_graph``, ``sigma_path``, ``big_x`` and every
+  ``interp_vertex`` and ``interp_edge`` on each ordered pair of cells, and
+  on malformed words, start indices and edges;
+* ``typecheck`` (with the ``rule`` of a ``TypingError``), ``reducts``,
+  ``measure`` and ``normal_form_expr``; ``zz_simplify`` and
+  ``zz_all_reduced_forms``.
 
 Exceptions are recorded by type and message, so a crash is a record too.
 """
@@ -378,10 +386,236 @@ def _all_records():
             yield from _cell_records(pres, rng.choice((" ", "")).join(soup))
 
 
+# ---------------------------------------------------------------- the paper-side algebra
+#
+# These sections come after the records above and draw from their own
+# streams, so adding them left every earlier record as it was.
+
+_NAME = re.compile(r"[^\s\[\]|;(),@:]+")
+
+
+def disjoint_copies(text: str, k: int) -> str:
+    """``k`` copies of a Gray-mode ``.gray`` file that share no generator.
+
+    The tile lines are dropped, and copy ``c`` renames every 0-, 1-, 2-
+    and 3-generator ``NAME`` to ``NAME_c``; its analysis is that of the
+    file, ``k`` times over.
+    """
+    lines = [line for line in text.splitlines() if line.strip() and not line.startswith("tile ")]
+    names = {line.split()[1] for line in lines[1:] if line.split()[0] in ("0", "1", "2", "3")}
+    out = [f"{lines[0]}-x{k}"]
+    for c in range(1, k + 1):
+        rename = lambda m: f"{m.group()}_{c}" if m.group() in names else m.group()
+        out += [_NAME.sub(rename, line) for line in lines[1:]]
+    return "\n".join(out) + "\n"
+
+
+def _copies_records():
+    """Two disjoint copies of each Gray-mode shipped file, parsed and analysed."""
+    from graypol import parse_presentation, serialize_presentation
+
+    for path in FILES:
+        text = path.read_text(encoding="utf-8")
+        if "\nqmode " in text:
+            continue
+        copies = disjoint_copies(text, 2)
+        parsed = _parsed(lambda: serialize_presentation(parse_presentation(copies)))
+        yield "parse_presentation", copies, parsed
+        if "ok" in parsed:
+            yield from _analysis_records(parse_presentation(copies), None)
+
+
+def _shuffle_pair_records(sig, label, phi, psi):
+    """The shuffle graph of ``phi`` and ``psi``, each of its vertices and edges
+    interpreted, its staircase path and the composite interchanger."""
+    from graypol import big_x, interp_edge, interp_vertex, shuffle_graph, sigma_path
+    from graypol.textio import render_step, render_three, render_two
+
+    graph = _attempt(shuffle_graph, sig, phi, psi)
+    yield "shuffle_graph", label, {"ok": [graph["ok"][0], _reprs(graph["ok"][1])]} if "ok" in graph else graph
+    yield "sigma_path", label, _attempt(lambda: _reprs(sigma_path(sig, phi, psi)))
+    yield "big_x", label, _attempt(lambda: render_three(sig, big_x(sig, phi, psi)))
+    vertices, edges = graph.get("ok", ((), ()))
+    for v in vertices:
+        yield "interp_vertex", label + [v], _attempt(lambda: render_two(sig, interp_vertex(sig, v, 1, 1, phi, psi)))
+    for e in edges:
+        yield "interp_edge", label + [repr(e)], _attempt(lambda: render_step(sig, interp_edge(sig, e, phi, psi)))
+
+
+def _malformed_shuffle_records(sig, label, phi, psi):
+    """Words, start indices and edges that name no part of the shuffle graph."""
+    from graypol import interp_edge, interp_vertex, length
+    from graypol.shuffle import ShuffleEdge
+    from graypol.textio import render_step, render_two
+
+    k, kp = length(phi), length(psi)
+    words = [
+        ((("l", k + 1),), 1, 1),
+        ((("l", k + 1),), k + 1, 1),
+        ((("r", kp + 1),), 1, kp + 1),
+        ((("x", 1),), 1, 1),
+        ((), k + 2, 1),
+        ((), 1, kp + 2),
+        ((), 0, 1),
+    ]
+    for word, i, j in words:
+        result = _attempt(lambda: render_two(sig, interp_vertex(sig, word, i, j, phi, psi)))
+        yield "interp_vertex", label + [word, i, j], result
+    edges = [ShuffleEdge((), k + 1, 1, ()), ShuffleEdge((), 1, kp + 1, ()), ShuffleEdge((), 2, 1, ())]
+    for e in edges:
+        yield "interp_edge", label + [repr(e)], _attempt(lambda: render_step(sig, interp_edge(sig, e, phi, psi)))
+
+
+def _shuffle_records():
+    """Shuffle words, and the shuffle algebra on each ordered pair of 2-cells of at
+    most 3 rows: the generators and random cells of each builtin."""
+    from graypol import BUILTIN_NAMES, get_builtin
+    from graypol.shuffle import shuffle_words
+    from graypol.textio import render_two
+
+    for k in range(5):
+        for kp in range(5):
+            yield "shuffle_words", [k, kp], _attempt(shuffle_words, k, kp)
+    rng = random.Random(SEED + 2)
+    for name in BUILTIN_NAMES:
+        sig = get_builtin(name).presentation.sig
+        cells = [sig.gen2_cell(g) for g in sig.two] + [_random_cell(sig, rng, rows) for rows in (0, 1, 2, 3, 2, 3)]
+        for phi in cells:
+            for psi in cells:
+                yield from _shuffle_pair_records(sig, [name, render_two(sig, phi), render_two(sig, psi)], phi, psi)
+        phi = cells[0]
+        yield from _malformed_shuffle_records(sig, [name, render_two(sig, phi), render_two(sig, phi)], phi, phi)
+
+
+def _meeting_one_cell(sig, rng: random.Random, point, ends: bool):
+    """A 1-cell of at most one letter that ends (``ends``) or starts at ``point``."""
+    from graypol import OneCell
+
+    fits = [g for g, (s, t) in sig.one.items() if (t if ends else s) == point]
+    if fits and rng.random() < 0.6:
+        g = rng.choice(fits)
+        return OneCell(sig.one[g][0], (g,))
+    return OneCell(point, ())
+
+
+def _random_expression(sig, rng: random.Random, top: int):
+    """A random expression of top dimension 2 or 3, grown from a leaf.
+
+    A one-sided composite's cell meets the expression's boundary most of
+    the time; the rest are ill-typed on purpose, and so are a few leaves
+    and composition dimensions.
+    """
+    from graypol import CellError, EGen, EId, ELowL, ELowR, ETop, OneCell, OpGen, typecheck
+
+    def leaf():
+        roll = rng.random()
+        if roll < 0.2:
+            return EId(_random_cell(sig, rng, 1) if top == 3 else OneCell(rng.choice(sig.zero), ()))
+        if roll < 0.25:
+            return EGen(top, "zz")
+        return EGen(top, OpGen(rng.choice(list(sig.three))) if top == 3 else rng.choice(list(sig.two)))
+
+    expr = leaf()
+    for _ in range(rng.randint(0, 4)):
+        try:
+            src, tgt = typecheck(sig, expr, top)
+        except CellError:
+            src = tgt = None
+        kind = rng.randrange(5)
+        if kind == 0:
+            expr = ETop(expr, EId(tgt) if tgt is not None and rng.random() < 0.5 else leaf())
+        elif kind == 1:
+            expr = ETop(EId(src) if src is not None and rng.random() < 0.5 else leaf(), expr)
+        else:
+            i = rng.randrange(top - 1) if rng.random() < 0.9 else top - 1
+            left = kind in (2, 3)
+            if src is None or i == top - 1:
+                cell = OneCell(rng.choice(sig.zero), ())
+            elif rng.random() < 0.4:
+                cell = _random_cell(sig, rng, 1) if i else _random_cell(sig, rng, 0).source1
+            elif i == 0:
+                low = src if top == 2 else src.source1
+                point = low.start if left else sig.end0(low)
+                cell = _meeting_one_cell(sig, rng, point, left)
+            else:
+                cell = sig.id2(sig.source(src) if left else sig.target(src))
+            expr = ELowL(i, cell, expr) if left else ELowR(i, expr, cell)
+    return expr
+
+
+def _expression_records():
+    """Typing, one-step reducts, measure and normal form of random expressions."""
+    from graypol import BUILTIN_NAMES, TypingError, get_builtin, measure, normal_form_expr, reducts, typecheck
+
+    rng = random.Random(SEED + 3)
+    for name in BUILTIN_NAMES:
+        sig = get_builtin(name).presentation.sig
+        for n in range(60):
+            top = 2 if n % 3 else 3
+            expr = _random_expression(sig, rng, top)
+            label = [name, top, repr(expr)]
+            try:
+                typed = {"ok": _reprs(typecheck(sig, expr, top))}
+            except TypingError as exc:
+                typed = {"raised": type(exc).__name__, "rule": exc.rule, "message": str(exc)}
+            except Exception as exc:
+                typed = {"raised": type(exc).__name__, "message": str(exc)}
+            yield "typecheck", label, typed
+            yield "reducts", label, _attempt(lambda: _reprs(reducts(sig, expr)))
+            yield "measure", label, _attempt(measure, expr, top)
+            yield "normal_form_expr", label, _attempt(lambda: repr(normal_form_expr(sig, expr, top)))
+
+
+def _zigzag_records():
+    """Reduced forms of short zigzags of rewriting steps, with identities,
+    inverses and cancelling pairs among them."""
+    from graypol import (
+        BUILTIN_NAMES,
+        ThreeCell,
+        find_redexes,
+        get_builtin,
+        zz_all_reduced_forms,
+        zz_compose,
+        zz_identity,
+        zz_invert,
+        zz_of,
+        zz_simplify,
+    )
+    from graypol.textio import render_three
+
+    rng = random.Random(SEED + 4)
+
+    def text(sig, entries):
+        return [[render_three(sig, cell), sign] for cell, sign in entries]
+
+    for name in BUILTIN_NAMES:
+        pres = get_builtin(name).presentation
+        sig = pres.sig
+        for _ in range(8):
+            phi = _random_cell(sig, rng, rng.randint(1, 3))
+            z, last = zz_identity(sig, phi), None
+            for _ in range(rng.randint(1, 5)):
+                roll = rng.random()
+                options = find_redexes(pres, z.target2)
+                if roll < 0.2 or not options:
+                    piece = zz_of(sig, ThreeCell(z.target2, ()))
+                elif roll < 0.4 and last is not None:
+                    piece = zz_invert(last)
+                else:
+                    piece = zz_of(sig, sig.step_cell(rng.choice(options)))
+                z, last = zz_compose(sig, z, piece), piece
+            label = [name, text(sig, z.entries)]
+            yield "zz_simplify", label, _attempt(lambda: text(sig, zz_simplify(sig, z).entries))
+            forms = lambda: sorted(text(sig, e) for e in zz_all_reduced_forms(sig, z))
+            yield "zz_all_reduced_forms", label, _attempt(forms)
+
+
 def records():
     """Every record of the input set, in a fixed order."""
-    for op, given, out in _all_records():
-        yield {"op": op, "in": given, "out": out}
+    sections = (_all_records(), _copies_records(), _shuffle_records(), _expression_records(), _zigzag_records())
+    for section in sections:
+        for op, given, out in section:
+            yield {"op": op, "in": given, "out": out}
 
 
 def _lines_of(tree: Path):
