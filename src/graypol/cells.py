@@ -466,42 +466,82 @@ class Signature:
             ),
         )
 
+    def _step_fault(self, s: Step, top: OneCell, bottom: OneCell):
+        """The ``CompositionError`` of a step whose window runs from ``top`` to ``bottom``, or ``None``.
+
+        These are the checks of ``compose``, each a comparison of 1-cells,
+        because the window's side is a checked 2-cell: ``left`` and
+        ``right`` must 0-compose with the side, the target of ``lam`` must
+        be the level above the window and the source of ``rho`` the level
+        below it.  The levels are ``top`` and ``bottom`` padded by ``left``
+        and ``right``; they are compared field by field, and a OneCell is
+        built only for a message.
+        """
+        left, right = s.left, s.right
+        if self.end0(left) != top.start or self.end0(top) != right.start:
+            return CompositionError("0-whiskering boundary mismatch")
+        start, lw, rw = left.start, left.word, right.word
+        above = self.target(s.lam)
+        if above.start != start or above.word != lw + top.word + rw:
+            return CompositionError(
+                f"2-cells not 1-composable: target {above!r} vs source {OneCell(start, lw + top.word + rw)!r}"
+            )
+        below = s.rho.source1
+        if below.start != start or below.word != lw + bottom.word + rw:
+            return CompositionError(
+                f"2-cells not 1-composable: target {OneCell(start, lw + bottom.word + rw)!r} vs source {below!r}"
+            )
+        return None
+
     def _step_side(self, s: Step, source: bool) -> TwoCell:
         """``lam *1 (left *0 side *0 right) *1 rho`` for the instance's source, or else its target.
 
         Only the side asked for is used, from the memo.  Its rows are
         whiskered by ``left`` and ``right`` straight into the splice
-        between the rows of ``lam`` and ``rho``; no window cell is built.
-        The levels at the window's top and bottom are the side's source
-        and target words padded by ``left`` and ``right``.  The checks
-        are those of ``compose``, each a comparison of 1-cells, because
-        the side is a checked 2-cell: ``CompositionError`` unless ``left``
-        and ``right`` 0-compose with the side, the target of ``lam`` is
-        the level above the window and the source of ``rho`` is the level
-        below it.
+        between the rows of ``lam`` and ``rho``, once ``_step_fault``
+        finds that the parts meet; no window cell is built.
         """
         side, bottom = self._side(s.inner, source)
-        left, right, lam, rho = s.left, s.right, s.lam, s.rho
-        top = side.source1
-        if self.end0(left) != top.start or self.end0(top) != right.start:
-            raise CompositionError("0-whiskering boundary mismatch")
-        start, lw, rw = left.start, left.word, right.word
-        # the two levels are compared field by field; a OneCell is built only for the message
-        above = self.target(lam)
-        if above.start != start or above.word != lw + top.word + rw:
-            raise CompositionError(
-                f"2-cells not 1-composable: target {above!r} vs source {OneCell(start, lw + top.word + rw)!r}"
-            )
-        below = rho.source1
-        if below.start != start or below.word != lw + bottom.word + rw:
-            raise CompositionError(
-                f"2-cells not 1-composable: target {OneCell(start, lw + bottom.word + rw)!r} vs source {below!r}"
-            )
+        fault = self._step_fault(s, side.source1, bottom)
+        if fault is not None:
+            raise fault
+        start, lw, rw = s.left.start, s.left.word, s.right.word
         rows = tuple([
             Whisker2(OneCell(start, lw + w.left.word), w.gen, OneCell(w.right.start, w.right.word + rw))
             for w in side.whiskers
         ])
-        return TwoCell(lam.source1, lam.whiskers + rows + rho.whiskers)
+        return TwoCell(s.lam.source1, s.lam.whiskers + rows + s.rho.whiskers)
+
+    def _is_step_source(self, s: Step, here: TwoCell) -> bool:
+        """Whether ``step_source(s)`` returns a cell equal to ``here`` without raising.
+
+        Nothing is built: the rows of ``lam``, the instance's source rows
+        whiskered by ``left`` and ``right``, and the rows of ``rho`` are
+        compared with those of ``here`` in place, after the junctions of
+        ``_step_fault``.  An error that ``step_source`` raises before its
+        junctions, such as an unknown generator, is raised here as well.
+        So a caller that gets ``False`` runs ``step_source`` and its
+        comparison, and gets the outcome it would have had without this
+        test: the same error, message and order.
+        """
+        side, bottom = self._side(s.inner, True)
+        if self._step_fault(s, side.source1, bottom) is not None:
+            return False
+        lam, rho, rows = s.lam.whiskers, s.rho.whiskers, here.whiskers
+        up, down = len(lam), len(rows) - len(rho)
+        if here.source1 != s.lam.source1 or down - up != len(side.whiskers) or rows[:up] != lam or rows[down:] != rho:
+            return False
+        start, lw, rw = s.left.start, s.left.word, s.right.word
+        for h, w in zip(rows[up:down], side.whiskers):
+            if (
+                h.gen != w.gen
+                or h.left.start != start
+                or h.left.word != lw + w.left.word
+                or h.right.start != w.right.start
+                or h.right.word != w.right.word + rw
+            ):
+                return False
+        return True
 
     def step_source(self, s: Step) -> TwoCell:
         return self._step_side(s, True)
@@ -526,14 +566,21 @@ class Signature:
         return ThreeCell(src, (step,))
 
     def check3(self, F: ThreeCell):
+        """Check ``F.source2``, then that each step's source is the cell the steps before it reach.
+
+        Each source is compared in place by ``_is_step_source``, so only
+        the targets are built; ``step_source`` runs only for a step that
+        does not fit, to raise its error or to report the mismatch.
+        """
         self.check2(F.source2)
         here = F.source2
         for s in F.steps:
-            src = self.step_source(s)
-            if src != here:
-                raise CompositionError(
-                    f"3-cell step chain broken: expected 2-source {here!r}, got {src!r}"
-                )
+            if not self._is_step_source(s, here):
+                src = self.step_source(s)
+                if src != here:
+                    raise CompositionError(
+                        f"3-cell step chain broken: expected 2-source {here!r}, got {src!r}"
+                    )
             here = self.step_target(s)
 
     def check(self, c: Cell):

@@ -58,6 +58,17 @@ def normalize2(
     costs its window, whose side comes from the signature's memo, plus
     one tuple splice of the rows.  The returned path is made of
     ordinary steps, and ``check3`` replays it.
+
+    Without a certificate the path may loop, and Brent's cycle check
+    watches for it: the cell reached is compared with one saved cell,
+    which moves forward at distances that double (1, 2, 4, ...).  The
+    step taken from a cell is its lowest redex, a function of the cell
+    alone (the resumed scan finds the one a full scan would), so once
+    the path reaches a cell it reached ``p`` steps earlier, it repeats
+    its last ``p`` steps for ever and never reaches a normal form.  The
+    rest of the budget is then filled with those steps, and the same
+    ``NonTermination`` is raised with the same ``B``-step path, without
+    scanning or rewriting again.  With a certificate nothing is compared.
     """
     if not isinstance(phi, TwoCell):
         raise CellError(f"normalize2 needs a 2-cell, got a {dim(phi)}-cell")
@@ -67,17 +78,16 @@ def normalize2(
     sig = pres.sig
     reach = max([2] + [length(sig.gen3_source(name)) for name in pres.operational()])
     steps = []
-    cur = phi
+    cur = saved = phi
     lowest = 0
+    # Brent: ``saved`` is compared with the next ``power`` cells; ``since`` counts them
+    power, since = 1, 0
     while True:
         redexes = find_redexes(pres, cur, lowest_from=lowest)
         if not redexes:
             return cur, ThreeCell(phi, tuple(steps))
         if len(steps) >= budget:
-            raise NonTermination(
-                f"no normal form within {budget} steps; non-termination suspected",
-                ThreeCell(phi, tuple(steps)),
-            )
+            break
         step = redexes[0]
         steps.append(step)
         cur = sig.step_target(step)
@@ -90,6 +100,18 @@ def normalize2(
         # to try, of at most ``reach`` rows, start at row t - reach + 1 or
         # later.
         lowest = max(0, len(step.lam.whiskers) - reach + 1)
+        if certificate is None:
+            since += 1
+            if len(cur.whiskers) == len(saved.whiskers) and cur == saved:
+                while len(steps) < budget:
+                    steps.append(steps[-since])
+                break
+            if since == power:
+                saved, power, since = cur, 2 * power, 0
+    raise NonTermination(
+        f"no normal form within {budget} steps; non-termination suspected",
+        ThreeCell(phi, tuple(steps)),
+    )
 
 
 @dataclass(frozen=True)
@@ -212,11 +234,14 @@ def squier_completion(
         emitted_name = None
         if covered is None:
             all_covered = False
-            lhs = sig.compose(sig.step_cell(b.s1), rec.f1, 2)
-            rhs = sig.compose(sig.step_cell(b.s2), rec.f2, 2)
-            tile = Tile(f"T{idx}", lhs, rhs)
-            # the sides are built from a branching and its two joins, so a
+            # a side is one step of the branching and then its join, on
+            # the branching's one source; ``_tile_fault`` types both, and
+            # as they are built from a branching and its two joins, a
             # fault here is a defect of graypol, never a refusal
+            source = sig.step_source(b.s1)
+            lhs = ThreeCell(source, (b.s1,) + rec.f1.steps)
+            rhs = ThreeCell(source, (b.s2,) + rec.f2.steps)
+            tile = Tile(f"T{idx}", lhs, rhs)
             fault = _tile_fault(sig, tile)
             if fault is not None:
                 raise InternalError(f"emitted tile {tile.name} is not a pair of parallel 3-cells: {fault}")

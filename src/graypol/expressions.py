@@ -82,6 +82,14 @@ def _low_dim(c) -> int:
     return cell_dim(c)
 
 
+def _typed(rule: str, what: str, fn, *args):
+    """``fn(*args)``, a ``CellError`` it raises raised again as a ``TypingError`` citing ``rule``."""
+    try:
+        return fn(*args)
+    except CellError as exc:
+        raise TypingError(rule, f"{what}: {exc}") from exc
+
+
 def _boundaries_of_gen(sig: Signature, e: EGen):
     if e.dim == 1:
         if e.ref not in sig.one:
@@ -95,7 +103,7 @@ def _boundaries_of_gen(sig: Signature, e: EGen):
     if e.dim == 3:
         if not isinstance(e.ref, (OpGen, Interchanger, QInterchanger)):
             raise TypingError("gen-intro", f"not a 3-generator instance: {e.ref!r}")
-        return sig.inst_boundaries(e.ref)
+        return _typed("gen-intro", f"3-generator instance {e.ref!r} is not typed", sig.inst_boundaries, e.ref)
     raise TypingError("gen-intro", f"unsupported generator dimension {e.dim}")
 
 
@@ -119,7 +127,7 @@ def typecheck(sig: Signature, e: Expr, top: int):
             if e.cell not in sig.zero:
                 raise TypingError("id-intro", f"unknown 0-generator {e.cell}")
         else:
-            sig.check(e.cell)
+            _typed("id-intro", "identity marker is not a cell", sig.check, e.cell)
         return e.cell, e.cell
     if isinstance(e, (ELowL, ELowR)):
         left = isinstance(e, ELowL)
@@ -128,7 +136,7 @@ def typecheck(sig: Signature, e: Expr, top: int):
             raise TypingError(rule, f"composition dimension {e.i} out of range")
         if _low_dim(e.cell) != e.i + 1:
             raise TypingError(rule, f"{side} operand of *_{e.i} must be a {e.i + 1}-cell, got {e.cell!r}")
-        sig.check(e.cell)
+        _typed(rule, f"{side} operand of *_{e.i} is not a cell", sig.check, e.cell)
         s, t = typecheck(sig, e.expr, top)
         ucell = sig.target(e.cell) if left else sig.source(e.cell)
         uexpr = sig.boundary(s, e.i, "-" if left else "+")

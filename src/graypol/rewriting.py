@@ -377,15 +377,17 @@ def is_natural(pres: GrayPresentation, b: Branching) -> bool:
 def classify(pres: GrayPresentation, b: Branching):
     """Branching taxonomy; checks both the branching and its symmetric one.
 
-    The shared source is built once, for the same-source check and for
-    ``common_peel``.  Minimality, independence and naturality are read
+    The shared source is built once, from ``s1``, for the same-source
+    check and for ``common_peel``; ``s2``'s source is compared with it in
+    place (``Signature._is_step_source``) and built only when they differ,
+    for the error.  Minimality, independence and naturality are read
     from the row and letter counts of the two windows on it; the only
     cells built are a non-minimal branching's witness, and no closing
     square is built.  In q mode the natural class is dropped.
     """
     sig = pres.sig
     phi = sig.step_source(b.s1)
-    if sig.step_source(b.s2) != phi:
+    if not sig._is_step_source(b.s2, phi) and sig.step_source(b.s2) != phi:
         raise RewritingError("not a branching: the two steps have different sources")
     if b.s1 == b.s2:
         return Trivial()

@@ -86,11 +86,11 @@ def shuffle_words(k: int, kp: int) -> List[Word]:
 
 
 def word_edges(word: Word) -> List[ShuffleEdge]:
+    sides = [_side(letter) for letter in word]
     out = []
     for p in range(len(word) - 1):
-        (ka, ia), (kb, ib) = word[p], word[p + 1]
-        if ka == "l" and kb == "r":
-            out.append(ShuffleEdge(word[:p], ia, ib, word[p + 2 :]))
+        if sides[p] < sides[p + 1]:
+            out.append(ShuffleEdge(word[:p], word[p][1], word[p + 1][1], word[p + 2 :]))
     return out
 
 
@@ -108,9 +108,9 @@ def shuffle_graph(sig: Signature, phi: TwoCell, psi: TwoCell):
 def lindex(word: Word, k: int) -> Dict[int, int]:
     """Position (1-based) of each ``l`` letter in the word."""
     out = {}
-    for pos, (kind, idx) in enumerate(word):
-        if kind == "l":
-            out[idx] = pos + 1
+    for pos, letter in enumerate(word):
+        if not _side(letter):
+            out[letter[1]] = pos + 1
     if sorted(out.keys()) != list(range(1, k + 1)):
         raise ShuffleError(f"word is not a shuffle with {k} l-letters")
     return out
@@ -120,8 +120,8 @@ def inv(word: Word) -> int:
     """Number of inverted pairs: an ``r`` letter before an ``l`` letter."""
     count = 0
     rs = 0
-    for kind, _ in word:
-        if kind == "r":
+    for letter in word:
+        if _side(letter):
             rs += 1
         else:
             count += rs
@@ -130,20 +130,26 @@ def inv(word: Word) -> int:
 
 def path_exists(word: Word, word2: Word) -> bool:
     """Reachability in the shuffle graph, by the left-index criterion."""
-    k = sum(1 for kind, _ in word if kind == "l")
-    k2 = sum(1 for kind, _ in word2 if kind == "l")
+    k = sum(1 for letter in word if not _side(letter))
+    k2 = sum(1 for letter in word2 if not _side(letter))
     if k != k2 or len(word) != len(word2):
         raise ShuffleError("words are not vertices of the same shuffle graph")
     a, b = lindex(word, k), lindex(word2, k)
     return all(a[i] <= b[i] for i in range(1, k + 1))
 
 
-def _row(cells, at, letter: Letter):
-    """The side and row of ``letter``, the next unread row of its cell; ``at`` counts rows read."""
+def _side(letter: Letter) -> int:
+    """The cell a letter reads from: 0 for ``l``, 1 for ``r``; ``ShuffleError`` for any other letter."""
     kind, idx = letter
     if kind not in ("l", "r"):
         raise ShuffleError(f"unknown letter {kind}_{idx}")
-    side = int(kind == "r")
+    return int(kind == "r")
+
+
+def _row(cells, at, letter: Letter):
+    """The side and row of ``letter``, the next unread row of its cell; ``at`` counts rows read."""
+    kind, idx = letter
+    side = _side(letter)
     rows = cells[side].whiskers
     if idx != at[side] + 1:
         raise ShuffleError(f"expected {kind}_{at[side] + 1}, found {kind}_{idx}")

@@ -1,6 +1,6 @@
-"""Shared fixtures: builtin entries, random cell generators, the
-expression-tree converter used by boundary oracles, and
-``tools/differential.py`` loaded as the module ``differential``."""
+"""Shared fixtures: builtin entries, the expression-tree converter used
+by boundary oracles, and ``tools/differential.py`` loaded as the module
+``differential``, whose random cell generators the tests use too."""
 
 import importlib.util
 import itertools
@@ -29,12 +29,15 @@ from graypol import (
 # the builtins whose engine mode is Gray (not q)
 GRAY_BUILTINS = ["pseudomonoid", "pseudoadjunction", "selfduality", "frobenius"]
 
-# the differential record set, and ``disjoint_copies`` of a shipped file
+# the differential record set, ``disjoint_copies`` of a shipped file and
+# the random cells that the tests and the record set share
 _spec = importlib.util.spec_from_file_location(
     "differential", Path(__file__).resolve().parent.parent / "tools" / "differential.py"
 )
 differential = importlib.util.module_from_spec(_spec)
 _spec.loader.exec_module(differential)
+random_one_cell = differential.random_one_cell
+random_two_cell = differential.random_two_cell
 
 
 @pytest.fixture(scope="session")
@@ -98,49 +101,6 @@ def pseudomonoid_oracle(pseudomonoid):
 @pytest.fixture()
 def rng():
     return random.Random(20240811)
-
-
-def random_one_cell(sig: Signature, rng: random.Random, max_len=4, start=None) -> OneCell:
-    if start is None:
-        start = rng.choice(sig.zero)
-    word = []
-    here = start
-    for _ in range(rng.randrange(max_len + 1)):
-        outgoing = [g for g, (s, _) in sig.one.items() if s == here]
-        if not outgoing:
-            break
-        g = rng.choice(outgoing)
-        word.append(g)
-        here = sig.one[g][1]
-    return OneCell(start, tuple(word))
-
-
-def random_two_cell(sig: Signature, rng: random.Random, rows=3, max_pad=2, start_cell=None) -> TwoCell:
-    """Random whisker chain; rows may fall short when no generator embeds."""
-    level = start_cell if start_cell is not None else random_one_cell(sig, rng, max_pad + 2)
-    whiskers = []
-    cell = sig.id2(level)
-    for _ in range(rows):
-        options = []
-        for gen, (src, _) in sig.two.items():
-            w = level.word
-            for cut in range(len(w) - len(src.word) + 1):
-                if tuple(w[cut : cut + len(src.word)]) == src.word:
-                    pre = OneCell(level.start, w[:cut])
-                    if sig.end0(pre) != src.start:
-                        continue
-                    options.append((gen, cut))
-        if not options:
-            break
-        gen, cut = rng.choice(options)
-        src = sig.src1(gen)
-        pre = OneCell(level.start, level.word[:cut])
-        post_start = sig.end0(sig.make1(level.start, level.word[: cut + len(src.word)]))
-        post = OneCell(post_start, level.word[cut + len(src.word) :])
-        whisk = sig.whisker0(pre, sig.gen2_cell(gen), post)
-        cell = sig.compose(cell, whisk, 1)
-        level = sig.target(cell)
-    return cell
 
 
 def two_cell_to_expr(sig: Signature, phi: TwoCell):

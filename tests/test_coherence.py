@@ -30,6 +30,7 @@ from graypol import (
     zz_of,
     zz_simplify,
 )
+from graypol import coherence
 from graypol.cells import CompositionError, Interchanger, OpGen, Step, slice2
 
 from conftest import GRAY_BUILTINS, random_two_cell
@@ -81,6 +82,63 @@ def test_budget_counts_steps(pseudomonoid):
     assert length(info.value.partial) == 65
     assert info.value.partial.steps == path.steps[:65]
 
+
+
+def _lowest_first(pres, phi, n):
+    """Up to ``n`` steps of the lowest-redex-first path from ``phi``, each
+    the first redex of a full scan, and the cells the path reaches."""
+    steps, cells = [], [phi]
+    while len(steps) < n:
+        redexes = find_redexes(pres, cells[-1])
+        if not redexes:
+            break
+        steps.append(redexes[0])
+        cells.append(pres.sig.step_target(redexes[0]))
+    return steps, cells
+
+
+def _looping_cells(pres):
+    """The cells of 8 rows, among the first 30 drawn from seed 3, whose
+    lowest-redex-first path comes back to a cell within 40 steps."""
+    rng = random.Random(3)
+    drawn = [random_two_cell(pres.sig, rng, rows=8) for _ in range(30)]
+    reached = [_lowest_first(pres, phi, 40)[1] for phi in drawn]
+    return [phi for phi, cells in zip(drawn, reached) if len(set(cells)) < len(cells)]
+
+
+def test_looping_partial_paths_are_the_lowest_first_paths(selfduality):
+    pres = selfduality.presentation
+    loops = _looping_cells(pres)
+    assert len(loops) == 7
+    for phi in loops:
+        steps, _ = _lowest_first(pres, phi, 40)
+        for budget in list(range(1, 13)) + [40]:
+            with pytest.raises(NonTermination) as info:
+                normalize2(pres, phi, None, budget)
+            assert str(info.value) == f"no normal form within {budget} steps; non-termination suspected"
+            assert info.value.partial.source2 == phi
+            assert info.value.partial.steps == tuple(steps[:budget])
+
+
+def test_a_looping_path_fills_its_budget_without_scanning(selfduality, monkeypatch):
+    # once the path is back at a cell, it repeats its period, so the rest
+    # of the budget needs no scan
+    pres = selfduality.presentation
+    phi = _looping_cells(pres)[0]
+    scans = []
+
+    def counted(*args, **kwargs):
+        scans.append(args[1])
+        return find_redexes(*args, **kwargs)
+
+    monkeypatch.setattr(coherence, "find_redexes", counted)
+    with pytest.raises(NonTermination) as info:
+        normalize2(pres, phi, None, 100_000)
+    assert len(scans) <= 20
+    path = info.value.partial
+    assert length(path) == 100_000 and path.source2 == phi
+    pres.sig.check3(path)
+    assert path.steps[:400] == tuple(_lowest_first(pres, phi, 400)[0])
 
 def _full_rescan_path(pres, phi, budget):
     """Lowest-redex-first by rescanning every row after each step.

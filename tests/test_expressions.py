@@ -10,6 +10,8 @@ from graypol import (
     ELowL,
     ELowR,
     ETop,
+    Interchanger,
+    OneCell,
     OpGen,
     TypingError,
     eval_cell,
@@ -69,6 +71,26 @@ def test_ill_typed_low_composition(pseudoadjunction):
     with pytest.raises(TypingError) as err:
         typecheck(sig, ELowR(0, EGen(2, "eps"), sig.make1("x", ("f",))), 2)
     assert err.value.rule == "comp-right"
+
+
+@pytest.mark.parametrize(
+    "expr, rule",
+    [
+        (ELowL(0, OneCell("x", ("f", "f")), EGen(2, "eta")), "comp-left"),
+        (ELowR(0, EGen(2, "eta"), OneCell("x", ("f", "f"))), "comp-right"),
+        (ELowL(0, OneCell("x", ("zz",)), EGen(2, "eta")), "comp-left"),
+        (EId(OneCell("x", ("f", "f"))), "id-intro"),
+        (EGen(3, Interchanger("eta", OneCell("x", ("f", "f")), "eta")), "gen-intro"),
+        (EGen(3, OpGen("zz")), "gen-intro"),
+    ],
+    ids=["left", "right", "unknown-generator", "identity", "interchanger", "unknown-3-generator"],
+)
+def test_an_ill_formed_operand_is_a_typing_error(pseudoadjunction, expr, rule):
+    # f : x -> y, so ``f f`` is not a 1-cell, and ``zz`` is no generator
+    with pytest.raises(TypingError) as err:
+        typecheck(pseudoadjunction.presentation.sig, expr, 3 if isinstance(expr, EGen) else 2)
+    assert err.value.rule == rule
+    assert "is not " in str(err.value)
 
 
 def random_expression(sig, rng, max_nodes, top=2):

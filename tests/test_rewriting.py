@@ -2,6 +2,7 @@
 each checked against a definition-level oracle."""
 
 import itertools
+import random
 
 import pytest
 
@@ -13,9 +14,11 @@ from graypol import (
     Interchanger,
     Natural,
     NonMinimal,
+    NonTermination,
     OneCell,
     OpGen,
     ShuffleEdge,
+    Signature,
     Trivial,
     UnsupportedError,
     branching_key,
@@ -24,6 +27,7 @@ from graypol import (
     find_redexes,
     interp_edge,
     length,
+    normalize2,
 )
 from graypol.cells import Step, TwoCell, Whisker2
 from graypol.rewriting import canonical_branching, is_natural, rotate_branching, step_key
@@ -923,3 +927,32 @@ def test_natural_prefilter_matches_unfiltered_rule(pseudomonoid, pseudomonoid_or
             assert is_natural(pres, b) == _is_natural_unfiltered(pres, b)
             candidates += 1
     assert candidates > 500
+
+
+def test_check3_and_classify_compare_the_sources_they_are_given(pseudomonoid, frobenius, monkeypatch):
+    # check3 builds only the targets; classify builds the source of s1 and
+    # compares s2 with it
+    built = []
+    step_source = Signature.step_source
+    monkeypatch.setattr(Signature, "step_source", lambda self, s: built.append(s) or step_source(self, s))
+    steps = pairs = 0
+    for entry in (pseudomonoid, frobenius):
+        pres = entry.presentation
+        sig = pres.sig
+        rng = random.Random(pres.name)
+        for _ in range(4):
+            phi = random_two_cell(sig, rng, rows=6)
+            try:
+                path = normalize2(pres, phi, None, 30)[1]
+            except NonTermination as exc:
+                path = exc.partial
+            sig.check3(path)
+            assert built == []
+            steps += length(path)
+            redexes = find_redexes(pres, phi)
+            for s1, s2 in itertools.product(redexes, redexes):
+                classify(pres, Branching(s1, s2))
+                assert built == [s1]
+                built.clear()
+                pairs += 1
+    assert steps > 20 and pairs > 20

@@ -272,6 +272,12 @@ MALFORMED = {
     "start past the last l row": lambda sig, eta, eps: interp_vertex(sig, (), 3, 1, eta, eta),
     "unknown letter": lambda sig, eta, eps: interp_vertex(sig, (("x", 1),), 1, 1, eta, eta),
     "big_x of cells that are not 0-composable": lambda sig, eta, eps: big_x(sig, eta, eps),
+    "inv of an unknown letter": lambda sig, eta, eps: inv((("x", 1), ("r", 1))),
+    "lindex of an unknown letter": lambda sig, eta, eps: lindex((("l", 1), ("x", 1)), 1),
+    "path_exists of an unknown letter": lambda sig, eta, eps: path_exists(
+        (("l", 1), ("x", 1)), (("x", 1), ("l", 1))
+    ),
+    "word_edges of an unknown letter": lambda sig, eta, eps: word_edges((("l", 1), ("x", 1))),
 }
 
 

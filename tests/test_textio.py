@@ -1,5 +1,6 @@
 """Presentation grammar, cell notation, and renderer round-trips."""
 
+import os
 import random
 
 import pytest
@@ -22,6 +23,8 @@ from graypol.textio import parse_two, parse_three, render_three
 
 from conftest import random_two_cell
 from test_rewriting import _random_positive_presentation
+
+FROBENIUS_FILE = os.path.join(os.path.dirname(__file__), os.pardir, "presentations", "frobenius.gray")
 
 
 def test_empty_file_is_empty_presentation():
@@ -269,3 +272,20 @@ def test_random_cells_round_trip(name, seed, rows, steps):
         cur = sig.step_target(path[-1])
     F = ThreeCell(phi, tuple(path))
     assert parse_cell(sig, render_cell(sig, F), pres.qmode) == F
+
+
+def test_a_frobenius_parse_builds_one_source_per_tile_side(monkeypatch):
+    # the 38 tile sides have 112 steps: each step's target is built once,
+    # and the source of each side's first step is its source; check3
+    # compares every step's source in place
+    with open(FROBENIUS_FILE, encoding="utf-8") as handle:
+        text = handle.read()
+    built = []
+    step_side = Signature._step_side
+    monkeypatch.setattr(
+        Signature, "_step_side", lambda self, s, source: built.append(source) or step_side(self, s, source)
+    )
+    sides = [side for tile in parse_presentation(text).tiles for side in (tile.lhs, tile.rhs)]
+    assert len(sides) == 38 and sum(len(side.steps) for side in sides) == 112
+    assert built.count(True) == 38 and built.count(False) == 112
+    assert len(built) == 150

@@ -15,9 +15,11 @@ the builtins, the shipped presentation files and their token-level and
 step-level mutations, seeded random one-wire presentations, random 2-cells and
 rewriting paths of each presentation, random token soup for the cell
 parser, two disjoint renamed copies of each Gray-mode shipped file, pairs
-of 2-cells of at most 3 rows, random expressions and short zigzags.  They
-are drawn with ``random.Random`` from fixed seeds, by this file only, so
-both trees see the same inputs.  A record holds:
+of 2-cells of at most 3 rows, random expressions, short zigzags, cells
+whose rewriting loops, and rewriting steps with one field swapped with a
+neighbour's or cut short.  They are drawn with ``random.Random`` from
+fixed seeds, by this file only, so both trees see the same inputs.  A
+record holds:
 
 * ``parse_presentation``: the serialization, or the error message and line;
 * ``parse_cell``: the re-parsed cell, or the error message and line, and
@@ -34,7 +36,11 @@ both trees see the same inputs.  A record holds:
   on malformed words, start indices and edges;
 * ``typecheck`` (with the ``rule`` of a ``TypingError``), ``reducts``,
   ``measure`` and ``normal_form_expr``; ``zz_simplify`` and
-  ``zz_all_reduced_forms``.
+  ``zz_all_reduced_forms``;
+* ``normalize2`` without a certificate at the budgets 1-12 and 40 on
+  the looping cells and critical wings, its path or partial path written
+  out field by field; ``check3`` and ``classify`` on the ill-fitting
+  steps.
 
 Exceptions are recorded by type and message, so a crash is a record too.
 """
@@ -43,6 +49,7 @@ from __future__ import annotations
 
 import argparse
 import contextlib
+import dataclasses
 import hashlib
 import io
 import json
@@ -246,6 +253,56 @@ def _random_cell(sig, rng: random.Random, rows: int):
         gen, pre, end = rng.choice(options)
         post = OneCell(sig.end0(sig.tgt1(gen)), level.word[end:])
         cell = sig.compose(cell, sig.whisker0(pre, sig.gen2_cell(gen), post), 1)
+        level = sig.target(cell)
+    return cell
+
+
+def random_one_cell(sig, rng: random.Random, max_len=4, start=None):
+    """A random composable word of at most ``max_len`` letters."""
+    from graypol import OneCell
+
+    if start is None:
+        start = rng.choice(sig.zero)
+    word = []
+    here = start
+    for _ in range(rng.randrange(max_len + 1)):
+        outgoing = [g for g, (s, _) in sig.one.items() if s == here]
+        if not outgoing:
+            break
+        g = rng.choice(outgoing)
+        word.append(g)
+        here = sig.one[g][1]
+    return OneCell(start, tuple(word))
+
+
+def random_two_cell(sig, rng: random.Random, rows=3, max_pad=2, start_cell=None):
+    """Random whisker chain; rows may fall short when no generator embeds.
+
+    The tests draw their random cells here too.
+    """
+    from graypol import OneCell
+
+    level = start_cell if start_cell is not None else random_one_cell(sig, rng, max_pad + 2)
+    cell = sig.id2(level)
+    for _ in range(rows):
+        options = []
+        for gen, (src, _) in sig.two.items():
+            w = level.word
+            for cut in range(len(w) - len(src.word) + 1):
+                if tuple(w[cut : cut + len(src.word)]) == src.word:
+                    pre = OneCell(level.start, w[:cut])
+                    if sig.end0(pre) != src.start:
+                        continue
+                    options.append((gen, cut))
+        if not options:
+            break
+        gen, cut = rng.choice(options)
+        src = sig.src1(gen)
+        pre = OneCell(level.start, level.word[:cut])
+        post_start = sig.end0(sig.make1(level.start, level.word[: cut + len(src.word)]))
+        post = OneCell(post_start, level.word[cut + len(src.word) :])
+        whisk = sig.whisker0(pre, sig.gen2_cell(gen), post)
+        cell = sig.compose(cell, whisk, 1)
         level = sig.target(cell)
     return cell
 
@@ -610,9 +667,150 @@ def _zigzag_records():
             yield "zz_all_reduced_forms", label, _attempt(forms)
 
 
+# ---------------------------------------------------------------- loops and ill-fitting steps
+#
+# These sections come last, each on its own stream, so they left every
+# earlier record as it was.
+
+BUDGETS = tuple(range(1, 13)) + (MAX_STEPS,)
+
+
+def _one_fields(u) -> str:
+    """A 1-cell as ``start:word``; its ``repr`` drops the start of a nonempty word."""
+    return f"{u.start}:{' '.join(u.word)}"
+
+
+def _two_fields(phi) -> list:
+    """A 2-cell's source and each row's contexts in full; its ``repr`` keeps only their lengths."""
+    rows = [[_one_fields(w.left), w.gen, _one_fields(w.right)] for w in phi.whiskers]
+    return [_one_fields(phi.source1), rows]
+
+
+def _step_fields(s) -> list:
+    """A step field by field, its instance as its type and fields."""
+    from graypol import OneCell
+
+    inner = [type(s.inner).__name__] + [
+        _one_fields(v) if isinstance(v, OneCell) else v
+        for v in (getattr(s.inner, f.name) for f in dataclasses.fields(s.inner))
+    ]
+    return [_two_fields(s.lam), _one_fields(s.left), inner, _one_fields(s.right), _two_fields(s.rho)]
+
+
+def _budgeted(pres, phi):
+    """``normalize2`` without a certificate at each of ``BUDGETS``, every step written out."""
+    from graypol import NonTermination, normalize2
+
+    for budget in BUDGETS:
+        try:
+            nf, path = normalize2(pres, phi, None, budget)
+            result = {"ok": [_two_fields(nf), [_step_fields(s) for s in path.steps]]}
+        except NonTermination as exc:
+            partial = [_step_fields(s) for s in exc.partial.steps]
+            result = {"raised": "NonTermination", "message": str(exc), "partial": partial}
+        except Exception as exc:
+            result = {"raised": type(exc).__name__, "message": str(exc)}
+        yield budget, result
+
+
+def _loop_records():
+    """``normalize2`` at small budgets on cells whose lowest-redex path loops: the first
+    30 selfduality cells of 8 rows drawn from seed 3, 7 of which loop, and both wings
+    of every critical branching of the Gray-mode builtins and of random presentations."""
+    from graypol import BUILTIN_NAMES, CellError, enumerate_critical, get_builtin, parse_presentation
+    from graypol.textio import render_two
+
+    pres = get_builtin("selfduality").presentation
+    rng = random.Random(3)
+    for _ in range(30):
+        phi = random_two_cell(pres.sig, rng, rows=8)
+        for budget, result in _budgeted(pres, phi):
+            yield "normalize2", [pres.name, render_two(pres.sig, phi), budget], result
+    pool = [get_builtin(name).presentation for name in BUILTIN_NAMES]
+    rng = random.Random(SEED + 5)
+    pool += [parse_presentation(_random_presentation(rng, index)) for index in range(24)]
+    for pres in pool:
+        try:
+            branchings = [cb.branching for cb in enumerate_critical(pres)]
+        except CellError:
+            continue
+        for b in branchings:
+            for s in (b.s1, b.s2):
+                wing = pres.sig.step_target(s)
+                for budget, result in _budgeted(pres, wing):
+                    yield "normalize2", [pres.name, _step_fields(s), budget], result
+
+
+def _mutants(s, other):
+    """``s`` with its ``lam``, ``left``, ``right`` or ``rho`` swapped with ``other``'s,
+    or cut by one row (the last of ``lam``, the first of ``rho``) or one letter
+    (the first of ``left``, the last of ``right``).  Also ``lam`` with its first
+    row made its last and ``rho`` with its last row made its first: only their
+    inner rows are wrong, so every junction of the step still holds."""
+    from graypol import OneCell, TwoCell
+
+    for name in ("lam", "left", "right", "rho"):
+        yield f"swap-{name}", dataclasses.replace(s, **{name: getattr(other, name)})
+    for name in ("lam", "rho"):
+        cell = getattr(s, name)
+        if cell.whiskers:
+            rows = cell.whiskers[:-1] if name == "lam" else cell.whiskers[1:]
+            yield f"cut-{name}", dataclasses.replace(s, **{name: TwoCell(cell.source1, rows)})
+        if len(cell.whiskers) > 1:
+            rows = cell.whiskers[-1:] + cell.whiskers[1:] if name == "lam" else cell.whiskers[:-1] + cell.whiskers[:1]
+            yield f"repeat-{name}", dataclasses.replace(s, **{name: TwoCell(cell.source1, rows)})
+    for name in ("left", "right"):
+        word = getattr(s, name)
+        if word.word:
+            cut = word.word[1:] if name == "left" else word.word[:-1]
+            yield f"cut-{name}", dataclasses.replace(s, **{name: OneCell(word.start, cut)})
+
+
+def _ill_fitting_records():
+    """``check3`` on short random paths with one step swapped with a neighbour's field,
+    or cut, and ``classify`` on redex pairs with one step so changed."""
+    from graypol import BUILTIN_NAMES, Branching, ThreeCell, classify, find_redexes, get_builtin
+    from graypol.textio import render_two
+
+    rng = random.Random(SEED + 6)
+    for name in BUILTIN_NAMES:
+        pres = get_builtin(name).presentation
+        sig = pres.sig
+        for _ in range(4):
+            phi = _random_cell(sig, rng, rng.randint(2, 6))
+            label = [name, render_two(sig, phi)]
+            steps, cur = [], phi
+            for _ in range(rng.randint(2, 5)):
+                options = find_redexes(pres, cur)
+                if not options:
+                    break
+                steps.append(rng.choice(options))
+                cur = sig.step_target(steps[-1])
+            for i, s in enumerate(steps):
+                other = steps[i + 1] if i + 1 < len(steps) else steps[i - 1]
+                for kind, bad in _mutants(s, other):
+                    path = ThreeCell(phi, tuple(steps[:i]) + (bad,) + tuple(steps[i + 1 :]))
+                    yield "check3", label + [i, kind], _attempt(sig.check3, path)
+            redexes = find_redexes(pres, phi)[:3]
+            for i, s1 in enumerate(redexes):
+                for j, s2 in enumerate(redexes):
+                    for side, (s, other) in enumerate(((s2, s1), (s1, s2))):
+                        for kind, bad in _mutants(s, other):
+                            b = Branching(s1, bad) if side == 0 else Branching(bad, s2)
+                            yield "classify", label + [i, j, side, kind], _attempt(lambda: repr(classify(pres, b)))
+
+
 def records():
     """Every record of the input set, in a fixed order."""
-    sections = (_all_records(), _copies_records(), _shuffle_records(), _expression_records(), _zigzag_records())
+    sections = (
+        _all_records(),
+        _copies_records(),
+        _shuffle_records(),
+        _expression_records(),
+        _zigzag_records(),
+        _loop_records(),
+        _ill_fitting_records(),
+    )
     for section in sections:
         for op, given, out in section:
             yield {"op": op, "in": given, "out": out}
