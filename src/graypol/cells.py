@@ -447,24 +447,17 @@ class Signature:
 
     # ---- steps and 3-cells ---------------------------------------
 
-    def whisker_checked(self, l: OneCell, phi: TwoCell, r: OneCell) -> TwoCell:
-        """``l *0 phi *0 r`` for a checked 2-cell ``phi``, its rows whiskered directly.
+    def _whiskered(self, l: OneCell, rows, r: OneCell) -> Tuple[Whisker2, ...]:
+        """The rows ``rows`` of a 2-cell whiskered by ``l`` on the left and ``r`` on the right.
 
-        Only the checks of ``whisker0`` that can fail on a checked
-        ``phi`` are made: ``CompositionError`` unless ``l`` and ``r``
-        0-compose with its source, since every row of ``phi`` starts and
-        ends where its source does.
+        Nothing is checked: the caller knows that ``l`` ends where the
+        rows start and ``r`` starts where they end.
         """
-        top = phi.source1
-        if self.end0(l) != top.start or self.end0(top) != r.start:
-            raise CompositionError("0-whiskering boundary mismatch")
-        return TwoCell(
-            OneCell(l.start, l.word + top.word + r.word),
-            tuple(
-                Whisker2(OneCell(l.start, l.word + w.left.word), w.gen, OneCell(w.right.start, w.right.word + r.word))
-                for w in phi.whiskers
-            ),
-        )
+        start, lw, rw = l.start, l.word, r.word
+        return tuple([
+            Whisker2(OneCell(start, lw + w.left.word), w.gen, OneCell(w.right.start, w.right.word + rw))
+            for w in rows
+        ])
 
     def _step_fault(self, s: Step, top: OneCell, bottom: OneCell):
         """The ``CompositionError`` of a step whose window runs from ``top`` to ``bottom``, or ``None``.
@@ -505,21 +498,18 @@ class Signature:
         fault = self._step_fault(s, side.source1, bottom)
         if fault is not None:
             raise fault
-        start, lw, rw = s.left.start, s.left.word, s.right.word
-        rows = tuple([
-            Whisker2(OneCell(start, lw + w.left.word), w.gen, OneCell(w.right.start, w.right.word + rw))
-            for w in side.whiskers
-        ])
+        rows = self._whiskered(s.left, side.whiskers, s.right)
         return TwoCell(s.lam.source1, s.lam.whiskers + rows + s.rho.whiskers)
 
     def _is_step_source(self, s: Step, here: TwoCell) -> bool:
         """Whether ``step_source(s)`` returns a cell equal to ``here`` without raising.
 
         Nothing is built: the rows of ``lam``, the instance's source rows
-        whiskered by ``left`` and ``right``, and the rows of ``rho`` are
-        compared with those of ``here`` in place, after the junctions of
-        ``_step_fault``.  An error that ``step_source`` raises before its
-        junctions, such as an unknown generator, is raised here as well.
+        whiskered by ``left`` and ``right`` (``rows_fit``, once the row
+        counts agree), and the rows of ``rho`` are compared with those of
+        ``here`` in place, after the junctions of ``_step_fault``.  An
+        error that ``step_source`` raises before its junctions, such as an
+        unknown generator, is raised here as well.
         So a caller that gets ``False`` runs ``step_source`` and its
         comparison, and gets the outcome it would have had without this
         test: the same error, message and order.
@@ -531,17 +521,7 @@ class Signature:
         up, down = len(lam), len(rows) - len(rho)
         if here.source1 != s.lam.source1 or down - up != len(side.whiskers) or rows[:up] != lam or rows[down:] != rho:
             return False
-        start, lw, rw = s.left.start, s.left.word, s.right.word
-        for h, w in zip(rows[up:down], side.whiskers):
-            if (
-                h.gen != w.gen
-                or h.left.start != start
-                or h.left.word != lw + w.left.word
-                or h.right.start != w.right.start
-                or h.right.word != w.right.word + rw
-            ):
-                return False
-        return True
+        return rows_fit(rows[up:down], side.whiskers, s.left.start, s.left.word, s.right.word)
 
     def step_source(self, s: Step) -> TwoCell:
         return self._step_side(s, True)
@@ -565,12 +545,13 @@ class Signature:
         )
         return ThreeCell(src, (step,))
 
-    def check3(self, F: ThreeCell):
+    def check3(self, F: ThreeCell) -> TwoCell:
         """Check ``F.source2``, then that each step's source is the cell the steps before it reach.
 
         Each source is compared in place by ``_is_step_source``, so only
         the targets are built; ``step_source`` runs only for a step that
         does not fit, to raise its error or to report the mismatch.
+        Returns the cell the last step reaches: the target of ``F``.
         """
         self.check2(F.source2)
         here = F.source2
@@ -582,6 +563,7 @@ class Signature:
                         f"3-cell step chain broken: expected 2-source {here!r}, got {src!r}"
                     )
             here = self.step_target(s)
+        return here
 
     def check(self, c: Cell):
         if isinstance(c, OneCell):
@@ -779,6 +761,25 @@ class Signature:
         if isinstance(c, TwoCell):
             return ThreeCell(c, ())
         raise CellError(f"cannot form an identity on {c!r}")
+
+
+def rows_fit(rows, side_rows, start: str, lw: Tuple[str, ...], rw: Tuple[str, ...]) -> bool:
+    """Whether ``rows`` are ``side_rows`` whiskered by the context words ``lw`` and ``rw``.
+
+    ``lw`` starts at ``start``, and the caller passes as many rows as side
+    rows.  The rows are compared field by field, with no context or row
+    built.
+    """
+    for row, w in zip(rows, side_rows):
+        if (
+            row.gen != w.gen
+            or row.left.word != lw + w.left.word
+            or row.right.word != w.right.word + rw
+            or row.left.start != start
+            or row.right.start != w.right.start
+        ):
+            return False
+    return True
 
 
 def level_at(sig: Signature, phi: TwoCell, t: int) -> OneCell:

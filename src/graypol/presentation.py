@@ -38,15 +38,17 @@ def _tile_fault(sig: Signature, tile: Tile, typed: bool = False) -> Optional[str
     """Why ``tile`` is not a pair of parallel, typed 3-cells, or ``None``.
 
     With ``typed``, the sides are known to type-check (``check3``) and
-    only their boundaries are compared.
+    only their boundaries are compared.  Otherwise ``check3`` types each
+    side and returns its target.
     """
-    if not typed:
+    if typed:
+        targets = sig.target(tile.lhs), sig.target(tile.rhs)
+    else:
         try:
-            sig.check3(tile.lhs)
-            sig.check3(tile.rhs)
+            targets = sig.check3(tile.lhs), sig.check3(tile.rhs)
         except CellError as exc:
             return str(exc)
-    if sig.source(tile.lhs) != sig.source(tile.rhs) or sig.target(tile.lhs) != sig.target(tile.rhs):
+    if sig.source(tile.lhs) != sig.source(tile.rhs) or targets[0] != targets[1]:
         return "boundaries are not parallel 3-cells"
     return None
 

@@ -38,6 +38,7 @@ from .cells import (
     Whisker2,
     length,
     level_at,
+    rows_fit,
     slice2,
 )
 from .presentation import GrayPresentation, validate
@@ -125,16 +126,8 @@ def _match_window(sig: Signature, phi: TwoCell, t: int, pattern: TwoCell) -> Lis
         return []
     lw = first.left.word[:dl]
     rw = first.right.word[len(first.right.word) - dr :]
-    # rows of ``l *0 pattern *0 r``, compared field by field without building them
-    for row, prow in zip(rows, pattern.whiskers):
-        if (
-            row.gen != prow.gen
-            or row.left.word != lw + prow.left.word
-            or row.right.word != prow.right.word + rw
-            or row.left.start != first.left.start
-            or row.right.start != prow.right.start
-        ):
-            return []
+    if not rows_fit(rows, pattern.whiskers, first.left.start, lw, rw):
+        return []
     # the typing checks of the whiskering.  The pattern is a checked
     # 3-generator source, so every row's right context ends where its
     # source does and ``r`` starts there; ``l`` must end where it begins.
@@ -435,6 +428,10 @@ def _glue(pres: GrayPresentation, top, bottom, d: int):
     down to the end of the overlap, then the rest of ``bottom``, then the
     rest of ``top``, so a window inside the other is no special case.
     Yields the one ``Branching(bottom step, top step)``, if there is one.
+
+    The contexts are solved on the rows laid on each other, and every row
+    of a checked source starts and ends where the source does, so they
+    0-compose with both sources and the rows are whiskered unchecked.
     """
     sig = pres.sig
     (inst1, src1), (inst2, src2) = bottom, top
@@ -448,18 +445,15 @@ def _glue(pres: GrayPresentation, top, bottom, d: int):
     if lefts is None or rights is None:
         return
     (l1, l2), (r1, r2) = lefts, rights
-    try:
-        body1 = sig.whisker_checked(l1, src1, r1)
-        body2 = sig.whisker_checked(l2, src2, r2)
-    except CellError:
-        return
-    if body1.whiskers[:over] != body2.whiskers[d : d + over]:
+    rows1 = sig._whiskered(l1, src1.whiskers, r1)
+    rows2 = sig._whiskered(l2, src2.whiskers, r2)
+    if rows1[:over] != rows2[d : d + over]:
         return
     # ``shared`` is well typed: two checked windows joined where their
     # rows are equal, so each row starts where the row above it ends.
     # Each step is its window of ``shared``, so both have it as source.
-    rows = body2.whiskers[: d + over] + body1.whiskers[over:] + body2.whiskers[d + over :]
-    shared = TwoCell(body2.source1, rows)
+    rows = rows2[: d + over] + rows1[over:] + rows2[d + over :]
+    shared = TwoCell(OneCell(l2.start, l2.word + src2.source1.word + r2.word), rows)
     yield Branching(
         _step_at(sig, shared, d, k1, l1, inst1, r1),
         _step_at(sig, shared, 0, k2, l2, inst2, r2),

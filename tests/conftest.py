@@ -29,8 +29,9 @@ from graypol import (
 # the builtins whose engine mode is Gray (not q)
 GRAY_BUILTINS = ["pseudomonoid", "pseudoadjunction", "selfduality", "frobenius"]
 
-# the differential record set, ``disjoint_copies`` of a shipped file and
-# the random cells that the tests and the record set share
+# the differential record set, and the inputs that the tests and the
+# record set share: ``disjoint_copies`` of a shipped file, the combs, the
+# chains and the random cells
 _spec = importlib.util.spec_from_file_location(
     "differential", Path(__file__).resolve().parent.parent / "tools" / "differential.py"
 )

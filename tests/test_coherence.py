@@ -33,7 +33,7 @@ from graypol import (
 from graypol import coherence
 from graypol.cells import CompositionError, Interchanger, OpGen, Step, slice2
 
-from conftest import GRAY_BUILTINS, random_two_cell
+from conftest import GRAY_BUILTINS, differential, random_two_cell
 from test_rewriting import _random_positive_presentation
 
 
@@ -51,19 +51,11 @@ def test_counit_zigzag_normalizes_to_identity(pseudoadjunction):
     assert path.steps[0].inner == OpGen("N")
 
 
-def _left_comb(sig, n):
-    wires = OneCell("x", ("a",) * (n + 1))
-    pads = [OneCell("x", ("a",) * (n - 1 - i)) for i in range(n)]
-    return TwoCell(wires, tuple(Whisker2(sig.id1("x"), "mu", pad) for pad in pads))
-
-
 def test_left_comb_normalizes_to_right_comb(pseudomonoid):
     pres = pseudomonoid.presentation
     sig = pres.sig
     n = 12
-    left = _left_comb(sig, n)
-    pads = [OneCell("x", ("a",) * (n - 1 - i)) for i in range(n)]
-    right = TwoCell(left.source1, tuple(Whisker2(pad, "mu", sig.id1("x")) for pad in pads))
+    left, right = differential.comb(n), differential.comb(n, left=False)
     nf, path = normalize2(pres, left, _cert(pseudomonoid))
     assert nf == right
     assert length(path) == n * (n - 1) // 2 == 66
@@ -74,7 +66,7 @@ def test_left_comb_normalizes_to_right_comb(pseudomonoid):
 def test_budget_counts_steps(pseudomonoid):
     # the 12-comb is exactly 66 steps from its normal form
     pres = pseudomonoid.presentation
-    comb = _left_comb(pres.sig, 12)
+    comb = differential.comb(12)
     nf, path = normalize2(pres, comb, None, 66)
     assert length(path) == 66 and not find_redexes(pres, nf)
     with pytest.raises(NonTermination) as info:
@@ -247,7 +239,7 @@ def test_spliced_cells_equal_step_targets(name, kind):
 def _ill_fitting_steps(pseudomonoid):
     """``(signature, step)`` pairs whose window does not fit the step's context."""
     sig = pseudomonoid.presentation.sig
-    comb = _left_comb(sig, 3)
+    comb = differential.comb(3)
     step = find_redexes(pseudomonoid.presentation, comb)[0]
     assert step.inner == OpGen("A") and length(step.lam) == 0 and step.right.word == ("a",)
     assert sig.step_source(step) == comb == _composed(sig, step, sig.inst_source(step.inner))
@@ -594,3 +586,35 @@ def test_step_target_raises_iff_step_source_raises(pseudomonoid):
         assert _raises(sg.step_target, s) == _raises(sg.step_source, s)
         raised += _raises(sg.step_source, s)
     assert len(seen) > 1000 and raised > 1000 and len(steps) - raised > 1000
+
+
+def test_is_step_source_iff_step_source_returns_the_cell():
+    # ``_is_step_source(s, here)`` stands for ``step_source(s) == here``
+    # without an error; a step over an identity source whose lam and rho
+    # share a row can meet every junction, with a window of -1 rows
+    press = [get_builtin(name).presentation for name in GRAY_BUILTINS]
+    press += [_random_positive_presentation(seed, identity_sources=True) for seed in range(60)]
+    fits = shared = 0
+    for k, pres in enumerate(p for p in press if p is not None):
+        sig, rng = pres.sig, random.Random(k)
+        for _ in range(15):
+            phi = random_two_cell(sig, rng, rows=rng.randint(0, 4))
+            n = length(phi)
+            for s in find_redexes(pres, phi):
+                # the step, lam and rho swapped, and every cut of phi into a
+                # lam above and a rho below, the two apart or sharing rows
+                steps = [s, Step(s.rho, s.left, s.inner, s.right, s.lam)]
+                steps += [
+                    Step(slice2(sig, phi, 0, i), s.left, s.inner, s.right, slice2(sig, phi, j, n))
+                    for i in range(n + 1)
+                    for j in range(n + 1)
+                ]
+                for v in steps:
+                    try:
+                        src = sig.step_source(v)
+                    except CompositionError:
+                        src = None
+                    assert sig._is_step_source(v, phi) == (src == phi)
+                    fits += src == phi
+                    shared += src is not None and length(v.lam) + length(v.rho) > n
+    assert fits > 1000 and shared > 100

@@ -14,8 +14,8 @@ from conftest import differential
 
 ROOT = os.path.join(os.path.dirname(__file__), os.pardir)
 
-RECORDS = 17174
-DIGEST = "b5daf456691cfc4b"
+RECORDS = 17813
+DIGEST = "1e840a5c6ce63005"
 
 
 def test_differential_records_are_pinned():

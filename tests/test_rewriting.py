@@ -414,7 +414,7 @@ def test_interchanger_shapes_match_the_built_sides(rng):
             r = random_one_cell(sig, rng, 2, start=sig.end0(src.source1))
             want = (l, inst.alpha, inst.mid, inst.beta, r)
             for side, target in ((src, rev), (tgt, not rev)):
-                rows = sig.whisker_checked(l, side, r).whiskers
+                rows = sig.whisker0(l, side, r).whiskers
                 assert match_interchanger(sig, *rows, target) == want
 
 
@@ -559,10 +559,10 @@ def test_indexed_scan_matches_brute_force():
 
 @pytest.mark.parametrize("seed", [0, 3, 7, 11, 19, 23, 31, 37])
 def test_enumeration_matches_brute_force_randomized(seed):
-    # random one-wire presentations with positive generator boundaries
-    pres = _random_positive_presentation(seed)
-    if pres is None:
-        pytest.skip("seed yields no operational generators")
+    # random one-wire presentations with positive generator boundaries; a
+    # seed that draws none tries seed + 1000, seed + 2000, ... (seeds 3, 19
+    # and 37 draw from 1003, 1019 and 1037)
+    pres = next(filter(None, (_random_positive_presentation(seed + 1000 * k) for k in itertools.count())))
     sig = pres.sig
     starts = [OneCell("x", ("a",) * k) for k in range(5)]
     cells = [c for c in enumerate_two_cells(sig, 3, starts) if length(c) <= 3]

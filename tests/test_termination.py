@@ -29,7 +29,7 @@ from graypol import (
 )
 from graypol.termination import EXTERNAL_INTERCHANGER_THEOREM
 
-from conftest import random_one_cell, random_two_cell
+from conftest import differential, random_one_cell, random_two_cell
 
 
 def test_intnorm_of_interchanger_boundaries(pseudomonoid):
@@ -547,20 +547,12 @@ def test_interchangers_keep_the_interpretation_and_the_cospan(
     assert checked > 2000
 
 
-def _chain(n):
-    """A cap, ``n`` rewrites of its wire and a cup at one 0-cell, beside an unrelated shrinking rule."""
-    lines = ["presentation chain", "0 x", "1 h : x -> x"] + [f"1 a{i} : x -> x" for i in range(n + 1)]
-    lines += ["2 cap : @x => a0"] + [f"2 r{i} : a{i - 1} => a{i}" for i in range(1, n + 1)]
-    lines += [f"2 cup : a{n} => @x", "2 k : h => h", "3 K : [.|k|.] => id(h)"]
-    return parse_presentation("\n".join(lines) + "\n")
-
-
 @pytest.mark.parametrize("n", range(1, 8))
 def test_connected_refuses_a_cap_that_reaches_a_cup(n, pseudoadjunction):
     # the cap, the chain and the cup make a floating bubble, and two bubbles
     # side by side interchange forever, however long the chain
     with pytest.raises(TerminationRefused, match=r"closed diagrams are constructible \(cap feeds cup\)"):
-        certify_termination(_chain(n), "connected")
+        certify_termination(parse_presentation(differential.chain(n)), "connected")
     # a cap and a cup at different 0-cells bound no bubble
     assert certify_termination(pseudoadjunction.presentation, "connected").strategy == "connected"
 
@@ -603,5 +595,6 @@ def test_closed_diagram_check_refuses_whatever_the_bounded_search_finds(monkeypa
             named += 1
     assert named >= 20
     # the bounded search misses a cup four rewrites from the cap
-    assert _bounded_closed_diagram_search(_chain(4).sig) is None
-    assert _closed_diagram_possible(_chain(4).sig) == "cap feeds cup"
+    sig = parse_presentation(differential.chain(4)).sig
+    assert _bounded_closed_diagram_search(sig) is None
+    assert _closed_diagram_possible(sig) == "cap feeds cup"

@@ -16,8 +16,9 @@ step-level mutations, seeded random one-wire presentations, random 2-cells and
 rewriting paths of each presentation, random token soup for the cell
 parser, two disjoint renamed copies of each Gray-mode shipped file, pairs
 of 2-cells of at most 3 rows, random expressions, short zigzags, cells
-whose rewriting loops, and rewriting steps with one field swapped with a
-neighbour's or cut short.  They are drawn with ``random.Random`` from
+whose rewriting loops, rewriting steps with one field swapped with a
+neighbour's or cut short, combs of multiplications and chains of rewrites
+(``comb``, ``chain``).  They are drawn with ``random.Random`` from
 fixed seeds, by this file only, so both trees see the same inputs.  A
 record holds:
 
@@ -40,7 +41,8 @@ record holds:
 * ``normalize2`` without a certificate at the budgets 1-12 and 40 on
   the looping cells and critical wings, its path or partial path written
   out field by field; ``check3`` and ``classify`` on the ill-fitting
-  steps.
+  steps;
+* ``classify`` on every candidate branching of the critical analysis.
 
 Exceptions are recorded by type and message, so a crash is a record too.
 """
@@ -226,37 +228,6 @@ def _random_presentation(rng: random.Random, index: int) -> str:
     return "\n".join(lines) + "\n"
 
 
-def _random_cell(sig, rng: random.Random, rows: int):
-    """A random 2-cell: ``rows`` whiskers, fewer when no generator fits."""
-    from graypol import OneCell
-
-    start = rng.choice(sig.zero)
-    word, here = [], start
-    for _ in range(rng.randint(0, 4)):
-        outgoing = [g for g, (s, _) in sig.one.items() if s == here]
-        if not outgoing:
-            break
-        word.append(rng.choice(outgoing))
-        here = sig.one[word[-1]][1]
-    level = OneCell(start, tuple(word))
-    cell = sig.id2(level)
-    for _ in range(rows):
-        options = []
-        for gen, (src, _) in sig.two.items():
-            n = len(src.word)
-            for cut in range(len(level.word) - n + 1):
-                pre = OneCell(level.start, level.word[:cut])
-                if level.word[cut : cut + n] == src.word and sig.end0(pre) == src.start:
-                    options.append((gen, pre, cut + n))
-        if not options:
-            break
-        gen, pre, end = rng.choice(options)
-        post = OneCell(sig.end0(sig.tgt1(gen)), level.word[end:])
-        cell = sig.compose(cell, sig.whisker0(pre, sig.gen2_cell(gen), post), 1)
-        level = sig.target(cell)
-    return cell
-
-
 def random_one_cell(sig, rng: random.Random, max_len=4, start=None):
     """A random composable word of at most ``max_len`` letters."""
     from graypol import OneCell
@@ -307,6 +278,26 @@ def random_two_cell(sig, rng: random.Random, rows=3, max_pad=2, start_cell=None)
     return cell
 
 
+def comb(n: int, left: bool = True):
+    """A pseudomonoid comb of ``n`` multiplications on ``n + 1`` wires: each row multiplies
+    the two leftmost wires (a left comb), or else the two rightmost (a right comb)."""
+    from graypol import OneCell, TwoCell, Whisker2
+
+    ends = OneCell("x", ())
+    pads = [OneCell("x", ("a",) * (n - 1 - i)) for i in range(n)]
+    rows = (Whisker2(ends, "mu", pad) if left else Whisker2(pad, "mu", ends) for pad in pads)
+    return TwoCell(OneCell("x", ("a",) * (n + 1)), tuple(rows))
+
+
+def chain(n: int) -> str:
+    """A ``.gray`` file: a cap, ``n`` rewrites of its wire and a cup at one 0-cell, beside an
+    unrelated shrinking rule."""
+    lines = [f"presentation chain{n}", "0 x", "1 h : x -> x"] + [f"1 a{i} : x -> x" for i in range(n + 1)]
+    lines += ["2 cap : @x => a0"] + [f"2 r{i} : a{i - 1} => a{i}" for i in range(1, n + 1)]
+    lines += [f"2 cup : a{n} => @x", "2 k : h => h", "3 K : [.|k|.] => id(h)"]
+    return "\n".join(lines) + "\n"
+
+
 # ---------------------------------------------------------------- records
 #
 # Each generator below yields ``(op, input, output)`` triples; ``records``
@@ -355,7 +346,7 @@ def _rewriting_records(pres, interp, rng: random.Random):
     sig, name = pres.sig, pres.name
     cert = _attempt(certify_termination, pres, None, interp).get("ok")
     for _ in range(10):
-        phi = _random_cell(sig, rng, rng.randint(0, 6))
+        phi = random_two_cell(sig, rng, rng.randint(0, 6))
         text = render_cell(sig, phi)
         yield from _cell_records(pres, text)
         redexes = find_redexes(pres, phi)
@@ -418,7 +409,7 @@ def _all_records():
     shipped = [entry.presentation for entry in builtins]
     shipped += [parse_presentation(path.read_text(encoding="utf-8")) for path in FILES]
     for (source, label), pres in zip(sources, shipped):
-        cells = [render_cell(pres.sig, _random_cell(pres.sig, rng, rows)) for rows in (2, 4)]
+        cells = [render_cell(pres.sig, random_two_cell(pres.sig, rng, rows)) for rows in (2, 4)]
         yield from _cli_records(source, label, cells + ["a a", "0", "@x", "id2([.|mu|.])", "[", "x y"])
     pool = [(entry.presentation, entry.interpretation) for entry in builtins]
     for index in range(12):
@@ -536,7 +527,7 @@ def _shuffle_records():
     rng = random.Random(SEED + 2)
     for name in BUILTIN_NAMES:
         sig = get_builtin(name).presentation.sig
-        cells = [sig.gen2_cell(g) for g in sig.two] + [_random_cell(sig, rng, rows) for rows in (0, 1, 2, 3, 2, 3)]
+        cells = [sig.gen2_cell(g) for g in sig.two] + [random_two_cell(sig, rng, rows) for rows in (0, 1, 2, 3, 2, 3)]
         for phi in cells:
             for psi in cells:
                 yield from _shuffle_pair_records(sig, [name, render_two(sig, phi), render_two(sig, psi)], phi, psi)
@@ -567,7 +558,7 @@ def _random_expression(sig, rng: random.Random, top: int):
     def leaf():
         roll = rng.random()
         if roll < 0.2:
-            return EId(_random_cell(sig, rng, 1) if top == 3 else OneCell(rng.choice(sig.zero), ()))
+            return EId(random_two_cell(sig, rng, 1) if top == 3 else OneCell(rng.choice(sig.zero), ()))
         if roll < 0.25:
             return EGen(top, "zz")
         return EGen(top, OpGen(rng.choice(list(sig.three))) if top == 3 else rng.choice(list(sig.two)))
@@ -589,7 +580,7 @@ def _random_expression(sig, rng: random.Random, top: int):
             if src is None or i == top - 1:
                 cell = OneCell(rng.choice(sig.zero), ())
             elif rng.random() < 0.4:
-                cell = _random_cell(sig, rng, 1) if i else _random_cell(sig, rng, 0).source1
+                cell = random_two_cell(sig, rng, 1) if i else random_two_cell(sig, rng, 0).source1
             elif i == 0:
                 low = src if top == 2 else src.source1
                 point = low.start if left else sig.end0(low)
@@ -649,7 +640,7 @@ def _zigzag_records():
         pres = get_builtin(name).presentation
         sig = pres.sig
         for _ in range(8):
-            phi = _random_cell(sig, rng, rng.randint(1, 3))
+            phi = random_two_cell(sig, rng, rng.randint(1, 3))
             z, last = zz_identity(sig, phi), None
             for _ in range(rng.randint(1, 5)):
                 roll = rng.random()
@@ -713,11 +704,19 @@ def _budgeted(pres, phi):
         yield budget, result
 
 
+def _drawn_presentations():
+    """24 random one-wire presentations, drawn from their own stream."""
+    from graypol import parse_presentation
+
+    rng = random.Random(SEED + 5)
+    return [parse_presentation(_random_presentation(rng, index)) for index in range(24)]
+
+
 def _loop_records():
     """``normalize2`` at small budgets on cells whose lowest-redex path loops: the first
     30 selfduality cells of 8 rows drawn from seed 3, 7 of which loop, and both wings
     of every critical branching of the Gray-mode builtins and of random presentations."""
-    from graypol import BUILTIN_NAMES, CellError, enumerate_critical, get_builtin, parse_presentation
+    from graypol import BUILTIN_NAMES, CellError, enumerate_critical, get_builtin
     from graypol.textio import render_two
 
     pres = get_builtin("selfduality").presentation
@@ -726,10 +725,7 @@ def _loop_records():
         phi = random_two_cell(pres.sig, rng, rows=8)
         for budget, result in _budgeted(pres, phi):
             yield "normalize2", [pres.name, render_two(pres.sig, phi), budget], result
-    pool = [get_builtin(name).presentation for name in BUILTIN_NAMES]
-    rng = random.Random(SEED + 5)
-    pool += [parse_presentation(_random_presentation(rng, index)) for index in range(24)]
-    for pres in pool:
+    for pres in [get_builtin(name).presentation for name in BUILTIN_NAMES] + _drawn_presentations():
         try:
             branchings = [cb.branching for cb in enumerate_critical(pres)]
         except CellError:
@@ -777,7 +773,7 @@ def _ill_fitting_records():
         pres = get_builtin(name).presentation
         sig = pres.sig
         for _ in range(4):
-            phi = _random_cell(sig, rng, rng.randint(2, 6))
+            phi = random_two_cell(sig, rng, rng.randint(2, 6))
             label = [name, render_two(sig, phi)]
             steps, cur = [], phi
             for _ in range(rng.randint(2, 5)):
@@ -790,7 +786,7 @@ def _ill_fitting_records():
                 other = steps[i + 1] if i + 1 < len(steps) else steps[i - 1]
                 for kind, bad in _mutants(s, other):
                     path = ThreeCell(phi, tuple(steps[:i]) + (bad,) + tuple(steps[i + 1 :]))
-                    yield "check3", label + [i, kind], _attempt(sig.check3, path)
+                    yield "check3", label + [i, kind], _attempt(lambda: repr(sig.check3(path)))
             redexes = find_redexes(pres, phi)[:3]
             for i, s1 in enumerate(redexes):
                 for j, s2 in enumerate(redexes):
@@ -798,6 +794,46 @@ def _ill_fitting_records():
                         for kind, bad in _mutants(s, other):
                             b = Branching(s1, bad) if side == 0 else Branching(bad, s2)
                             yield "classify", label + [i, j, side, kind], _attempt(lambda: repr(classify(pres, b)))
+
+
+# ---------------------------------------------------------------- rewriting windows
+#
+# This section comes last and draws no input of its own, so it left
+# every earlier record as it was.
+
+
+def _window_records():
+    """The paths that lay a window on a 2-cell: every candidate branching of the critical
+    analysis with its class, on the Gray-mode builtins, the presentations of ``_loop_records``
+    and two disjoint copies of each Gray-mode shipped file; ``find_redexes`` (full and
+    resumed at each row) and ``normalize2`` on the left and right combs of 1-8
+    multiplications; and the analysis of the chains of 1-4 rewrites."""
+    from graypol import BUILTIN_NAMES, classify, find_redexes, get_builtin, parse_presentation, serialize_presentation
+    from graypol.rewriting import _candidates
+
+    pool = [get_builtin(name).presentation for name in BUILTIN_NAMES] + _drawn_presentations()
+    pool += [parse_presentation(disjoint_copies(path.read_text(encoding="utf-8"), 2)) for path in FILES]
+    for pres in pool:
+        if pres.qmode is not None:
+            continue
+        for i, b in enumerate(_candidates(pres)):
+            label = [pres.name, i, _step_fields(b.s1), _step_fields(b.s2)]
+            yield "classify", label, _attempt(lambda: repr(classify(pres, b)))
+    pres = get_builtin("pseudomonoid").presentation
+    for n in range(1, 9):
+        for left in (True, False):
+            phi = comb(n, left)
+            label = [pres.name, "left" if left else "right", n]
+            yield "find_redexes", label, _attempt(lambda: [_step_fields(s) for s in find_redexes(pres, phi)])
+            for k in range(n + 1):
+                found = _attempt(lambda: [_step_fields(s) for s in find_redexes(pres, phi, lowest_from=k)])
+                yield "find_redexes", label + [k], found
+            for budget, result in _budgeted(pres, phi):
+                yield "normalize2", label + [budget], result
+    for n in range(1, 5):
+        text = chain(n)
+        yield "parse_presentation", text, _parsed(lambda: serialize_presentation(parse_presentation(text)))
+        yield from _analysis_records(parse_presentation(text), None)
 
 
 def records():
@@ -810,6 +846,7 @@ def records():
         _zigzag_records(),
         _loop_records(),
         _ill_fitting_records(),
+        _window_records(),
     )
     for section in sections:
         for op, given, out in section:
