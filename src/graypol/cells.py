@@ -12,7 +12,11 @@ signature are represented canonically:
   3-dimensional generator instance.
 
 Equality of normal forms is structural equality, which decides equality
-of cells in the free precategory.  All values are immutable.
+of cells in the free precategory.  All values are immutable.  Every cell
+class is declared with :func:`frozen_value`: a frozen, slotted dataclass
+whose ``__init__`` stores each field through its slot, so a value costs
+less to build while it compares, hashes, prints, copies and pickles as
+the plain dataclass does.
 
 A signature memoizes the two sides of every 3-generator instance it has
 built, keyed by the instance and the side.  This is sound because a
@@ -23,7 +27,8 @@ every later call; errors are never stored.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+import inspect
+from dataclasses import dataclass, fields
 from types import MappingProxyType
 from typing import Iterable, Tuple, Union
 
@@ -52,7 +57,43 @@ class TypingError(CellError):
         self.rule = rule
 
 
-@dataclass(frozen=True, slots=True)
+def frozen_value(cls):
+    """``dataclass(frozen=True, slots=True)`` with an ``__init__`` that stores each field through its slot.
+
+    The dataclass's frozen ``__init__`` stores each field with
+    ``object.__setattr__``; this one calls each slot's own member
+    descriptor, and is generated once per class, with the same parameter
+    names, order, annotations and ``__qualname__``.  Everything else is
+    the dataclass's: ``__eq__``, ``__hash__`` (the hash of the field
+    tuple), ``__repr__``, ``__match_args__``, ``fields``, ``replace``,
+    pickling, and ``FrozenInstanceError`` on assignment or deletion.
+
+    A class whose ``__init__`` does more than store its fields in order
+    is refused with ``TypeError``: a field with a default, ``init=False``,
+    ``kw_only`` or ``InitVar``, or a ``__post_init__``.
+    """
+    if hasattr(cls, "__post_init__"):
+        raise TypeError(f"frozen_value: {cls.__qualname__} has a __post_init__")
+    cls = dataclass(frozen=True, slots=True)(cls)
+    names = [f.name for f in fields(cls)]
+    params = list(inspect.signature(cls.__init__).parameters.values())[1:]
+    if [p.name for p in params] != names or any(
+        p.default is not p.empty or p.kind is not p.POSITIONAL_OR_KEYWORD for p in params
+    ):
+        raise TypeError(f"frozen_value: {cls.__qualname__} has a field with a default or outside __init__")
+    setters = ", ".join(f"_set_{n}" for n in names)
+    body = "".join(f"        _set_{n}(self, {n})\n" for n in names)
+    source = f"def make({setters}):\n    def __init__(self, {', '.join(names)}):\n{body}    return __init__\n"
+    scope = {}
+    exec(source, {"__name__": cls.__module__}, scope)
+    init = scope["make"](*[getattr(cls, n).__set__ for n in names])
+    init.__qualname__ = f"{cls.__qualname__}.__init__"
+    init.__annotations__ = cls.__init__.__annotations__
+    cls.__init__ = init
+    return cls
+
+
+@frozen_value
 class OneCell:
     start: str
     word: Tuple[str, ...]
@@ -62,7 +103,7 @@ class OneCell:
         return f"<1:{inner}>"
 
 
-@dataclass(frozen=True, slots=True)
+@frozen_value
 class Whisker2:
     """One 2-generator in a 0-dimensional context: ``left . gen . right``."""
 
@@ -71,7 +112,7 @@ class Whisker2:
     right: OneCell
 
 
-@dataclass(frozen=True, slots=True)
+@frozen_value
 class TwoCell:
     source1: OneCell
     whiskers: Tuple[Whisker2, ...]
@@ -85,14 +126,14 @@ class TwoCell:
         return f"<2:{rows}>"
 
 
-@dataclass(frozen=True, slots=True)
+@frozen_value
 class OpGen:
     """Reference to a named (operational) 3-generator."""
 
     name: str
 
 
-@dataclass(frozen=True, slots=True)
+@frozen_value
 class Interchanger:
     """Interchange generator exchanging ``alpha`` past ``beta`` across ``mid``.
 
@@ -104,7 +145,7 @@ class Interchanger:
     beta: str
 
 
-@dataclass(frozen=True, slots=True)
+@frozen_value
 class QInterchanger:
     """Oriented interchange rule of the self-duality rewriting system.
 
@@ -121,7 +162,7 @@ class QInterchanger:
 GenInstance = Union[OpGen, Interchanger, QInterchanger]
 
 
-@dataclass(frozen=True, slots=True)
+@frozen_value
 class Step:
     """A rewriting step: a 3-dimensional whisker."""
 
@@ -132,7 +173,7 @@ class Step:
     rho: TwoCell
 
 
-@dataclass(frozen=True, slots=True)
+@frozen_value
 class ThreeCell:
     source2: TwoCell
     steps: Tuple[Step, ...]
@@ -172,10 +213,13 @@ class Signature:
     ``three`` holds the operational 3-generators only; interchange
     generators are materialized on demand as :class:`Interchanger`.
     A signature is immutable: ``one``, ``two`` and ``three`` are
-    read-only mappings, so its hash and its rotation are computed once,
-    and the sides of 3-generator instances are memoized (``_sides``,
-    keyed by ``(instance, source)``).  The memo is not part of the
-    value: equality and the hash read ``_key`` only.
+    read-only mappings, and its attributes are written once, by
+    ``_build``, apart from its hash and its rotation, which are computed
+    once each, going from ``None`` to their value; any other assignment
+    or deletion raises ``AttributeError``.  The sides of 3-generator
+    instances are memoized (``_sides``, keyed by ``(instance,
+    source)``).  The memo is not part of the value: equality and the
+    hash read ``_key`` only.
 
     The constructor checks every generator.  ``rotated`` and, for the
     parser only, ``_extended`` build a signature from generator sides
@@ -210,13 +254,16 @@ class Signature:
         first checked as a cell over the generators of lower dimension.
         The tables given are taken as they are, with no check.
         """
-        self.zero: Tuple[str, ...] = zero
-        self.one = MappingProxyType(ones)
-        self.two = MappingProxyType(twos)
-        self.three = MappingProxyType(threes)
-        self._hash = None
-        self._rotated = None
-        self._sides = {}
+        fill = vars(self)
+        fill.update(
+            zero=zero,
+            one=MappingProxyType(ones),
+            two=MappingProxyType(twos),
+            three=MappingProxyType(threes),
+            _hash=None,
+            _rotated=None,
+            _sides={},
+        )
         for k, table, gens, check in ((2, twos, two, self.check1), (3, threes, three, self.check2)):
             for name, s, t in gens:
                 if name in table:
@@ -227,7 +274,7 @@ class Signature:
                 if self.source(s) != self.source(t) or self.target(s) != self.target(t):
                     raise SignatureError(f"{k}-generator {name}: source and target not parallel")
                 table[name] = (s, t)
-        self._key = (zero, tuple(ones.items()), tuple(twos.items()), tuple(threes.items()))
+        fill["_key"] = (zero, tuple(ones.items()), tuple(twos.items()), tuple(threes.items()))
 
     def _extended(self, two=(), three=()) -> "Signature":
         """This signature with the 2-generators ``two``, then the 3-generators ``three``, added.
@@ -243,6 +290,15 @@ class Signature:
         sig = Signature.__new__(Signature)
         sig._build(self.zero, dict(self.one), dict(self.two), dict(self.three), two, three, typed=True)
         return sig
+
+    def __setattr__(self, name, value):
+        """Only ``_hash`` and ``_rotated`` are set after ``_build``, each once, from ``None``."""
+        if name not in ("_hash", "_rotated") or vars(self).get(name, False) is not None:
+            raise AttributeError(f"a Signature is immutable: cannot set {name}")
+        object.__setattr__(self, name, value)
+
+    def __delattr__(self, name):
+        raise AttributeError(f"a Signature is immutable: cannot delete {name}")
 
     def __eq__(self, other):
         return isinstance(other, Signature) and self._key == other._key

@@ -36,6 +36,7 @@ from .cells import (
     Step,
     TwoCell,
     Whisker2,
+    frozen_value,
     length,
     level_at,
     rows_fit,
@@ -52,7 +53,7 @@ class UnsupportedError(RewritingError):
     pass
 
 
-@dataclass(frozen=True)
+@frozen_value
 class Branching:
     """Two rewriting steps out of the same 2-cell."""
 
@@ -65,7 +66,7 @@ class Trivial:
     pass
 
 
-@dataclass(frozen=True)
+@frozen_value
 class NonMinimal:
     """Witness: the common context (lam, left, right, rho) and the reduced branching."""
 
@@ -91,7 +92,7 @@ class Critical:
     pass
 
 
-@dataclass(frozen=True)
+@frozen_value
 class CriticalBranching:
     branching: Branching
     key: tuple

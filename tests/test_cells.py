@@ -367,12 +367,39 @@ def test_signature_is_immutable_and_hashed_by_value(name, request):
     assert sig._sides
     assert hash(sig) == hash(copy) == first
     assert sig == copy and copy == sig
+    # no attribute can be rebound or deleted, and no new one added; the hash
+    # and the rotation, once computed, are not reset
+    from types import MappingProxyType
+
+    rotated = sig.rotated()
+    for attr in sorted(vars(sig)) + ["extra"]:
+        with pytest.raises(AttributeError, match="immutable"):
+            setattr(sig, attr, MappingProxyType({}))
+        with pytest.raises(AttributeError, match="immutable"):
+            delattr(sig, attr)
+    for attr in ("_hash", "_rotated"):
+        with pytest.raises(AttributeError, match="immutable"):
+            setattr(sig, attr, None)
+    assert hash(sig) == first and sig == copy
+    assert sig.rotated() is rotated
 
 
-def test_cell_classes_are_slotted_and_frozen(pseudomonoid):
-    from dataclasses import FrozenInstanceError, fields
+def _error_text(make, *args, **kwargs):
+    with pytest.raises(TypeError) as info:
+        make(*args, **kwargs)
+    return str(info.value)
+
+
+def test_cell_classes_are_slotted_and_frozen(pseudomonoid, rng):
+    """Each ``frozen_value`` class behaves as its twin, a plain frozen slotted dataclass with the same fields."""
+    import copy
+    import inspect
+    import pickle
+    from dataclasses import FrozenInstanceError, field, fields, make_dataclass, replace
 
     from graypol import Interchanger, OpGen, QInterchanger, Step, ThreeCell, TwoCell, Whisker2
+    from graypol.cells import frozen_value
+    from graypol.rewriting import Branching, CriticalBranching, NonMinimal
 
     sig = pseudomonoid.presentation.sig
     x, a = sig.id1("x"), sig.word1("a")
@@ -387,17 +414,80 @@ def test_cell_classes_are_slotted_and_frozen(pseudomonoid):
         QInterchanger("mu", x, "mu", False),
         step,
         ThreeCell(phi, ()),
+        Branching(step, step),
+        NonMinimal(phi, x, x, phi, Branching(step, step)),
+        CriticalBranching(Branching(step, step), ("A", 0)),
     ]
     kinds = {type(c) for c in cells}
-    assert kinds == {OneCell, Whisker2, TwoCell, OpGen, Interchanger, QInterchanger, Step, ThreeCell}
+    assert kinds == {
+        OneCell, Whisker2, TwoCell, OpGen, Interchanger, QInterchanger, Step, ThreeCell,
+        Branching, NonMinimal, CriticalBranching,
+    }
     for c in cells:
         assert not hasattr(c, "__dict__")
         for f in fields(c):
             with pytest.raises(FrozenInstanceError):
                 setattr(c, f.name, getattr(c, f.name))
+            with pytest.raises(FrozenInstanceError):
+                delattr(c, f.name)
         # a new name has no slot; Python 3.11 reports it as a TypeError
         with pytest.raises((AttributeError, TypeError)):
             c.extra = 1
+
+    # each field's value drawn from a small pool for its type, so that equal instances occur
+    other = sig.gen3_cell(Interchanger("mu", x, "mu")).steps[0]
+    pools = {
+        "str": ["x", "a", "mu", "A"],
+        "bool": [False, True],
+        "tuple": [(), ("A", 0)],
+        "Tuple[str, ...]": [(), ("a",), ("a", "a")],
+        "OneCell": [x, a, sig.word1("a", "a")],
+        "Tuple[Whisker2, ...]": [(), phi.whiskers, phi.whiskers * 2],
+        "TwoCell": [phi, sig.id2(a)],
+        "GenInstance": [OpGen("A"), Interchanger("mu", x, "mu")],
+        "Step": [step, other],
+        "Tuple[Step, ...]": [(), (step,), (other, step)],
+        "Branching": [Branching(step, other), Branching(other, other)],
+    }
+    for cls in map(type, cells):
+        names = [f.name for f in fields(cls)]
+        pool = [pools[f.type] for f in fields(cls)]
+        custom = {"__repr__": cls.__repr__} if cls in (OneCell, TwoCell) else {}
+        twin = make_dataclass(
+            cls.__name__, [(f.name, f.type) for f in fields(cls)], frozen=True, slots=True, namespace=custom
+        )
+        assert [f.name for f in fields(twin)] == names
+        assert cls.__match_args__ == twin.__match_args__
+        assert inspect.signature(cls) == inspect.signature(twin)
+        drawn = [[rng.choice(p) for p in pool] for _ in range(12)]
+        for vals in drawn:
+            value, image = cls(*vals), twin(*vals)
+            assert [getattr(value, n) for n in names] == vals
+            assert repr(value) == repr(image)
+            assert hash(value) == hash(image)
+            assert value == cls(**dict(zip(names, vals)))
+            for others in drawn:
+                assert (value == cls(*others)) == (image == twin(*others))
+            i = rng.randrange(len(names))
+            name, new = names[i], rng.choice(pool[i])
+            assert repr(replace(value, **{name: new})) == repr(replace(image, **{name: new}))
+            assert _error_text(cls, *vals[:-1]) == _error_text(twin, *vals[:-1])
+            assert _error_text(cls, *vals, 0) == _error_text(twin, *vals, 0)
+            assert _error_text(cls, *vals, extra=0) == _error_text(twin, *vals, extra=0)
+            for copied in (copy.deepcopy(value), pickle.loads(pickle.dumps(value))):
+                assert type(copied) is cls
+                assert copied == value and repr(copied) == repr(copy.deepcopy(image))
+
+    # a class whose __init__ would do more than store its fields is refused
+    for body in (
+        {"__annotations__": {"a": "int", "b": "int"}, "b": 0},
+        {"__annotations__": {"a": "int", "b": "int"}, "b": field(default_factory=tuple)},
+        {"__annotations__": {"a": "int", "b": "int"}, "b": field(init=False)},
+        {"__annotations__": {"a": "int", "b": "int"}, "b": field(kw_only=True)},
+        {"__annotations__": {"a": "int"}, "__post_init__": lambda self: None},
+    ):
+        with pytest.raises(TypeError, match="frozen_value: Refused has a"):
+            frozen_value(type("Refused", (), dict(body)))
 
 
 def _reference_side(sig, s, source):
