@@ -1,12 +1,10 @@
-"""Shared fixtures: builtin entries, the expression-tree converter used
-by boundary oracles, and ``tools/differential.py`` loaded as the module
-``differential``, whose random cell generators the tests use too."""
+"""Shared fixtures: builtin entries, the oracle table on small pseudomonoid
+cells, and the expression-tree converter used by boundary oracles.  The
+generated inputs are drawn from ``tools/inputs.py``, imported as ``inputs``."""
 
-import importlib.util
 import itertools
 import random
 from dataclasses import dataclass
-from pathlib import Path
 
 import pytest
 
@@ -25,20 +23,11 @@ from graypol import (
     length,
 )
 
+from inputs import enumerate_two_cells
+
 
 # the builtins whose engine mode is Gray (not q)
 GRAY_BUILTINS = ["pseudomonoid", "pseudoadjunction", "selfduality", "frobenius"]
-
-# the differential record set, and the inputs that the tests and the
-# record set share: ``disjoint_copies`` of a shipped file, the combs, the
-# chains and the random cells
-_spec = importlib.util.spec_from_file_location(
-    "differential", Path(__file__).resolve().parent.parent / "tools" / "differential.py"
-)
-differential = importlib.util.module_from_spec(_spec)
-_spec.loader.exec_module(differential)
-random_one_cell = differential.random_one_cell
-random_two_cell = differential.random_two_cell
 
 
 @pytest.fixture(scope="session")
@@ -121,28 +110,3 @@ def two_cell_to_expr(sig: Signature, phi: TwoCell):
         expr = ETop(p, expr)
     return expr
 
-
-def enumerate_two_cells(sig: Signature, max_rows: int, start_words):
-    """All whisker chains up to ``max_rows`` over the given source 1-cells."""
-    out = []
-    frontier = [sig.id2(u) for u in start_words]
-    out.extend(frontier)
-    for _ in range(max_rows):
-        nxt = []
-        for cell in frontier:
-            level = sig.target(cell)
-            for gen, (src, _) in sig.two.items():
-                w = level.word
-                for cut in range(len(w) - len(src.word) + 1):
-                    if tuple(w[cut : cut + len(src.word)]) != src.word:
-                        continue
-                    pre = OneCell(level.start, w[:cut])
-                    if sig.end0(pre) != src.start:
-                        continue
-                    post_start = sig.end0(sig.make1(level.start, w[: cut + len(src.word)]))
-                    post = OneCell(post_start, w[cut + len(src.word) :])
-                    whisk = sig.whisker0(pre, sig.gen2_cell(gen), post)
-                    nxt.append(sig.compose(cell, whisk, 1))
-        out.extend(nxt)
-        frontier = nxt
-    return out

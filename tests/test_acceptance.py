@@ -8,18 +8,11 @@ import random
 import time
 
 from graypol import (
-    EGen,
-    EId,
-    ELowL,
-    ELowR,
-    ETop,
-    Interchanger,
     OneCell,
     OpGen,
     QInterchanger,
     Signature,
     ThreeCell,
-    TypingError,
     certify_termination,
     enumerate_critical,
     eval_cell,
@@ -34,7 +27,6 @@ from graypol import (
     reducts,
     selfdual_measure,
     squier_completion,
-    typecheck,
     TerminationRefused,
     zz_all_reduced_forms,
     zz_compose,
@@ -48,7 +40,7 @@ from graypol.expressions import size
 from graypol.shuffle import interp_edge, interp_vertex, shuffle_graph, word_edges
 from graypol.termination import EXTERNAL_INTERCHANGER_THEOREM
 
-from conftest import random_one_cell, random_two_cell
+from inputs import random_padded_expression, random_two_cell
 
 
 def report(n, ok, detail=""):
@@ -148,57 +140,6 @@ def _mixed_signatures():
     return [get_builtin("pseudomonoid").presentation.sig, get_builtin("pseudoadjunction").presentation.sig]
 
 
-def _gen3_pool(sig):
-    pool = [OpGen(n) for n in sig.three]
-    for alpha in sig.two:
-        for beta in sig.two:
-            start = sig.end0(sig.src1(alpha))
-            if sig.src1(beta).start == start:
-                pool.append(Interchanger(alpha, sig.id1(start), beta))
-    return pool
-
-
-def _random_expr(sig, rng, top, max_nodes):
-    if top == 1:
-        leaves = [EGen(1, g) for g in sig.one] + [EId(x) for x in sig.zero]
-    elif top == 2:
-        leaves = [EGen(2, g) for g in sig.two] + [EId(random_one_cell(sig, rng, 2))]
-    else:
-        pool = _gen3_pool(sig)
-        leaves = [EGen(3, rng.choice(pool))] + [EId(random_two_cell(sig, rng, rows=1))]
-    expr = rng.choice(leaves)
-    for _ in range(40):
-        if size(expr) >= max_nodes:
-            break
-        kind = rng.randrange(5)
-        try:
-            src, tgt = typecheck(sig, expr, top)
-            if kind == 0:
-                expr = ETop(expr, EId(tgt))
-            elif kind == 1:
-                expr = ETop(EId(src), expr)
-            elif kind == 2 and top >= 2:
-                here = src.start if top == 2 else src.source1.start
-                u = random_one_cell(sig, rng, 2)
-                if sig.end0(u) == here:
-                    expr = ELowL(0, u, expr)
-            elif kind == 3 and top >= 2:
-                if top == 2:
-                    here = sig.end0(src)
-                else:
-                    here = sig.end0(src.source1)
-                v = random_one_cell(sig, rng, 2, start=here)
-                expr = ELowR(0, expr, v)
-            elif kind == 4:
-                nxt = rng.choice(leaves)
-                s2, _ = typecheck(sig, nxt, top)
-                if s2 == tgt:
-                    expr = ETop(expr, nxt)
-        except TypingError:
-            continue
-    return expr
-
-
 def _closure_normals(sig, expr, cap=60000):
     seen = {expr}
     stack = [expr]
@@ -225,7 +166,7 @@ def test_criterion_5_normal_form_property_suite():
     for i in range(total):
         sig = sigs[i % len(sigs)]
         top = rng.choice((1, 2, 2, 3))
-        expr = _random_expr(sig, rng, top, max_nodes=rng.randrange(2, 13))
+        expr = random_padded_expression(sig, rng, top, max_nodes=rng.randrange(2, 13))
         outs = []
         for pick in (lambda o: o[0], lambda o: o[-1], rng.choice):
             cur = expr

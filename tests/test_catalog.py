@@ -19,7 +19,7 @@ from graypol import (
     validate,
 )
 
-from conftest import differential
+import inputs
 
 ROOT = pathlib.Path(__file__).resolve().parent.parent
 
@@ -132,7 +132,7 @@ def test_qmode_entry(selfduality_q):
 @pytest.mark.parametrize("name,critical", [("pseudomonoid", 5), ("pseudoadjunction", 2), ("frobenius", 19)])
 def test_disjoint_copies_have_k_times_the_critical_branchings(name, critical, k):
     text = (ROOT / "src" / "graypol" / "presentations" / f"{name}.gray").read_text(encoding="utf-8")
-    pres = parse_presentation(differential.disjoint_copies(text, k))
+    pres = parse_presentation(inputs.disjoint_copies(text, k))
     assert not pres.tiles
     assert len(pres.sig.zero) == k * len(get_builtin(name).presentation.sig.zero)
     assert len(enumerate_critical(pres)) == critical * k

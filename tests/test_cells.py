@@ -19,7 +19,8 @@ from graypol import (
 )
 from graypol.expressions import eval_cell
 
-from conftest import GRAY_BUILTINS, random_one_cell, random_two_cell, two_cell_to_expr
+from conftest import GRAY_BUILTINS, two_cell_to_expr
+from inputs import random_one_cell, random_positive_presentation, random_two_cell
 
 ALL_BUILTINS = GRAY_BUILTINS + ["selfduality_q"]
 
@@ -309,9 +310,8 @@ def _rotation_signatures():
     from itertools import islice
 
     from graypol import BUILTIN_NAMES, get_builtin
-    from test_rewriting import _random_positive_presentation
 
-    draws = (_random_positive_presentation(seed) for seed in range(1000))
+    draws = (random_positive_presentation(seed) for seed in range(1000))
     randoms = list(islice((pres.sig for pres in draws if pres is not None), 20))
     assert len(randoms) == 20
     return [get_builtin(name).presentation.sig for name in BUILTIN_NAMES] + randoms

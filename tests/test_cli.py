@@ -347,7 +347,7 @@ def test_internal_invariant_failure_is_not_a_refusal(monkeypatch, capsys):
     from graypol import Branching, Critical, Interchanger, InternalError, OneCell, find_redexes, get_builtin
     from graypol import rewriting
 
-    from conftest import enumerate_two_cells
+    from inputs import enumerate_two_cells
 
     pres = get_builtin("pseudomonoid").presentation
     xx = None

@@ -33,8 +33,9 @@ from graypol import (
 from graypol import coherence
 from graypol.cells import CompositionError, Interchanger, OpGen, Step, slice2
 
-from conftest import GRAY_BUILTINS, differential, random_two_cell
-from test_rewriting import _random_positive_presentation
+import inputs
+from conftest import GRAY_BUILTINS
+from inputs import random_positive_presentation, random_two_cell
 
 
 def _cert(entry):
@@ -55,7 +56,7 @@ def test_left_comb_normalizes_to_right_comb(pseudomonoid):
     pres = pseudomonoid.presentation
     sig = pres.sig
     n = 12
-    left, right = differential.comb(n), differential.comb(n, left=False)
+    left, right = inputs.comb(n), inputs.comb(n, left=False)
     nf, path = normalize2(pres, left, _cert(pseudomonoid))
     assert nf == right
     assert length(path) == n * (n - 1) // 2 == 66
@@ -66,7 +67,7 @@ def test_left_comb_normalizes_to_right_comb(pseudomonoid):
 def test_budget_counts_steps(pseudomonoid):
     # the 12-comb is exactly 66 steps from its normal form
     pres = pseudomonoid.presentation
-    comb = differential.comb(12)
+    comb = inputs.comb(12)
     nf, path = normalize2(pres, comb, None, 66)
     assert length(path) == 66 and not find_redexes(pres, nf)
     with pytest.raises(NonTermination) as info:
@@ -208,7 +209,7 @@ def _composed(sig, s, side):
 )
 def test_spliced_cells_equal_step_targets(name, kind):
     if name.startswith("random-"):
-        pres, cert, budget = _random_positive_presentation(int(name[7:]), identity_sources=True), None, 150
+        pres, cert, budget = random_positive_presentation(int(name[7:]), identity_sources=True), None, 150
     else:
         entry = get_builtin(name)
         pres = entry.presentation
@@ -239,7 +240,7 @@ def test_spliced_cells_equal_step_targets(name, kind):
 def _ill_fitting_steps(pseudomonoid):
     """``(signature, step)`` pairs whose window does not fit the step's context."""
     sig = pseudomonoid.presentation.sig
-    comb = differential.comb(3)
+    comb = inputs.comb(3)
     step = find_redexes(pseudomonoid.presentation, comb)[0]
     assert step.inner == OpGen("A") and length(step.lam) == 0 and step.right.word == ("a",)
     assert sig.step_source(step) == comb == _composed(sig, step, sig.inst_source(step.inner))
@@ -347,7 +348,7 @@ def test_q_mode_non_joinable_branchings_are_disconnected(selfduality_q):
     import itertools
 
     from graypol import Branching, find_redexes, is_connected
-    from conftest import enumerate_two_cells
+    from inputs import enumerate_two_cells
     from graypol.cells import OneCell
 
     pres = selfduality_q.presentation
@@ -567,7 +568,7 @@ def test_step_target_raises_iff_step_source_raises(pseudomonoid):
 
     seen = []
     press = [get_builtin(name).presentation for name in GRAY_BUILTINS]
-    press += [p for p in map(_random_positive_presentation, range(120)) if p is not None]
+    press += [p for p in map(random_positive_presentation, range(120)) if p is not None]
     for pres in press:
         for b in rewriting._candidates(pres):
             seen.extend((pres.sig, s) for s in (b.s1, b.s2))
@@ -593,7 +594,7 @@ def test_is_step_source_iff_step_source_returns_the_cell():
     # without an error; a step over an identity source whose lam and rho
     # share a row can meet every junction, with a window of -1 rows
     press = [get_builtin(name).presentation for name in GRAY_BUILTINS]
-    press += [_random_positive_presentation(seed, identity_sources=True) for seed in range(60)]
+    press += [random_positive_presentation(seed, identity_sources=True) for seed in range(60)]
     fits = shared = 0
     for k, pres in enumerate(p for p in press if p is not None):
         sig, rng = pres.sig, random.Random(k)

@@ -22,7 +22,7 @@ from graypol import (
 from graypol.rewriting import RewritingError, classify, step_key
 from graypol.termination import _dominates
 
-from conftest import random_two_cell
+from inputs import random_two_cell
 
 
 def test_classify_rejects_non_branchings(pseudomonoid):

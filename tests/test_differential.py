@@ -10,7 +10,7 @@ intended, compare against the previous tree with
 
 import os
 
-from conftest import differential
+import differential
 
 ROOT = os.path.join(os.path.dirname(__file__), os.pardir)
 

@@ -21,9 +21,9 @@ from graypol import (
     reducts,
     typecheck,
 )
-from graypol.expressions import size
 
-from conftest import random_one_cell, random_two_cell, two_cell_to_expr
+from conftest import two_cell_to_expr
+from inputs import random_two_cell, random_typed_expression
 
 
 def test_unit_law(pseudomonoid, rng):
@@ -93,44 +93,6 @@ def test_an_ill_formed_operand_is_a_typing_error(pseudoadjunction, expr, rule):
     assert "is not " in str(err.value)
 
 
-def random_expression(sig, rng, max_nodes, top=2):
-    """Random well-typed expression built by combining compatible pieces."""
-    pool = []
-    for gen in sig.two:
-        pool.append(EGen(top, gen))
-    for _ in range(3):
-        pool.append(EId(random_one_cell(sig, rng, 3)))
-    expr = rng.choice(pool)
-    while size(expr) < max_nodes:
-        kind = rng.randrange(4)
-        try:
-            if kind == 0:
-                src, tgt = typecheck(sig, expr, top)
-                nxt = rng.choice(pool)
-                s2, _ = typecheck(sig, nxt, top)
-                if tgt == s2:
-                    expr = ETop(expr, nxt)
-                elif typecheck(sig, nxt, top)[1] == src:
-                    expr = ETop(nxt, expr)
-                else:
-                    expr = ETop(expr, EId(tgt))
-            elif kind == 1:
-                src, _ = typecheck(sig, expr, top)
-                u = random_one_cell(sig, rng, 2, start=rng.choice(sig.zero))
-                if sig.end0(u) == src.start:
-                    expr = ELowL(0, u, expr)
-            elif kind == 2:
-                src, _ = typecheck(sig, expr, top)
-                v = random_one_cell(sig, rng, 2, start=sig.end0(src))
-                expr = ELowR(0, expr, v)
-            else:
-                src, _ = typecheck(sig, expr, top)
-                expr = ETop(EId(src), expr)
-        except TypingError:
-            continue
-    return expr
-
-
 def rewrite_with_strategy(sig, expr, top, pick):
     cur = expr
     trace = [cur]
@@ -166,7 +128,7 @@ def test_strategy_independence_sampled(pseudomonoid, seed):
     sig = pseudomonoid.presentation.sig
     rng = random.Random(seed)
     for _ in range(60):
-        expr = random_expression(sig, rng, max_nodes=rng.randrange(3, 11))
+        expr = random_typed_expression(sig, rng, max_nodes=rng.randrange(3, 11))
         first, _ = rewrite_with_strategy(sig, expr, 2, lambda opts: opts[0])
         last, _ = rewrite_with_strategy(sig, expr, 2, lambda opts: opts[-1])
         rnd, _ = rewrite_with_strategy(sig, expr, 2, rng.choice)
@@ -178,7 +140,7 @@ def test_closure_oracle_unique_normal_form(pseudomonoid):
     sig = pseudomonoid.presentation.sig
     rng = random.Random(7)
     for _ in range(40):
-        expr = random_expression(sig, rng, max_nodes=rng.randrange(3, 8))
+        expr = random_typed_expression(sig, rng, max_nodes=rng.randrange(3, 8))
         normals = closure(sig, expr)
         assert len(normals) == 1
         assert normal_form_expr(sig, expr, 2) in normals
@@ -188,7 +150,7 @@ def test_measure_strictly_decreases(pseudomonoid):
     sig = pseudomonoid.presentation.sig
     rng = random.Random(11)
     for _ in range(60):
-        expr = random_expression(sig, rng, max_nodes=rng.randrange(3, 10))
+        expr = random_typed_expression(sig, rng, max_nodes=rng.randrange(3, 10))
         cur = expr
         while True:
             options = reducts(sig, cur)

@@ -16,18 +16,22 @@ import pytest
 
 from graypol import BUILTIN_NAMES, OneCell, TwoCell, get_builtin, serialize_presentation
 
-from conftest import differential, enumerate_two_cells, random_one_cell, random_two_cell
-from test_acceptance import _random_expr as random_padded_expression
-from test_expressions import random_expression as random_typed_expression
-from test_rewriting import _positive_draws as positive_presentations
-from test_rewriting import _random_positive_presentation as random_positive_presentation
-from test_termination import _random_interpretation as random_interpretation
-
-_one_fields, _two_fields = differential._one_fields, differential._two_fields
-comb, chain, disjoint_copies = differential.comb, differential.chain, differential.disjoint_copies
-random_presentation_text = differential._random_presentation
-random_rough_expression = differential._random_expression
-FILES = differential.FILES
+from differential import FILES, _one_fields, _two_fields
+from inputs import (
+    chain,
+    comb,
+    disjoint_copies,
+    enumerate_two_cells,
+    positive_presentations,
+    random_interpretation,
+    random_one_cell,
+    random_padded_expression,
+    random_positive_presentation,
+    random_presentation_text,
+    random_rough_expression,
+    random_two_cell,
+    random_typed_expression,
+)
 
 
 def _encoded(v):

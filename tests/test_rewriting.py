@@ -33,7 +33,8 @@ from graypol.cells import Step, TwoCell, Whisker2
 from graypol.rewriting import canonical_branching, is_natural, rotate_branching, step_key
 from graypol.cells import slice2
 
-from conftest import GRAY_BUILTINS, enumerate_two_cells, random_one_cell, random_two_cell
+from conftest import GRAY_BUILTINS
+from inputs import enumerate_two_cells, positive_presentations, random_one_cell, random_positive_presentation, random_two_cell
 
 
 # ---------------------------------------------------------------- oracles
@@ -494,46 +495,6 @@ def test_critical_counts(name, count):
     assert len(enumerate_critical(entry.presentation)) == count
 
 
-def _random_positive_presentation(seed, identity_sources=False):
-    """A random one-wire presentation with positive 2-generator targets.
-
-    Its 3-generators have sources of one or two rows, or also of none
-    with ``identity_sources``; ``None`` when the draw yields no valid one.
-    """
-    import random
-
-    from graypol import GrayPresentation, Signature, validate
-
-    r = random.Random(seed)
-    two = []
-    for n in ["u", "v"][: r.randint(1, 2)]:
-        two.append((n, OneCell("x", ("a",) * r.randint(0, 2)), OneCell("x", ("a",) * r.randint(1, 2))))
-    base = Signature(zero=["x"], one=[("a", "x", "x")], two=two)
-    cells = [
-        c
-        for c in enumerate_two_cells(base, 2, [OneCell("x", ("a",) * k) for k in range(3)])
-        if (0 if identity_sources else 1) <= length(c) <= 2
-    ]
-    r.shuffle(cells)
-    three = []
-    for c in cells:
-        if len(three) >= r.randint(1, 2):
-            break
-        for d in cells:
-            if d is not c and base.source(d) == base.source(c) and base.target(d) == base.target(c):
-                three.append((f"G{len(three)}", c, d))
-                break
-    if not three:
-        return None
-    pres = GrayPresentation(
-        f"fuzz{seed}", Signature(zero=["x"], one=[("a", "x", "x")], two=two, three=three)
-    )
-    rep = validate(pres)
-    if not rep.ok or not (identity_sources or rep.operational_sources_positive):
-        return None
-    return pres
-
-
 def test_indexed_scan_matches_brute_force():
     # the seeds give one-row and identity sources, which the index lists
     # apart from the sources keyed by their first two rows
@@ -541,7 +502,7 @@ def test_indexed_scan_matches_brute_force():
 
     rows_seen = set()
     for seed in (4, 5, 20, 24, 36, 38):
-        pres = _random_positive_presentation(seed, identity_sources=True)
+        pres = random_positive_presentation(seed, identity_sources=True)
         sig = pres.sig
         rows_seen |= {length(src) for src, _ in sig.three.values()}
         rng = random.Random(seed)
@@ -562,7 +523,7 @@ def test_enumeration_matches_brute_force_randomized(seed):
     # random one-wire presentations with positive generator boundaries; a
     # seed that draws none tries seed + 1000, seed + 2000, ... (seeds 3, 19
     # and 37 draw from 1003, 1019 and 1037)
-    pres = next(filter(None, (_random_positive_presentation(seed + 1000 * k) for k in itertools.count())))
+    pres = next(filter(None, (random_positive_presentation(seed + 1000 * k) for k in itertools.count())))
     sig = pres.sig
     starts = [OneCell("x", ("a",) * k) for k in range(5)]
     cells = [c for c in enumerate_two_cells(sig, 3, starts) if length(c) <= 3]
@@ -712,7 +673,7 @@ def test_enumeration_commutes_with_rotation(name, request):
 def test_enumeration_commutes_with_rotation_randomized():
     checked = 0
     for seed in range(60):
-        pres = _random_positive_presentation(seed)
+        pres = random_positive_presentation(seed)
         if pres is None:
             continue
         assert _rotated_criticals(pres) == {cb.branching for cb in enumerate_critical(pres)}
@@ -727,21 +688,10 @@ def test_classification_is_rotation_invariant(pseudomonoid, pseudomonoid_oracle)
         assert type(classify(rot, rotate_branching(sig, b))) is type(classify(pres, b))
 
 
-def _positive_draws(count):
-    """The first ``count`` valid ``_random_positive_presentation`` draws."""
-    out, seed = [], 0
-    while len(out) < count:
-        pres = _random_positive_presentation(seed)
-        if pres is not None:
-            out.append(pres)
-        seed += 1
-    return out
-
-
 def _gray_builtins_and_draws(count):
     from graypol import get_builtin
 
-    return [get_builtin(name).presentation for name in GRAY_BUILTINS] + _positive_draws(count)
+    return [get_builtin(name).presentation for name in GRAY_BUILTINS] + positive_presentations(count)
 
 
 def test_candidates_are_branchings_by_construction():

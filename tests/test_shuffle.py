@@ -21,7 +21,7 @@ from graypol import (
 )
 from graypol.shuffle import ShuffleEdge, ShuffleError, word_edges
 
-from conftest import random_two_cell
+from inputs import random_two_cell
 
 
 @pytest.fixture(scope="module")

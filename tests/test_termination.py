@@ -29,7 +29,8 @@ from graypol import (
 )
 from graypol.termination import EXTERNAL_INTERCHANGER_THEOREM
 
-from conftest import differential, random_one_cell, random_two_cell
+import inputs
+from inputs import random_interpretation, random_one_cell, random_two_cell
 
 
 def test_intnorm_of_interchanger_boundaries(pseudomonoid):
@@ -83,10 +84,8 @@ def test_intnorm_drops_across_long_middle_words(pseudomonoid, frobenius):
     # words limits only the list: check middles of 3 to 6 letters too
     from graypol.termination import _small_middles
 
-    from test_rewriting import _positive_draws
-
     checked = 0
-    for pres in [pseudomonoid.presentation, frobenius.presentation] + _positive_draws(20):
+    for pres in [pseudomonoid.presentation, frobenius.presentation] + inputs.positive_presentations(20):
         sig = pres.sig
         assert check_positive_intnorm(pres)
         for alpha in sig.two:
@@ -159,19 +158,6 @@ def _block_composite(interp, phi, width):
     return acc
 
 
-def _random_interpretation(sig, rng):
-    weights = {g: rng.randrange(1, 3) for g in sig.one}
-    maps = {}
-    for name, (src, tgt) in sig.two.items():
-        m = sum(weights[g] for g in src.word)
-        n = sum(weights[g] for g in tgt.word)
-        matrix = [[rng.randrange(3) for _ in range(m)] for _ in range(n)]
-        for j in range(m if n else 0):
-            matrix[rng.randrange(n)][j] += 1
-        maps[name] = AffineMap.make(m, matrix, [rng.randrange(3) for _ in range(n)])
-    return LinearInterpretation(weights, maps)
-
-
 TWO_COLOURS = """presentation two-colours
 0 x
 1 a : x -> x
@@ -186,7 +172,7 @@ TWO_COLOURS = """presentation two-colours
 def test_interpretation_matches_block_matrix_composite(pseudomonoid, rng):
     for sig in (pseudomonoid.presentation.sig, parse_presentation(TWO_COLOURS).sig):
         for _ in range(150):
-            interp = _random_interpretation(sig, rng)
+            interp = random_interpretation(sig, rng)
             phi = random_two_cell(sig, rng, rows=rng.randrange(9))
             width = interp.word_weight(sig.source(phi))
             assert eval_interpretation(sig, interp, phi) == _block_composite(interp, phi, width)
@@ -536,7 +522,7 @@ def test_interchangers_keep_the_interpretation_and_the_cospan(
     checked = 0
     for sig in sigs:
         for _ in range(2):
-            interp = _random_interpretation(sig, rng)
+            interp = random_interpretation(sig, rng)
             for alpha in sig.two:
                 for beta in sig.two:
                     for mid in _small_middles(sig, alpha, beta, 4):
@@ -552,7 +538,7 @@ def test_connected_refuses_a_cap_that_reaches_a_cup(n, pseudoadjunction):
     # the cap, the chain and the cup make a floating bubble, and two bubbles
     # side by side interchange forever, however long the chain
     with pytest.raises(TerminationRefused, match=r"closed diagrams are constructible \(cap feeds cup\)"):
-        certify_termination(parse_presentation(differential.chain(n)), "connected")
+        certify_termination(parse_presentation(inputs.chain(n)), "connected")
     # a cap and a cup at different 0-cells bound no bubble
     assert certify_termination(pseudoadjunction.presentation, "connected").strategy == "connected"
 
@@ -595,6 +581,6 @@ def test_closed_diagram_check_refuses_whatever_the_bounded_search_finds(monkeypa
             named += 1
     assert named >= 20
     # the bounded search misses a cup four rewrites from the cap
-    sig = parse_presentation(differential.chain(4)).sig
+    sig = parse_presentation(inputs.chain(4)).sig
     assert _bounded_closed_diagram_search(sig) is None
     assert _closed_diagram_possible(sig) == "cap feeds cup"

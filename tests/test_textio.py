@@ -21,8 +21,7 @@ from graypol import (
 )
 from graypol.textio import parse_two, parse_three, render_three
 
-from conftest import random_two_cell
-from test_rewriting import _random_positive_presentation
+from inputs import random_positive_presentation, random_two_cell
 
 FROBENIUS_FILE = os.path.join(os.path.dirname(__file__), os.pardir, "presentations", "frobenius.gray")
 
@@ -235,7 +234,7 @@ _ROUND_TRIP = settings(max_examples=40, deadline=None, derandomize=True, databas
 @_ROUND_TRIP
 @given(st.integers(0, 10**6))
 def test_random_presentations_round_trip_with_their_completion_tiles(seed):
-    pres = _random_positive_presentation(seed)
+    pres = random_positive_presentation(seed)
     if pres is None:
         return
     assert parse_presentation(serialize_presentation(pres)) == pres

@@ -19,8 +19,8 @@ of 2-cells of at most 3 rows, random expressions, short zigzags, cells
 whose rewriting loops, rewriting steps with one field swapped with a
 neighbour's or cut short, combs of multiplications and chains of rewrites
 (``comb``, ``chain``).  They are drawn with ``random.Random`` from
-fixed seeds, by this file only, so both trees see the same inputs.  A
-record holds:
+fixed seeds, by this file and ``inputs.py`` only, so both trees see the
+same inputs.  A record holds:
 
 * ``parse_presentation``: the serialization, or the error message and line;
 * ``parse_cell``: the re-parsed cell, or the error message and line, and
@@ -61,6 +61,8 @@ import subprocess
 import sys
 from pathlib import Path
 
+from inputs import chain, comb, disjoint_copies, random_presentation_text, random_rough_expression, random_two_cell
+
 ROOT = Path(__file__).resolve().parent.parent
 FILES = sorted((ROOT / "src" / "graypol" / "presentations").glob("*.gray"))
 MAX_STEPS = 40
@@ -93,7 +95,9 @@ def _parsed(fn, *args):
         return {"error": str(exc), "line": getattr(exc, "line", None)}
 
 
-# ---------------------------------------------------------------- inputs
+# ---------------------------------------------------------------- mutated files
+#
+# The other inputs are drawn in ``inputs.py``.
 
 
 def _tokens():
@@ -191,111 +195,6 @@ def _step_mutated(rng: random.Random, texts, mutate) -> str:
     k = rng.choice([k for k, line in enumerate(lines) if line.startswith("tile ")])
     lines[k] = mutate(rng, lines[k], list(_STEP.finditer(lines[k])))
     return "\n".join(lines)
-
-
-def _word(n: int) -> str:
-    return " ".join(["a"] * n) or "."
-
-
-def _random_presentation(rng: random.Random, index: int) -> str:
-    """A one-wire presentation: one or two 2-generators, and 3-generators
-    between random parallel 2-cells of one or two rows."""
-    gens = {}
-    lines = [f"presentation draw{index}", "0 x", "1 a : x -> x"]
-    for name in ("u", "v")[: rng.randint(1, 2)]:
-        gens[name] = (rng.randint(0, 2), rng.randint(1, 2))
-        lines.append(f"2 {name} : {_word(gens[name][0])} => {_word(gens[name][1])}")
-    by_boundary = {}
-    for _ in range(24):
-        start = cur = rng.randint(0, 3)
-        rows = []
-        for _ in range(rng.randint(1, 2)):
-            options = [(g, p) for g, (s, _) in gens.items() for p in range(cur - s + 1)]
-            if not options:
-                break
-            g, p = rng.choice(options)
-            s, t = gens[g]
-            rows.append(f"[{_word(p)}|{g}|{_word(cur - p - s)}]")
-            cur += t - s
-        if rows:
-            by_boundary.setdefault((start, cur), set()).add(";".join(rows))
-    count = 0
-    for cells in by_boundary.values():
-        if len(cells) >= 2 and count < 2:
-            src, tgt = rng.sample(sorted(cells), 2)
-            lines.append(f"3 G{count} : {src} => {tgt}")
-            count += 1
-    return "\n".join(lines) + "\n"
-
-
-def random_one_cell(sig, rng: random.Random, max_len=4, start=None):
-    """A random composable word of at most ``max_len`` letters."""
-    from graypol import OneCell
-
-    if start is None:
-        start = rng.choice(sig.zero)
-    word = []
-    here = start
-    for _ in range(rng.randrange(max_len + 1)):
-        outgoing = [g for g, (s, _) in sig.one.items() if s == here]
-        if not outgoing:
-            break
-        g = rng.choice(outgoing)
-        word.append(g)
-        here = sig.one[g][1]
-    return OneCell(start, tuple(word))
-
-
-def random_two_cell(sig, rng: random.Random, rows=3, max_pad=2, start_cell=None):
-    """Random whisker chain; rows may fall short when no generator embeds.
-
-    The tests draw their random cells here too.
-    """
-    from graypol import OneCell
-
-    level = start_cell if start_cell is not None else random_one_cell(sig, rng, max_pad + 2)
-    cell = sig.id2(level)
-    for _ in range(rows):
-        options = []
-        for gen, (src, _) in sig.two.items():
-            w = level.word
-            for cut in range(len(w) - len(src.word) + 1):
-                if tuple(w[cut : cut + len(src.word)]) == src.word:
-                    pre = OneCell(level.start, w[:cut])
-                    if sig.end0(pre) != src.start:
-                        continue
-                    options.append((gen, cut))
-        if not options:
-            break
-        gen, cut = rng.choice(options)
-        src = sig.src1(gen)
-        pre = OneCell(level.start, level.word[:cut])
-        post_start = sig.end0(sig.make1(level.start, level.word[: cut + len(src.word)]))
-        post = OneCell(post_start, level.word[cut + len(src.word) :])
-        whisk = sig.whisker0(pre, sig.gen2_cell(gen), post)
-        cell = sig.compose(cell, whisk, 1)
-        level = sig.target(cell)
-    return cell
-
-
-def comb(n: int, left: bool = True):
-    """A pseudomonoid comb of ``n`` multiplications on ``n + 1`` wires: each row multiplies
-    the two leftmost wires (a left comb), or else the two rightmost (a right comb)."""
-    from graypol import OneCell, TwoCell, Whisker2
-
-    ends = OneCell("x", ())
-    pads = [OneCell("x", ("a",) * (n - 1 - i)) for i in range(n)]
-    rows = (Whisker2(ends, "mu", pad) if left else Whisker2(pad, "mu", ends) for pad in pads)
-    return TwoCell(OneCell("x", ("a",) * (n + 1)), tuple(rows))
-
-
-def chain(n: int) -> str:
-    """A ``.gray`` file: a cap, ``n`` rewrites of its wire and a cup at one 0-cell, beside an
-    unrelated shrinking rule."""
-    lines = [f"presentation chain{n}", "0 x", "1 h : x -> x"] + [f"1 a{i} : x -> x" for i in range(n + 1)]
-    lines += ["2 cap : @x => a0"] + [f"2 r{i} : a{i - 1} => a{i}" for i in range(1, n + 1)]
-    lines += [f"2 cup : a{n} => @x", "2 k : h => h", "3 K : [.|k|.] => id(h)"]
-    return "\n".join(lines) + "\n"
 
 
 # ---------------------------------------------------------------- records
@@ -413,7 +312,7 @@ def _all_records():
         yield from _cli_records(source, label, cells + ["a a", "0", "@x", "id2([.|mu|.])", "[", "x y"])
     pool = [(entry.presentation, entry.interpretation) for entry in builtins]
     for index in range(12):
-        text = _random_presentation(rng, index)
+        text = random_presentation_text(rng, index)
         yield "parse_presentation", text, _parsed(lambda: serialize_presentation(parse_presentation(text)))
         pool.append((parse_presentation(text), None))
     for _ in range(240):
@@ -438,24 +337,6 @@ def _all_records():
 #
 # These sections come after the records above and draw from their own
 # streams, so adding them left every earlier record as it was.
-
-_NAME = re.compile(r"[^\s\[\]|;(),@:]+")
-
-
-def disjoint_copies(text: str, k: int) -> str:
-    """``k`` copies of a Gray-mode ``.gray`` file that share no generator.
-
-    The tile lines are dropped, and copy ``c`` renames every 0-, 1-, 2-
-    and 3-generator ``NAME`` to ``NAME_c``; its analysis is that of the
-    file, ``k`` times over.
-    """
-    lines = [line for line in text.splitlines() if line.strip() and not line.startswith("tile ")]
-    names = {line.split()[1] for line in lines[1:] if line.split()[0] in ("0", "1", "2", "3")}
-    out = [f"{lines[0]}-x{k}"]
-    for c in range(1, k + 1):
-        rename = lambda m: f"{m.group()}_{c}" if m.group() in names else m.group()
-        out += [_NAME.sub(rename, line) for line in lines[1:]]
-    return "\n".join(out) + "\n"
 
 
 def _copies_records():
@@ -535,62 +416,6 @@ def _shuffle_records():
         yield from _malformed_shuffle_records(sig, [name, render_two(sig, phi), render_two(sig, phi)], phi, phi)
 
 
-def _meeting_one_cell(sig, rng: random.Random, point, ends: bool):
-    """A 1-cell of at most one letter that ends (``ends``) or starts at ``point``."""
-    from graypol import OneCell
-
-    fits = [g for g, (s, t) in sig.one.items() if (t if ends else s) == point]
-    if fits and rng.random() < 0.6:
-        g = rng.choice(fits)
-        return OneCell(sig.one[g][0], (g,))
-    return OneCell(point, ())
-
-
-def _random_expression(sig, rng: random.Random, top: int):
-    """A random expression of top dimension 2 or 3, grown from a leaf.
-
-    A one-sided composite's cell meets the expression's boundary most of
-    the time; the rest are ill-typed on purpose, and so are a few leaves
-    and composition dimensions.
-    """
-    from graypol import CellError, EGen, EId, ELowL, ELowR, ETop, OneCell, OpGen, typecheck
-
-    def leaf():
-        roll = rng.random()
-        if roll < 0.2:
-            return EId(random_two_cell(sig, rng, 1) if top == 3 else OneCell(rng.choice(sig.zero), ()))
-        if roll < 0.25:
-            return EGen(top, "zz")
-        return EGen(top, OpGen(rng.choice(list(sig.three))) if top == 3 else rng.choice(list(sig.two)))
-
-    expr = leaf()
-    for _ in range(rng.randint(0, 4)):
-        try:
-            src, tgt = typecheck(sig, expr, top)
-        except CellError:
-            src = tgt = None
-        kind = rng.randrange(5)
-        if kind == 0:
-            expr = ETop(expr, EId(tgt) if tgt is not None and rng.random() < 0.5 else leaf())
-        elif kind == 1:
-            expr = ETop(EId(src) if src is not None and rng.random() < 0.5 else leaf(), expr)
-        else:
-            i = rng.randrange(top - 1) if rng.random() < 0.9 else top - 1
-            left = kind in (2, 3)
-            if src is None or i == top - 1:
-                cell = OneCell(rng.choice(sig.zero), ())
-            elif rng.random() < 0.4:
-                cell = random_two_cell(sig, rng, 1) if i else random_two_cell(sig, rng, 0).source1
-            elif i == 0:
-                low = src if top == 2 else src.source1
-                point = low.start if left else sig.end0(low)
-                cell = _meeting_one_cell(sig, rng, point, left)
-            else:
-                cell = sig.id2(sig.source(src) if left else sig.target(src))
-            expr = ELowL(i, cell, expr) if left else ELowR(i, expr, cell)
-    return expr
-
-
 def _expression_records():
     """Typing, one-step reducts, measure and normal form of random expressions."""
     from graypol import BUILTIN_NAMES, TypingError, get_builtin, measure, normal_form_expr, reducts, typecheck
@@ -600,7 +425,7 @@ def _expression_records():
         sig = get_builtin(name).presentation.sig
         for n in range(60):
             top = 2 if n % 3 else 3
-            expr = _random_expression(sig, rng, top)
+            expr = random_rough_expression(sig, rng, top)
             label = [name, top, repr(expr)]
             try:
                 typed = {"ok": _reprs(typecheck(sig, expr, top))}
@@ -709,7 +534,7 @@ def _drawn_presentations():
     from graypol import parse_presentation
 
     rng = random.Random(SEED + 5)
-    return [parse_presentation(_random_presentation(rng, index)) for index in range(24)]
+    return [parse_presentation(random_presentation_text(rng, index)) for index in range(24)]
 
 
 def _loop_records():
