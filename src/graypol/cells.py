@@ -207,6 +207,13 @@ def is_identity(c: Cell) -> bool:
     return length(c) == 0
 
 
+# The most instance sides one signature's memo holds; a full memo is
+# emptied before the next side is stored, so its memory stays bounded.
+# A 25 s benchmark run stores at most 222 sides in one signature's memo
+# (normalize; sweep 30, pipeline 126), so the benchmark never empties it.
+SIDES_MEMO_MAX = 4096
+
+
 class Signature:
     """Generator signature in dimensions 0 to 3 with typed boundaries.
 
@@ -218,8 +225,8 @@ class Signature:
     once each, going from ``None`` to their value; any other assignment
     or deletion raises ``AttributeError``.  The sides of 3-generator
     instances are memoized (``_sides``, keyed by ``(instance,
-    source)``).  The memo is not part of the value: equality and the
-    hash read ``_key`` only.
+    source)``), up to ``SIDES_MEMO_MAX`` of them.  The memo is not part
+    of the value: equality and the hash read ``_key`` only.
 
     The constructor checks every generator.  ``rotated`` and, for the
     parser only, ``_extended`` build a signature from generator sides
@@ -448,6 +455,8 @@ class Signature:
             raise CellError(f"not a 3-generator instance: {inst!r}") from None
         if hit is None:
             side = self._build_side(inst, source)
+            if len(self._sides) >= SIDES_MEMO_MAX:
+                self._sides.clear()
             hit = self._sides[key] = (side, self.target(side))
         return hit
 
@@ -478,18 +487,15 @@ class Signature:
             raise CompositionError(f"interchanger: {alpha} not 0-composable with middle word")
         if self.end0(mid) != h.start:
             raise CompositionError(f"interchanger: middle word not 0-composable with {beta}")
-        idl, idr = OneCell(f.start, ()), OneCell(self.end0(h), ())
-        if source:
-            rows = (
-                Whisker2(idl, alpha, OneCell(mid.start, mid.word + h.word)),
-                Whisker2(OneCell(fp.start, fp.word + mid.word), beta, idr),
-            )
-        else:
-            rows = (
-                Whisker2(OneCell(f.start, f.word + mid.word), beta, idr),
-                Whisker2(idl, alpha, OneCell(mid.start, mid.word + hp.word)),
-            )
-        return TwoCell(OneCell(f.start, f.word + mid.word + h.word), rows)
+        # the target is the source upside down, each generator's boundary
+        # between the two rows swapped: alpha's target for its source, beta's
+        # source for its target
+        a, b = (fp, h) if source else (f, hp)
+        rows = (
+            Whisker2(OneCell(f.start, ()), alpha, OneCell(mid.start, mid.word + b.word)),
+            Whisker2(OneCell(a.start, a.word + mid.word), beta, OneCell(self.end0(h), ())),
+        )
+        return TwoCell(OneCell(f.start, f.word + mid.word + h.word), rows if source else rows[::-1])
 
     def inst_boundaries(self, inst: GenInstance) -> Tuple[TwoCell, TwoCell]:
         """Source and target of a 3-generator instance."""

@@ -411,6 +411,15 @@ def measure_less(a: SelfDualMeasure, b: SelfDualMeasure) -> bool:
     return a.as_tuple() < b.as_tuple()
 
 
+def _shrinking_rules(sig: Signature, strategy: str):
+    """Each operational rule as ``(name, source, target, witness)``, once it is checked to
+    shrink the whisker count; ``strategy`` refuses the first rule that does not."""
+    for name, (src, tgt) in sig.three.items():
+        if length(tgt) >= length(src):
+            raise TerminationRefused(strategy, f"operational rule {name} does not shrink the whisker count")
+        yield name, src, tgt, ("operational", name, length(src), length(tgt))
+
+
 def check_q_system(pres: GrayPresentation):
     """Measure decrease for each oriented rule kind and plain length drop.
 
@@ -447,13 +456,7 @@ def check_q_system(pres: GrayPresentation):
             "undo each other",
         )
     sig = pres.sig
-    witnesses = []
-    for name, (src, tgt) in sig.three.items():
-        if length(tgt) >= length(src):
-            raise TerminationRefused(
-                "selfdual", f"operational rule {name} does not shrink the whisker count"
-            )
-        witnesses.append(("operational", name, length(src), length(tgt)))
+    witnesses = [witness for _, _, _, witness in _shrinking_rules(sig, "selfdual")]
     for alpha, beta, rev in pres.qmode.rules:
         for mid in _small_middles(sig, alpha, beta, Q_RULE_MAX_MID):
             inst = QInterchanger(alpha, mid, beta, rev)
@@ -510,16 +513,12 @@ def _certify_interchange(pres, interpretation):
 def _certify_connected(pres, interpretation):
     sig = pres.sig
     witnesses = []
-    for name, (src, tgt) in sig.three.items():
-        if length(tgt) >= length(src):
-            raise TerminationRefused(
-                "connected", f"operational rule {name} does not shrink the whisker count"
-            )
+    for name, src, tgt, witness in _shrinking_rules(sig, "connected"):
         if cospan_of(sig, src) != cospan_of(sig, tgt):
             raise TerminationRefused(
                 "connected", f"operational rule {name} does not preserve connectedness"
             )
-        witnesses.append(("operational", name, length(src), length(tgt)))
+        witnesses.append(witness)
     # Interchangers need no check: both sides of ``X(alpha, m, beta)`` join
     # the wires of ``alpha`` and those of ``beta`` into disjoint components,
     # so they have equal cospans for every ``m``.

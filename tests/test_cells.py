@@ -587,3 +587,19 @@ def test_rotated_signature_has_its_own_memo(pseudomonoid):
     assert rside != side
     assert rside == _copy(rsig).inst_side(inst, True)
     assert sig.inst_side(inst, True) is side
+
+
+def test_instance_side_memo_is_bounded():
+    # more distinct interchanger sides than the memo holds, on a fresh
+    # signature; short middle words over two loop letters keep each side cheap
+    from itertools import product
+
+    from graypol.cells import SIDES_MEMO_MAX
+
+    sig = Signature(["x"], [("a", "x", "x"), ("b", "x", "x")], [("mu", OneCell("x", ("a", "a")), OneCell("x", ("a",)))])
+    words = [w for n in range(14) for w in product("ab", repeat=n)][: SIDES_MEMO_MAX // 2 + 100]
+    insts = [Interchanger("mu", OneCell("x", w), "mu") for w in words]
+    for inst in insts + insts[:100]:
+        for source in (True, False):
+            assert sig.inst_side(inst, source) == sig._build_side(inst, source)
+            assert len(sig._sides) <= SIDES_MEMO_MAX
