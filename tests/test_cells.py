@@ -20,7 +20,7 @@ from graypol import (
 from graypol.expressions import eval_cell
 
 from conftest import GRAY_BUILTINS, two_cell_to_expr
-from inputs import random_one_cell, random_positive_presentation, random_two_cell
+from inputs import positive_presentations, random_one_cell, random_two_cell
 
 ALL_BUILTINS = GRAY_BUILTINS + ["selfduality_q"]
 
@@ -307,13 +307,9 @@ def _rotated_by_constructor(sig):
 
 
 def _rotation_signatures():
-    from itertools import islice
-
     from graypol import BUILTIN_NAMES, get_builtin
 
-    draws = (random_positive_presentation(seed) for seed in range(1000))
-    randoms = list(islice((pres.sig for pres in draws if pres is not None), 20))
-    assert len(randoms) == 20
+    randoms = [pres.sig for pres in positive_presentations(20)]
     return [get_builtin(name).presentation.sig for name in BUILTIN_NAMES] + randoms
 
 

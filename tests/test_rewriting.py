@@ -34,7 +34,13 @@ from graypol.rewriting import canonical_branching, is_natural, rotate_branching,
 from graypol.cells import slice2
 
 from conftest import GRAY_BUILTINS
-from inputs import enumerate_two_cells, positive_presentations, random_one_cell, random_positive_presentation, random_two_cell
+from inputs import (
+    enumerate_two_cells,
+    positive_presentations,
+    random_one_cell,
+    random_positive_presentation,
+    random_two_cell,
+)
 
 
 # ---------------------------------------------------------------- oracles

@@ -46,8 +46,9 @@ def _whisker_options(sig, level):
     w = level.word
     options = []
     for gen, (src, _) in sig.two.items():
-        for cut in range(len(w) - len(src.word) + 1):
-            if tuple(w[cut : cut + len(src.word)]) == src.word and sig.end0(OneCell(level.start, w[:cut])) == src.start:
+        n = len(src.word)
+        for cut in range(len(w) - n + 1):
+            if tuple(w[cut : cut + n]) == src.word and sig.end0(OneCell(level.start, w[:cut])) == src.start:
                 options.append((gen, cut))
     return options
 
