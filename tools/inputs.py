@@ -12,8 +12,6 @@ Each generator imports ``graypol`` when it runs, so the tool's
 ``--against TREE`` draws with the graypol of ``TREE/src``.
 """
 
-from __future__ import annotations
-
 import random
 import re
 
