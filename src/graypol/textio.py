@@ -439,22 +439,31 @@ def parse_presentation(text: str) -> GrayPresentation:
     zero: List[str] = []
     declared: Dict[str, List[Tuple[str, str, str, int]]] = {d: [] for d in _DECLARATIONS}
     qmode: Optional[QMode] = None
+    given: set = set()  # the directives a file gives at most once
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
         if not line:
             continue
         head, _, rest = line.partition(" ")
         rest = rest.strip()
+        if head in ("presentation", "qmode"):
+            if head in given:
+                raise ParseError(f"repeated {head} line", lineno)
+            given.add(head)
         if head in _DECLARATIONS:
             kind, sides = _DECLARATIONS[head]
             gen, _, body = rest.partition(":")
             left, sep, right = body.partition(sides.split()[1])
             if not sep:
                 raise ParseError(f"{kind} needs {sides}", lineno)
+            if not gen.strip():
+                raise ParseError(f"{kind} needs a name", lineno)
             declared[head].append((gen.strip(), left.strip(), right.strip(), lineno))
         elif head == "presentation":
             name = rest
         elif head == "0":
+            if not rest:
+                raise ParseError("0-generator needs a name", lineno)
             zero.append(rest)
         elif head == "qmode":
             parts = rest.split()

@@ -1,6 +1,7 @@
-"""Shared fixtures: builtin entries, the oracle table on small pseudomonoid
-cells, and the expression-tree converter used by boundary oracles.  The
-generated inputs are drawn from ``tools/inputs.py``, imported as ``inputs``."""
+"""Shared fixtures: builtin entries and the oracle table on small pseudomonoid
+cells.  The generated inputs are drawn from ``tools/inputs.py``, imported as
+``inputs``, and the oracles from ``tools/reference.py``, imported as
+``reference``."""
 
 import itertools
 import random
@@ -8,26 +9,10 @@ from dataclasses import dataclass
 
 import pytest
 
-from graypol import (
-    Branching,
-    EGen,
-    EId,
-    ELowL,
-    ELowR,
-    ETop,
-    OneCell,
-    Signature,
-    TwoCell,
-    find_redexes,
-    get_builtin,
-    length,
-)
+from graypol import Branching, OneCell, find_redexes, get_builtin, length
 
 from inputs import enumerate_two_cells
-
-
-# the builtins whose engine mode is Gray (not q)
-GRAY_BUILTINS = ["pseudomonoid", "pseudoadjunction", "selfduality", "frobenius"]
+from reference import brute_force_criticals, natural_branchings, oracle_classify
 
 
 @pytest.fixture(scope="session")
@@ -73,8 +58,6 @@ class OracleTable:
 @pytest.fixture(scope="session")
 def pseudomonoid_oracle(pseudomonoid):
     """The oracle on every pseudomonoid cell of at most 4 rows over x, a, ..., a^4."""
-    from test_rewriting import brute_force_criticals, natural_branchings, oracle_classify
-
     pres = pseudomonoid.presentation
     starts = [OneCell("x", ("a",) * n) for n in range(5)]
     cells = [c for c in enumerate_two_cells(pres.sig, 4, starts) if length(c) <= 4]
@@ -91,22 +74,4 @@ def pseudomonoid_oracle(pseudomonoid):
 @pytest.fixture()
 def rng():
     return random.Random(20240811)
-
-
-def two_cell_to_expr(sig: Signature, phi: TwoCell):
-    """Whisker-by-whisker expression denoting a 2-cell."""
-    if not phi.whiskers:
-        return EId(phi.source1)
-    parts = []
-    for w in phi.whiskers:
-        core = EGen(2, w.gen)
-        if w.right.word:
-            core = ELowR(0, core, w.right)
-        if w.left.word:
-            core = ELowL(0, w.left, core)
-        parts.append(core)
-    expr = parts[-1]
-    for p in reversed(parts[:-1]):
-        expr = ETop(p, expr)
-    return expr
 

@@ -41,6 +41,7 @@ from graypol.shuffle import interp_edge, interp_vertex, shuffle_graph, word_edge
 from graypol.termination import EXTERNAL_INTERCHANGER_THEOREM
 
 from inputs import random_padded_expression, random_two_cell
+from reference import produced_class, reachable_normal_forms
 
 
 def report(n, ok, detail=""):
@@ -140,24 +141,6 @@ def _mixed_signatures():
     return [get_builtin("pseudomonoid").presentation.sig, get_builtin("pseudoadjunction").presentation.sig]
 
 
-def _closure_normals(sig, expr, cap=60000):
-    seen = {expr}
-    stack = [expr]
-    normals = set()
-    while stack:
-        cur = stack.pop()
-        opts = reducts(sig, cur)
-        if not opts:
-            normals.add(cur)
-            continue
-        for nxt in opts:
-            if nxt not in seen:
-                seen.add(nxt)
-                stack.append(nxt)
-                assert len(seen) <= cap
-    return normals
-
-
 def test_criterion_5_normal_form_property_suite():
     rng = random.Random(123457)
     sigs = _mixed_signatures()
@@ -183,7 +166,7 @@ def test_criterion_5_normal_form_property_suite():
         assert eval_cell(sig, expr, top) == eval_cell(sig, outs[0], top)
         if size(expr) <= 8 and closures < 1500:
             closures += 1
-            normals = _closure_normals(sig, expr)
+            normals = reachable_normal_forms(sig, expr, cap=60000)
             assert normals == {outs[0]}
     report(5, True, f"{total} expressions, {closures} closure checks, zero violations")
 
@@ -261,8 +244,6 @@ def test_criterion_6_shuffle_suite():
 
 
 def test_criterion_7_classification_oracle(pseudomonoid_oracle):
-    from test_rewriting import produced_class
-
     entry = get_builtin("pseudomonoid")
     pres = entry.presentation
     checked = 0

@@ -8,6 +8,7 @@ import pytest
 
 from graypol import (
     BUILTIN_NAMES,
+    LinearInterpretation,
     Tile,
     certify_termination,
     enumerate_critical,
@@ -138,3 +139,39 @@ def test_disjoint_copies_have_k_times_the_critical_branchings(name, critical, k)
     assert len(enumerate_critical(pres)) == critical * k
     if name == "pseudoadjunction":
         assert certify_termination(pres, "connected").strategy == "connected"
+
+
+def _renamed(part):
+    """A branching key with every generator name ``NAME`` renamed ``NAME_1``."""
+    if isinstance(part, tuple):
+        return tuple(_renamed(p) for p in part)
+    return f"{part}_1" if isinstance(part, str) else part
+
+
+def test_a_renamed_copy_has_the_renamed_analysis():
+    # ``disjoint_copies(text, 1)`` renames every generator NAME to NAME_1;
+    # the keys are compared as sets, as the suffix can reorder names
+    # (mu < mu2, but mu_1 > mu2_1); pseudomonoid is given its catalog
+    # interpretation, renamed on the copy, so that both sides certify by it
+    interp = get_builtin("pseudomonoid").interpretation
+    renamed = LinearInterpretation(
+        {f"{g}_1": w for g, w in interp.weights.items()}, {f"{g}_1": f for g, f in interp.maps.items()}
+    )
+    bases = [get_builtin(name).presentation.with_tiles(()) for name in inputs.GRAY_BUILTINS]
+    outcomes = []
+    for pres in bases + inputs.positive_presentations(30):
+        text = serialize_presentation(pres)
+        base, copy = parse_presentation(text), parse_presentation(inputs.disjoint_copies(text, 1))
+        base_keys = [cb.key for cb in enumerate_critical(base)]
+        copy_keys = [cb.key for cb in enumerate_critical(copy)]
+        assert len(copy_keys) == len(base_keys)
+        assert set(copy_keys) == {_renamed(key) for key in base_keys}
+        given = (interp, renamed) if pres.name == "pseudomonoid" else (None, None)
+        sides = []
+        for p, i in zip((base, copy), given):
+            tiles, rep = squier_completion(p, interpretation=i, max_steps=30)
+            sides.append((rep.verdict, rep.termination and rep.termination.strategy, len(tiles)))
+        assert sides[0] == sides[1], pres.name
+        outcomes.append(sides[0])
+    assert len(outcomes) == 34
+    assert ("completed-with-new-tiles", "interp", 5) in outcomes

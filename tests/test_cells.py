@@ -19,8 +19,8 @@ from graypol import (
 )
 from graypol.expressions import eval_cell
 
-from conftest import GRAY_BUILTINS, two_cell_to_expr
-from inputs import positive_presentations, random_one_cell, random_two_cell
+from inputs import GRAY_BUILTINS, positive_presentations, random_one_cell, random_two_cell
+from reference import composed_side, two_cell_to_expr
 
 ALL_BUILTINS = GRAY_BUILTINS + ["selfduality_q"]
 
@@ -486,12 +486,6 @@ def test_cell_classes_are_slotted_and_frozen(pseudomonoid, rng):
             frozen_value(type("Refused", (), dict(body)))
 
 
-def _reference_side(sig, s, source):
-    """``lam *1 (left *0 side *0 right) *1 rho`` built with ``compose`` and ``whisker0`` alone."""
-    window = sig.whisker0(s.left, sig.inst_side(s.inner, source), s.right)
-    return sig.compose(sig.compose(s.lam, window, 1), s.rho, 1)
-
-
 def _one_letter_more(u, letter):
     return OneCell(u.start, u.word + (letter,))
 
@@ -506,8 +500,8 @@ def test_step_sides_match_the_compose_reference(name, request, rng):
     if pres.qmode is not None:
         assert any(isinstance(s.inner, QInterchanger) and s.inner.rev for s in steps)
     for s in steps:
-        assert sig.step_source(s) == _reference_side(sig, s, True)
-        assert sig.step_target(s) == _reference_side(sig, s, False)
+        assert sig.step_source(s) == composed_side(sig, s, sig.inst_side(s.inner, True))
+        assert sig.step_target(s) == composed_side(sig, s, sig.inst_side(s.inner, False))
         # each part moved off by one letter: the kernel and the reference both refuse
         for bad in (
             Step(s.lam, _one_letter_more(s.left, letter), s.inner, s.right, s.rho),
@@ -519,7 +513,7 @@ def test_step_sides_match_the_compose_reference(name, request, rng):
                 with pytest.raises(CompositionError):
                     sig.step_source(bad) if source else sig.step_target(bad)
                 with pytest.raises(CompositionError):
-                    _reference_side(sig, bad, source)
+                    composed_side(sig, bad, sig.inst_side(bad.inner, source))
 
 
 def _outcome(fn, *args):

@@ -34,8 +34,8 @@ from graypol import coherence
 from graypol.cells import CompositionError, Interchanger, OpGen, Step, slice2
 
 import inputs
-from conftest import GRAY_BUILTINS
-from inputs import random_positive_presentation, random_two_cell
+from inputs import GRAY_BUILTINS, random_positive_presentation, random_two_cell
+from reference import composed_side, lowest_first_path
 
 
 def _cert(entry):
@@ -76,26 +76,12 @@ def test_budget_counts_steps(pseudomonoid):
     assert info.value.partial.steps == path.steps[:65]
 
 
-
-def _lowest_first(pres, phi, n):
-    """Up to ``n`` steps of the lowest-redex-first path from ``phi``, each
-    the first redex of a full scan, and the cells the path reaches."""
-    steps, cells = [], [phi]
-    while len(steps) < n:
-        redexes = find_redexes(pres, cells[-1])
-        if not redexes:
-            break
-        steps.append(redexes[0])
-        cells.append(pres.sig.step_target(redexes[0]))
-    return steps, cells
-
-
 def _looping_cells(pres):
     """The cells of 8 rows, among the first 30 drawn from seed 3, whose
     lowest-redex-first path comes back to a cell within 40 steps."""
     rng = random.Random(3)
     drawn = [random_two_cell(pres.sig, rng, rows=8) for _ in range(30)]
-    reached = [_lowest_first(pres, phi, 40)[1] for phi in drawn]
+    reached = [lowest_first_path(pres, phi, 40)[1] for phi in drawn]
     return [phi for phi, cells in zip(drawn, reached) if len(set(cells)) < len(cells)]
 
 
@@ -104,7 +90,7 @@ def test_looping_partial_paths_are_the_lowest_first_paths(selfduality):
     loops = _looping_cells(pres)
     assert len(loops) == 7
     for phi in loops:
-        steps, _ = _lowest_first(pres, phi, 40)
+        steps, _ = lowest_first_path(pres, phi, 40)
         for budget in list(range(1, 13)) + [40]:
             with pytest.raises(NonTermination) as info:
                 normalize2(pres, phi, None, budget)
@@ -131,26 +117,7 @@ def test_a_looping_path_fills_its_budget_without_scanning(selfduality, monkeypat
     path = info.value.partial
     assert length(path) == 100_000 and path.source2 == phi
     pres.sig.check3(path)
-    assert path.steps[:400] == tuple(_lowest_first(pres, phi, 400)[0])
-
-def _full_rescan_path(pres, phi, budget):
-    """Lowest-redex-first by rescanning every row after each step.
-
-    Also checks at every step that a scan resumed at row ``k`` returns
-    the full list restricted to the smallest ``|lam| >= k``.
-    """
-    sig = pres.sig
-    steps, cur = [], phi
-    while True:
-        full = find_redexes(pres, cur)
-        for k in range(length(cur) + 2):
-            rows = [length(s.lam) for s in full if length(s.lam) >= k]
-            expected = [s for s in full if rows and length(s.lam) == min(rows)]
-            assert find_redexes(pres, cur, lowest_from=k) == expected
-        if not full or len(steps) == budget:
-            return cur, steps
-        steps.append(full[0])
-        cur = sig.step_target(full[0])
+    assert path.steps[:400] == tuple(lowest_first_path(pres, phi, 400)[0])
 
 
 @pytest.mark.parametrize(
@@ -170,14 +137,22 @@ def test_resumed_search_follows_full_rescans(name):
         if length(phi) < 24:
             continue
         drawn += 1
-        cur, steps = _full_rescan_path(pres, phi, budget)
+        steps, cells = lowest_first_path(pres, phi, budget)
+        # a scan resumed at row ``k`` returns the full list restricted to
+        # the smallest ``|lam| >= k``
+        for cur in cells:
+            full = find_redexes(pres, cur)
+            for k in range(length(cur) + 2):
+                rows = [length(s.lam) for s in full if length(s.lam) >= k]
+                expected = [s for s in full if rows and length(s.lam) == min(rows)]
+                assert find_redexes(pres, cur, lowest_from=k) == expected
         try:
             nf, path = normalize2(pres, phi, cert, budget)
         except NonTermination as exc:
             assert budget is not None and len(steps) == budget
             assert exc.partial.steps == tuple(steps)
             continue
-        assert nf == cur and path.steps == tuple(steps)
+        assert nf == cells[-1] and path.steps == tuple(steps)
 
 
 def _step_kind(sig, inner):
@@ -186,11 +161,6 @@ def _step_kind(sig, inner):
     if isinstance(inner, Interchanger):
         return ("x",)
     return ("q", inner.rev)
-
-
-def _composed(sig, s, side):
-    """``lam *1 (left *0 side *0 right) *1 rho`` for step ``s``, built by ``compose``."""
-    return sig.compose(sig.compose(s.lam, sig.whisker0(s.left, side, s.right), 1), s.rho, 1)
 
 
 @pytest.mark.parametrize(
@@ -231,8 +201,8 @@ def test_spliced_cells_equal_step_targets(name, kind):
         assert path.source2 == phi
         for s, cell in zip(path.steps, cells):
             assert cell == sig.step_target(s)
-            assert sig.step_source(s) == _composed(sig, s, sig.inst_source(s.inner))
-            assert cell == _composed(sig, s, sig.inst_target(s.inner))
+            assert sig.step_source(s) == composed_side(sig, s, sig.inst_source(s.inner))
+            assert cell == composed_side(sig, s, sig.inst_target(s.inner))
             kinds.add(_step_kind(sig, s.inner))
     assert kind in kinds
 
@@ -243,8 +213,8 @@ def _ill_fitting_steps(pseudomonoid):
     comb = inputs.comb(3)
     step = find_redexes(pseudomonoid.presentation, comb)[0]
     assert step.inner == OpGen("A") and length(step.lam) == 0 and step.right.word == ("a",)
-    assert sig.step_source(step) == comb == _composed(sig, step, sig.inst_source(step.inner))
-    assert sig.step_target(step) == _composed(sig, step, sig.inst_target(step.inner))
+    assert sig.step_source(step) == comb == composed_side(sig, step, sig.inst_source(step.inner))
+    assert sig.step_target(step) == composed_side(sig, step, sig.inst_target(step.inner))
     # one row lower the level above the window is a a a, not a a a a
     lower = Step(slice2(sig, comb, 0, 1), step.left, step.inner, step.right, slice2(sig, comb, 3, 3))
     # two rows lower the window runs past the last row
@@ -270,7 +240,7 @@ def test_splice_refuses_a_window_that_does_not_fit(pseudomonoid):
             with pytest.raises(CompositionError):
                 built(bad)
             with pytest.raises(CompositionError):
-                _composed(sg, bad, side)
+                composed_side(sg, bad, side)
 
 
 def test_normal_form_of_normal_form(pseudomonoid, rng):

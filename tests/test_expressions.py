@@ -22,8 +22,8 @@ from graypol import (
     typecheck,
 )
 
-from conftest import two_cell_to_expr
 from inputs import random_two_cell, random_typed_expression
+from reference import reachable_normal_forms, two_cell_to_expr
 
 
 def test_unit_law(pseudomonoid, rng):
@@ -104,25 +104,6 @@ def rewrite_with_strategy(sig, expr, top, pick):
         trace.append(cur)
 
 
-def closure(sig, expr, cap=200000):
-    seen = {expr}
-    stack = [expr]
-    normals = set()
-    while stack:
-        cur = stack.pop()
-        options = reducts(sig, cur)
-        if not options:
-            normals.add(cur)
-            continue
-        for nxt in options:
-            if nxt not in seen:
-                seen.add(nxt)
-                stack.append(nxt)
-                if len(seen) > cap:
-                    raise AssertionError("closure blew past the cap")
-    return normals
-
-
 @pytest.mark.parametrize("seed", [1, 2, 3])
 def test_strategy_independence_sampled(pseudomonoid, seed):
     sig = pseudomonoid.presentation.sig
@@ -141,7 +122,7 @@ def test_closure_oracle_unique_normal_form(pseudomonoid):
     rng = random.Random(7)
     for _ in range(40):
         expr = random_typed_expression(sig, rng, max_nodes=rng.randrange(3, 8))
-        normals = closure(sig, expr)
+        normals = reachable_normal_forms(sig, expr, cap=200000)
         assert len(normals) == 1
         assert normal_form_expr(sig, expr, 2) in normals
 

@@ -10,329 +10,39 @@ from graypol import (
     Branching,
     CellError,
     Critical,
-    Independent,
     Interchanger,
     Natural,
     NonMinimal,
     NonTermination,
     OneCell,
     OpGen,
-    ShuffleEdge,
     Signature,
     Trivial,
     UnsupportedError,
-    branching_key,
     classify,
     enumerate_critical,
     find_redexes,
-    interp_edge,
     length,
     normalize2,
 )
-from graypol.cells import Step, TwoCell, Whisker2
 from graypol.rewriting import canonical_branching, is_natural, rotate_branching, step_key
-from graypol.cells import slice2
 
-from conftest import GRAY_BUILTINS
 from inputs import (
+    GRAY_BUILTINS,
     enumerate_two_cells,
     positive_presentations,
     random_one_cell,
     random_positive_presentation,
     random_two_cell,
 )
-
-
-# ---------------------------------------------------------------- oracles
-
-
-def oracle_redexes(pres, phi):
-    """Enumerate every (rows, l, r) splitting and keep exact matches."""
-    sig = pres.sig
-    out = set()
-    n = length(phi)
-    for name in pres.operational():
-        src = sig.gen3_source(name)
-        m = length(src)
-        for t in range(n - m + 1):
-            window = slice2(sig, phi, t, t + m)
-            level = sig.source(window)
-            for cut in range(len(level.word) + 1):
-                l = OneCell(level.start, level.word[:cut])
-                for cut2 in range(cut, len(level.word) + 1):
-                    r = OneCell(
-                        sig.end0(OneCell(level.start, level.word[:cut2])),
-                        level.word[cut2:],
-                    )
-                    try:
-                        cand = sig.whisker0(l, src, r)
-                    except Exception:
-                        continue
-                    if cand == window:
-                        out.add(
-                            Step(
-                                slice2(sig, phi, 0, t),
-                                l,
-                                OpGen(name),
-                                r,
-                                slice2(sig, phi, t + m, n),
-                            )
-                        )
-    for t in range(n - 1):
-        for alpha in sig.two:
-            for beta in sig.two:
-                window = slice2(sig, phi, t, t + 2)
-                level = sig.source(window)
-                for cut in range(len(level.word) + 1):
-                    l = OneCell(level.start, level.word[:cut])
-                    for mid_len in range(len(level.word) + 1):
-                        for cut2 in range(len(level.word) + 1):
-                            r = OneCell(
-                                sig.end0(OneCell(level.start, level.word[:cut2])),
-                                level.word[cut2:],
-                            )
-                            try:
-                                inst = Interchanger(
-                                    alpha,
-                                    OneCell(
-                                        sig.end0(sig.compose(l, sig.src1(alpha), 0)),
-                                        level.word[
-                                            cut
-                                            + len(sig.src1(alpha).word) : cut
-                                            + len(sig.src1(alpha).word)
-                                            + mid_len
-                                        ],
-                                    ),
-                                    beta,
-                                )
-                                cand = sig.whisker0(l, sig.inst_source(inst), r)
-                            except Exception:
-                                continue
-                            if cand == window:
-                                out.add(
-                                    Step(
-                                        slice2(sig, phi, 0, t),
-                                        l,
-                                        inst,
-                                        r,
-                                        slice2(sig, phi, t + 2, n),
-                                    )
-                                )
-    return out
-
-
-def oracle_minimal(pres, b):
-    """Quantify over all context peels of both steps."""
-    sig = pres.sig
-    s1, s2 = b.s1, b.s2
-    phi = sig.step_source(s1)
-    n = length(phi)
-    level = sig.source(phi)
-    for tl in range(n + 1):
-        for tr in range(n - tl + 1):
-            mid = slice2(sig, phi, tl, n - tr)
-            mlevel = sig.source(mid)
-            for nl in range(len(mlevel.word) + 1):
-                for nr in range(len(mlevel.word) - nl + 1):
-                    if tl == 0 and tr == 0 and nl == 0 and nr == 0:
-                        continue
-                    peeled = []
-                    ok = True
-                    for s in (s1, s2):
-                        got = _try_peel(sig, s, tl, tr, nl, nr)
-                        if got is None:
-                            ok = False
-                            break
-                        peeled.append(got)
-                    if ok:
-                        return False
-    return True
-
-
-def _strip_step(sig, s, t_lam, t_rho, nl, nr):
-    """Remove ``t_lam``/``t_rho`` outer rows and ``nl``/``nr`` outer letters, part by part."""
-
-    def unpad1(u, nl, nr):
-        return OneCell(sig.end0(OneCell(u.start, u.word[:nl])), u.word[nl : len(u.word) - nr])
-
-    def rows(ws):
-        return tuple(Whisker2(unpad1(w.left, nl, 0), w.gen, unpad1(w.right, 0, nr)) for w in ws)
-
-    lam = TwoCell(unpad1(sig.source(slice2(sig, s.lam, t_lam, length(s.lam))), nl, nr), rows(s.lam.whiskers[t_lam:]))
-    rho_keep = length(s.rho) - t_rho
-    rho = TwoCell(unpad1(sig.source(slice2(sig, s.rho, 0, rho_keep)), nl, nr), rows(s.rho.whiskers[:rho_keep]))
-    return Step(lam, unpad1(s.left, nl, 0), s.inner, unpad1(s.right, 0, nr), rho)
-
-
-def _try_peel(sig, s, tl, tr, nl, nr):
-    if length(s.lam) < tl or length(s.rho) < tr:
-        return None
-    if len(s.left.word) < nl:
-        return None
-    if len(s.right.word) < nr:
-        return None
-    try:
-        inner = _strip_step(sig, s, tl, tr, nl, nr)
-        sig.check3(sig.step_cell(inner))
-    except Exception:
-        return None
-    # re-wrap and compare
-    phi = sig.step_source(s)
-    lam = slice2(sig, phi, 0, tl)
-    rho = slice2(sig, phi, length(phi) - tr, length(phi))
-    mid = slice2(sig, phi, tl, length(phi) - tr)
-    lw = OneCell(sig.source(mid).start, sig.source(mid).word[:nl])
-    rw_pre = OneCell(sig.source(mid).start, sig.source(mid).word[: len(sig.source(mid).word) - nr])
-    rw = OneCell(sig.end0(rw_pre), sig.source(mid).word[len(sig.source(mid).word) - nr :])
-    try:
-        rebuilt = Step(
-            sig.compose(lam, sig.whisker0(lw, inner.lam, rw), 1),
-            sig.compose(lw, inner.left, 0),
-            inner.inner,
-            sig.compose(inner.right, rw, 0),
-            sig.compose(sig.whisker0(lw, inner.rho, rw), rho, 1),
-        )
-    except Exception:
-        return None
-    if rebuilt != s:
-        return None
-    return inner
-
-
-def oracle_independent(pres, b):
-    sig = pres.sig
-    for s1, s2 in ((b.s1, b.s2), (b.s2, b.s1)):
-        k1 = length(sig.inst_source(s1.inner))
-        if length(s1.lam) != 0 or length(s2.rho) != 0:
-            continue
-        if length(s2.lam) < k1:
-            continue
-        phi = sig.step_source(s1)
-        chi = slice2(sig, phi, k1, length(s2.lam))
-        try:
-            win1 = sig.whisker0(s1.left, sig.inst_source(s1.inner), s1.right)
-            win2 = sig.whisker0(s2.left, sig.inst_source(s2.inner), s2.right)
-            top = sig.compose(win1, chi, 1)
-            bottom = sig.compose(chi, win2, 1)
-        except Exception:
-            continue
-        if s2.lam == top and s1.rho == bottom:
-            return True
-    return False
-
-
-def _window_above(sig, cells):
-    """Natural branchings ``(generator step, interchanger step)`` with the window on top.
-
-    For every instance ``A`` of a 3-generator, interchangers included,
-    whose source ``phi_A`` starts the source of one of ``cells``, and
-    every 2-cell ``psi`` of at least one row on the rest of that source:
-    the shared source is ``phi_A`` followed by ``psi``, the generator
-    step rewrites ``phi_A``, and the interchanger step, built by
-    ``interp_edge``, slides the last row of ``phi_A`` past the first
-    row of ``psi``.
-    """
-    max_rows = max(length(c) for c in cells)
-    out = set()
-    for top in {c.source1 for c in cells}:
-        for inst in _instances_at(sig, top):
-            phi_a = sig.inst_source(inst)
-            k = length(phi_a)
-            if not 0 < k < max_rows:
-                continue
-            n = len(phi_a.source1.word)
-            rest = OneCell(sig.end0(phi_a.source1), top.word[n:])
-            for psi in enumerate_two_cells(sig, max_rows - k, [rest]):
-                if not length(psi):
-                    continue
-                below = sig.compose(sig.target(phi_a), psi, 0)
-                s_op = Step(sig.id2(top), OneCell(top.start, ()), inst, rest, below)
-                edge = ShuffleEdge(
-                    tuple(("l", i) for i in range(1, k)), k, 1, tuple(("r", j) for j in range(2, length(psi) + 1))
-                )
-                s_x = interp_edge(sig, edge, phi_a, psi)
-                assert sig.step_source(s_op) == sig.step_source(s_x)
-                out.add(Branching(s_op, s_x))
-    return out
-
-
-def _instances_at(sig, top):
-    """Every 3-generator instance, interchangers included, whose source starts ``top``."""
-    insts = [OpGen(name) for name in sig.three]
-    for alpha, (src, _) in sig.two.items():
-        for cut in range(len(src.word), len(top.word) + 1):
-            mid = OneCell(sig.end0(src), top.word[len(src.word) : cut])
-            insts += [Interchanger(alpha, mid, beta) for beta in sig.two]
-    out = []
-    for inst in insts:
-        try:
-            level = sig.inst_source(inst).source1
-        except CellError:
-            continue
-        if level.start == top.start and top.word[: len(level.word)] == level.word:
-            out.append(inst)
-    return out
-
-
-def natural_branchings(pres, cells):
-    """Every natural branching whose source is one of ``cells``, by construction.
-
-    The window-on-top pattern of ``_window_above`` in both orders; the
-    mirror image, with the window at the bottom, is the same pattern
-    built over the rotated signature on the rotated cells, rotated back.
-    """
-    if pres.qmode is not None:
-        return set()
-    sig = pres.sig
-    rsig = sig.rotated()
-    out = _window_above(sig, cells)
-    mirrored = _window_above(rsig, [sig.rotate(c) for c in cells])
-    out |= {Branching(rsig.rotate(b.s1), rsig.rotate(b.s2)) for b in mirrored}
-    return out | {Branching(b.s2, b.s1) for b in out}
-
-
-def oracle_classify(pres, b, natural):
-    """The class of ``b``; ``natural`` holds the natural branchings of its source."""
-    if b.s1 == b.s2:
-        return "trivial"
-    if not oracle_minimal(pres, b):
-        return "nonminimal"
-    if oracle_independent(pres, b):
-        return "independent"
-    if b in natural:
-        return "natural"
-    return "critical"
-
-
-def produced_class(pres, b):
-    got = classify(pres, b)
-    return {
-        Trivial: "trivial",
-        NonMinimal: "nonminimal",
-        Independent: "independent",
-        Natural: "natural",
-        Critical: "critical",
-    }[type(got)]
-
-
-def brute_force_criticals(pres, cells, classes=None):
-    """Critical branchings among the redex pairs of ``cells``, by the oracle.
-
-    ``classes`` may hold the oracle's class of every such pair already.
-    """
-    found = {}
-    natural = natural_branchings(pres, cells) if classes is None else None
-    for phi in cells:
-        steps = find_redexes(pres, phi)
-        for s1, s2 in itertools.product(steps, steps):
-            b = canonical_branching(Branching(s1, s2))
-            cls = classes[b] if classes is not None else oracle_classify(pres, b, natural)
-            if cls == "critical":
-                found[branching_key(b)] = b
-    return found
-
-
-# ---------------------------------------------------------------- tests
+from reference import (
+    brute_force_criticals,
+    is_natural_unfiltered,
+    natural_branchings,
+    oracle_redexes,
+    produced_class,
+    rewrap_step,
+)
 
 
 def test_assoc_redex_with_trivial_context(pseudomonoid):
@@ -744,14 +454,7 @@ def test_non_minimal_witness_rewraps_to_the_branching(monkeypatch):
                 if not isinstance(w, NonMinimal):
                     continue
                 for s, r in ((s1, w.reduced.s1), (s2, w.reduced.s2)):
-                    rewrapped = Step(
-                        sig.compose(w.lam, sig.whisker0(w.left, r.lam, w.right), 1),
-                        sig.compose(w.left, r.left, 0),
-                        r.inner,
-                        sig.compose(r.right, w.right, 0),
-                        sig.compose(sig.whisker0(w.left, r.rho, w.right), w.rho, 1),
-                    )
-                    assert rewrapped == s
+                    assert rewrap_step(sig, w.lam, w.left, w.right, w.rho, r) == s
                 assert not isinstance(classify(pres, w.reduced), (Trivial, NonMinimal))
                 witnesses += 1
     assert witnesses == sum(spec["tally"]["NonMinimal"] for spec in expected.SWEEP.values())
@@ -774,50 +477,6 @@ def test_self_glue_at_row_zero_is_trivial():
                 assert isinstance(classify(pres, b), Trivial)
                 glued += 1
     assert glued >= 100
-
-
-def _natural_match(sig, s_op, s_x):
-    """Reference copy of the former naturality rule, the generator window on top.
-
-    The pair is natural when ``s_x`` is the interchanger step that
-    ``interp_edge`` builds to slide the window's last row down past the
-    2-cell below it, that 2-cell stripped of the window's target on the
-    left.
-    """
-    from graypol.rewriting import _strip0
-
-    phi_a = sig.inst_source(s_op.inner)
-    k = length(phi_a)
-    if k == 0 or length(s_op.lam) or s_op.left.word or length(s_x.lam) != k - 1:
-        return False
-    word, rho = sig.target(phi_a).word, s_op.rho
-    if rho.source1.word[: len(word)] != word or any(w.left.word[: len(word)] != word for w in rho.whiskers):
-        return False
-    psig = _strip0(sig, rho, len(word), 0)
-    if length(psig) < 1:
-        return False
-    edge = ShuffleEdge(
-        tuple(("l", i) for i in range(1, k)), k, 1, tuple(("r", j) for j in range(2, length(psig) + 1))
-    )
-    try:
-        return interp_edge(sig, edge, phi_a, psig) == s_x
-    except CellError:
-        return False
-
-
-def _is_natural_unfiltered(pres, b):
-    """The former ``is_natural``: ``_natural_match`` on ``b`` and on its rotation, in either order."""
-    if pres.qmode is not None:
-        return False
-    sig = pres.sig
-    for s_op, s_x in ((b.s1, b.s2), (b.s2, b.s1)):
-        if not isinstance(s_x.inner, Interchanger):
-            continue
-        if _natural_match(sig, s_op, s_x) or _natural_match(
-            pres.rotated.sig, sig.rotate(s_op), sig.rotate(s_x)
-        ):
-            return True
-    return False
 
 
 def _sweep_pairs(request, monkeypatch, name):
@@ -874,13 +533,13 @@ def test_natural_prefilter_matches_unfiltered_rule(pseudomonoid, pseudomonoid_or
     naturals = 0
     for b in pairs:
         got = is_natural(pres, b)
-        assert got == _is_natural_unfiltered(pres, b)
+        assert got == is_natural_unfiltered(pres, b)
         naturals += got
     assert naturals >= 128
     candidates = 0
     for pres in _gray_builtins_and_draws(100):
         for b in _candidates(pres):
-            assert is_natural(pres, b) == _is_natural_unfiltered(pres, b)
+            assert is_natural(pres, b) == is_natural_unfiltered(pres, b)
             candidates += 1
     assert candidates > 500
 

@@ -31,6 +31,7 @@ from graypol.termination import EXTERNAL_INTERCHANGER_THEOREM
 
 import inputs
 from inputs import random_interpretation, random_one_cell, random_two_cell
+from reference import block_composite, bounded_closed_diagram_search, components_by_search
 
 
 def test_intnorm_of_interchanger_boundaries(pseudomonoid):
@@ -135,29 +136,6 @@ def test_interpretation_invariant_on_interchangers(pseudomonoid):
                 )
 
 
-def _block_composite(interp, phi, width):
-    """``eval_interpretation`` as a product of block-sum matrices, one per row."""
-
-    def after(f, g):
-        mat = tuple(
-            tuple(sum(f.matrix[i][k] * g.matrix[k][j] for k in range(g.n)) for j in range(g.m))
-            for i in range(f.n)
-        )
-        cst = tuple(sum(f.matrix[i][k] * g.const[k] for k in range(g.n)) + f.const[i] for i in range(f.n))
-        return AffineMap(g.m, mat, cst)
-
-    acc = AffineMap.identity(width)
-    for w in phi.whiskers:
-        f = interp.maps[w.gen]
-        p, q = interp.word_weight(w.left), interp.word_weight(w.right)
-        total = p + f.m + q
-        rows = [tuple(int(j == i) for j in range(total)) for i in range(p)]
-        rows += [(0,) * p + row + (0,) * q for row in f.matrix]
-        rows += [tuple(int(j == p + f.m + i) for j in range(total)) for i in range(q)]
-        acc = after(AffineMap(total, tuple(rows), (0,) * p + f.const + (0,) * q), acc)
-    return acc
-
-
 TWO_COLOURS = """presentation two-colours
 0 x
 1 a : x -> x
@@ -175,7 +153,7 @@ def test_interpretation_matches_block_matrix_composite(pseudomonoid, rng):
             interp = random_interpretation(sig, rng)
             phi = random_two_cell(sig, rng, rows=rng.randrange(9))
             width = interp.word_weight(sig.source(phi))
-            assert eval_interpretation(sig, interp, phi) == _block_composite(interp, phi, width)
+            assert eval_interpretation(sig, interp, phi) == block_composite(interp, phi, width)
 
 
 def test_interpretation_rejects_row_of_wrong_arity(pseudomonoid):
@@ -266,44 +244,6 @@ def test_bubble_not_connected(selfduality):
     assert not is_connected(sig, bubble)
 
 
-def _components_by_search(sig, phi):
-    """Boundary partition and floating count of ``phi``'s string diagram, by graph search.
-
-    The nodes are the source wires, one node per row and the wires each
-    row writes; a row's node is adjacent to the wires it reads and writes.
-    """
-    adjacent = {("src", i): set() for i in range(len(phi.source1.word))}
-    level = list(adjacent)
-    for r, w in enumerate(phi.whiskers):
-        node = ("gen", r)
-        p, k = len(w.left.word), len(sig.src1(w.gen).word)
-        written = [("wire", r, j) for j in range(len(sig.tgt1(w.gen).word))]
-        adjacent[node] = set(level[p : p + k]) | set(written)
-        for x in level[p : p + k]:
-            adjacent[x].add(node)
-        for x in written:
-            adjacent[x] = {node}
-        level[p : p + k] = written
-    component = {}
-    for start in adjacent:
-        if start in component:
-            continue
-        component[start] = start
-        todo = [start]
-        while todo:
-            for y in adjacent[todo.pop()]:
-                if y not in component:
-                    component[y] = start
-                    todo.append(y)
-    boundary = [component[("src", i)] for i in range(len(phi.source1.word))] + [component[x] for x in level]
-    labels = {}
-    for c in boundary:
-        labels.setdefault(c, len(labels))
-    m = len(phi.source1.word)
-    floating = len(set(component.values()) - set(labels))
-    return tuple(labels[c] for c in boundary[:m]), tuple(labels[c] for c in boundary[m:]), floating
-
-
 def test_cospan_matches_graph_search(selfduality, frobenius, rng):
     floating_seen = 0
     for entry in (selfduality, frobenius):
@@ -311,7 +251,7 @@ def test_cospan_matches_graph_search(selfduality, frobenius, rng):
         for _ in range(150):
             phi = random_two_cell(sig, rng, rows=rng.randrange(13))
             c = cospan_of(sig, phi)
-            assert (c.left, c.right, c.floating) == _components_by_search(sig, phi)
+            assert (c.left, c.right, c.floating) == components_by_search(sig, phi)
             assert (c.m, c.n) == (len(sig.source(phi).word), len(sig.target(phi).word))
             floating_seen += c.floating > 0
     assert floating_seen >= 10
@@ -543,44 +483,16 @@ def test_connected_refuses_a_cap_that_reaches_a_cup(n, pseudoadjunction):
     assert certify_termination(pseudoadjunction.presentation, "connected").strategy == "connected"
 
 
-def _bounded_closed_diagram_search(sig, depth=4):
-    """Reference copy of the former check: a cap whose target rewrites to a
-    cup's source within ``depth`` rounds, through 1-cells of at most
-    ``depth + 2`` letters."""
-    caps = [g for g, (s, _) in sig.two.items() if not s.word]
-    cups = [g for g, (_, t) in sig.two.items() if not t.word]
-    for cap in caps:
-        for cup in cups:
-            goal, frontier = sig.src1(cup), [sig.tgt1(cap)]
-            seen = set(frontier)
-            for _ in range(depth):
-                nxt = []
-                for u in frontier:
-                    if u == goal:
-                        return f"{cap} feeds {cup}"
-                    for gs, gt in sig.two.values():
-                        for cut in range(len(u.word) + 1):
-                            pre = OneCell(u.start, u.word[:cut])
-                            if sig.end0(pre) != gs.start or u.word[cut : cut + len(gs.word)] != gs.word:
-                                continue
-                            v = OneCell(u.start, pre.word + gt.word + u.word[cut + len(gs.word) :])
-                            if len(v.word) <= depth + 2 and v not in seen:
-                                seen.add(v)
-                                nxt.append(v)
-                frontier = nxt
-    return None
-
-
 def test_closed_diagram_check_refuses_whatever_the_bounded_search_finds(monkeypatch):
     from graypol.termination import _closed_diagram_possible
 
     named = 0
     for pres in _random_draws(monkeypatch, 11, 300):
-        if _bounded_closed_diagram_search(pres.sig) is not None:
+        if bounded_closed_diagram_search(pres.sig) is not None:
             assert _closed_diagram_possible(pres.sig) is not None
             named += 1
     assert named >= 20
     # the bounded search misses a cup four rewrites from the cap
     sig = parse_presentation(inputs.chain(4)).sig
-    assert _bounded_closed_diagram_search(sig) is None
+    assert bounded_closed_diagram_search(sig) is None
     assert _closed_diagram_possible(sig) == "cap feeds cup"

@@ -95,10 +95,18 @@ _ASSOC = "3 A : [.|mu|a];[.|mu|.] => [a|mu|.];[.|mu|.]\n"
             "got <2:(0|mu|1);(0|mu|0)> (line 6)",
             6,
         ),
+        ("presentation p\n0 x\npresentation q\n", "repeated presentation line (line 3)", 3),
+        (_PRELUDE + "qmode mu mu\nqmode mu mu\n", "repeated qmode line (line 6)", 6),
+        ("0\n", "0-generator needs a name (line 1)", 1),
+        ("0 x\n1  : x -> x\n", "1-generator needs a name (line 2)", 2),
+        ("0 x\n1 a : x -> x\n2  : a => a\n", "2-generator needs a name (line 3)", 3),
+        (_PRELUDE + "3  : [.|mu|a];[.|mu|.] => [a|mu|.];[.|mu|.]\n", "3-generator needs a name (line 5)", 5),
+        (_PRELUDE + _ASSOC + "tile  : id2([.|mu|.]) == id2([.|mu|.])\n", "tile needs a name (line 6)", 6),
     ],
     ids=[
         "1-no-arrow", "2-no-arrow", "3-no-arrow", "tile-no-equals", "unknown-directive", "qmode-one-name",
         "undeclared-endpoint", "duplicate-generator", "unknown-letter", "ill-typed-3-source", "unchained-tile",
+        "repeated-presentation", "repeated-qmode", "0-no-name", "1-no-name", "2-no-name", "3-no-name", "tile-no-name",
     ],
 )
 def test_malformed_presentations_report_message_and_line(text, message, line):

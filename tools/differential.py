@@ -637,7 +637,8 @@ def _window_records():
     from graypol.rewriting import _candidates
 
     pool = [get_builtin(name).presentation for name in BUILTIN_NAMES] + _drawn_presentations()
-    pool += [parse_presentation(disjoint_copies(path.read_text(encoding="utf-8"), 2)) for path in FILES]
+    texts = [path.read_text(encoding="utf-8") for path in FILES]
+    pool += [parse_presentation(disjoint_copies(text, 2)) for text in texts if "\nqmode " not in text]
     for pres in pool:
         if pres.qmode is not None:
             continue

@@ -2,9 +2,10 @@
 
 Random 1- and 2-cells, every 2-cell of a few rows, random presentations
 (as ``.gray`` text, or positive ones built directly), random expressions,
-random linear interpretations, combs, chains and disjoint copies.  Each
-random generator draws from the ``random.Random`` it is given, so a seed
-fixes its draws; ``tests/test_inputs.py`` pins them.
+random linear interpretations, combs, chains and disjoint copies, and the
+names of the Gray-mode builtins.  Each random generator draws from the
+``random.Random`` it is given, so a seed fixes its draws;
+``tests/test_inputs.py`` pins them.
 
 The tests import this module as ``inputs`` (``tools`` is on pytest's
 ``pythonpath``); the differential tool imports it from its own directory.
@@ -101,6 +102,10 @@ def comb(n: int, left: bool = True):
 
 
 # ---------------------------------------------------------------- presentations
+
+
+# the builtins whose engine mode is Gray (not q)
+GRAY_BUILTINS = ["pseudomonoid", "pseudoadjunction", "selfduality", "frobenius"]
 
 
 def chain(n: int) -> str:
