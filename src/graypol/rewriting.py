@@ -513,11 +513,16 @@ def _candidates(pres: GrayPresentation):
             yield rotate_branching(rot.sig, b)
 
 
-def enumerate_critical(pres: GrayPresentation, max_candidates: int = 10**6) -> List[CriticalBranching]:
+# the most candidates ``enumerate_critical`` classifies before it refuses
+MAX_CANDIDATES = 10**6
+
+
+def enumerate_critical(pres: GrayPresentation) -> List[CriticalBranching]:
     """Complete list of critical branchings, deduplicated by symmetry.
 
-    ``max_candidates`` bounds the candidates of ``_candidates``; a window
-    glued onto itself at row 0 is not one, since it is never critical.
+    ``MAX_CANDIDATES`` bounds the candidates of ``_candidates``; past it the
+    enumeration raises ``RewritingError``.  A window glued onto itself at
+    row 0 is not a candidate, since it is never critical.
     A candidate that is not a branching, or a critical branching of two
     interchangers, is a defect of the enumeration and raises
     ``InternalError``, not a refusal.
@@ -535,7 +540,7 @@ def enumerate_critical(pres: GrayPresentation, max_candidates: int = 10**6) -> L
         )
     seen = {}
     for i, b in enumerate(_candidates(pres)):
-        if i >= max_candidates:
+        if i >= MAX_CANDIDATES:
             raise RewritingError("candidate budget exceeded")
         b = canonical_branching(b)
         key = branching_key(b)

@@ -420,6 +420,16 @@ _DECLARATIONS: Dict[str, Tuple[str, str]] = {
 }
 
 
+def _declared_name(kind: str, name: str, lineno: int) -> str:
+    """``name``, unless it is empty or holds whitespace: words split at
+    whitespace, so no word or ``qmode`` line could name such a generator."""
+    if not name:
+        raise ParseError(f"{kind} needs a name", lineno)
+    if len(name.split()) > 1:
+        raise ParseError(f"{kind} name {name!r} contains whitespace", lineno)
+    return name
+
+
 def parse_presentation(text: str) -> GrayPresentation:
     """Parse and validate a presentation file; a bad file raises ``ParseError``.
 
@@ -456,15 +466,11 @@ def parse_presentation(text: str) -> GrayPresentation:
             left, sep, right = body.partition(sides.split()[1])
             if not sep:
                 raise ParseError(f"{kind} needs {sides}", lineno)
-            if not gen.strip():
-                raise ParseError(f"{kind} needs a name", lineno)
-            declared[head].append((gen.strip(), left.strip(), right.strip(), lineno))
+            declared[head].append((_declared_name(kind, gen.strip(), lineno), left.strip(), right.strip(), lineno))
         elif head == "presentation":
             name = rest
         elif head == "0":
-            if not rest:
-                raise ParseError("0-generator needs a name", lineno)
-            zero.append(rest)
+            zero.append(_declared_name("0-generator", rest, lineno))
         elif head == "qmode":
             parts = rest.split()
             if len(parts) != 2:

@@ -9,9 +9,7 @@ import time
 
 from graypol import (
     OneCell,
-    OpGen,
     QInterchanger,
-    Signature,
     ThreeCell,
     certify_termination,
     enumerate_critical,
@@ -29,10 +27,7 @@ from graypol import (
     squier_completion,
     TerminationRefused,
     zz_all_reduced_forms,
-    zz_compose,
-    zz_identity,
     zz_invert,
-    zz_of,
     zz_simplify,
 )
 from graypol.cli import main as cli_main
@@ -40,7 +35,7 @@ from graypol.expressions import size
 from graypol.shuffle import interp_edge, interp_vertex, shuffle_graph, word_edges
 from graypol.termination import EXTERNAL_INTERCHANGER_THEOREM
 
-from inputs import random_padded_expression, random_two_cell
+from inputs import enumerate_zigzags, random_padded_expression, random_two_cell, zigzag_alphabet
 from reference import produced_class, reachable_normal_forms
 
 
@@ -250,6 +245,7 @@ def test_criterion_7_classification_oracle(pseudomonoid_oracle):
     for b, cls in pseudomonoid_oracle.classes.items():
         assert produced_class(pres, b) == cls
         checked += 1
+    assert checked > 200
     brute = pseudomonoid_oracle.criticals
     listed = {cb.key: cb.branching for cb in enumerate_critical(pres)}
     assert set(brute) == set(listed)
@@ -309,35 +305,9 @@ def test_criterion_9_squier_completion():
 
 def test_criterion_10_zigzag_calculus():
     # three parallel formal 3-cells form the alphabet
-    two = [
-        ("p", OneCell("x", ("a", "a")), OneCell("x", ("a",))),
-        ("q", OneCell("x", ("a", "a")), OneCell("x", ("a",))),
-    ]
-    base = Signature(zero=["x"], one=[("a", "x", "x")], two=two)
-    p, q = base.gen2_cell("p"), base.gen2_cell("q")
-    sig = Signature(
-        zero=["x"],
-        one=[("a", "x", "x")],
-        two=two,
-        three=[("F", p, q), ("G", p, q), ("H", p, q)],
-    )
-    cells = [sig.gen3_cell(OpGen(n)) for n in ("F", "G", "H")]
-    zigzags = []
-
-    def extend(z, remaining):
-        zigzags.append(z)
-        if remaining == 0:
-            return
-        for c in cells:
-            for sign in (1, -1):
-                piece = zz_of(sig, c, sign)
-                if z.target2 == piece.source2:
-                    extend(zz_compose(sig, z, piece), remaining - 1)
-
-    extend(zz_identity(sig, p), 5)
-    extend(zz_identity(sig, q), 5)
+    sig, cells = zigzag_alphabet()
     checked = 0
-    for z in zigzags:
+    for z in enumerate_zigzags(sig, cells, 5):
         forms = zz_all_reduced_forms(sig, z)
         assert len(forms) == 1
         assert zz_simplify(sig, z).entries in forms

@@ -34,8 +34,8 @@ from graypol import coherence
 from graypol.cells import CompositionError, Interchanger, OpGen, Step, slice2
 
 import inputs
-from inputs import GRAY_BUILTINS, random_positive_presentation, random_two_cell
-from reference import composed_side, lowest_first_path
+from inputs import GRAY_BUILTINS, enumerate_zigzags, random_positive_presentation, random_two_cell, zigzag_alphabet
+from reference import composed_side, lowest_first_path, lowest_redexes
 
 
 def _cert(entry):
@@ -138,14 +138,10 @@ def test_resumed_search_follows_full_rescans(name):
             continue
         drawn += 1
         steps, cells = lowest_first_path(pres, phi, budget)
-        # a scan resumed at row ``k`` returns the full list restricted to
-        # the smallest ``|lam| >= k``
         for cur in cells:
             full = find_redexes(pres, cur)
             for k in range(length(cur) + 2):
-                rows = [length(s.lam) for s in full if length(s.lam) >= k]
-                expected = [s for s in full if rows and length(s.lam) == min(rows)]
-                assert find_redexes(pres, cur, lowest_from=k) == expected
+                assert find_redexes(pres, cur, lowest_from=k) == lowest_redexes(full, k)
         try:
             nf, path = normalize2(pres, phi, cert, budget)
         except NonTermination as exc:
@@ -430,40 +426,7 @@ def test_tile_coverage_symmetry(pseudomonoid):
 
 @pytest.fixture(scope="module")
 def parallel_alphabet():
-    # three parallel 3-generators over a tiny signature
-    sig0 = Signature(zero=["x"], one=[("a", "x", "x")])
-    a = sig0.make1("x", ("a",))
-    aa = sig0.make1("x", ("a", "a"))
-    base = Signature(zero=["x"], one=[("a", "x", "x")], two=[("p", aa, a), ("q", aa, a)])
-    p, q = base.gen2_cell("p"), base.gen2_cell("q")
-    sig = Signature(
-        zero=["x"],
-        one=[("a", "x", "x")],
-        two=[("p", aa, a), ("q", aa, a)],
-        three=[("F", p, q), ("G", p, q), ("H", p, q)],
-    )
-    cells = [sig.gen3_cell(OpGen(n)) for n in ("F", "G", "H")]
-    return sig, cells
-
-
-def zigzags_upto(sig, cells, max_len):
-    f = cells[0]
-    src, tgt = sig.source(f), sig.target(f)
-    out = []
-
-    def extend(z, remaining):
-        out.append(z)
-        if remaining == 0:
-            return
-        for c in cells:
-            for sign in (1, -1):
-                piece = zz_of(sig, c, sign)
-                if z.target2 == piece.source2:
-                    extend(zz_compose(sig, z, piece), remaining - 1)
-
-    extend(zz_identity(sig, src), max_len)
-    extend(zz_identity(sig, tgt), max_len)
-    return out
+    return zigzag_alphabet()
 
 
 def test_cancellation_pair_simplifies_to_identity(parallel_alphabet):
@@ -492,7 +455,7 @@ def test_identity_entries_dropped(parallel_alphabet):
 
 def test_simplify_idempotent_and_alternating(parallel_alphabet, rng):
     sig, cells = parallel_alphabet
-    for z in zigzags_upto(sig, cells, 4):
+    for z in enumerate_zigzags(sig, cells, 4):
         red = zz_simplify(sig, z)
         assert zz_is_reduced(sig, red)
         assert zz_simplify(sig, red) == red
@@ -503,7 +466,7 @@ def test_simplify_idempotent_and_alternating(parallel_alphabet, rng):
 def test_reduced_form_unique_by_all_orders_closure(parallel_alphabet):
     sig, cells = parallel_alphabet
     checked = 0
-    for z in zigzags_upto(sig, cells, 5):
+    for z in enumerate_zigzags(sig, cells, 5):
         forms = zz_all_reduced_forms(sig, z)
         assert len(forms) == 1
         assert zz_simplify(sig, z).entries in forms

@@ -19,6 +19,7 @@ from graypol import (
     normalize2,
     seq_less,
 )
+from graypol import rewriting
 from graypol.rewriting import RewritingError, classify, step_key
 from graypol.termination import _dominates
 
@@ -46,9 +47,10 @@ def test_key_of_a_non_instance_is_an_internal_error(pseudomonoid):
         assert not isinstance(info.value, CellError)
 
 
-def test_enumeration_candidate_budget(pseudomonoid):
-    with pytest.raises(RewritingError):
-        enumerate_critical(pseudomonoid.presentation, max_candidates=0)
+def test_enumeration_candidate_budget(pseudomonoid, monkeypatch):
+    monkeypatch.setattr(rewriting, "MAX_CANDIDATES", 0)
+    with pytest.raises(RewritingError, match="candidate budget exceeded"):
+        enumerate_critical(pseudomonoid.presentation)
 
 
 def test_interchanger_steps_preserve_length(pseudomonoid, rng):

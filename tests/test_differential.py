@@ -15,7 +15,7 @@ import differential
 ROOT = os.path.join(os.path.dirname(__file__), os.pardir)
 
 RECORDS = 17813
-DIGEST = "1e840a5c6ce63005"
+DIGEST = "7b99036178a08ff1"
 
 
 def test_differential_records_are_pinned():

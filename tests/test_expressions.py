@@ -22,7 +22,7 @@ from graypol import (
     typecheck,
 )
 
-from inputs import random_two_cell, random_typed_expression
+from inputs import random_padded_expression, random_two_cell
 from reference import reachable_normal_forms, two_cell_to_expr
 
 
@@ -108,8 +108,8 @@ def rewrite_with_strategy(sig, expr, top, pick):
 def test_strategy_independence_sampled(pseudomonoid, seed):
     sig = pseudomonoid.presentation.sig
     rng = random.Random(seed)
-    for _ in range(60):
-        expr = random_typed_expression(sig, rng, max_nodes=rng.randrange(3, 11))
+    for _ in range(70):
+        expr = random_padded_expression(sig, rng, 2, max_nodes=rng.randrange(3, 11))
         first, _ = rewrite_with_strategy(sig, expr, 2, lambda opts: opts[0])
         last, _ = rewrite_with_strategy(sig, expr, 2, lambda opts: opts[-1])
         rnd, _ = rewrite_with_strategy(sig, expr, 2, rng.choice)
@@ -120,8 +120,8 @@ def test_strategy_independence_sampled(pseudomonoid, seed):
 def test_closure_oracle_unique_normal_form(pseudomonoid):
     sig = pseudomonoid.presentation.sig
     rng = random.Random(7)
-    for _ in range(40):
-        expr = random_typed_expression(sig, rng, max_nodes=rng.randrange(3, 8))
+    for _ in range(45):
+        expr = random_padded_expression(sig, rng, 2, max_nodes=rng.randrange(3, 8))
         normals = reachable_normal_forms(sig, expr, cap=200000)
         assert len(normals) == 1
         assert normal_form_expr(sig, expr, 2) in normals
@@ -131,7 +131,7 @@ def test_measure_strictly_decreases(pseudomonoid):
     sig = pseudomonoid.presentation.sig
     rng = random.Random(11)
     for _ in range(60):
-        expr = random_typed_expression(sig, rng, max_nodes=rng.randrange(3, 10))
+        expr = random_padded_expression(sig, rng, 2, max_nodes=rng.randrange(3, 10))
         cur = expr
         while True:
             options = reducts(sig, cur)

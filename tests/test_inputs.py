@@ -16,21 +16,35 @@ import pytest
 
 from graypol import BUILTIN_NAMES, OneCell, TwoCell, get_builtin, serialize_presentation
 
-from differential import FILES, _one_fields, _two_fields
+from differential import _one_fields, _two_fields
 from inputs import (
+    STEP_MUTATIONS,
     chain,
     comb,
     disjoint_copies,
     enumerate_two_cells,
+    enumerate_zigzags,
+    file_tokens,
+    mutated_text,
     positive_presentations,
+    random_cell_text,
+    random_file_text,
     random_interpretation,
+    random_numerals,
     random_one_cell,
+    random_path,
     random_padded_expression,
     random_positive_presentation,
     random_presentation_text,
     random_rough_expression,
+    random_text,
     random_two_cell,
-    random_typed_expression,
+    random_zigzag,
+    shipped_texts,
+    step_mutants,
+    step_mutated_text,
+    token_soup,
+    zigzag_alphabet,
 )
 
 
@@ -76,11 +90,30 @@ def _two_cells():
             yield phi, random_two_cell(sig, rng, 3, start_cell=sig.target(phi)), _state(rng)
 
 
+def _paths():
+    for name in BUILTIN_NAMES:
+        pres = get_builtin(name).presentation
+        rng = random.Random(10)
+        for max_steps in range(6):
+            steps = random_path(pres, rng, random_two_cell(pres.sig, rng, 4), max_steps)
+            yield steps, [list(step_mutants(s, steps[i - 1])) for i, s in enumerate(steps)], _state(rng)
+
+
 def _enumerated():
     sig = get_builtin("pseudomonoid").presentation.sig
     yield enumerate_two_cells(sig, 3, [OneCell("x", ("a",) * n) for n in range(5)])
     sig = get_builtin("pseudoadjunction").presentation.sig
     yield enumerate_two_cells(sig, 2, [sig.id1(x) for x in sig.zero])
+
+
+def _zigzags():
+    sig, cells = zigzag_alphabet()
+    yield [(g, sig.three[g]) for g in sig.three]
+    yield [z.entries for z in enumerate_zigzags(sig, cells, 3)]
+    rng = random.Random(11)
+    for name in BUILTIN_NAMES:
+        pres = get_builtin(name).presentation
+        yield [random_zigzag(pres, rng, random_two_cell(pres.sig, rng, 2), pieces).entries for pieces in range(6)]
 
 
 def _positive():
@@ -94,13 +127,6 @@ def _positive():
 def _presentation_texts():
     rng = random.Random(0)
     return [random_presentation_text(rng, index) for index in range(24)]
-
-
-def _typed_expressions():
-    sig = get_builtin("pseudomonoid").presentation.sig
-    for seed in range(3):
-        rng = random.Random(seed)
-        yield [random_typed_expression(sig, rng, max_nodes=rng.randrange(3, 11)) for _ in range(20)]
 
 
 def _padded_expressions():
@@ -126,20 +152,43 @@ def _interpretations():
 def _shapes():
     yield [comb(n, left) for n in range(1, 9) for left in (True, False)]
     yield [chain(n) for n in range(1, 6)]
-    yield [disjoint_copies(path.read_text(encoding="utf-8"), k) for path in FILES for k in (1, 2, 3)]
+    yield [disjoint_copies(text, k) for text in shipped_texts() for k in (1, 2, 3)]
+
+
+def _mutated_texts():
+    texts, tokens = shipped_texts(), file_tokens()
+    yield tokens
+    rng = random.Random(8)
+    yield [mutated_text(rng, texts, tokens) for _ in range(40)]
+    for mutate in STEP_MUTATIONS:
+        yield [step_mutated_text(rng, texts, mutate) for _ in range(10)]
+
+
+def _parser_texts():
+    texts, tokens = shipped_texts(), file_tokens()
+    rng = random.Random(9)
+    yield [random_text(rng, max_len) for max_len in range(40)]
+    yield [random_numerals(rng) for _ in range(40)]
+    yield [token_soup(rng, tokens, max_len) for max_len in range(15)]
+    yield [token_soup(rng, tokens, 14, (" ",)) for _ in range(15)]
+    yield [random_file_text(rng, texts, tokens) for _ in range(40)]
+    yield [random_cell_text(rng, tokens) for _ in range(40)]
 
 
 DRAWS = {
     "random_one_cell": (_one_cells, "dab5e8c7c9ad537c"),
     "random_two_cell": (_two_cells, "d585f551617b95f7"),
+    "random_path_step_mutants": (_paths, "2e17cbdd26afadc9"),
     "enumerate_two_cells": (_enumerated, "cc92e486df9b6fbe"),
+    "zigzag_alphabet_enumerate_zigzags_random_zigzag": (_zigzags, "24b9709d35312324"),
     "random_positive_presentation": (_positive, "d6c86d7e79e1f8eb"),
     "random_presentation_text": (_presentation_texts, "99df6f0c745d1468"),
-    "random_typed_expression": (_typed_expressions, "5380f556bc9196bf"),
     "random_padded_expression": (_padded_expressions, "dca77b833fc2fda7"),
     "random_rough_expression": (_rough_expressions, "8723c99649d1bd13"),
     "random_interpretation": (_interpretations, "988c907d071d9971"),
     "comb_chain_disjoint_copies": (_shapes, "e3416c32db7b7d34"),
+    "mutated_text_step_mutated_text": (_mutated_texts, "93c170c21c922091"),
+    "random_text_numerals_soup_file_cell": (_parser_texts, "34550ebe071a0b05"),
 }
 
 

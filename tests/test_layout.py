@@ -1,5 +1,6 @@
 """The test layer's layout: the tests draw their inputs from ``tools/inputs.py``
-and their oracles from ``tools/reference.py``, never from one another."""
+and their oracles from ``tools/reference.py``, never from one another, and
+every input is drawn with ``random.Random``, never with hypothesis."""
 
 import ast
 import pathlib
@@ -45,4 +46,14 @@ def test_the_tool_modules_use_no_test_module_and_no_private_graypol_name():
             private = [n for n in parts + list(names) if n.startswith("_")] if parts[0] == "graypol" else []
             if _is_test_module(module) or private:
                 found.append(f"{name}:{line} imports {module} {private}")
+    assert found == []
+
+
+def test_no_test_or_tool_module_imports_hypothesis():
+    found = [
+        f"{path.parent.name}/{path.name}:{line} imports {module}"
+        for path in sorted((ROOT / "tests").glob("*.py")) + sorted((ROOT / "tools").glob("*.py"))
+        for line, module, _ in _imports(path)
+        if module.split(".")[0] == "hypothesis"
+    ]
     assert found == []

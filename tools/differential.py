@@ -18,9 +18,9 @@ parser, two disjoint renamed copies of each Gray-mode shipped file, pairs
 of 2-cells of at most 3 rows, random expressions, short zigzags, cells
 whose rewriting loops, rewriting steps with one field swapped with a
 neighbour's or cut short, combs of multiplications and chains of rewrites
-(``comb``, ``chain``).  They are drawn with ``random.Random`` from
-fixed seeds, by this file and ``inputs.py`` only, so both trees see the
-same inputs.  A record holds:
+(``comb``, ``chain``).  Every one comes from a generator of ``inputs.py``,
+drawn with ``random.Random`` from the fixed seeds of this file, so both
+trees see the same inputs.  A record holds:
 
 * ``parse_presentation``: the serialization, or the error message and line;
 * ``parse_cell``: the re-parsed cell, or the error message and line, and
@@ -56,15 +56,30 @@ import hashlib
 import io
 import json
 import random
-import re
 import subprocess
 import sys
 from pathlib import Path
 
-from inputs import chain, comb, disjoint_copies, random_presentation_text, random_rough_expression, random_two_cell
+from inputs import (
+    SHIPPED_FILES,
+    STEP_MUTATIONS,
+    chain,
+    comb,
+    disjoint_copies,
+    file_tokens,
+    mutated_text,
+    random_path,
+    random_presentation_text,
+    random_rough_expression,
+    random_two_cell,
+    random_zigzag,
+    shipped_texts,
+    step_mutants,
+    step_mutated_text,
+    token_soup,
+)
 
 ROOT = Path(__file__).resolve().parent.parent
-FILES = sorted((ROOT / "src" / "graypol" / "presentations").glob("*.gray"))
 MAX_STEPS = 40
 SEED = 20211
 
@@ -93,108 +108,6 @@ def _parsed(fn, *args):
         return {"ok": fn(*args)}
     except CellError as exc:
         return {"error": str(exc), "line": getattr(exc, "line", None)}
-
-
-# ---------------------------------------------------------------- mutated files
-#
-# The other inputs are drawn in ``inputs.py``.
-
-
-def _tokens():
-    texts = [path.read_text(encoding="utf-8") for path in FILES]
-    pieces = ["[", "]", "{", "}", "(", ")", "|", ";", ",", "@", "#", "X(", "X'(", "id(", "id2(", "0", "00", "3", "²"]
-    return texts, sorted({tok for text in texts for tok in text.split()}) + pieces
-
-
-def _mutated(rng: random.Random, texts, tokens) -> str:
-    lines = [line.split(" ") for line in rng.choice(texts).splitlines()]
-    for _ in range(rng.randint(1, 4)):
-        toks = rng.choice(lines)
-        toks[rng.randrange(len(toks))] = rng.choice(tokens)
-    return "\n".join(" ".join(toks) for toks in lines)
-
-
-# A step of a tile line; the shipped files nest no brace inside a step.
-_STEP = re.compile(r"\{[^{}]*\}")
-
-
-def _with_fields(line: str, step, fields) -> str:
-    """``line`` with the step matched by ``step`` written with ``fields``."""
-    return line[: step.start()] + "{" + " ; ".join(fields) + "}" + line[step.end() :]
-
-
-def _drop_brace(rng: random.Random, line: str, steps) -> str:
-    """One brace of the line dropped."""
-    i = rng.choice([i for i, ch in enumerate(line) if ch in "{}"])
-    return line[:i] + line[i + 1 :]
-
-
-def _swap_fields(rng: random.Random, line: str, steps) -> str:
-    """Two ``;`` fields of a step swapped."""
-    step = rng.choice(steps)
-    fields = step.group()[1:-1].split(" ; ")
-    i, j = rng.sample(range(len(fields)), 2)
-    fields[i], fields[j] = fields[j], fields[i]
-    return _with_fields(line, step, fields)
-
-
-def _unknown_generator(rng: random.Random, line: str, steps) -> str:
-    """A letter of ``zz`` in a row of lam or rho, as the 2-generator or in a context."""
-    step = rng.choice(steps)
-    fields = step.group()[1:-1].split(" ; ")
-    k = rng.choice((0, -1))
-    rows = fields[k].split(";")
-    r = rng.randrange(len(rows))
-    if rows[r].startswith("id("):
-        rows[r] = "id(zz)"
-    else:
-        parts = rows[r][1:-1].split("|")
-        parts[rng.randrange(3)] = "zz"
-        rows[r] = "[" + "|".join(parts) + "]"
-    fields[k] = ";".join(rows)
-    return _with_fields(line, step, fields)
-
-
-def _unbalanced_bracket(rng: random.Random, line: str, steps) -> str:
-    """One ``[``, ``]``, ``(`` or ``)`` of a step dropped, or one added."""
-    step = rng.choice(steps)
-    marks = [i for i in range(step.start() + 1, step.end() - 1) if line[i] in "[]()"]
-    if marks and rng.random() < 0.5:
-        i = rng.choice(marks)
-        return line[:i] + line[i + 1 :]
-    i = rng.randrange(step.start() + 1, step.end() - 1)
-    return line[:i] + rng.choice("[]()") + line[i:]
-
-
-def _rho_mismatch(rng: random.Random, line: str, steps) -> str:
-    """A step's rho with its last row dropped, or with its rows doubled when it has one,
-    so that its target changes: the next step of its side, if any, no longer meets it."""
-    inner = [m for m in steps if line[m.end() : m.end() + 1] == "|"]
-    step = rng.choice(inner or steps)
-    fields = step.group()[1:-1].split(" ; ")
-    rows = fields[-1].split(";")
-    fields[-1] = ";".join(rows[:-1] if len(rows) > 1 else rows * 2)
-    return _with_fields(line, step, fields)
-
-
-def _joined_steps(rng: random.Random, line: str, steps) -> str:
-    """The ``|`` between two steps dropped, so that one ``{...}{...}`` stands for both."""
-    cuts = [m.end() for m in steps if line[m.end() : m.end() + 1] == "|"]
-    if not cuts:
-        return line
-    i = rng.choice(cuts)
-    return line[:i] + line[i + 1 :]
-
-
-STEP_MUTATIONS = (_drop_brace, _swap_fields, _unknown_generator, _unbalanced_bracket, _rho_mismatch, _joined_steps)
-
-
-def _step_mutated(rng: random.Random, texts, mutate) -> str:
-    """A shipped file with one step of one tile line changed by ``mutate``."""
-    lines = rng.choice([text for text in texts if "\ntile " in text]).splitlines()
-    k = rng.choice([k for k, line in enumerate(lines) if line.startswith("tile ")])
-    lines[k] = mutate(rng, lines[k], list(_STEP.finditer(lines[k])))
-    return "\n".join(lines)
 
 
 # ---------------------------------------------------------------- records
@@ -257,13 +170,7 @@ def _rewriting_records(pres, interp, rng: random.Random):
             for j, s2 in enumerate(redexes):
                 yield "classify", [name, text, i, j], _attempt(lambda: repr(classify(pres, Branching(s, s2))))
         yield "normalize2", [name, text], _normalized(pres, phi, cert)
-        steps, cur = [], phi
-        for _ in range(rng.randint(1, 4)):
-            options = find_redexes(pres, cur)
-            if not options:
-                break
-            steps.append(rng.choice(options))
-            cur = sig.step_target(steps[-1])
+        steps = random_path(pres, rng, phi, rng.randint(1, 4))
         if steps:
             yield from _cell_records(pres, render_cell(sig, ThreeCell(phi, tuple(steps))))
 
@@ -301,12 +208,12 @@ def _all_records():
     from graypol import BUILTIN_NAMES, get_builtin, parse_presentation, render_cell, serialize_presentation
 
     rng = random.Random(SEED)
-    texts, tokens = _tokens()
+    texts, tokens = shipped_texts(), file_tokens()
     builtins = [get_builtin(name) for name in BUILTIN_NAMES]
     sources = [(f"builtin:{name}", f"builtin:{name}") for name in BUILTIN_NAMES]
-    sources += [(str(path), f"file:{path.name}") for path in FILES]
+    sources += [(str(path), f"file:{path.name}") for path in SHIPPED_FILES]
     shipped = [entry.presentation for entry in builtins]
-    shipped += [parse_presentation(path.read_text(encoding="utf-8")) for path in FILES]
+    shipped += [parse_presentation(path.read_text(encoding="utf-8")) for path in SHIPPED_FILES]
     for (source, label), pres in zip(sources, shipped):
         cells = [render_cell(pres.sig, random_two_cell(pres.sig, rng, rows)) for rows in (2, 4)]
         yield from _cli_records(source, label, cells + ["a a", "0", "@x", "id2([.|mu|.])", "[", "x y"])
@@ -316,21 +223,20 @@ def _all_records():
         yield "parse_presentation", text, _parsed(lambda: serialize_presentation(parse_presentation(text)))
         pool.append((parse_presentation(text), None))
     for _ in range(240):
-        text = _mutated(rng, texts, tokens)
+        text = mutated_text(rng, texts, tokens)
         yield "parse_presentation", text, _parsed(lambda: serialize_presentation(parse_presentation(text)))
     # the step-level mutations draw from their own stream, so the other inputs stay as they were
     step_rng = random.Random(SEED + 1)
     for mutate in STEP_MUTATIONS:
         for _ in range(30):
-            text = _step_mutated(step_rng, texts, mutate)
+            text = step_mutated_text(step_rng, texts, mutate)
             yield "parse_presentation", text, _parsed(lambda: serialize_presentation(parse_presentation(text)))
     for pres, interp in pool:
         yield from _analysis_records(pres, interp)
         yield from _rewriting_records(pres, interp, rng)
     for pres, _ in pool[: len(builtins)]:
         for _ in range(60):
-            soup = [rng.choice(tokens) for _ in range(rng.randint(0, 8))]
-            yield from _cell_records(pres, rng.choice((" ", "")).join(soup))
+            yield from _cell_records(pres, token_soup(rng, tokens, 8))
 
 
 # ---------------------------------------------------------------- the paper-side algebra
@@ -343,7 +249,7 @@ def _copies_records():
     """Two disjoint copies of each Gray-mode shipped file, parsed and analysed."""
     from graypol import parse_presentation, serialize_presentation
 
-    for path in FILES:
+    for path in SHIPPED_FILES:
         text = path.read_text(encoding="utf-8")
         if "\nqmode " in text:
             continue
@@ -442,18 +348,7 @@ def _expression_records():
 def _zigzag_records():
     """Reduced forms of short zigzags of rewriting steps, with identities,
     inverses and cancelling pairs among them."""
-    from graypol import (
-        BUILTIN_NAMES,
-        ThreeCell,
-        find_redexes,
-        get_builtin,
-        zz_all_reduced_forms,
-        zz_compose,
-        zz_identity,
-        zz_invert,
-        zz_of,
-        zz_simplify,
-    )
+    from graypol import BUILTIN_NAMES, get_builtin, zz_all_reduced_forms, zz_simplify
     from graypol.textio import render_three
 
     rng = random.Random(SEED + 4)
@@ -466,17 +361,7 @@ def _zigzag_records():
         sig = pres.sig
         for _ in range(8):
             phi = random_two_cell(sig, rng, rng.randint(1, 3))
-            z, last = zz_identity(sig, phi), None
-            for _ in range(rng.randint(1, 5)):
-                roll = rng.random()
-                options = find_redexes(pres, z.target2)
-                if roll < 0.2 or not options:
-                    piece = zz_of(sig, ThreeCell(z.target2, ()))
-                elif roll < 0.4 and last is not None:
-                    piece = zz_invert(last)
-                else:
-                    piece = zz_of(sig, sig.step_cell(rng.choice(options)))
-                z, last = zz_compose(sig, z, piece), piece
+            z = random_zigzag(pres, rng, phi, rng.randint(1, 5))
             label = [name, text(sig, z.entries)]
             yield "zz_simplify", label, _attempt(lambda: text(sig, zz_simplify(sig, z).entries))
             forms = lambda: sorted(text(sig, e) for e in zz_all_reduced_forms(sig, z))
@@ -562,31 +447,6 @@ def _loop_records():
                     yield "normalize2", [pres.name, _step_fields(s), budget], result
 
 
-def _mutants(s, other):
-    """``s`` with its ``lam``, ``left``, ``right`` or ``rho`` swapped with ``other``'s,
-    or cut by one row (the last of ``lam``, the first of ``rho``) or one letter
-    (the first of ``left``, the last of ``right``).  Also ``lam`` with its first
-    row made its last and ``rho`` with its last row made its first: only their
-    inner rows are wrong, so every junction of the step still holds."""
-    from graypol import OneCell, TwoCell
-
-    for name in ("lam", "left", "right", "rho"):
-        yield f"swap-{name}", dataclasses.replace(s, **{name: getattr(other, name)})
-    for name in ("lam", "rho"):
-        cell = getattr(s, name)
-        if cell.whiskers:
-            rows = cell.whiskers[:-1] if name == "lam" else cell.whiskers[1:]
-            yield f"cut-{name}", dataclasses.replace(s, **{name: TwoCell(cell.source1, rows)})
-        if len(cell.whiskers) > 1:
-            rows = cell.whiskers[-1:] + cell.whiskers[1:] if name == "lam" else cell.whiskers[:-1] + cell.whiskers[:1]
-            yield f"repeat-{name}", dataclasses.replace(s, **{name: TwoCell(cell.source1, rows)})
-    for name in ("left", "right"):
-        word = getattr(s, name)
-        if word.word:
-            cut = word.word[1:] if name == "left" else word.word[:-1]
-            yield f"cut-{name}", dataclasses.replace(s, **{name: OneCell(word.start, cut)})
-
-
 def _ill_fitting_records():
     """``check3`` on short random paths with one step swapped with a neighbour's field,
     or cut, and ``classify`` on redex pairs with one step so changed."""
@@ -600,23 +460,17 @@ def _ill_fitting_records():
         for _ in range(4):
             phi = random_two_cell(sig, rng, rng.randint(2, 6))
             label = [name, render_two(sig, phi)]
-            steps, cur = [], phi
-            for _ in range(rng.randint(2, 5)):
-                options = find_redexes(pres, cur)
-                if not options:
-                    break
-                steps.append(rng.choice(options))
-                cur = sig.step_target(steps[-1])
+            steps = random_path(pres, rng, phi, rng.randint(2, 5))
             for i, s in enumerate(steps):
                 other = steps[i + 1] if i + 1 < len(steps) else steps[i - 1]
-                for kind, bad in _mutants(s, other):
+                for kind, bad in step_mutants(s, other):
                     path = ThreeCell(phi, tuple(steps[:i]) + (bad,) + tuple(steps[i + 1 :]))
                     yield "check3", label + [i, kind], _attempt(lambda: repr(sig.check3(path)))
             redexes = find_redexes(pres, phi)[:3]
             for i, s1 in enumerate(redexes):
                 for j, s2 in enumerate(redexes):
                     for side, (s, other) in enumerate(((s2, s1), (s1, s2))):
-                        for kind, bad in _mutants(s, other):
+                        for kind, bad in step_mutants(s, other):
                             b = Branching(s1, bad) if side == 0 else Branching(bad, s2)
                             yield "classify", label + [i, j, side, kind], _attempt(lambda: repr(classify(pres, b)))
 
@@ -637,8 +491,7 @@ def _window_records():
     from graypol.rewriting import _candidates
 
     pool = [get_builtin(name).presentation for name in BUILTIN_NAMES] + _drawn_presentations()
-    texts = [path.read_text(encoding="utf-8") for path in FILES]
-    pool += [parse_presentation(disjoint_copies(text, 2)) for text in texts if "\nqmode " not in text]
+    pool += [parse_presentation(disjoint_copies(text, 2)) for text in shipped_texts() if "\nqmode " not in text]
     for pres in pool:
         if pres.qmode is not None:
             continue

@@ -1,9 +1,11 @@
 """The generated inputs of the tests and of ``tools/differential.py``, drawn in one place.
 
 Random 1- and 2-cells, every 2-cell of a few rows, random presentations
-(as ``.gray`` text, or positive ones built directly), random expressions,
-random linear interpretations, combs, chains and disjoint copies, and the
-names of the Gray-mode builtins.  Each random generator draws from the
+(as ``.gray`` text, or positive ones built directly), the shipped
+presentation files with tokens or tile steps mutated, random text and
+token soup for the parsers, random expressions, random linear
+interpretations, combs, chains and disjoint copies, and the names of the
+Gray-mode builtins.  Each random generator draws from the
 ``random.Random`` it is given, so a seed fixes its draws;
 ``tests/test_inputs.py`` pins them.
 
@@ -13,8 +15,13 @@ Each generator imports ``graypol`` when it runs, so the tool's
 ``--against TREE`` draws with the graypol of ``TREE/src``.
 """
 
+import dataclasses
+import functools
 import random
 import re
+import string
+import unicodedata
+from pathlib import Path
 
 # ---------------------------------------------------------------- cells
 
@@ -90,6 +97,46 @@ def enumerate_two_cells(sig, max_rows: int, start_words):
     return out
 
 
+def random_path(pres, rng: random.Random, phi, max_steps: int):
+    """Up to ``max_steps`` rewriting steps out of ``phi``, each one of the redexes of the
+    cell the last reached; fewer when a normal form comes first."""
+    from graypol import find_redexes
+
+    steps, cur = [], phi
+    for _ in range(max_steps):
+        options = find_redexes(pres, cur)
+        if not options:
+            break
+        steps.append(rng.choice(options))
+        cur = pres.sig.step_target(steps[-1])
+    return steps
+
+
+def step_mutants(s, other):
+    """``s`` with its ``lam``, ``left``, ``right`` or ``rho`` swapped with ``other``'s,
+    or cut by one row (the last of ``lam``, the first of ``rho``) or one letter
+    (the first of ``left``, the last of ``right``), each with the name of its change.
+    Also ``lam`` with its first row made its last and ``rho`` with its last row made
+    its first: only their inner rows are wrong, so every junction of the step still holds."""
+    from graypol import OneCell, TwoCell
+
+    for name in ("lam", "left", "right", "rho"):
+        yield f"swap-{name}", dataclasses.replace(s, **{name: getattr(other, name)})
+    for name in ("lam", "rho"):
+        cell = getattr(s, name)
+        if cell.whiskers:
+            rows = cell.whiskers[:-1] if name == "lam" else cell.whiskers[1:]
+            yield f"cut-{name}", dataclasses.replace(s, **{name: TwoCell(cell.source1, rows)})
+        if len(cell.whiskers) > 1:
+            rows = cell.whiskers[-1:] + cell.whiskers[1:] if name == "lam" else cell.whiskers[:-1] + cell.whiskers[:1]
+            yield f"repeat-{name}", dataclasses.replace(s, **{name: TwoCell(cell.source1, rows)})
+    for name in ("left", "right"):
+        word = getattr(s, name)
+        if word.word:
+            cut = word.word[1:] if name == "left" else word.word[:-1]
+            yield f"cut-{name}", dataclasses.replace(s, **{name: OneCell(word.start, cut)})
+
+
 def comb(n: int, left: bool = True):
     """A pseudomonoid comb of ``n`` multiplications on ``n + 1`` wires: each row multiplies
     the two leftmost wires (a left comb), or else the two rightmost (a right comb)."""
@@ -99,6 +146,62 @@ def comb(n: int, left: bool = True):
     pads = [OneCell("x", ("a",) * (n - 1 - i)) for i in range(n)]
     rows = (Whisker2(ends, "mu", pad) if left else Whisker2(pad, "mu", ends) for pad in pads)
     return TwoCell(OneCell("x", ("a",) * (n + 1)), tuple(rows))
+
+
+def random_zigzag(pres, rng: random.Random, phi, pieces: int):
+    """A zigzag of ``pieces`` pieces out of ``phi``.  Each is an identity (one time in
+    five, and whenever no redex is left), the inverse of the piece before (one time in
+    five), or else a step to one of the redexes."""
+    from graypol import ThreeCell, find_redexes, zz_compose, zz_identity, zz_invert, zz_of
+
+    sig = pres.sig
+    z, last = zz_identity(sig, phi), None
+    for _ in range(pieces):
+        roll = rng.random()
+        options = find_redexes(pres, z.target2)
+        if roll < 0.2 or not options:
+            piece = zz_of(sig, ThreeCell(z.target2, ()))
+        elif roll < 0.4 and last is not None:
+            piece = zz_invert(last)
+        else:
+            piece = zz_of(sig, sig.step_cell(rng.choice(options)))
+        z, last = zz_compose(sig, z, piece), piece
+    return z
+
+
+def zigzag_alphabet():
+    """A one-wire signature with 2-generators ``p, q : a a => a`` and three parallel
+    3-generators ``F, G, H : p => q``, and the 3-cells of ``F``, ``G`` and ``H``."""
+    from graypol import OneCell, OpGen, Signature
+
+    a, aa = OneCell("x", ("a",)), OneCell("x", ("a", "a"))
+    two = [("p", aa, a), ("q", aa, a)]
+    base = Signature(zero=["x"], one=[("a", "x", "x")], two=two)
+    p, q = base.gen2_cell("p"), base.gen2_cell("q")
+    sig = Signature(zero=["x"], one=[("a", "x", "x")], two=two, three=[("F", p, q), ("G", p, q), ("H", p, q)])
+    return sig, [sig.gen3_cell(OpGen(n)) for n in ("F", "G", "H")]
+
+
+def enumerate_zigzags(sig, cells, max_len: int):
+    """Every zigzag of at most ``max_len`` of the parallel ``cells``, each forward or
+    backward, out of their common source, then out of their common target."""
+    from graypol import zz_compose, zz_identity, zz_of
+
+    out = []
+
+    def extend(z, remaining):
+        out.append(z)
+        if remaining == 0:
+            return
+        for c in cells:
+            for sign in (1, -1):
+                piece = zz_of(sig, c, sign)
+                if z.target2 == piece.source2:
+                    extend(zz_compose(sig, z, piece), remaining - 1)
+
+    extend(zz_identity(sig, sig.source(cells[0])), max_len)
+    extend(zz_identity(sig, sig.target(cells[0])), max_len)
+    return out
 
 
 # ---------------------------------------------------------------- presentations
@@ -220,6 +323,188 @@ def positive_presentations(count):
     return out
 
 
+# ---------------------------------------------------------------- files and text
+
+SHIPPED_FILES = sorted((Path(__file__).resolve().parent.parent / "src" / "graypol" / "presentations").glob("*.gray"))
+
+
+def shipped_texts():
+    """The text of each of ``SHIPPED_FILES``."""
+    return [path.read_text(encoding="utf-8") for path in SHIPPED_FILES]
+
+
+def file_tokens():
+    """Every token of the shipped files, then pieces of the grammar and numerals."""
+    pieces = ["[", "]", "{", "}", "(", ")", "|", ";", ",", "@", "#", "X(", "X'(", "id(", "id2(", "0", "00", "3", "²"]
+    return sorted({tok for text in shipped_texts() for tok in text.split()}) + pieces
+
+
+def mutated_text(rng: random.Random, texts, tokens) -> str:
+    """One of ``texts`` with one to four of its space-separated tokens replaced from ``tokens``."""
+    lines = [line.split(" ") for line in rng.choice(texts).splitlines()]
+    for _ in range(rng.randint(1, 4)):
+        toks = rng.choice(lines)
+        toks[rng.randrange(len(toks))] = rng.choice(tokens)
+    return "\n".join(" ".join(toks) for toks in lines)
+
+
+# A step of a tile line; the shipped files nest no brace inside a step.
+_STEP = re.compile(r"\{[^{}]*\}")
+
+
+def _with_fields(line: str, step, fields) -> str:
+    """``line`` with the step matched by ``step`` written with ``fields``."""
+    return line[: step.start()] + "{" + " ; ".join(fields) + "}" + line[step.end() :]
+
+
+def _drop_brace(rng: random.Random, line: str, steps) -> str:
+    """One brace of the line dropped."""
+    i = rng.choice([i for i, ch in enumerate(line) if ch in "{}"])
+    return line[:i] + line[i + 1 :]
+
+
+def _swap_fields(rng: random.Random, line: str, steps) -> str:
+    """Two ``;`` fields of a step swapped."""
+    step = rng.choice(steps)
+    fields = step.group()[1:-1].split(" ; ")
+    i, j = rng.sample(range(len(fields)), 2)
+    fields[i], fields[j] = fields[j], fields[i]
+    return _with_fields(line, step, fields)
+
+
+def _unknown_generator(rng: random.Random, line: str, steps) -> str:
+    """A letter of ``zz`` in a row of lam or rho, as the 2-generator or in a context."""
+    step = rng.choice(steps)
+    fields = step.group()[1:-1].split(" ; ")
+    k = rng.choice((0, -1))
+    rows = fields[k].split(";")
+    r = rng.randrange(len(rows))
+    if rows[r].startswith("id("):
+        rows[r] = "id(zz)"
+    else:
+        parts = rows[r][1:-1].split("|")
+        parts[rng.randrange(3)] = "zz"
+        rows[r] = "[" + "|".join(parts) + "]"
+    fields[k] = ";".join(rows)
+    return _with_fields(line, step, fields)
+
+
+def _unbalanced_bracket(rng: random.Random, line: str, steps) -> str:
+    """One ``[``, ``]``, ``(`` or ``)`` of a step dropped, or one added."""
+    step = rng.choice(steps)
+    marks = [i for i in range(step.start() + 1, step.end() - 1) if line[i] in "[]()"]
+    if marks and rng.random() < 0.5:
+        i = rng.choice(marks)
+        return line[:i] + line[i + 1 :]
+    i = rng.randrange(step.start() + 1, step.end() - 1)
+    return line[:i] + rng.choice("[]()") + line[i:]
+
+
+def _rho_mismatch(rng: random.Random, line: str, steps) -> str:
+    """A step's rho with its last row dropped, or with its rows doubled when it has one,
+    so that its target changes: the next step of its side, if any, no longer meets it."""
+    inner = [m for m in steps if line[m.end() : m.end() + 1] == "|"]
+    step = rng.choice(inner or steps)
+    fields = step.group()[1:-1].split(" ; ")
+    rows = fields[-1].split(";")
+    fields[-1] = ";".join(rows[:-1] if len(rows) > 1 else rows * 2)
+    return _with_fields(line, step, fields)
+
+
+def _joined_steps(rng: random.Random, line: str, steps) -> str:
+    """The ``|`` between two steps dropped, so that one ``{...}{...}`` stands for both."""
+    cuts = [m.end() for m in steps if line[m.end() : m.end() + 1] == "|"]
+    if not cuts:
+        return line
+    i = rng.choice(cuts)
+    return line[:i] + line[i + 1 :]
+
+
+STEP_MUTATIONS = (_drop_brace, _swap_fields, _unknown_generator, _unbalanced_bracket, _rho_mismatch, _joined_steps)
+
+
+def step_mutated_text(rng: random.Random, texts, mutate) -> str:
+    """One of ``texts`` with one step of one tile line changed by ``mutate``, one of
+    ``STEP_MUTATIONS``."""
+    lines = rng.choice([text for text in texts if "\ntile " in text]).splitlines()
+    k = rng.choice([k for k, line in enumerate(lines) if line.startswith("tile ")])
+    lines[k] = mutate(rng, lines[k], list(_STEP.finditer(lines[k])))
+    return "\n".join(lines)
+
+
+# the characters other than ``\n`` at which ``str.splitlines`` breaks a line
+_LINE_BREAKS = "\r\x0b\x0c\x1c\x1d\x1e\x85\u2028\u2029"
+
+
+@functools.cache
+def _numerals():
+    """The characters of categories Nd and No in the Basic Multilingual Plane: the digits
+    and other numerals of every script there, of which only ASCII digits spell a number.
+    The plane bounds them so that the pinned draws move less with the Unicode version
+    of the interpreter."""
+    return tuple(chr(c) for c in range(0x10000) if unicodedata.category(chr(c)) in ("Nd", "No"))
+
+
+def _character(rng: random.Random) -> str:
+    """Printable ASCII, a line break, a numeral, or any code point but a surrogate."""
+    roll = rng.random()
+    if roll < 0.55:
+        return rng.choice(string.printable)
+    if roll < 0.7:
+        return rng.choice(_LINE_BREAKS)
+    if roll < 0.85:
+        return rng.choice(_numerals())
+    c = rng.randrange(0x110000 - 0x800)
+    return chr(c + 0x800 if c >= 0xD800 else c)
+
+
+def random_text(rng: random.Random, max_len: int) -> str:
+    """At most ``max_len`` characters of ``_character``."""
+    return "".join(_character(rng) for _ in range(rng.randint(0, max_len)))
+
+
+def random_numerals(rng: random.Random) -> str:
+    """One to twelve numerals of categories Nd and No."""
+    return "".join(rng.choice(_numerals()) for _ in range(rng.randint(1, 12)))
+
+
+def token_soup(rng: random.Random, tokens, max_len: int, seps=(" ", "")) -> str:
+    """At most ``max_len`` of ``tokens``, joined by one of ``seps``."""
+    soup = [rng.choice(tokens) for _ in range(rng.randint(0, max_len))]
+    return rng.choice(seps).join(soup)
+
+
+def random_file_text(rng: random.Random, texts, tokens) -> str:
+    """Random text, one of ``texts`` mutated by ``mutated_text``, or up to ten lines,
+    each a line of ``texts``, a soup of ``tokens`` or a little random text."""
+    kind = rng.randrange(3)
+    if kind == 0:
+        return random_text(rng, 80)
+    if kind == 1:
+        return mutated_text(rng, texts, tokens)
+    lines = [line for text in texts for line in text.splitlines()]
+    out = []
+    for _ in range(rng.randint(0, 10)):
+        kind = rng.randrange(3)
+        if kind == 0:
+            out.append(rng.choice(lines))
+        elif kind == 1:
+            out.append(token_soup(rng, tokens, 14, (" ",)))
+        else:
+            out.append(random_text(rng, 12))
+    return "\n".join(out)
+
+
+def random_cell_text(rng: random.Random, tokens) -> str:
+    """Random text, numerals, or a soup of ``tokens`` joined by a space or by nothing."""
+    kind = rng.randrange(3)
+    if kind == 0:
+        return random_text(rng, 40)
+    if kind == 1:
+        return random_numerals(rng)
+    return token_soup(rng, tokens, 14)
+
+
 # ---------------------------------------------------------------- expressions
 
 
@@ -276,47 +561,6 @@ def random_rough_expression(sig, rng: random.Random, top: int):
             else:
                 cell = sig.id2(sig.source(src) if left else sig.target(src))
             expr = ELowL(i, cell, expr) if left else ELowR(i, expr, cell)
-    return expr
-
-
-def random_typed_expression(sig, rng, max_nodes, top=2):
-    """Random well-typed expression built by combining compatible pieces."""
-    from graypol import EGen, EId, ELowL, ELowR, ETop, TypingError, typecheck
-    from graypol.expressions import size
-
-    pool = []
-    for gen in sig.two:
-        pool.append(EGen(top, gen))
-    for _ in range(3):
-        pool.append(EId(random_one_cell(sig, rng, 3)))
-    expr = rng.choice(pool)
-    while size(expr) < max_nodes:
-        kind = rng.randrange(4)
-        try:
-            if kind == 0:
-                src, tgt = typecheck(sig, expr, top)
-                nxt = rng.choice(pool)
-                s2, _ = typecheck(sig, nxt, top)
-                if tgt == s2:
-                    expr = ETop(expr, nxt)
-                elif typecheck(sig, nxt, top)[1] == src:
-                    expr = ETop(nxt, expr)
-                else:
-                    expr = ETop(expr, EId(tgt))
-            elif kind == 1:
-                src, _ = typecheck(sig, expr, top)
-                u = random_one_cell(sig, rng, 2, start=rng.choice(sig.zero))
-                if sig.end0(u) == src.start:
-                    expr = ELowL(0, u, expr)
-            elif kind == 2:
-                src, _ = typecheck(sig, expr, top)
-                v = random_one_cell(sig, rng, 2, start=sig.end0(src))
-                expr = ELowR(0, expr, v)
-            else:
-                src, _ = typecheck(sig, expr, top)
-                expr = ETop(EId(src), expr)
-        except TypingError:
-            continue
     return expr
 
 

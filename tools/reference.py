@@ -158,7 +158,6 @@ def oracle_minimal(pres, b):
     s1, s2 = b.s1, b.s2
     phi = sig.step_source(s1)
     n = length(phi)
-    level = sig.source(phi)
     for tl in range(n + 1):
         for tr in range(n - tl + 1):
             mid = slice2(sig, phi, tl, n - tr)
@@ -167,15 +166,7 @@ def oracle_minimal(pres, b):
                 for nr in range(len(mlevel.word) - nl + 1):
                     if tl == 0 and tr == 0 and nl == 0 and nr == 0:
                         continue
-                    peeled = []
-                    ok = True
-                    for s in (s1, s2):
-                        got = peel_step(sig, s, tl, tr, nl, nr)
-                        if got is None:
-                            ok = False
-                            break
-                        peeled.append(got)
-                    if ok:
+                    if all(peel_step(sig, s, tl, tr, nl, nr) is not None for s in (s1, s2)):
                         return False
     return True
 
@@ -410,6 +401,13 @@ def lowest_first_path(pres, phi, budget=None):
         steps.append(redexes[0])
         cells.append(pres.sig.step_target(redexes[0]))
     return steps, cells
+
+
+def lowest_redexes(steps, k):
+    """The steps of ``steps`` whose ``lam`` has the fewest rows among those with at
+    least ``k``: what a scan resumed at row ``k`` returns."""
+    rows = [length(s.lam) for s in steps if length(s.lam) >= k]
+    return [s for s in steps if rows and length(s.lam) == min(rows)]
 
 
 # ---------------------------------------------------------------- expressions
