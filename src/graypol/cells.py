@@ -513,35 +513,43 @@ class Signature:
         """The rows ``rows`` of a 2-cell whiskered by ``l`` on the left and ``r`` on the right.
 
         Nothing is checked: the caller knows that ``l`` ends where the
-        rows start and ``r`` starts where they end.
+        rows start and ``r`` starts where they end.  So a context with no
+        letters leaves the rows' contexts on its side as they are, and
+        they are not built again.
         """
         start, lw, rw = l.start, l.word, r.word
+        if not lw and not rw:
+            return tuple(rows)
         return tuple([
-            Whisker2(OneCell(start, lw + w.left.word), w.gen, OneCell(w.right.start, w.right.word + rw))
+            Whisker2(
+                OneCell(start, lw + w.left.word) if lw else w.left,
+                w.gen,
+                OneCell(w.right.start, w.right.word + rw) if rw else w.right,
+            )
             for w in rows
         ])
 
-    def _step_fault(self, s: Step, top: OneCell, bottom: OneCell):
+    def _step_fault(self, s: Step, top: OneCell, bottom: OneCell, above: OneCell, below: OneCell):
         """The ``CompositionError`` of a step whose window runs from ``top`` to ``bottom``, or ``None``.
 
         These are the checks of ``compose``, each a comparison of 1-cells,
         because the window's side is a checked 2-cell: ``left`` and
-        ``right`` must 0-compose with the side, the target of ``lam`` must
-        be the level above the window and the source of ``rho`` the level
-        below it.  The levels are ``top`` and ``bottom`` padded by ``left``
-        and ``right``; they are compared field by field, and a OneCell is
-        built only for a message.
+        ``right`` must 0-compose with the side, ``above`` (the target of
+        ``lam``) must be the level above the window and ``below`` (the
+        source of ``rho``) the level below it.  The caller passes those two
+        levels: a step's own, or those of the cell it is cut from.  The
+        window's levels are ``top`` and ``bottom`` padded by ``left`` and
+        ``right``; they are compared field by field, and a OneCell is built
+        only for a message.
         """
         left, right = s.left, s.right
         if self.end0(left) != top.start or self.end0(top) != right.start:
             return CompositionError("0-whiskering boundary mismatch")
         start, lw, rw = left.start, left.word, right.word
-        above = self.target(s.lam)
         if above.start != start or above.word != lw + top.word + rw:
             return CompositionError(
                 f"2-cells not 1-composable: target {above!r} vs source {OneCell(start, lw + top.word + rw)!r}"
             )
-        below = s.rho.source1
         if below.start != start or below.word != lw + bottom.word + rw:
             return CompositionError(
                 f"2-cells not 1-composable: target {OneCell(start, lw + bottom.word + rw)!r} vs source {below!r}"
@@ -557,7 +565,7 @@ class Signature:
         finds that the parts meet; no window cell is built.
         """
         side, bottom = self._side(s.inner, source)
-        fault = self._step_fault(s, side.source1, bottom)
+        fault = self._step_fault(s, side.source1, bottom, self.target(s.lam), s.rho.source1)
         if fault is not None:
             raise fault
         rows = self._whiskered(s.left, side.whiskers, s.right)
@@ -577,7 +585,7 @@ class Signature:
         test: the same error, message and order.
         """
         side, bottom = self._side(s.inner, True)
-        if self._step_fault(s, side.source1, bottom) is not None:
+        if self._step_fault(s, side.source1, bottom, self.target(s.lam), s.rho.source1) is not None:
             return False
         lam, rho, rows = s.lam.whiskers, s.rho.whiskers, here.whiskers
         up, down = len(lam), len(rows) - len(rho)

@@ -2,12 +2,12 @@
 and the zigzag calculus for formally invertible 3-cells.
 
 ``normalize2`` rewrites with the deterministic lowest-redex-first
-strategy, applies each step with ``Signature.step_target``, and returns
-the witnessing rewriting path.  ``squier_completion`` joins every
-critical branching and emits one tile per branching not already
-covered by an installed tile; the report verdict follows the coherence
-criterion: certified termination plus a tile for every critical
-branching.
+strategy on a working cell, a list of rows and a list of levels that
+each step splices at its window, and returns the witnessing rewriting
+path.  ``squier_completion`` joins every critical branching and emits
+one tile per branching not already covered by an installed tile; the
+report verdict follows the coherence criterion: certified termination
+plus a tile for every critical branching.
 """
 
 from __future__ import annotations
@@ -52,12 +52,19 @@ def normalize2(
     partial path of ``B`` steps) is raised only when a redex remains
     after them.
 
-    Each step is applied by ``sig.step_target``, which splices the
-    rewritten window between the rows of the step's ``lam`` and ``rho``
-    and checks the levels at the window's top and bottom.  So a step
-    costs its window, whose side comes from the signature's memo, plus
-    one tuple splice of the rows.  The returned path is made of
-    ordinary steps, and ``check3`` replays it.
+    The cell is kept as a working cell: a list of its rows and a list of
+    its levels, ``levels[t]`` the 1-cell above row ``t``.  A scan reads the
+    levels above and below each window from that list, and a step splices
+    both lists at its window: its target side's rows, whiskered by the
+    step's contexts, replace the window's rows, and only the levels inside
+    the window are computed again.  Before the splice, the step's
+    junctions are checked against the levels above and below its window
+    (``Signature._step_fault``).  The step was found on this cell, so a
+    fault there is a defect of graypol and raises ``InternalError``.  So a
+    step costs its window, whose side comes from the signature's memo,
+    plus the splices and one copy of the rows as the cell the next scan
+    reads.  The returned path is made of ordinary steps, and ``check3``
+    replays it.
 
     Without a certificate the path may loop, and Brent's cycle check
     watches for it: the cell reached is compared with one saved cell,
@@ -79,27 +86,41 @@ def normalize2(
     reach = max([2] + [length(sig.gen3_source(name)) for name in pres.operational()])
     steps = []
     cur = saved = phi
+    rows = list(phi.whiskers)
+    levels = [phi.source1] + [sig.whisker_target(w) for w in rows]
     lowest = 0
     # Brent: ``saved`` is compared with the next ``power`` cells; ``since`` counts them
     power, since = 1, 0
     while True:
-        redexes = find_redexes(pres, cur, lowest_from=lowest)
+        redexes = find_redexes(pres, cur, lowest_from=lowest, levels=levels)
         if not redexes:
             return cur, ThreeCell(phi, tuple(steps))
         if len(steps) >= budget:
             break
         step = redexes[0]
+        # the window is rows t..u-1, between the rows of lam and rho
+        t, u = len(step.lam.whiskers), len(rows) - len(step.rho.whiskers)
+        side, bottom = sig._side(step.inner, False)
+        fault = sig._step_fault(step, side.source1, bottom, levels[t], levels[u]) if t <= u else "lam and rho overlap"
+        if fault is not None:
+            raise InternalError(
+                f"internal invariant violated: step {len(steps)} does not fit the cell it was found on: {fault}"
+            )
         steps.append(step)
-        cur = sig.step_target(step)
+        new = sig._whiskered(step.left, side.whiskers, step.right)
+        rows[t:u] = new
+        # below each new row its target; below the last the level below the
+        # window, which stays, and an empty window keeps only the level above it
+        levels[t + 1 : u + 1] = [sig.whisker_target(w) for w in new[:-1]] + [levels[u]] if new else []
+        cur = TwoCell(phi.source1, tuple(rows))
         # Resume the next scan near the rewrite at row t = |lam|.  Whether a
         # window matches depends only on its own rows and the level above
-        # them.  The rows above t are those of ``lam``, unchanged, and the
-        # level at t is the target of ``lam``, which ``step_target`` checks;
-        # and the scan that chose this step found no redex starting above t.
-        # So no window that ends above t can match now, and the windows left
-        # to try, of at most ``reach`` rows, start at row t - reach + 1 or
-        # later.
-        lowest = max(0, len(step.lam.whiskers) - reach + 1)
+        # them.  The rows above t are unchanged, and so is the level at t,
+        # which the junction check compared with the window's top; and the
+        # scan that chose this step found no redex starting above t.  So no
+        # window that ends above t can match now, and the windows left to
+        # try, of at most ``reach`` rows, start at row t - reach + 1 or later.
+        lowest = max(0, t - reach + 1)
         if certificate is None:
             since += 1
             if len(cur.whiskers) == len(saved.whiskers) and cur == saved:

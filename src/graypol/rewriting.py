@@ -23,7 +23,7 @@ right contexts of a glue, come from the 180° rotation.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import List, Optional, Tuple
+from typing import List, Optional, Sequence, Tuple
 
 from .cells import (
     CellError,
@@ -101,15 +101,20 @@ class CriticalBranching:
 # ---------------------------------------------------------------- redexes
 
 
-def _match_window(sig: Signature, phi: TwoCell, t: int, pattern: TwoCell) -> List[Tuple[OneCell, OneCell]]:
+def _match_window(
+    sig: Signature, phi: TwoCell, t: int, pattern: TwoCell, above: Optional[OneCell]
+) -> List[Tuple[OneCell, OneCell]]:
     """Solve ``l *0 pattern *0 r == rows t..t+len(pattern) of phi``.
 
-    Returns all solutions (one for nonempty patterns, possibly several
-    for identity patterns sliding along a 1-cell).
+    ``above`` is the level above row ``t`` of ``phi``, or ``None``, and
+    then it is computed once the rows fit.  Returns all solutions (one for
+    nonempty patterns, possibly several for identity patterns sliding
+    along a 1-cell).
     """
     m = len(pattern.whiskers)
     if m == 0:
-        level, pw, out = level_at(sig, phi, t), pattern.source1.word, []
+        level = above if above is not None else level_at(sig, phi, t)
+        pw, out = pattern.source1.word, []
         for cut in range(len(level.word) - len(pw) + 1):
             if level.word[cut : cut + len(pw)] != pw:
                 continue
@@ -135,18 +140,20 @@ def _match_window(sig: Signature, phi: TwoCell, t: int, pattern: TwoCell) -> Lis
     l = OneCell(first.left.start, lw)
     if sig.end0(l) != pattern.source1.start:
         return []
-    above = level_at(sig, phi, t)
+    if above is None:
+        above = level_at(sig, phi, t)
     if above.start != l.start or above.word != lw + pattern.source1.word + rw:
         return []
     return [(l, OneCell(sig.end0(pattern.source1), rw))]
 
 
-def _step_at(sig: Signature, phi: TwoCell, t: int, m: int, l: OneCell, inner, r: OneCell) -> Step:
-    """The step on rows ``t..t+m-1`` of ``phi``; callers pass ``0 <= t <= t + m <= len(phi.whiskers)``."""
+def _step_at(phi: TwoCell, t: int, m: int, below: OneCell, l: OneCell, inner, r: OneCell) -> Step:
+    """The step on rows ``t..t+m-1`` of ``phi``, ``below`` the level under them.
+
+    Callers pass ``0 <= t <= t + m <= len(phi.whiskers)``.
+    """
     rows = phi.whiskers
-    lam = TwoCell(phi.source1, rows[:t])
-    rho = TwoCell(level_at(sig, phi, t + m), rows[t + m :])
-    return Step(lam, l, inner, r, rho)
+    return Step(TwoCell(phi.source1, rows[:t]), l, inner, r, TwoCell(below, rows[t + m :]))
 
 
 def match_interchanger(sig: Signature, wa: Whisker2, wb: Whisker2, target: bool):
@@ -165,16 +172,23 @@ def match_interchanger(sig: Signature, wa: Whisker2, wb: Whisker2, target: bool)
         a_side, b_side = sig.tgt1, sig.src1
     l, r = wa.left, wb.right
     fa = a_side(wa.gen)
-    need = l.word + fa.word
-    if wb.left.word[: len(need)] != need or wb.left.start != l.start:
+    cut = len(l.word) + len(fa.word)
+    lw = wb.left.word
+    if len(lw) < cut or wb.left.start != l.start or lw[:cut] != l.word + fa.word:
         return None
-    mid = OneCell(sig.end0(fa), wb.left.word[len(need) :])
+    mid = OneCell(sig.end0(fa), lw[cut:])
     if wa.right.start != mid.start or wa.right.word != mid.word + b_side(wb.gen).word + r.word:
         return None
     return (l, wa.gen, mid, wb.gen, r)
 
 
-def find_redexes(pres: GrayPresentation, phi: TwoCell, lowest_from: Optional[int] = None) -> List[Step]:
+def find_redexes(
+    pres: GrayPresentation,
+    phi: TwoCell,
+    lowest_from: Optional[int] = None,
+    *,
+    levels: Optional[Sequence[OneCell]] = None,
+) -> List[Step]:
     """All rewriting steps with source ``phi``, in canonical order.
 
     The scan goes row by row: at start row ``t`` it tries the operational
@@ -185,6 +199,12 @@ def find_redexes(pres: GrayPresentation, phi: TwoCell, lowest_from: Optional[int
     in ``pres.qmode.rules``.  With ``lowest_from=k`` it starts at row
     ``k`` and returns only the steps of the first row ``>= k`` that has
     any, which are the steps with the smallest ``|lam| >= k``.
+
+    ``levels``, when given, is ``phi``'s levels, ``levels[t]`` the 1-cell
+    above row ``t`` (so ``levels[len(phi.whiskers)]`` is its target), as
+    a caller that keeps them across scans holds them: the level above a
+    window and the level below it are read from it.  Without it each is
+    computed from the row above it.  The steps are the same either way.
     """
     sig = pres.sig
     qmode = pres.qmode
@@ -192,6 +212,7 @@ def find_redexes(pres: GrayPresentation, phi: TwoCell, lowest_from: Optional[int
     whiskers = phi.whiskers
     n = len(whiskers)
     sources = pres.redex_sources
+    default = sources[None]
     out = []
     for t in range(lowest_from or 0, n + 1):
         if t + 1 < n:
@@ -200,11 +221,13 @@ def find_redexes(pres: GrayPresentation, phi: TwoCell, lowest_from: Optional[int
             key = (whiskers[t].gen, None)
         else:
             key = None
-        for name, src, m in sources.get(key, sources[None]):
+        above = None if levels is None else levels[t]
+        for name, src, m in sources.get(key, default):
             if t + m > n:
                 continue
-            for l, r in _match_window(sig, phi, t, src):
-                out.append(_step_at(sig, phi, t, m, l, OpGen(name), r))
+            for l, r in _match_window(sig, phi, t, src, above):
+                below = level_at(sig, phi, t + m) if levels is None else levels[t + m]
+                out.append(_step_at(phi, t, m, below, l, OpGen(name), r))
         if t + 1 < n:
             for rev in shapes:
                 hit = match_interchanger(sig, whiskers[t], whiskers[t + 1], rev)
@@ -212,12 +235,17 @@ def find_redexes(pres: GrayPresentation, phi: TwoCell, lowest_from: Optional[int
                     continue
                 l, alpha, mid, beta, r = hit
                 if qmode is None:
-                    out.append(_step_at(sig, phi, t, 2, l, Interchanger(alpha, mid, beta), r))
+                    inst = Interchanger(alpha, mid, beta)
                 elif (alpha, beta, rev) in qmode.rules:
-                    out.append(_step_at(sig, phi, t, 2, l, QInterchanger(alpha, mid, beta, rev), r))
+                    inst = QInterchanger(alpha, mid, beta, rev)
+                else:
+                    continue
+                below = level_at(sig, phi, t + 2) if levels is None else levels[t + 2]
+                out.append(_step_at(phi, t, 2, below, l, inst, r))
         if out and lowest_from is not None:
             break
-    out.sort(key=step_key)
+    if len(out) > 1:
+        out.sort(key=step_key)
     return out
 
 
@@ -297,7 +325,8 @@ def common_peel(pres: GrayPresentation, b: Branching, phi: TwoCell):
         return None
     core = _strip0(sig, middle, nl, nr)
     reduced = Branching(*(
-        _step_at(sig, core, length(s.lam) - t_lam, n - length(s.lam) - length(s.rho),
+        _step_at(core, length(s.lam) - t_lam, n - length(s.lam) - length(s.rho),
+                 level_at(sig, core, n - t_lam - length(s.rho)),
                  _unpad1(sig, s.left, nl, 0), s.inner, _unpad1(sig, s.right, 0, nr))
         for s in (s1, s2)
     ))
@@ -456,8 +485,8 @@ def _glue(pres: GrayPresentation, top, bottom, d: int):
     rows = rows2[: d + over] + rows1[over:] + rows2[d + over :]
     shared = TwoCell(OneCell(l2.start, l2.word + src2.source1.word + r2.word), rows)
     yield Branching(
-        _step_at(sig, shared, d, k1, l1, inst1, r1),
-        _step_at(sig, shared, 0, k2, l2, inst2, r2),
+        _step_at(shared, d, k1, level_at(sig, shared, d + k1), l1, inst1, r1),
+        _step_at(shared, 0, k2, level_at(sig, shared, k2), l2, inst2, r2),
     )
 
 

@@ -31,7 +31,7 @@ from graypol import (
     zz_simplify,
 )
 from graypol import coherence
-from graypol.cells import CompositionError, Interchanger, OpGen, Step, slice2
+from graypol.cells import CompositionError, Interchanger, OpGen, Step, level_at, slice2
 
 import inputs
 from inputs import GRAY_BUILTINS, enumerate_zigzags, random_positive_presentation, random_two_cell, zigzag_alphabet
@@ -140,8 +140,12 @@ def test_resumed_search_follows_full_rescans(name):
         steps, cells = lowest_first_path(pres, phi, budget)
         for cur in cells:
             full = find_redexes(pres, cur)
+            # the levels a caller holds: those a scan without them computes
+            levels = [level_at(pres.sig, cur, t) for t in range(length(cur) + 1)]
             for k in range(length(cur) + 2):
-                assert find_redexes(pres, cur, lowest_from=k) == lowest_redexes(full, k)
+                resumed = find_redexes(pres, cur, lowest_from=k)
+                assert resumed == lowest_redexes(full, k)
+                assert find_redexes(pres, cur, lowest_from=k, levels=levels) == resumed
         try:
             nf, path = normalize2(pres, phi, cert, budget)
         except NonTermination as exc:
@@ -159,6 +163,32 @@ def _step_kind(sig, inner):
     return ("q", inner.rev)
 
 
+def _splice_shape(k, j):
+    """How ``normalize2`` splices a window of ``k`` rows into ``j`` rows."""
+    if k == j:
+        return "same"
+    if k == 0:
+        return "inserted"
+    if j == 0:
+        return "none"
+    return "fewer" if j < k else "more"
+
+
+# the splice shapes each case must show; together they are every shape
+_SPLICE_SHAPES = {
+    # the unit laws and the zigzags remove their window
+    "pseudomonoid": {"same", "none"},
+    "pseudoadjunction": {"none"},
+    "selfduality": {"same", "none"},
+    "selfduality-q": {"same", "none"},
+    "frobenius": {"same"},
+    # G0 inserts two rows at an identity source
+    "random-24": {"inserted"},
+    # G0 turns two rows into one and G1 one row into two
+    "random-36": {"fewer", "more"},
+}
+
+
 @pytest.mark.parametrize(
     "name, kind",
     [
@@ -170,10 +200,12 @@ def _step_kind(sig, inner):
         ("frobenius", ("op", 3)),
         # a random one-wire presentation whose G0 has an identity source
         ("random-24", ("op", 0)),
+        # and one whose windows grow and shrink by a row
+        ("random-36", ("op", 1)),
     ],
     ids=lambda v: v if isinstance(v, str) else "-".join(map(str, v)),
 )
-def test_spliced_cells_equal_step_targets(name, kind):
+def test_spliced_cells_equal_step_targets(name, kind, monkeypatch):
     if name.startswith("random-"):
         pres, cert, budget = random_positive_presentation(int(name[7:]), identity_sources=True), None, 150
     else:
@@ -184,7 +216,16 @@ def test_spliced_cells_equal_step_targets(name, kind):
         except TerminationRefused:
             cert, budget = None, 150
     sig = pres.sig
-    kinds = set()
+    scanned = []
+
+    def level_checked(pres, phi, lowest_from=None, *, levels=None):
+        # the levels normalize2 holds are those of the cell it scans
+        assert levels == [level_at(sig, phi, t) for t in range(length(phi) + 1)]
+        scanned.append(phi)
+        return find_redexes(pres, phi, lowest_from, levels=levels)
+
+    monkeypatch.setattr(coherence, "find_redexes", level_checked)
+    kinds, shapes = set(), set()
     for seed in range(6):
         phi = random_two_cell(sig, random.Random(f"{name}:{seed}"), rows=12, max_pad=3)
         try:
@@ -200,7 +241,10 @@ def test_spliced_cells_equal_step_targets(name, kind):
             assert sig.step_source(s) == composed_side(sig, s, sig.inst_source(s.inner))
             assert cell == composed_side(sig, s, sig.inst_target(s.inner))
             kinds.add(_step_kind(sig, s.inner))
+            shapes.add(_splice_shape(length(sig.inst_source(s.inner)), length(sig.inst_target(s.inner))))
     assert kind in kinds
+    assert _SPLICE_SHAPES[name] <= shapes
+    assert len(scanned) > 50
 
 
 def _ill_fitting_steps(pseudomonoid):
@@ -228,6 +272,30 @@ def _ill_fitting_steps(pseudomonoid):
     y = OneCell("y", ())
     stray = Step(TwoCell(y, ()), y, OpGen("G"), OneCell("x", ()), TwoCell(y, ()))
     return [(sig, lower), (sig, past), (sig, below), (points, stray)]
+
+
+def test_splice_shapes_cover_every_window_change():
+    assert set().union(*_SPLICE_SHAPES.values()) == {"same", "fewer", "more", "none", "inserted"}
+
+
+@pytest.mark.parametrize("off", [0, 1], ids=["one-row-lower", "two-rows-lower"])
+def test_a_found_step_that_does_not_fit_is_an_internal_error(pseudomonoid, monkeypatch, off):
+    # the scan hands normalize2 the first step of the 3-comb one or two rows
+    # lower than it is: a defect of graypol, not a refusal of the input
+    from graypol import InternalError
+
+    pres = pseudomonoid.presentation
+    comb = inputs.comb(3)
+    bad = _ill_fitting_steps(pseudomonoid)[off][1]
+    real = coherence.find_redexes
+
+    def off_by_rows(pres, phi, lowest_from=None, *, levels=None):
+        steps = real(pres, phi, lowest_from, levels=levels)
+        return [bad] if phi == comb else steps
+
+    monkeypatch.setattr(coherence, "find_redexes", off_by_rows)
+    with pytest.raises(InternalError, match="step 0 does not fit the cell it was found on"):
+        normalize2(pres, comb, _cert(pseudomonoid))
 
 
 def test_splice_refuses_a_window_that_does_not_fit(pseudomonoid):

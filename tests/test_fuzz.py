@@ -5,10 +5,18 @@ import io
 
 import pytest
 
-from graypol import ParseError, get_builtin, parse_cell, parse_presentation
+from graypol import OneCell, ParseError, get_builtin, parse_cell, parse_presentation
 from graypol.cli import main
+from graypol.textio import MAX_NUMERIC_WORD
 
-from inputs import file_tokens, random_cell_text, random_file_text, random_numerals, shipped_texts
+from inputs import (
+    file_tokens,
+    random_cell_text,
+    random_file_text,
+    random_numeric_cell_text,
+    random_numerals,
+    shipped_texts,
+)
 
 DRAWS = 150
 
@@ -41,6 +49,30 @@ def test_parse_cell_raises_only_parse_errors(name, rng):
             parse_cell(pres.sig, text, pres.qmode)
         except ParseError:
             pass
+
+
+@pytest.mark.parametrize("name", ["pseudomonoid", "selfduality"])
+def test_numeric_words_past_the_bound_are_refused(name, rng):
+    # numbers in every word position: a cell parses only when none of its
+    # words is longer than MAX_NUMERIC_WORD, and draws land on both sides
+    sig = get_builtin(name).presentation.sig
+    parsed = refused = 0
+    for _ in range(DRAWS):
+        text = random_numeric_cell_text(rng, list(sig.two))
+        try:
+            cell = parse_cell(sig, text)
+        except ParseError as exc:
+            refused += "numeric word longer than" in str(exc)
+            continue
+        if isinstance(cell, OneCell):
+            words = [cell]
+        elif not cell.whiskers:
+            words = [cell.source1]
+        else:
+            words = [u for w in cell.whiskers for u in (w.left, w.right)]
+        assert max(len(u.word) for u in words) <= MAX_NUMERIC_WORD, text
+        parsed += 1
+    assert parsed > 10 and refused > 10
 
 
 def _run_cell_command(command, text):

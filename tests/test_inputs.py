@@ -30,6 +30,7 @@ from inputs import (
     random_cell_text,
     random_file_text,
     random_interpretation,
+    random_numeric_cell_text,
     random_numerals,
     random_one_cell,
     random_path,
@@ -44,6 +45,7 @@ from inputs import (
     step_mutants,
     step_mutated_text,
     token_soup,
+    words_from,
     zigzag_alphabet,
 )
 
@@ -104,6 +106,12 @@ def _enumerated():
     yield enumerate_two_cells(sig, 3, [OneCell("x", ("a",) * n) for n in range(5)])
     sig = get_builtin("pseudoadjunction").presentation.sig
     yield enumerate_two_cells(sig, 2, [sig.id1(x) for x in sig.zero])
+
+
+def _words():
+    for sig in _sigs():
+        for x in sig.zero:
+            yield [words_from(sig, x, max_len) for max_len in range(4)]
 
 
 def _zigzags():
@@ -175,11 +183,19 @@ def _parser_texts():
     yield [random_cell_text(rng, tokens) for _ in range(40)]
 
 
+def _numeric_cell_texts():
+    rng = random.Random(12)
+    for name in ("pseudomonoid", "selfduality"):
+        gens = list(get_builtin(name).presentation.sig.two)
+        yield [random_numeric_cell_text(rng, gens) for _ in range(40)]
+
+
 DRAWS = {
     "random_one_cell": (_one_cells, "dab5e8c7c9ad537c"),
     "random_two_cell": (_two_cells, "d585f551617b95f7"),
     "random_path_step_mutants": (_paths, "2e17cbdd26afadc9"),
     "enumerate_two_cells": (_enumerated, "cc92e486df9b6fbe"),
+    "words_from": (_words, "65803aa963081dd0"),
     "zigzag_alphabet_enumerate_zigzags_random_zigzag": (_zigzags, "24b9709d35312324"),
     "random_positive_presentation": (_positive, "d6c86d7e79e1f8eb"),
     "random_presentation_text": (_presentation_texts, "99df6f0c745d1468"),
@@ -189,6 +205,7 @@ DRAWS = {
     "comb_chain_disjoint_copies": (_shapes, "e3416c32db7b7d34"),
     "mutated_text_step_mutated_text": (_mutated_texts, "93c170c21c922091"),
     "random_text_numerals_soup_file_cell": (_parser_texts, "34550ebe071a0b05"),
+    "random_numeric_cell_text": (_numeric_cell_texts, "03ec03a03905a084"),
 }
 
 

@@ -34,6 +34,7 @@ from inputs import (
     random_one_cell,
     random_positive_presentation,
     random_two_cell,
+    words_from,
 )
 from reference import (
     brute_force_criticals,
@@ -165,18 +166,7 @@ def test_enumeration_matches_brute_force_two_objects(pseudoadjunction):
     # same equivalence over a signature with two 0-generators
     pres = pseudoadjunction.presentation
     sig = pres.sig
-    starts = []
-    for x in sig.zero:
-        frontier = [OneCell(x, ())]
-        for _ in range(4):
-            frontier = [
-                OneCell(u.start, u.word + (g,))
-                for u in frontier
-                for g, (s, _) in sig.one.items()
-                if s == sig.end0(u)
-            ]
-            starts.extend(frontier)
-        starts.append(OneCell(x, ()))
+    starts = [u for x in sig.zero for u in words_from(sig, x, 4)]
     cells = [c for c in enumerate_two_cells(sig, 3, starts) if length(c) <= 3]
     brute = brute_force_criticals(pres, cells)
     listed = {cb.key: cb.branching for cb in enumerate_critical(pres)}

@@ -1,11 +1,11 @@
 """The generated inputs of the tests and of ``tools/differential.py``, drawn in one place.
 
-Random 1- and 2-cells, every 2-cell of a few rows, random presentations
-(as ``.gray`` text, or positive ones built directly), the shipped
-presentation files with tokens or tile steps mutated, random text and
-token soup for the parsers, random expressions, random linear
-interpretations, combs, chains and disjoint copies, and the names of the
-Gray-mode builtins.  Each random generator draws from the
+Random 1- and 2-cells, every composable word and every 2-cell of a few
+letters or rows, random presentations (as ``.gray`` text, or positive
+ones built directly), the shipped presentation files with tokens or tile
+steps mutated, random text, token soup and numeric cell text for the
+parsers, random expressions, random linear interpretations, combs,
+chains and disjoint copies, and the names of the Gray-mode builtins.  Each random generator draws from the
 ``random.Random`` it is given, so a seed fixes its draws;
 ``tests/test_inputs.py`` pins them.
 
@@ -80,6 +80,24 @@ def random_two_cell(sig, rng: random.Random, rows=3, max_pad=2, start_cell=None)
         cell = _whiskered_below(sig, cell, level, *rng.choice(options))
         level = sig.target(cell)
     return cell
+
+
+def words_from(sig, start, max_len: int):
+    """Every composable word of at most ``max_len`` letters starting at ``start``:
+    the empty word, then the words of each length in turn."""
+    from graypol import OneCell
+
+    out = [OneCell(start, ())]
+    frontier = out[:]
+    for _ in range(max_len):
+        frontier = [
+            OneCell(u.start, u.word + (g,))
+            for u in frontier
+            for g, (s, _) in sig.one.items()
+            if s == sig.end0(u)
+        ]
+        out.extend(frontier)
+    return out
 
 
 def enumerate_two_cells(sig, max_rows: int, start_words):
@@ -503,6 +521,36 @@ def random_cell_text(rng: random.Random, tokens) -> str:
     if kind == 1:
         return random_numerals(rng)
     return token_soup(rng, tokens, 14)
+
+
+def random_numeric_cell_text(rng: random.Random, gens) -> str:
+    """Cell text over a single-wire signature whose words are drawn numbers: a word
+    alone, ``id(N)``, or one or two whiskers of the 2-generators ``gens`` with a number,
+    ``.`` or ``0`` for each context, as in ``[9999|mu|.]``.  A number is a digit, within
+    three of ``MAX_NUMERIC_WORD``, or past it by up to three times it, so a parser
+    without the bound builds no word longer than four times it; a number sometimes has
+    leading zeros."""
+    from graypol.textio import MAX_NUMERIC_WORD
+
+    def number():
+        roll = rng.random()
+        if roll < 0.3:
+            n = rng.randint(0, 9)
+        elif roll < 0.65:
+            n = MAX_NUMERIC_WORD + rng.randint(-3, 3)
+        else:
+            n = rng.randint(MAX_NUMERIC_WORD + 1, 4 * MAX_NUMERIC_WORD)
+        return "0" * rng.choice((0, 0, 0, 1, 3)) + str(n)
+
+    def context():
+        return number() if rng.random() < 0.5 else rng.choice((".", "0"))
+
+    kind = rng.randrange(3)
+    if kind == 0:
+        return number()
+    if kind == 1:
+        return f"id({number()})"
+    return " ; ".join(f"[{context()}|{rng.choice(gens)}|{context()}]" for _ in range(rng.randint(1, 2)))
 
 
 # ---------------------------------------------------------------- expressions
