@@ -200,11 +200,12 @@ def find_redexes(
     ``k`` and returns only the steps of the first row ``>= k`` that has
     any, which are the steps with the smallest ``|lam| >= k``.
 
-    ``levels``, when given, is ``phi``'s levels, ``levels[t]`` the 1-cell
-    above row ``t`` (so ``levels[len(phi.whiskers)]`` is its target), as
-    a caller that keeps them across scans holds them: the level above a
-    window and the level below it are read from it.  Without it each is
-    computed from the row above it.  The steps are the same either way.
+    ``levels``, when given, lists ``phi``'s levels, ``levels[t]`` the
+    1-cell above row ``t`` (so the last is its target).  A caller that
+    keeps them across scans, as ``normalize2`` does, passes them, and the
+    level above each window and the level below it are read from the
+    list; without it each is computed from the row above it when needed.
+    The steps are the same either way.
     """
     sig = pres.sig
     qmode = pres.qmode
