@@ -15,7 +15,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from functools import cached_property
-from typing import Optional, Tuple
+from typing import NamedTuple, Optional, Tuple
 
 from .cells import (
     CellError,
@@ -68,6 +68,13 @@ class QMode:
         return ((eta, eta, True), (eta, eps, False), (eps, eta, True), (eps, eps, False))
 
 
+class RedexIndex(NamedTuple):
+    """``GrayPresentation.redex_sources``: the shifts some source sits at, and the entries."""
+
+    shifts: frozenset
+    entries: dict
+
+
 @dataclass(frozen=True)
 class GrayPresentation:
     name: str
@@ -99,18 +106,37 @@ class GrayPresentation:
         return GrayPresentation(self.name, self.sig.rotated())
 
     @cached_property
-    def redex_sources(self) -> dict:
-        """Operational sources ``(name, source, rows)`` a window can match, by where it starts.
+    def redex_sources(self) -> "RedexIndex":
+        """What a window can match, by its first two rows' generators and offset.
 
-        A window starting on a row ``g`` followed by a row ``h`` is
-        looked up under ``(g, h)``, one starting on the last row ``g``
-        under ``(g, None)``, and one starting below the last row under
-        ``None``.  Each entry holds the identity sources, the one-row
-        sources on ``g`` and the sources whose first two rows are ``g``
-        and ``h``; no other source can match there.
+        A window starting on a row ``g`` followed by a row ``h`` whose
+        left context is ``shift`` letters longer is looked up under
+        ``(g, h, shift)``, one starting on the last row ``g`` under
+        ``(g, None)``, and one starting below the last row under
+        ``None``.  Whiskering keeps the offset of two rows, so a source
+        of two or more rows can match only under the key of its own first
+        two rows.  Each entry is ``(sources, shapes)``:
+
+        - the operational sources ``(name, source, rows)`` that can match
+          there: the identity sources, the one-row sources on ``g`` and
+          the sources keyed there;
+        - the interchanger shapes ``(rev, need)``, ``rev`` being the
+          ``target`` argument of ``match_interchanger``: in Gray mode the
+          source shape, in q mode each shape whose ``(alpha, beta, rev)``
+          is in ``QMode.rules``.  A shape leaves room for a middle word
+          only when ``shift`` (the source shape) or ``-shift`` (the
+          target shape) is at least ``need``, the length of ``tgt g`` or
+          of ``src h``; the scan checks that before matching.
+
+        A shift that no source of two or more rows sits at (one not in
+        ``shifts``) is looked up as ``None``, so the table holds no more
+        keys per pair than there are such sources, plus one, however long
+        the rows' contexts are.  A key with an undeclared generator is
+        missing.
         """
-        empty, first, pairs = [], {}, {}
-        for name, (src, _) in self.sig.three.items():
+        sig = self.sig
+        empty, first, by_offset = [], {}, {}
+        for name, (src, _) in sig.three.items():
             rows = src.whiskers
             entry = (name, src, len(rows))
             if not rows:
@@ -118,13 +144,24 @@ class GrayPresentation:
             elif len(rows) == 1:
                 first.setdefault(rows[0].gen, []).append(entry)
             else:
-                pairs.setdefault((rows[0].gen, rows[1].gen), []).append(entry)
-        table = {None: tuple(empty)}
-        for g in self.sig.two:
-            table[g, None] = tuple(empty + first.get(g, []))
-            for h in self.sig.two:
-                table[g, h] = table[g, None] + tuple(pairs.get((g, h), ()))
-        return table
+                shift = len(rows[1].left.word) - len(rows[0].left.word)
+                by_offset.setdefault((rows[0].gen, rows[1].gen, shift), []).append(entry)
+        shifts = frozenset(shift for _, _, shift in by_offset)
+        rules = None if self.qmode is None else self.qmode.rules
+        entries = {None: (tuple(empty), ())}
+        for g, (_, g_tgt) in sig.two.items():
+            on_g = tuple(empty + first.get(g, []))
+            entries[g, None] = (on_g, ())
+            for h, (h_src, _) in sig.two.items():
+                shapes = []
+                if rules is None or (g, h, False) in rules:
+                    shapes.append((False, len(g_tgt.word)))
+                if rules is not None and (h, g, True) in rules:
+                    shapes.append((True, len(h_src.word)))
+                shapes = tuple(shapes)
+                for shift in (None, *shifts):
+                    entries[g, h, shift] = (on_g + tuple(by_offset.get((g, h, shift), ())), shapes)
+        return RedexIndex(shifts, entries)
 
     @cached_property
     def validation(self) -> "ValidationReport":

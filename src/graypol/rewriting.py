@@ -1,10 +1,14 @@
 """Rewriting steps, redex matching, branchings and their classification.
 
-Redexes of a 2-cell are found by sliding operational sources over
+Redexes of a 2-cell are found by matching operational sources on
 contiguous whisker windows and solving for the context, and by matching
 consecutive whisker pairs against the interchanger shapes the mode
 rewrites: the source shape in Gray mode, and in q mode also the target
-shape, which is the source shape upside down.  Local branchings are
+shape, which is the source shape upside down.  Whiskering keeps the
+offset between two rows' left contexts, so one lookup by the generators
+of a row and the row below it and their offset gives every source and
+shape that can match there (``GrayPresentation.redex_sources``), and
+nothing is tried elsewhere.  Local branchings are
 classified as trivial, non-minimal, independent, natural or critical, all
 but the first by counting the rows and letters of the two windows on
 their shared source; a cell is built only for a non-minimal witness.
@@ -33,6 +37,7 @@ from .cells import (
     OpGen,
     QInterchanger,
     Signature,
+    SignatureError,
     Step,
     TwoCell,
     Whisker2,
@@ -191,14 +196,18 @@ def find_redexes(
 ) -> List[Step]:
     """All rewriting steps with source ``phi``, in canonical order.
 
-    The scan goes row by row: at start row ``t`` it tries the operational
-    sources that ``pres.redex_sources`` lists for the generators of rows
-    ``t`` and ``t+1``, then the interchanger pair ``(t, t+1)``: in Gray
-    mode against the source shape, in q mode against the source and the
-    target shape as a forward and a reversed rule, each kept when listed
-    in ``pres.qmode.rules``.  With ``lowest_from=k`` it starts at row
-    ``k`` and returns only the steps of the first row ``>= k`` that has
-    any, which are the steps with the smallest ``|lam| >= k``.
+    The scan goes row by row.  At start row ``t`` it takes the offset
+    ``shift`` of row ``t+1``'s left context over row ``t``'s and makes one
+    lookup in ``pres.redex_sources``, under the generators of the two rows
+    and ``shift``.  It tries the operational sources listed there, then
+    the interchanger shapes listed there whose offset leaves room for a
+    middle word: in Gray mode the source shape, in q mode the source and
+    the target shape of the oriented rules (``pres.qmode.rules``), a
+    forward and a reversed rule.  No other window can match at ``t``.
+    A row naming an undeclared 2-generator raises ``SignatureError``.
+    With ``lowest_from=k`` it starts at row ``k`` and returns only the
+    steps of the first row ``>= k`` that has any, which are the steps
+    with the smallest ``|lam| >= k``.
 
     ``levels``, when given, lists ``phi``'s levels, ``levels[t]`` the
     1-cell above row ``t`` (so the last is its target).  A caller that
@@ -208,41 +217,42 @@ def find_redexes(
     The steps are the same either way.
     """
     sig = pres.sig
-    qmode = pres.qmode
-    shapes = (False,) if qmode is None else (False, True)
+    gray = pres.qmode is None
+    shifts, entries = pres.redex_sources
     whiskers = phi.whiskers
     n = len(whiskers)
-    sources = pres.redex_sources
-    default = sources[None]
     out = []
     for t in range(lowest_from or 0, n + 1):
         if t + 1 < n:
-            key = (whiskers[t].gen, whiskers[t + 1].gen)
+            wa, wb = whiskers[t], whiskers[t + 1]
+            shift = len(wb.left.word) - len(wa.left.word)
+            key = (wa.gen, wb.gen, shift if shift in shifts else None)
         elif t < n:
             key = (whiskers[t].gen, None)
         else:
             key = None
+        entry = entries.get(key)
+        if entry is None:
+            gen = next(w.gen for w in whiskers[t : t + 2] if w.gen not in sig.two)
+            raise SignatureError(f"unknown 2-generator {gen}")
+        ops, shapes = entry
         above = None if levels is None else levels[t]
-        for name, src, m in sources.get(key, default):
+        for name, src, m in ops:
             if t + m > n:
                 continue
             for l, r in _match_window(sig, phi, t, src, above):
                 below = level_at(sig, phi, t + m) if levels is None else levels[t + m]
                 out.append(_step_at(phi, t, m, below, l, OpGen(name), r))
-        if t + 1 < n:
-            for rev in shapes:
-                hit = match_interchanger(sig, whiskers[t], whiskers[t + 1], rev)
-                if hit is None:
-                    continue
-                l, alpha, mid, beta, r = hit
-                if qmode is None:
-                    inst = Interchanger(alpha, mid, beta)
-                elif (alpha, beta, rev) in qmode.rules:
-                    inst = QInterchanger(alpha, mid, beta, rev)
-                else:
-                    continue
-                below = level_at(sig, phi, t + 2) if levels is None else levels[t + 2]
-                out.append(_step_at(phi, t, 2, below, l, inst, r))
+        for rev, need in shapes:
+            if (-shift if rev else shift) < need:
+                continue
+            hit = match_interchanger(sig, wa, wb, rev)
+            if hit is None:
+                continue
+            l, alpha, mid, beta, r = hit
+            inst = Interchanger(alpha, mid, beta) if gray else QInterchanger(alpha, mid, beta, rev)
+            below = level_at(sig, phi, t + 2) if levels is None else levels[t + 2]
+            out.append(_step_at(phi, t, 2, below, l, inst, r))
         if out and lowest_from is not None:
             break
     if len(out) > 1:

@@ -8,6 +8,7 @@ import pytest
 
 from graypol import (
     Branching,
+    GrayPresentation,
     CellError,
     Critical,
     Interchanger,
@@ -16,7 +17,9 @@ from graypol import (
     NonTermination,
     OneCell,
     OpGen,
+    QMode,
     Signature,
+    SignatureError,
     Trivial,
     UnsupportedError,
     classify,
@@ -24,7 +27,9 @@ from graypol import (
     find_redexes,
     length,
     normalize2,
+    parse_presentation,
 )
+from graypol.cells import TwoCell, Whisker2
 from graypol.rewriting import canonical_branching, is_natural, rotate_branching, step_key
 
 from inputs import (
@@ -33,6 +38,7 @@ from inputs import (
     positive_presentations,
     random_one_cell,
     random_positive_presentation,
+    random_presentation_text,
     random_two_cell,
     words_from,
 )
@@ -73,7 +79,7 @@ def test_redexes_match_context_enumeration_oracle(pseudomonoid, rng):
         assert set(find_redexes(pres, phi)) == oracle_redexes(pres, phi)
 
 
-@pytest.mark.parametrize("entry", ["pseudoadjunction", "frobenius"])
+@pytest.mark.parametrize("entry", ["pseudoadjunction", "frobenius", "selfduality_q"])
 def test_redexes_match_oracle_on_more_presentations(entry, request, rng):
     # pseudoadjunction has two 0-cells, so empty contexts must carry the right start
     pres = request.getfixturevalue(entry).presentation
@@ -183,25 +189,101 @@ def test_critical_counts(name, count):
     assert len(enumerate_critical(entry.presentation)) == count
 
 
-def test_indexed_scan_matches_brute_force():
-    # the seeds give one-row and identity sources, which the index lists
-    # apart from the sources keyed by their first two rows
-    import random
+def _indexed_presentations():
+    """Random one-wire presentations that fill the redex index: positive draws
+    with identity sources, parsed text draws, and those of the first three
+    with two 2-generators once more in q mode, each generator as ``eta``
+    and as ``eps``."""
+    gray = [random_positive_presentation(seed, identity_sources=True) for seed in (4, 5, 15, 20, 24, 36, 38)]
+    gray += [parse_presentation(random_presentation_text(random.Random(i), i)) for i in (8, 34)]
+    q = [
+        GrayPresentation(pres.name, pres.sig, qmode=QMode(*roles))
+        for pres in gray[:3]
+        if len(pres.sig.two) == 2
+        for roles in itertools.permutations(pres.sig.two)
+    ]
+    return gray + q
 
-    rows_seen = set()
-    for seed in (4, 5, 20, 24, 36, 38):
-        pres = random_positive_presentation(seed, identity_sources=True)
+
+def test_indexed_scan_matches_brute_force():
+    # the index keys a source of two or more rows by its first two rows'
+    # generators and offset, lists the one-row and identity sources in every
+    # entry and the interchanger shapes by the offset they need; full and
+    # resumed scans must find what the brute-force oracle finds
+    rows_seen, offsets_shared, both_shapes = set(), 0, 0
+    for pres in _indexed_presentations():
         sig = pres.sig
         rows_seen |= {length(src) for src, _ in sig.three.values()}
-        rng = random.Random(seed)
+        pairs = {}
+        for src, _ in sig.three.values():
+            if length(src) >= 2:
+                first, second = src.whiskers[:2]
+                pairs.setdefault((first.gen, second.gen), set()).add(len(second.left.word) - len(first.left.word))
+        offsets_shared += any(len(shifts) > 1 for shifts in pairs.values())
+        both_shapes += any(len(shapes) == 2 for _, shapes in pres.redex_sources.entries.values())
+        rng = random.Random(pres.name)
         cells = enumerate_two_cells(sig, 2, [OneCell("x", ("a",) * k) for k in range(4)])
-        cells += [random_two_cell(sig, rng, rows=rng.randrange(3, 6)) for _ in range(20)]
+        cells += [random_two_cell(sig, rng, rows=rng.randrange(3, 6)) for _ in range(12)]
         for phi in cells:
             full = sorted(oracle_redexes(pres, phi), key=step_key)
             assert find_redexes(pres, phi) == full
             for k in range(length(phi) + 2):
                 assert find_redexes(pres, phi, lowest_from=k) == lowest_redexes(full, k)
-    assert rows_seen == {0, 1, 2}
+    assert rows_seen == {0, 1, 2} and offsets_shared >= 2 and both_shapes >= 2
+
+
+def test_undeclared_generator_is_a_signature_error(pseudomonoid, selfduality_q):
+    # a row naming no declared 2-generator is refused wherever it sits: first,
+    # after a declared row, or last
+    for pres in (pseudomonoid.presentation, selfduality_q.presentation):
+        sig = pres.sig
+        e = sig.id1("x")
+        g = next(iter(sig.two))
+        for gens in (("zz", g), (g, "zz"), ("zz",)):
+            phi = TwoCell(e, tuple(Whisker2(e, gen, e) for gen in gens))
+            with pytest.raises(SignatureError, match="unknown 2-generator zz"):
+                find_redexes(pres, phi)
+
+
+def test_scans_try_only_windows_at_their_offset(frobenius, selfduality_q, monkeypatch):
+    # every window of two or more rows the scan tries has its first two rows
+    # at its source's offset, and every interchanger it tries has an offset
+    # that leaves room for the middle word
+    from graypol import rewriting
+
+    tried = {"window": 0, "interchanger": 0}
+    match_window, match_interchanger = rewriting._match_window, rewriting.match_interchanger
+
+    def checked_window(sig, phi, t, pattern, above):
+        if length(pattern) >= 2:
+            rows, want = phi.whiskers[t : t + 2], pattern.whiskers[:2]
+            assert [w.gen for w in rows] == [w.gen for w in want]
+            assert len(rows[1].left.word) - len(rows[0].left.word) == len(want[1].left.word) - len(want[0].left.word)
+            tried["window"] += 1
+        return match_window(sig, phi, t, pattern, above)
+
+    def checked_interchanger(sig, wa, wb, target):
+        shift = len(wb.left.word) - len(wa.left.word)
+        if target:
+            assert -shift >= len(sig.src1(wb.gen).word)
+        else:
+            assert shift >= len(sig.tgt1(wa.gen).word)
+        tried["interchanger"] += 1
+        return match_interchanger(sig, wa, wb, target)
+
+    monkeypatch.setattr(rewriting, "_match_window", checked_window)
+    monkeypatch.setattr(rewriting, "match_interchanger", checked_interchanger)
+    found = 0
+    for entry in (frobenius, selfduality_q):
+        pres = entry.presentation
+        rng = random.Random(entry.name)
+        for _ in range(40):
+            phi = random_two_cell(pres.sig, rng, rows=rng.randrange(2, 12), max_pad=3)
+            steps = find_redexes(pres, phi)
+            for k in range(length(phi)):
+                find_redexes(pres, phi, lowest_from=k)
+            found += len(steps)
+    assert found and tried["window"] and tried["interchanger"]
 
 
 @pytest.mark.parametrize("seed", [0, 3, 7, 11, 19, 23, 31, 37])

@@ -30,6 +30,7 @@ from graypol import (
     NonMinimal,
     OneCell,
     OpGen,
+    QInterchanger,
     ShuffleEdge,
     Trivial,
     branching_key,
@@ -78,7 +79,11 @@ def rewrap_step(sig, lam, left, right, rho, s):
 
 
 def oracle_redexes(pres, phi):
-    """Enumerate every (rows, l, r) splitting and keep exact matches."""
+    """Enumerate every (rows, l, r) splitting and keep exact matches.
+
+    The interchangers are those the mode rewrites: in Gray mode every
+    ``Interchanger``, in q mode the ``QInterchanger`` of each oriented rule.
+    """
     sig = pres.sig
     out = set()
     n = length(phi)
@@ -109,46 +114,39 @@ def oracle_redexes(pres, phi):
                                 slice2(sig, phi, t + m, n),
                             )
                         )
+    # Gray mode rewrites every interchanger forward, q mode only its oriented
+    # rules; both shapes have the level l * src alpha * mid * src beta * r on top
+    if pres.qmode is None:
+        rules = [(alpha, beta, None) for alpha in sig.two for beta in sig.two]
+    else:
+        rules = pres.qmode.rules
     for t in range(n - 1):
-        for alpha in sig.two:
-            for beta in sig.two:
-                window = slice2(sig, phi, t, t + 2)
-                level = sig.source(window)
-                for cut in range(len(level.word) + 1):
-                    l = OneCell(level.start, level.word[:cut])
-                    for mid_len in range(len(level.word) + 1):
-                        for cut2 in range(len(level.word) + 1):
-                            r = OneCell(
-                                sig.end0(OneCell(level.start, level.word[:cut2])),
-                                level.word[cut2:],
+        for alpha, beta, rev in rules:
+            window = slice2(sig, phi, t, t + 2)
+            level = sig.source(window)
+            for cut in range(len(level.word) + 1):
+                l = OneCell(level.start, level.word[:cut])
+                for mid_len in range(len(level.word) + 1):
+                    for cut2 in range(len(level.word) + 1):
+                        r = OneCell(
+                            sig.end0(OneCell(level.start, level.word[:cut2])),
+                            level.word[cut2:],
+                        )
+                        try:
+                            a = len(sig.src1(alpha).word)
+                            mid = OneCell(
+                                sig.end0(sig.compose(l, sig.src1(alpha), 0)),
+                                level.word[cut + a : cut + a + mid_len],
                             )
-                            try:
-                                inst = Interchanger(
-                                    alpha,
-                                    OneCell(
-                                        sig.end0(sig.compose(l, sig.src1(alpha), 0)),
-                                        level.word[
-                                            cut
-                                            + len(sig.src1(alpha).word) : cut
-                                            + len(sig.src1(alpha).word)
-                                            + mid_len
-                                        ],
-                                    ),
-                                    beta,
-                                )
-                                cand = sig.whisker0(l, sig.inst_source(inst), r)
-                            except Exception:
-                                continue
-                            if cand == window:
-                                out.add(
-                                    Step(
-                                        slice2(sig, phi, 0, t),
-                                        l,
-                                        inst,
-                                        r,
-                                        slice2(sig, phi, t + 2, n),
-                                    )
-                                )
+                            if rev is None:
+                                inst = Interchanger(alpha, mid, beta)
+                            else:
+                                inst = QInterchanger(alpha, mid, beta, rev)
+                            cand = sig.whisker0(l, sig.inst_source(inst), r)
+                        except Exception:
+                            continue
+                        if cand == window:
+                            out.add(Step(slice2(sig, phi, 0, t), l, inst, r, slice2(sig, phi, t + 2, n)))
     return out
 
 
