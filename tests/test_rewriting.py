@@ -8,9 +8,9 @@ import pytest
 
 from graypol import (
     Branching,
-    GrayPresentation,
     CellError,
     Critical,
+    GrayPresentation,
     Interchanger,
     Natural,
     NonMinimal,
@@ -190,15 +190,16 @@ def test_critical_counts(name, count):
 
 
 def _indexed_presentations():
-    """Random one-wire presentations that fill the redex index: positive draws
+    """``(seed, presentation)`` for random one-wire presentations that fill the
+    redex index, each with a seed for its cells: positive draws
     with identity sources, parsed text draws, and those of the first three
     with two 2-generators once more in q mode, each generator as ``eta``
     and as ``eps``."""
-    gray = [random_positive_presentation(seed, identity_sources=True) for seed in (4, 5, 15, 20, 24, 36, 38)]
-    gray += [parse_presentation(random_presentation_text(random.Random(i), i)) for i in (8, 34)]
+    gray = [(seed, random_positive_presentation(seed, identity_sources=True)) for seed in (4, 5, 15, 20, 24, 36, 38)]
+    gray += [(1000 + i, parse_presentation(random_presentation_text(random.Random(i), i))) for i in (8, 34)]
     q = [
-        GrayPresentation(pres.name, pres.sig, qmode=QMode(*roles))
-        for pres in gray[:3]
+        (seed, GrayPresentation(pres.name, pres.sig, qmode=QMode(*roles)))
+        for seed, pres in gray[:3]
         if len(pres.sig.two) == 2
         for roles in itertools.permutations(pres.sig.two)
     ]
@@ -207,11 +208,12 @@ def _indexed_presentations():
 
 def test_indexed_scan_matches_brute_force():
     # the index keys a source of two or more rows by its first two rows'
-    # generators and offset, lists the one-row and identity sources in every
-    # entry and the interchanger shapes by the offset they need; full and
-    # resumed scans must find what the brute-force oracle finds
+    # generators and offset, lists an identity source in every entry, a
+    # one-row source in every entry of its generator and the interchanger
+    # shapes by the offset they need; full and resumed scans must find what
+    # the brute-force oracle finds
     rows_seen, offsets_shared, both_shapes = set(), 0, 0
-    for pres in _indexed_presentations():
+    for seed, pres in _indexed_presentations():
         sig = pres.sig
         rows_seen |= {length(src) for src, _ in sig.three.values()}
         pairs = {}
@@ -221,9 +223,9 @@ def test_indexed_scan_matches_brute_force():
                 pairs.setdefault((first.gen, second.gen), set()).add(len(second.left.word) - len(first.left.word))
         offsets_shared += any(len(shifts) > 1 for shifts in pairs.values())
         both_shapes += any(len(shapes) == 2 for _, shapes in pres.redex_sources.entries.values())
-        rng = random.Random(pres.name)
+        rng = random.Random(seed)
         cells = enumerate_two_cells(sig, 2, [OneCell("x", ("a",) * k) for k in range(4)])
-        cells += [random_two_cell(sig, rng, rows=rng.randrange(3, 6)) for _ in range(12)]
+        cells += [random_two_cell(sig, rng, rows=rng.randrange(3, 6)) for _ in range(20)]
         for phi in cells:
             full = sorted(oracle_redexes(pres, phi), key=step_key)
             assert find_redexes(pres, phi) == full
