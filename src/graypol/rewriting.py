@@ -20,8 +20,12 @@ by construction, so no candidate is typed again.  Either it is a glue of
 two generator windows, the first row of one laid on a row of the other
 (two operational windows, or an interchanger above an operational
 window), or it is an interchanger redex inside an operational source,
-paired with the bare step.  The interchanger below a window, and the
-right contexts of a glue, come from the 180° rotation.
+paired with the bare step.  Every candidate is built once, in the
+presentation's own coordinates.  The interchangers below a window are
+those above the window of the 180° rotation (``pres.rotated``), each
+rotated back on its own and glued under the window's last row; no step
+or 2-cell is rotated.  The right contexts of a glue are solved on words,
+as the left ones are, read from the other end.
 """
 
 from __future__ import annotations
@@ -320,14 +324,16 @@ def common_peel(pres: GrayPresentation, b: Branching, phi: TwoCell):
     and below both windows; ``l`` and ``r`` are the letters that both
     steps' contexts and every row in between start and end with.  The
     reduced branching is the two steps on those rows, ``l`` and ``r``
-    stripped.  ``None`` when all four are empty; no cell is built then.
+    stripped.  ``None`` when all four are empty.  Then no cell is built:
+    with no shared row above or below, the letters are read from ``phi``
+    itself, and the answer is known before anything is sliced.
     """
     sig = pres.sig
     s1, s2 = b.s1, b.s2
     n = length(phi)
     t_lam = min(length(s1.lam), length(s2.lam))
     t_rho = min(length(s1.rho), length(s2.rho))
-    middle = slice2(sig, phi, t_lam, n - t_rho)
+    middle = slice2(sig, phi, t_lam, n - t_rho) if t_lam or t_rho else phi
     top = middle.source1
     nl = _common_prefix_len([s1.left.word, s2.left.word, top.word] + [w.left.word for w in middle.whiskers])
     rights = [s1.right.word, s2.right.word, top.word] + [w.right.word for w in middle.whiskers]
@@ -454,11 +460,18 @@ def _solve_left_contexts(sig: Signature, u: OneCell, v: OneCell):
 
 
 def _solve_right_contexts(sig: Signature, u: OneCell, v: OneCell):
-    """The solution ``(r1, r2)`` of ``u * r1 == v * r2`` with one side empty, or
-    ``None``: the left contexts of the rotated words, rotated back."""
-    rsig = sig.rotated()
-    hit = _solve_left_contexts(rsig, sig.rotate(u), sig.rotate(v))
-    return None if hit is None else (rsig.rotate(hit[0]), rsig.rotate(hit[1]))
+    """The solution ``(r1, r2)`` of ``u * r1 == v * r2`` with one side empty, or ``None``.
+
+    The left solve read from the other end: the shorter word is a prefix
+    of the longer, and both start at the same 0-cell.
+    """
+    if len(u.word) > len(v.word):
+        hit = _solve_right_contexts(sig, v, u)
+        return None if hit is None else (hit[1], hit[0])
+    n = len(u.word)
+    if v.word[:n] != u.word or v.start != u.start:
+        return None
+    return OneCell(sig.end0(u), v.word[n:]), OneCell(sig.end0(v), ())
 
 
 def _glue(pres: GrayPresentation, top, bottom, d: int):
@@ -469,6 +482,8 @@ def _glue(pres: GrayPresentation, top, bottom, d: int):
     down to the end of the overlap, then the rest of ``bottom``, then the
     rest of ``top``, so a window inside the other is no special case.
     Yields the one ``Branching(bottom step, top step)``, if there is one.
+    An interchanger goes in as ``top`` at ``d = 1`` above a window, and
+    as ``bottom`` at ``d = k - 1`` under a ``k``-row window.
 
     The contexts are solved on the rows laid on each other, and every row
     of a checked source starts and ends where the source does, so they
@@ -503,39 +518,70 @@ def _glue(pres: GrayPresentation, top, bottom, d: int):
 
 def _op_x_inside(pres: GrayPresentation, name: str):
     """Interchangers inside an operational window: the interchanger
-    redexes of its checked source, each paired with the bare step."""
+    redexes of its checked source, each paired with the bare step, which
+    is built at the first of them."""
     sig = pres.sig
-    bare = sig.gen3_cell(OpGen(name)).steps[0]
+    bare = None
     for s in find_redexes(pres, sig.gen3_source(name)):
         if isinstance(s.inner, Interchanger):
+            if bare is None:
+                bare = sig.gen3_cell(OpGen(name)).steps[0]
             yield Branching(bare, s)
 
 
-def _op_x_above(pres: GrayPresentation, name: str):
-    """Interchangers whose lower row is the first row of the window.
+def _x_above(pres: GrayPresentation, name: str):
+    """The interchangers whose lower row can be the first row of the window.
 
-    Each is the window glued at ``d = 1`` under ``X(alpha, mid, beta)``,
-    ``beta`` the first row's generator and ``mid`` a strict suffix of
-    that row's left context; longer crossings give natural branchings.
+    Each is ``X(alpha, mid, beta)``, ``beta`` the first row's generator
+    and ``mid`` a strict suffix of that row's left context; longer
+    crossings give natural branchings.  They are not checked: the
+    suffix need not start where ``alpha`` ends.
     """
     sig = pres.sig
-    src = sig.gen3_source(name)
-    first = src.whiskers[0]
+    first = sig.gen3_source(name).whiskers[0]
     lw = first.left.word
     for cut in range(len(lw)):
         for alpha in sig.two:
-            mid = OneCell(sig.end0(sig.tgt1(alpha)), lw[len(lw) - cut :])
-            inst = Interchanger(alpha, mid, first.gen)
-            try:
-                xs = sig.inst_source(inst)
-            except CellError:
-                continue
-            yield from _glue(pres, (inst, xs), (OpGen(name), src), 1)
+            yield Interchanger(alpha, OneCell(sig.end0(sig.tgt1(alpha)), lw[len(lw) - cut :]), first.gen)
+
+
+def _with_sources(sig: Signature, insts):
+    """``(instance, source)`` for each of ``insts`` that is well typed."""
+    for inst in insts:
+        try:
+            yield inst, sig.inst_source(inst)
+        except CellError:
+            continue
+
+
+def _op_x_above(pres: GrayPresentation, name: str):
+    """The window glued at ``d = 1`` under each interchanger of ``_x_above``."""
+    window = (OpGen(name), pres.sig.gen3_source(name))
+    for x in _with_sources(pres.sig, _x_above(pres, name)):
+        yield from _glue(pres, x, window, 1)
+
+
+def _op_x_below(pres: GrayPresentation, name: str):
+    """Interchangers whose upper row is the last row of the window.
+
+    They are the 180° rotations of the interchangers above the window of
+    ``pres.rotated``; each is rotated back and glued under the window's
+    last row, and the branching is ``(window step, interchanger step)``.
+    """
+    sig, rot = pres.sig, pres.rotated.sig
+    window = (OpGen(name), sig.gen3_source(name))
+    for x in _with_sources(sig, map(rot.rotate, _x_above(pres.rotated, name))):
+        for b in _glue(pres, window, x, length(window[1]) - 1):
+            yield Branching(b.s2, b.s1)
 
 
 def _candidates(pres: GrayPresentation):
     """Every candidate branching: operational overlaps, then per
-    generator the interchangers inside, above and below its window."""
+    generator the interchangers inside, above and below its window.
+
+    Each is built once, over ``pres.sig``; the family below a window
+    reads its instances from ``pres.rotated`` and rotates back only them.
+    """
     sig = pres.sig
     ops = [(OpGen(name), sig.gen3_source(name)) for name in pres.operational()]
     for bottom in ops:
@@ -544,13 +590,10 @@ def _candidates(pres: GrayPresentation):
             # a trivial branching, so that glue is skipped
             for d in range(1 if top is bottom else 0, length(top[1])):
                 yield from _glue(pres, top, bottom, d)
-    rot = pres.rotated
     for name in pres.operational():
         yield from _op_x_inside(pres, name)
         yield from _op_x_above(pres, name)
-        # the interchanger below the window is the rotation of one above it
-        for b in _op_x_above(rot, name):
-            yield rotate_branching(rot.sig, b)
+        yield from _op_x_below(pres, name)
 
 
 # the most candidates ``enumerate_critical`` classifies before it refuses

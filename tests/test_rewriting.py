@@ -533,6 +533,98 @@ def test_self_glue_at_row_zero_is_trivial():
     assert glued >= 100
 
 
+def _two_object_draws(monkeypatch, count):
+    """The first ``count`` Gray-mode draws of the benchmark's
+    ``random_presentation`` with two 0-cells that enumeration accepts."""
+    import os
+
+    from graypol import validate
+
+    root = os.path.join(os.path.dirname(os.path.abspath(__file__)), os.pardir)
+    monkeypatch.syspath_prepend(os.path.join(root, "bench"))
+    from workloads import random_presentation
+
+    rng, out = random.Random(29), []
+    while len(out) < count:
+        pres = random_presentation(rng, f"two{len(out)}", 2, rng.randint(2, 3), rng.randint(1, 3))
+        if pres.qmode is None and pres.sig.three and validate(pres).operational_sources_positive:
+            out.append(pres)
+    return out
+
+
+def test_minimal_branchings_slice_nothing(monkeypatch):
+    # ``common_peel`` answers "minimal" from the shared source's letters,
+    # before it cuts any 2-cell out of it
+    from graypol import rewriting
+
+    sliced = []
+    real = rewriting.slice2
+    monkeypatch.setattr(rewriting, "slice2", lambda *args: sliced.append(args) or real(*args))
+    minimal = 0
+    for pres in _gray_builtins_and_draws(100):
+        for b in rewriting._candidates(pres):
+            sliced.clear()
+            if isinstance(classify(pres, b), (Trivial, NonMinimal)):
+                continue
+            assert not sliced, b
+            minimal += 1
+    assert minimal > 300
+
+
+def test_enumeration_rotates_only_interchangers(monkeypatch):
+    # the candidates are built in the presentation's own coordinates: the
+    # interchangers below a window come from the rotation, and only they
+    # and their middle words are rotated back; no signature is rotated
+    from graypol.rewriting import _candidates
+
+    press = _gray_builtins_and_draws(60) + _two_object_draws(monkeypatch, 20)
+    for pres in press:
+        pres.rotated
+    rotated, signatures = [], []
+    real, real_sig = Signature.rotate, Signature.rotated
+    monkeypatch.setattr(Signature, "rotate", lambda self, c: rotated.append(c) or real(self, c))
+    monkeypatch.setattr(Signature, "rotated", lambda self: signatures.append(self) or real_sig(self))
+    count = sum(1 for pres in press for _ in _candidates(pres))
+    xs = [c for c in rotated if isinstance(c, Interchanger)]
+    mids = {x.mid for x in xs}
+    assert count > 300 and xs and not signatures
+    assert all(isinstance(c, Interchanger) or (isinstance(c, OneCell) and c in mids) for c in rotated)
+
+
+def test_right_contexts_match_the_rotation_oracle(pseudoadjunction, frobenius, monkeypatch):
+    # the word-level solve of ``u * r1 == v * r2`` against the left solve
+    # on the rotated words, on every pair of words of at most 3 letters
+    from graypol.rewriting import _solve_left_contexts, _solve_right_contexts
+
+    from reference import rotated_right_contexts
+
+    solved = 0
+    for pres in (pseudoadjunction.presentation, frobenius.presentation, _two_object_draws(monkeypatch, 1)[0]):
+        sig = pres.sig
+        words = [u for x in sig.zero for u in words_from(sig, x, 3)]
+        for u, v in itertools.product(words, words):
+            hit = _solve_right_contexts(sig, u, v)
+            assert hit == rotated_right_contexts(sig, u, v, _solve_left_contexts), (u, v)
+            solved += hit is not None
+    assert solved >= 80
+
+
+def test_below_window_family_matches_the_rotation_oracle(monkeypatch):
+    # the interchangers below each window, glued in place, are the
+    # rotation's interchangers above it with each branching rotated back
+    from graypol.rewriting import _op_x_above, _op_x_below
+
+    from reference import rotated_family
+
+    found = 0
+    for pres in _gray_builtins_and_draws(100) + _two_object_draws(monkeypatch, 20):
+        for name in pres.operational():
+            below = list(_op_x_below(pres, name))
+            assert below == rotated_family(pres, _op_x_above, name)
+            found += len(below)
+    assert found > 100
+
+
 def _sweep_pairs(request, monkeypatch, name):
     """Every ordered redex pair of the benchmark's sweep cells of ``name``,
     and the natural branchings on those cells, built from the definition."""

@@ -6,7 +6,9 @@ peel, natural branchings built from the definition, step sides and
 interpretations by the plain cell algebra, lowest-first paths by full
 scans, expression normal forms by their whole closure, and string diagram
 components by graph search.  No oracle calls a private helper of the code
-it checks.
+it checks.  The two rotation oracles of the enumeration derive a mirror
+case from a plain one that the test passes in, so they check the
+symmetry; the plain case has its brute-force oracle.
 
 The tests import this module as ``reference`` (``tools`` is on pytest's
 ``pythonpath``), as they import the generated inputs from ``inputs``.
@@ -41,7 +43,7 @@ from graypol import (
     reducts,
 )
 from graypol.cells import Step, TwoCell, Whisker2, slice2
-from graypol.rewriting import canonical_branching
+from graypol.rewriting import canonical_branching, rotate_branching
 
 from inputs import enumerate_two_cells
 
@@ -381,6 +383,25 @@ def is_natural_unfiltered(pres, b):
         if natural_match(sig, s_op, s_x) or natural_match(pres.rotated.sig, sig.rotate(s_op), sig.rotate(s_x)):
             return True
     return False
+
+
+# ---------------------------------------------------------------- enumeration by rotation
+
+
+def rotated_right_contexts(sig, u, v, solve_left):
+    """The solution ``(r1, r2)`` of ``u * r1 == v * r2`` with one side empty, or
+    ``None``: the left contexts of the rotated words, solved by
+    ``solve_left(sig, u, v)`` over the rotated signature, rotated back."""
+    rsig = sig.rotated()
+    hit = solve_left(rsig, sig.rotate(u), sig.rotate(v))
+    return None if hit is None else (rsig.rotate(hit[0]), rsig.rotate(hit[1]))
+
+
+def rotated_family(pres, family, name):
+    """The candidate branchings ``family(pres, name)`` on ``pres.rotated``,
+    each rotated back whole: the mirror image of ``family``."""
+    rot = pres.rotated
+    return [rotate_branching(rot.sig, b) for b in family(rot, name)]
 
 
 # ---------------------------------------------------------------- paths
