@@ -46,7 +46,6 @@ from .cells import (
     TwoCell,
     Whisker2,
     frozen_value,
-    length,
     level_at,
     rows_fit,
     slice2,
@@ -281,17 +280,29 @@ def step_key(s: Step) -> tuple:
     return (len(s.lam.whiskers), _inst_key(s.inner), len(s.left.word), len(s.right.word))
 
 
+def _keyed(b: Branching) -> Tuple[Branching, tuple]:
+    """``canonical_branching(b)`` and its ``branching_key``, each instance keyed once.
+
+    The swap test is ``step_key`` read in the order ``(inner, |lam|)``
+    first: the two steps' instance keys and ``lam`` row counts, then their
+    ``left`` and ``right`` letter counts.
+    """
+    s1, s2 = b.s1, b.s2
+    k1, k2 = _inst_key(s1.inner), _inst_key(s2.inner)
+    n1, n2 = len(s1.lam.whiskers), len(s2.lam.whiskers)
+    if (k2, n2, len(s2.left.word), len(s2.right.word)) < (k1, n1, len(s1.left.word), len(s1.right.word)):
+        return Branching(s2, s1), (k2, k1, n2, n1)
+    return b, (k1, k2, n1, n2)
+
+
 def branching_key(b: Branching) -> tuple:
     """Canonical-form key ``(inner1, inner2, |lam1|, |lam2|)``."""
-    return (_inst_key(b.s1.inner), _inst_key(b.s2.inner), length(b.s1.lam), length(b.s2.lam))
+    return (_inst_key(b.s1.inner), _inst_key(b.s2.inner), len(b.s1.lam.whiskers), len(b.s2.lam.whiskers))
 
 
 def canonical_branching(b: Branching) -> Branching:
     """Representative of ``(s1, s2) ~ (s2, s1)`` chosen by the step keys."""
-    a, c = (_inst_key(b.s1.inner), length(b.s1.lam)), (_inst_key(b.s2.inner), length(b.s2.lam))
-    if c < a or (c == a and step_key(b.s2) < step_key(b.s1)):
-        return Branching(b.s2, b.s1)
-    return b
+    return _keyed(b)[0]
 
 
 # ---------------------------------------------------------------- classification
@@ -326,13 +337,19 @@ def common_peel(pres: GrayPresentation, b: Branching, phi: TwoCell):
     reduced branching is the two steps on those rows, ``l`` and ``r``
     stripped.  ``None`` when all four are empty.  Then no cell is built:
     with no shared row above or below, the letters are read from ``phi``
-    itself, and the answer is known before anything is sliced.
+    itself, and the answer is known before anything is sliced.  When one
+    step's left context and one step's right context have no letter
+    either, as for every candidate of the enumeration, the answer is
+    read from the counts alone, before any word is listed.
     """
     sig = pres.sig
     s1, s2 = b.s1, b.s2
-    n = length(phi)
-    t_lam = min(length(s1.lam), length(s2.lam))
-    t_rho = min(length(s1.rho), length(s2.rho))
+    lam1, lam2 = len(s1.lam.whiskers), len(s2.lam.whiskers)
+    rho1, rho2 = len(s1.rho.whiskers), len(s2.rho.whiskers)
+    t_lam, t_rho = min(lam1, lam2), min(rho1, rho2)
+    if not (t_lam or t_rho or (s1.left.word and s2.left.word) or (s1.right.word and s2.right.word)):
+        return None
+    n = len(phi.whiskers)
     middle = slice2(sig, phi, t_lam, n - t_rho) if t_lam or t_rho else phi
     top = middle.source1
     nl = _common_prefix_len([s1.left.word, s2.left.word, top.word] + [w.left.word for w in middle.whiskers])
@@ -342,10 +359,9 @@ def common_peel(pres: GrayPresentation, b: Branching, phi: TwoCell):
         return None
     core = _strip0(sig, middle, nl, nr)
     reduced = Branching(*(
-        _step_at(core, length(s.lam) - t_lam, n - length(s.lam) - length(s.rho),
-                 level_at(sig, core, n - t_lam - length(s.rho)),
+        _step_at(core, lam - t_lam, n - lam - rho, level_at(sig, core, n - t_lam - rho),
                  _unpad1(sig, s.left, nl, 0), s.inner, _unpad1(sig, s.right, 0, nr))
-        for s in (s1, s2)
+        for s, lam, rho in ((s1, lam1, rho1), (s2, lam2, rho2))
     ))
     lam = slice2(sig, phi, 0, t_lam)
     rho = slice2(sig, phi, n - t_rho, n)
@@ -363,7 +379,8 @@ def is_independent(pres: GrayPresentation, b: Branching) -> bool:
     """
     sig = pres.sig
     return any(
-        length(s1.lam) == 0 and length(s2.rho) == 0 and length(s2.lam) >= length(sig.inst_source(s1.inner))
+        not s1.lam.whiskers and not s2.rho.whiskers
+        and len(s2.lam.whiskers) >= len(sig.inst_source(s1.inner).whiskers)
         for s1, s2 in ((b.s1, b.s2), (b.s2, b.s1))
     )
 
@@ -394,20 +411,22 @@ def is_natural(pres: GrayPresentation, b: Branching) -> bool:
 
     The window at the bottom is the 180° rotation of the window on top,
     which swaps lam/rho, left/right and the window's target/source, so
-    it is the same rule on the mirrored counts; no cell is rotated.
+    it is the same rule on the mirrored counts; no cell is rotated.  The
+    window's target length is read from the memo of its source
+    (``Signature._side``), so no 1-cell is built.
     """
     if pres.qmode is not None:
         return False
     sig = pres.sig
     for s_op, s_x in ((b.s1, b.s2), (b.s2, b.s1)):
         if isinstance(s_x.inner, Interchanger):
-            phi_a = sig.inst_source(s_op.inner)
-            k = length(phi_a)
+            phi_a, target = sig._side(s_op.inner, True)
+            k = len(phi_a.whiskers)
             if _window_on_interchanger(
-                k, length(s_op.lam), len(s_op.left.word), length(s_x.lam),
-                len(sig.target(phi_a).word), (len(w.left.word) for w in s_op.rho.whiskers),
+                k, len(s_op.lam.whiskers), len(s_op.left.word), len(s_x.lam.whiskers),
+                len(target.word), (len(w.left.word) for w in s_op.rho.whiskers),
             ) or _window_on_interchanger(
-                k, length(s_op.rho), len(s_op.right.word), length(s_x.rho),
+                k, len(s_op.rho.whiskers), len(s_op.right.word), len(s_x.rho.whiskers),
                 len(phi_a.source1.word), (len(w.right.word) for w in s_op.lam.whiskers),
             ):
                 return True
@@ -483,7 +502,9 @@ def _glue(pres: GrayPresentation, top, bottom, d: int):
     rest of ``top``, so a window inside the other is no special case.
     Yields the one ``Branching(bottom step, top step)``, if there is one.
     An interchanger goes in as ``top`` at ``d = 1`` above a window, and
-    as ``bottom`` at ``d = k - 1`` under a ``k``-row window.
+    as ``bottom`` at ``d = k - 1`` under a ``k``-row window.  Callers lay
+    only rows with the same generator on each other; rows that differ
+    anywhere in the overlap give no branching.
 
     The contexts are solved on the rows laid on each other, and every row
     of a checked source starts and ends where the source does, so they
@@ -491,11 +512,9 @@ def _glue(pres: GrayPresentation, top, bottom, d: int):
     """
     sig = pres.sig
     (inst1, src1), (inst2, src2) = bottom, top
-    k1, k2 = length(src1), length(src2)
+    k1, k2 = len(src1.whiskers), len(src2.whiskers)
     over = min(d + k1, k2) - d
     w1, w2 = src1.whiskers[0], src2.whiskers[d]
-    if w1.gen != w2.gen:
-        return
     lefts = _solve_left_contexts(sig, w1.left, w2.left)
     rights = _solve_right_contexts(sig, w1.right, w2.right)
     if lefts is None or rights is None:
@@ -529,49 +548,65 @@ def _op_x_inside(pres: GrayPresentation, name: str):
             yield Branching(bare, s)
 
 
-def _x_above(pres: GrayPresentation, name: str):
+def _target_ends(sig: Signature) -> dict:
+    """The 2-generators of ``sig`` by the 0-cell their target ends at, each list in declaration order."""
+    ends = {}
+    for alpha, (_, tgt) in sig.two.items():
+        ends.setdefault(sig.end0(tgt), []).append(alpha)
+    return ends
+
+
+def _x_above(sig: Signature, name: str, ends: dict):
     """The interchangers whose lower row can be the first row of the window.
 
     Each is ``X(alpha, mid, beta)``, ``beta`` the first row's generator
-    and ``mid`` a strict suffix of that row's left context; longer
-    crossings give natural branchings.  They are not checked: the
-    suffix need not start where ``alpha`` ends.
+    and ``mid`` a strict suffix of that row's left context, the shortest
+    first; longer crossings give natural branchings.  ``alpha``'s target
+    must end where ``mid`` starts, which for the empty suffix is where
+    ``beta``'s source starts, so only the 2-generators that ``ends``
+    (``_target_ends(sig)``) lists under that 0-cell are tried, in
+    declaration order: every instance is well typed, and no other is
+    built.
     """
-    sig = pres.sig
     first = sig.gen3_source(name).whiskers[0]
     lw = first.left.word
-    for cut in range(len(lw)):
-        for alpha in sig.two:
-            yield Interchanger(alpha, OneCell(sig.end0(sig.tgt1(alpha)), lw[len(lw) - cut :]), first.gen)
+    for cut in range(len(lw), 0, -1):
+        mid = OneCell(sig.one[lw[cut - 1]][1], lw[cut:])
+        for alpha in ends.get(mid.start, ()):
+            yield Interchanger(alpha, mid, first.gen)
 
 
 def _with_sources(sig: Signature, insts):
-    """``(instance, source)`` for each of ``insts`` that is well typed."""
+    """``(instance, source)`` for each of ``insts``, which are well typed by
+    construction; one that is not is a defect and raises ``InternalError``."""
     for inst in insts:
         try:
             yield inst, sig.inst_source(inst)
-        except CellError:
-            continue
+        except CellError as exc:
+            raise InternalError(f"internal invariant violated: {inst!r} is not well typed: {exc}") from exc
 
 
-def _op_x_above(pres: GrayPresentation, name: str):
-    """The window glued at ``d = 1`` under each interchanger of ``_x_above``."""
-    window = (OpGen(name), pres.sig.gen3_source(name))
-    for x in _with_sources(pres.sig, _x_above(pres, name)):
+def _op_x_above(pres: GrayPresentation, name: str, ends: dict):
+    """The window glued at ``d = 1`` under each interchanger of ``_x_above``;
+    ``ends`` is ``_target_ends(pres.sig)``."""
+    sig = pres.sig
+    window = (OpGen(name), sig.gen3_source(name))
+    for x in _with_sources(sig, _x_above(sig, name, ends)):
         yield from _glue(pres, x, window, 1)
 
 
-def _op_x_below(pres: GrayPresentation, name: str):
+def _op_x_below(pres: GrayPresentation, name: str, ends: dict):
     """Interchangers whose upper row is the last row of the window.
 
     They are the 180° rotations of the interchangers above the window of
-    ``pres.rotated``; each is rotated back and glued under the window's
-    last row, and the branching is ``(window step, interchanger step)``.
+    ``pres.rotated``, so ``ends`` is ``_target_ends(pres.rotated.sig)``;
+    each is rotated back and glued under the window's last row, and the
+    branching is ``(window step, interchanger step)``.
     """
     sig, rot = pres.sig, pres.rotated.sig
     window = (OpGen(name), sig.gen3_source(name))
-    for x in _with_sources(sig, map(rot.rotate, _x_above(pres.rotated, name))):
-        for b in _glue(pres, window, x, length(window[1]) - 1):
+    for x in _with_sources(sig, map(rot.rotate, _x_above(rot, name, ends))):
+        for b in _glue(pres, window, x, len(window[1].whiskers) - 1):
             yield Branching(b.s2, b.s1)
 
 
@@ -581,19 +616,28 @@ def _candidates(pres: GrayPresentation):
 
     Each is built once, over ``pres.sig``; the family below a window
     reads its instances from ``pres.rotated`` and rotates back only them.
+    The overlaps are found by lookup: every window row is listed under
+    its generator, in window order and then row order, and a window's
+    first row is laid only on the rows listed under its generator.  The
+    candidates come in the order of trying every window on every row.
     """
     sig = pres.sig
     ops = [(OpGen(name), sig.gen3_source(name)) for name in pres.operational()]
+    rows_by_gen = {}
+    for top in ops:
+        for d, w in enumerate(top[1].whiskers):
+            rows_by_gen.setdefault(w.gen, []).append((top, d))
     for bottom in ops:
-        for top in ops:
+        for top, d in rows_by_gen.get(bottom[1].whiskers[0].gen, ()):
             # a window glued onto itself at row 0 gives two equal steps,
             # a trivial branching, so that glue is skipped
-            for d in range(1 if top is bottom else 0, length(top[1])):
+            if d or top is not bottom:
                 yield from _glue(pres, top, bottom, d)
+    above, below = _target_ends(sig), _target_ends(pres.rotated.sig)
     for name in pres.operational():
         yield from _op_x_inside(pres, name)
-        yield from _op_x_above(pres, name)
-        yield from _op_x_below(pres, name)
+        yield from _op_x_above(pres, name, above)
+        yield from _op_x_below(pres, name, below)
 
 
 # the most candidates ``enumerate_critical`` classifies before it refuses
@@ -625,8 +669,7 @@ def enumerate_critical(pres: GrayPresentation) -> List[CriticalBranching]:
     for i, b in enumerate(_candidates(pres)):
         if i >= MAX_CANDIDATES:
             raise RewritingError("candidate budget exceeded")
-        b = canonical_branching(b)
-        key = branching_key(b)
+        b, key = _keyed(b)
         try:
             critical = isinstance(classify(pres, b), Critical)
         except CellError as exc:

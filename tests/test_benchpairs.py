@@ -100,3 +100,28 @@ def test_a_run_that_is_not_correct_fails_the_record():
     assert entry["failures"] == ["pair 3 (change, seed 33): not correct"]
     assert "metrics" not in entry
     assert workload_record(_pairs(BASE, CHANGE), SPEC)["failures"] == []
+
+
+def test_both_trees_are_named_by_the_shas_given(tmp_path, monkeypatch, capsys):
+    # two trees that are not git checkouts, as ``git archive`` copies are:
+    # the record names each by the SHA given for it; the runs are canned
+    import benchpairs
+
+    base = tmp_path / "base"
+    (base / "bench").mkdir(parents=True)
+    (base / "bench" / "run.py").write_text("")
+    values = {"work_per_s": 100.0, "latency_ms.p50": 1.0, "latency_ms.p90": 2.0, "setup_s": 0.1, "peak_rss_mb": 25.0}
+    runs = []
+    monkeypatch.setattr(benchpairs, "run_once", lambda tree, workload, seed, seconds: runs.append(
+        (tree, workload, seed)) or parse_run(_stdout(**values)))
+    out = tmp_path / "BENCH_9.json"
+    argv = ["--base", str(base), "--base-sha", "b" * 40, "--change-sha", "c" * 40, "--pairs", "2",
+            "--seconds", "1", "--seeds", "5..6", "--workload", "pipeline", "--out", str(out)]
+    assert benchpairs.main(argv) == 0
+    record = json.loads(out.read_text())
+    assert (record["base_sha"], record["change_sha"]) == ("b" * 40, "c" * 40)
+    assert record["ok"] and record["seeds"] == [5, 6]
+    assert [p["first"] for p in record["workloads"]["pipeline"]["pairs"]] == ["base", "change"]
+    assert runs == [(str(base), "pipeline", 5), (benchpairs.ROOT, "pipeline", 5),
+                    (benchpairs.ROOT, "pipeline", 6), (str(base), "pipeline", 6)]
+    assert "wrote" in capsys.readouterr().out

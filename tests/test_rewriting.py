@@ -1,6 +1,7 @@
 """Redex matching, branching classification, and critical enumeration,
 each checked against a definition-level oracle."""
 
+import dataclasses
 import itertools
 import random
 
@@ -34,6 +35,8 @@ from graypol.rewriting import canonical_branching, is_natural, rotate_branching,
 
 from inputs import (
     GRAY_BUILTINS,
+    SHIPPED_FILES,
+    disjoint_copies,
     enumerate_two_cells,
     positive_presentations,
     random_one_cell,
@@ -49,6 +52,7 @@ from reference import (
     natural_branchings,
     oracle_redexes,
     rewrap_step,
+    typed_interchangers_above,
 )
 
 
@@ -612,17 +616,132 @@ def test_right_contexts_match_the_rotation_oracle(pseudoadjunction, frobenius, m
 def test_below_window_family_matches_the_rotation_oracle(monkeypatch):
     # the interchangers below each window, glued in place, are the
     # rotation's interchangers above it with each branching rotated back
-    from graypol.rewriting import _op_x_above, _op_x_below
+    from graypol.rewriting import _op_x_above, _op_x_below, _target_ends
 
     from reference import rotated_family
+
+    def above(pres, name):
+        return _op_x_above(pres, name, _target_ends(pres.sig))
 
     found = 0
     for pres in _gray_builtins_and_draws(100) + _two_object_draws(monkeypatch, 20):
         for name in pres.operational():
-            below = list(_op_x_below(pres, name))
-            assert below == rotated_family(pres, _op_x_above, name)
+            below = list(_op_x_below(pres, name, _target_ends(pres.rotated.sig)))
+            assert below == rotated_family(pres, above, name)
             found += len(below)
     assert found > 100
+
+
+def _copies(name, k):
+    """``k`` disjoint renamed copies of the shipped file ``name``, parsed."""
+    path = next(path for path in SHIPPED_FILES if path.stem == name)
+    return parse_presentation(disjoint_copies(path.read_text(encoding="utf-8"), k))
+
+
+def test_interchangers_above_are_typed_on_words(monkeypatch):
+    # the word-level filter of ``_x_above`` against building an instance
+    # for every 2-generator and keeping those that type: the same list, in
+    # the same order, above each window and, over the rotation, below it
+    from graypol.rewriting import _target_ends, _x_above
+
+    press = _gray_builtins_and_draws(100) + _two_object_draws(monkeypatch, 20)
+    press += [_copies(name, k) for name in GRAY_BUILTINS for k in (1, 2, 3, 4)]
+    found = 0
+    for pres in press:
+        sig, rot = pres.sig, pres.rotated.sig
+        for over in (sig, rot):
+            ends = _target_ends(over)
+            for name in pres.operational():
+                xs = list(_x_above(over, name, ends))
+                assert xs == typed_interchangers_above(over, name), (pres.name, name)
+                found += len(xs)
+        # the instances below a window are those above it in the rotation,
+        # rotated back, and type over the presentation's own signature
+        for name in pres.operational():
+            for x in typed_interchangers_above(rot, name):
+                sig.inst_source(rot.rotate(x))
+    assert found > 400
+
+
+def test_an_ill_typed_interchanger_is_an_internal_error(frobenius, monkeypatch):
+    # ``_x_above`` yields only well-typed instances, so one that does not
+    # type is a defect of the enumeration, never skipped or refused
+    from graypol import InternalError
+    from graypol import rewriting
+
+    x_above = rewriting._x_above
+
+    def with_a_stray(sig, name, ends):
+        yield from x_above(sig, name, ends)
+        gen = sig.gen3_source(name).whiskers[0].gen
+        yield Interchanger(gen, OneCell("nowhere", ()), gen)
+
+    monkeypatch.setattr(rewriting, "_x_above", with_a_stray)
+    with pytest.raises(InternalError, match="is not well typed") as info:
+        enumerate_critical(frobenius.presentation)
+    assert isinstance(info.value.__cause__, CellError)
+
+
+def _renamed(value, rename):
+    """``value`` with every generator name in it renamed by ``rename``."""
+    if isinstance(value, str):
+        return rename(value)
+    if isinstance(value, tuple):
+        return tuple(_renamed(v, rename) for v in value)
+    if dataclasses.is_dataclass(value):
+        return type(value)(*(_renamed(getattr(value, f.name), rename) for f in dataclasses.fields(value)))
+    return value
+
+
+def test_enumeration_on_k_copies_is_k_times_one_copy(frobenius, monkeypatch):
+    # on k disjoint frobenius copies the enumeration tries k times the glues
+    # and builds k times the interchangers of one copy, and finds each
+    # copy's critical branchings: those of frobenius, renamed
+    from graypol import rewriting
+
+    glues, built = [], []
+    glue, init = rewriting._glue, Interchanger.__init__
+    monkeypatch.setattr(rewriting, "_glue", lambda *args: glues.append(args) or glue(*args))
+    monkeypatch.setattr(Interchanger, "__init__", lambda self, *args: built.append(args) or init(self, *args))
+    counts, lists = {}, {}
+    for k in (1, 2, 4, 8):
+        pres = _copies("frobenius", k)
+        glues.clear()
+        built.clear()
+        lists[k] = enumerate_critical(pres)
+        counts[k] = (len(glues), len(built))
+    base = {_renamed(cb, lambda n: f"{n}_1") for cb in enumerate_critical(frobenius.presentation)}
+    assert len(lists[1]) == 19 and set(lists[1]) == base
+    assert min(counts[1]) > 0
+    for k in (2, 4, 8):
+        assert len(lists[k]) == 19 * k
+        assert counts[k] == (k * counts[1][0], k * counts[1][1])
+        for c in range(1, k + 1):
+            mine = [cb for cb in lists[k] if cb.key[0][1].endswith(f"_{c}")]
+            assert [_renamed(cb, lambda n: n.rsplit("_", 1)[0] + "_1") for cb in mine] == lists[1]
+
+
+def test_candidates_are_classified_without_listing_words(pseudomonoid, monkeypatch):
+    # every candidate has an empty left and an empty right context and no
+    # row shared above or below, so ``common_peel`` answers "minimal" from
+    # counts before it lists any word
+    from graypol import rewriting
+
+    listed = []
+    real = rewriting._common_prefix_len
+    monkeypatch.setattr(rewriting, "_common_prefix_len", lambda words: listed.append(words) or real(words))
+    classified = 0
+    for pres in _gray_builtins_and_draws(100):
+        for b in rewriting._candidates(pres):
+            classify(pres, b)
+            classified += 1
+    assert not listed and classified > 500
+    # a non-minimal branching does list them
+    pres = pseudomonoid.presentation
+    cells = enumerate_two_cells(pres.sig, 3, [OneCell("x", ("a",) * n) for n in range(5)])
+    pairs = (Branching(s1, s2) for phi in cells for s1, s2 in itertools.product(*[find_redexes(pres, phi)] * 2))
+    assert any(isinstance(classify(pres, b), NonMinimal) for b in pairs)
+    assert listed
 
 
 def _sweep_pairs(request, monkeypatch, name):

@@ -10,9 +10,10 @@ It reads each run's last line (one JSON object with ``correct`` and the
 end-to-end metrics) and the ``rounds:`` line, and writes the record to
 ``--out``, by default ``BENCH_<n>.json`` at this tree's root with ``n``
 one past the highest there.  The record holds both trees' SHAs (a tree
-that is not a git checkout, such as a ``git archive`` copy, takes
-``--base-sha``), the Python version, ``nproc``, the seeds, every run and,
-per workload and metric of ``BENCHMARK.json``'s ``end_to_end``:
+that is not a git checkout, such as a ``git archive`` copy, is named by
+``--base-sha`` or ``--change-sha``), the Python version, ``nproc``, the
+seeds, every run and, per workload and metric of ``BENCHMARK.json``'s
+``end_to_end``:
 
 * both sides' medians and quartiles;
 * ``change_better``: the pairs in which the change reads better, ties
@@ -157,6 +158,7 @@ def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--base", required=True, help="the parent tree, holding bench/run.py and src/")
     parser.add_argument("--base-sha", help="the commit of --base, when it is not a git checkout")
+    parser.add_argument("--change-sha", help="the commit of this tree, when it is not a git checkout")
     parser.add_argument("--pairs", type=int, required=True)
     parser.add_argument("--seconds", type=float, required=True)
     parser.add_argument("--seeds", type=seed_range, required=True, help="A..B")
@@ -173,7 +175,7 @@ def main(argv=None) -> int:
         spec = json.load(handle)["end_to_end"]
     record = {
         "base_sha": args.base_sha or tree_sha(base),
-        "change_sha": tree_sha(ROOT),
+        "change_sha": args.change_sha or tree_sha(ROOT),
         "python": platform.python_version(),
         "nproc": os.cpu_count(),
         "seeds": args.seeds,

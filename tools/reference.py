@@ -385,6 +385,32 @@ def is_natural_unfiltered(pres, b):
     return False
 
 
+# ---------------------------------------------------------------- enumeration
+
+
+def typed_interchangers_above(sig, name):
+    """The interchangers whose lower row can be the first row of the window
+    of ``name``, built for every 2-generator and kept when they type.
+
+    Each is ``X(alpha, mid, beta)``: ``beta`` the first row's generator,
+    ``mid`` a strict suffix of that row's left context, the shortest first,
+    starting where ``alpha``'s target ends, and ``alpha`` every 2-generator
+    in declaration order.
+    """
+    first = sig.gen3_source(name).whiskers[0]
+    lw = first.left.word
+    out = []
+    for cut in range(len(lw)):
+        for alpha in sig.two:
+            x = Interchanger(alpha, OneCell(sig.end0(sig.tgt1(alpha)), lw[len(lw) - cut :]), first.gen)
+            try:
+                sig.inst_source(x)
+            except CellError:
+                continue
+            out.append(x)
+    return out
+
+
 # ---------------------------------------------------------------- enumeration by rotation
 
 
