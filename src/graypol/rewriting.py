@@ -26,6 +26,16 @@ those above the window of the 180° rotation (``pres.rotated``), each
 rotated back on its own and glued under the window's last row; no step
 or 2-cell is rotated.  The right contexts of a glue are solved on words,
 as the left ones are, read from the other end.
+
+The enumeration's work is linear in the candidates it yields.  A
+window's first row is laid only on the window rows with its generator,
+found by lookup, and an interchanger is built only when ``alpha``'s
+target ends where the middle word starts, found by lookup of the
+2-generators by the 0-cell their target ends at; so no glue fails on its
+first generator and no instance fails to type.  Each candidate has an
+empty context on each side and shares no row above or below, so
+``common_peel`` answers "minimal" from counts, before any word is
+listed.
 """
 
 from __future__ import annotations
