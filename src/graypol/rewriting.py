@@ -591,9 +591,10 @@ def _with_sources(sig: Signature, insts):
     construction; one that is not is a defect and raises ``InternalError``."""
     for inst in insts:
         try:
-            yield inst, sig.inst_source(inst)
+            src = sig.inst_source(inst)
         except CellError as exc:
             raise InternalError(f"internal invariant violated: {inst!r} is not well typed: {exc}") from exc
+        yield inst, src
 
 
 def _op_x_above(pres: GrayPresentation, name: str, ends: dict):
