@@ -15,7 +15,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from functools import cached_property
-from typing import NamedTuple, Optional, Tuple
+from typing import Optional, Tuple
 
 from .cells import (
     CellError,
@@ -68,13 +68,6 @@ class QMode:
         return ((eta, eta, True), (eta, eps, False), (eps, eta, True), (eps, eps, False))
 
 
-class RedexIndex(NamedTuple):
-    """``GrayPresentation.redex_sources``: the shifts some source sits at, and the entries."""
-
-    shifts: frozenset
-    entries: dict
-
-
 @dataclass(frozen=True)
 class GrayPresentation:
     name: str
@@ -106,16 +99,18 @@ class GrayPresentation:
         return GrayPresentation(self.name, self.sig.rotated())
 
     @cached_property
-    def redex_sources(self) -> "RedexIndex":
-        """What a window can match, by its first two rows' generators and offset.
+    def redex_sources(self) -> dict:
+        """What a window can match, by the generators of its first two rows and their offset.
 
         A window starting on a row ``g`` followed by a row ``h`` whose
         left context is ``shift`` letters longer is looked up under
-        ``(g, h, shift)``, one starting on the last row ``g`` under
-        ``(g, None)``, and one starting below the last row under
-        ``None``.  Whiskering keeps the offset of two rows, so a source
-        of two or more rows can match only under the key of its own first
-        two rows.  Each entry is ``(sources, shapes)``:
+        ``(g, h, shift)``, and under ``(g, h)`` when that key is missing;
+        one starting on the last row ``g`` under ``(g, None)``, and one
+        starting below the last row under ``None``.  Whiskering keeps the
+        offset of two rows, so a source of two or more rows can match only
+        under the key of its own first two rows, and ``(g, h, shift)`` is
+        a key only where such a source sits.  Each entry is
+        ``(sources, shapes)``:
 
         - the operational sources ``(name, source, rows)`` that can match
           there: the identity sources, the one-row sources on ``g`` and
@@ -128,9 +123,8 @@ class GrayPresentation:
           target shape) is at least ``need``, the length of ``tgt g`` or
           of ``src h``; the scan checks that before matching.
 
-        A shift that no source of two or more rows sits at (one not in
-        ``shifts``) is looked up as ``None``, so the table holds no more
-        keys per pair than there are such sources, plus one, however long
+        So the table holds one key per ordered pair of 2-generators, one
+        per generator and one per offset some source sits at, however long
         the rows' contexts are.  A key with an undeclared generator is
         missing.
         """
@@ -146,7 +140,6 @@ class GrayPresentation:
             else:
                 shift = len(rows[1].left.word) - len(rows[0].left.word)
                 by_offset.setdefault((rows[0].gen, rows[1].gen, shift), []).append(entry)
-        shifts = frozenset(shift for _, _, shift in by_offset)
         rules = None if self.qmode is None else self.qmode.rules
         entries = {None: (tuple(empty), ())}
         for g, (_, g_tgt) in sig.two.items():
@@ -158,10 +151,10 @@ class GrayPresentation:
                     shapes.append((False, len(g_tgt.word)))
                 if rules is not None and (h, g, True) in rules:
                     shapes.append((True, len(h_src.word)))
-                shapes = tuple(shapes)
-                for shift in (None, *shifts):
-                    entries[g, h, shift] = (on_g + tuple(by_offset.get((g, h, shift), ())), shapes)
-        return RedexIndex(shifts, entries)
+                entries[g, h] = (on_g, tuple(shapes))
+        for (g, h, shift), sources in by_offset.items():
+            entries[g, h, shift] = (entries[g, None][0] + tuple(sources), entries[g, h][1])
+        return entries
 
     @cached_property
     def validation(self) -> "ValidationReport":

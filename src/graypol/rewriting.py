@@ -5,27 +5,28 @@ contiguous whisker windows and solving for the context, and by matching
 consecutive whisker pairs against the interchanger shapes the mode
 rewrites: the source shape in Gray mode, and in q mode also the target
 shape, which is the source shape upside down.  Whiskering keeps the
-offset between two rows' left contexts, so one lookup by the generators
-of a row and the row below it and their offset gives every source and
-shape that can match there (``GrayPresentation.redex_sources``), and
-nothing is tried elsewhere.  Local branchings are
+offset between two rows' left contexts, so a lookup by the generators
+of a row and the row below it, and by their offset where a source sits
+at it, gives every source and shape that can match there
+(``GrayPresentation.redex_sources``), and nothing is tried elsewhere.
+Local branchings are
 classified as trivial, non-minimal, independent, natural or critical, all
 but the first by counting the rows and letters of the two windows on
 their shared source; a cell is built only for a non-minimal witness.
 The complete finite list of critical branchings of a presentation is
 enumerated by the overlap analysis.
 
-Every candidate of that analysis is one of two things, each a branching
-by construction, so no candidate is typed again.  Either it is a glue of
-two generator windows, the first row of one laid on a row of the other
-(two operational windows, or an interchanger above an operational
-window), or it is an interchanger redex inside an operational source,
-paired with the bare step.  Every candidate is built once, in the
-presentation's own coordinates.  The interchangers below a window are
-those above the window of the 180° rotation (``pres.rotated``), each
-rotated back on its own and glued under the window's last row; no step
-or 2-cell is rotated.  The right contexts of a glue are solved on words,
-as the left ones are, read from the other end.
+Every candidate of that analysis is one glue of two generator windows,
+the first row of one laid on a row of the other (``_glue``): two
+operational windows, or an interchanger above an operational window,
+below it or inside its source.  The contexts are read off the lengths of
+the two rows laid on each other, and one comparison of the whiskered
+rows decides whether the windows overlap; a glue that passes it is a
+branching by construction, so no candidate is typed again.  Every
+candidate is built once, in the presentation's own coordinates.  The
+interchangers below a window are those above the window of the 180°
+rotation (``pres.rotated``), each rotated back on its own and glued under
+the window's last row; no step or 2-cell is rotated.
 
 The enumeration's work is linear in the candidates it yields.  A
 window's first row is laid only on the window rows with its generator,
@@ -210,9 +211,10 @@ def find_redexes(
     """All rewriting steps with source ``phi``, in canonical order.
 
     The scan goes row by row.  At start row ``t`` it takes the offset
-    ``shift`` of row ``t+1``'s left context over row ``t``'s and makes one
-    lookup in ``pres.redex_sources``, under the generators of the two rows
-    and ``shift``.  It tries the operational sources listed there, then
+    ``shift`` of row ``t+1``'s left context over row ``t``'s and looks up
+    ``pres.redex_sources`` under the generators of the two rows and
+    ``shift``, then, when no source sits there, under the two generators
+    alone.  It tries the operational sources listed there, then
     the interchanger shapes listed there whose offset leaves room for a
     middle word: in Gray mode the source shape, in q mode the source and
     the target shape of the oriented rules (``pres.qmode.rules``), a
@@ -231,7 +233,7 @@ def find_redexes(
     """
     sig = pres.sig
     gray = pres.qmode is None
-    shifts, entries = pres.redex_sources
+    index = pres.redex_sources
     whiskers = phi.whiskers
     n = len(whiskers)
     out = []
@@ -239,12 +241,9 @@ def find_redexes(
         if t + 1 < n:
             wa, wb = whiskers[t], whiskers[t + 1]
             shift = len(wb.left.word) - len(wa.left.word)
-            key = (wa.gen, wb.gen, shift if shift in shifts else None)
-        elif t < n:
-            key = (whiskers[t].gen, None)
+            entry = index.get((wa.gen, wb.gen, shift)) or index.get((wa.gen, wb.gen))
         else:
-            key = None
-        entry = entries.get(key)
+            entry = index.get((whiskers[t].gen, None) if t < n else None)
         if entry is None:
             gen = next(w.gen for w in whiskers[t : t + 2] if w.gen not in sig.two)
             raise SignatureError(f"unknown 2-generator {gen}")
@@ -473,63 +472,48 @@ def classify(pres: GrayPresentation, b: Branching):
 # ---------------------------------------------------------------- enumeration
 
 
-def _solve_left_contexts(sig: Signature, u: OneCell, v: OneCell):
-    """The solution ``(l1, l2)`` of ``l1 * u == l2 * v`` with one side empty, or ``None``.
-
-    There is at most one: the shorter word is a suffix of the longer.
-    """
-    if len(u.word) > len(v.word):
-        hit = _solve_left_contexts(sig, v, u)
-        return None if hit is None else (hit[1], hit[0])
-    d = len(v.word) - len(u.word)
-    l1 = OneCell(v.start, v.word[:d])
-    if v.word[d:] != u.word or sig.end0(l1) != u.start:
-        return None
-    return l1, OneCell(v.start, ())
-
-
-def _solve_right_contexts(sig: Signature, u: OneCell, v: OneCell):
-    """The solution ``(r1, r2)`` of ``u * r1 == v * r2`` with one side empty, or ``None``.
-
-    The left solve read from the other end: the shorter word is a prefix
-    of the longer, and both start at the same 0-cell.
-    """
-    if len(u.word) > len(v.word):
-        hit = _solve_right_contexts(sig, v, u)
-        return None if hit is None else (hit[1], hit[0])
-    n = len(u.word)
-    if v.word[:n] != u.word or v.start != u.start:
-        return None
-    return OneCell(sig.end0(u), v.word[n:]), OneCell(sig.end0(v), ())
-
-
 def _glue(pres: GrayPresentation, top, bottom, d: int):
     """Branchings of two overlapping windows, the first row of ``bottom`` on row ``d`` of ``top``.
 
-    ``top`` and ``bottom`` are ``(instance, source)`` windows whiskered by
-    contexts that are empty on one side.  The shared 2-cell is ``top``
+    ``top`` and ``bottom`` are generator instances, each whiskered by
+    contexts that are empty on one side; their sources are read from the
+    signature's memo, and an instance that does not type is a defect of
+    the caller and raises ``InternalError``.  The shared 2-cell is ``top``
     down to the end of the overlap, then the rest of ``bottom``, then the
     rest of ``top``, so a window inside the other is no special case.
     Yields the one ``Branching(bottom step, top step)``, if there is one.
     An interchanger goes in as ``top`` at ``d = 1`` above a window, and
-    as ``bottom`` at ``d = k - 1`` under a ``k``-row window.  Callers lay
-    only rows with the same generator on each other; rows that differ
-    anywhere in the overlap give no branching.
+    as ``bottom`` at ``d = k - 1`` under a ``k``-row window or at ``d = t``
+    inside it.
 
-    The contexts are solved on the rows laid on each other, and every row
-    of a checked source starts and ends where the source does, so they
-    0-compose with both sources and the rows are whiskered unchecked.
+    The contexts are read off the lengths of the two rows laid on each
+    other: on each side the shorter context gets the longer one's extra
+    letters and the longer one's side is empty.  Both left contexts start
+    where the longer left word starts, and each right context starts where
+    its own row's right context ends.  Callers lay only rows with the same
+    generator on each other, so the whiskered rows are equal exactly when
+    the shorter word is a suffix (left) or a prefix (right) of the longer
+    one and the contexts 0-compose; rows that differ anywhere in the
+    overlap give no branching.  Every row of a checked source starts and
+    ends where the source does, so the rows are whiskered unchecked.
     """
     sig = pres.sig
-    (inst1, src1), (inst2, src2) = bottom, top
+    srcs = []
+    for inst in (bottom, top):
+        try:
+            srcs.append(sig.inst_source(inst))
+        except CellError as exc:
+            raise InternalError(f"internal invariant violated: {inst!r} is not well typed: {exc}") from exc
+    src1, src2 = srcs
     k1, k2 = len(src1.whiskers), len(src2.whiskers)
     over = min(d + k1, k2) - d
     w1, w2 = src1.whiskers[0], src2.whiskers[d]
-    lefts = _solve_left_contexts(sig, w1.left, w2.left)
-    rights = _solve_right_contexts(sig, w1.right, w2.right)
-    if lefts is None or rights is None:
-        return
-    (l1, l2), (r1, r2) = lefts, rights
+    u1, u2 = w1.left.word, w2.left.word
+    start = (w1.left if len(u1) > len(u2) else w2.left).start
+    l1 = OneCell(start, u2[: max(len(u2) - len(u1), 0)])
+    l2 = OneCell(start, u1[: max(len(u1) - len(u2), 0)])
+    r1 = OneCell(sig.end0(w1.right), w2.right.word[len(w1.right.word) :])
+    r2 = OneCell(sig.end0(w2.right), w1.right.word[len(w2.right.word) :])
     rows1 = sig._whiskered(l1, src1.whiskers, r1)
     rows2 = sig._whiskered(l2, src2.whiskers, r2)
     if rows1[:over] != rows2[d : d + over]:
@@ -540,22 +524,26 @@ def _glue(pres: GrayPresentation, top, bottom, d: int):
     rows = rows2[: d + over] + rows1[over:] + rows2[d + over :]
     shared = TwoCell(OneCell(l2.start, l2.word + src2.source1.word + r2.word), rows)
     yield Branching(
-        _step_at(shared, d, k1, level_at(sig, shared, d + k1), l1, inst1, r1),
-        _step_at(shared, 0, k2, level_at(sig, shared, k2), l2, inst2, r2),
+        _step_at(shared, d, k1, level_at(sig, shared, d + k1), l1, bottom, r1),
+        _step_at(shared, 0, k2, level_at(sig, shared, k2), l2, top, r2),
     )
 
 
 def _op_x_inside(pres: GrayPresentation, name: str):
-    """Interchangers inside an operational window: the interchanger
-    redexes of its checked source, each paired with the bare step, which
-    is built at the first of them."""
-    sig = pres.sig
-    bare = None
-    for s in find_redexes(pres, sig.gen3_source(name)):
-        if isinstance(s.inner, Interchanger):
-            if bare is None:
-                bare = sig.gen3_cell(OpGen(name)).steps[0]
-            yield Branching(bare, s)
+    """Interchangers inside an operational window, paired with the bare step.
+
+    Each pair of consecutive source rows ``t, t + 1`` that spells an
+    interchanger source gives that interchanger, glued under the window
+    at ``d = t``; the branching is ``(window step, interchanger step)``.
+    """
+    sig, window = pres.sig, OpGen(name)
+    rows = sig.gen3_source(name).whiskers
+    for t in range(len(rows) - 1):
+        hit = match_interchanger(sig, rows[t], rows[t + 1], False)
+        if hit is not None:
+            _, alpha, mid, beta, _ = hit
+            for b in _glue(pres, window, Interchanger(alpha, mid, beta), t):
+                yield Branching(b.s2, b.s1)
 
 
 def _target_ends(sig: Signature) -> dict:
@@ -586,23 +574,11 @@ def _x_above(sig: Signature, name: str, ends: dict):
             yield Interchanger(alpha, mid, first.gen)
 
 
-def _with_sources(sig: Signature, insts):
-    """``(instance, source)`` for each of ``insts``, which are well typed by
-    construction; one that is not is a defect and raises ``InternalError``."""
-    for inst in insts:
-        try:
-            src = sig.inst_source(inst)
-        except CellError as exc:
-            raise InternalError(f"internal invariant violated: {inst!r} is not well typed: {exc}") from exc
-        yield inst, src
-
-
 def _op_x_above(pres: GrayPresentation, name: str, ends: dict):
     """The window glued at ``d = 1`` under each interchanger of ``_x_above``;
     ``ends`` is ``_target_ends(pres.sig)``."""
-    sig = pres.sig
-    window = (OpGen(name), sig.gen3_source(name))
-    for x in _with_sources(sig, _x_above(sig, name, ends)):
+    window = OpGen(name)
+    for x in _x_above(pres.sig, name, ends):
         yield from _glue(pres, x, window, 1)
 
 
@@ -615,9 +591,9 @@ def _op_x_below(pres: GrayPresentation, name: str, ends: dict):
     branching is ``(window step, interchanger step)``.
     """
     sig, rot = pres.sig, pres.rotated.sig
-    window = (OpGen(name), sig.gen3_source(name))
-    for x in _with_sources(sig, map(rot.rotate, _x_above(rot, name, ends))):
-        for b in _glue(pres, window, x, len(window[1].whiskers) - 1):
+    window, last = OpGen(name), len(sig.gen3_source(name).whiskers) - 1
+    for x in _x_above(rot, name, ends):
+        for b in _glue(pres, window, rot.rotate(x), last):
             yield Branching(b.s2, b.s1)
 
 
@@ -625,25 +601,25 @@ def _candidates(pres: GrayPresentation):
     """Every candidate branching: operational overlaps, then per
     generator the interchangers inside, above and below its window.
 
-    Each is built once, over ``pres.sig``; the family below a window
-    reads its instances from ``pres.rotated`` and rotates back only them.
-    The overlaps are found by lookup: every window row is listed under
-    its generator, in window order and then row order, and a window's
-    first row is laid only on the rows listed under its generator.  The
-    candidates come in the order of trying every window on every row.
+    Each is one ``_glue`` of two generator instances, built once, over
+    ``pres.sig``; the family below a window reads its instances from
+    ``pres.rotated`` and rotates back only them.  The overlaps are found
+    by lookup: every window row is listed under its generator, in window
+    order and then row order, and a window's first row is laid only on
+    the rows listed under its generator.  The candidates come in the
+    order of trying every window on every row.
     """
     sig = pres.sig
-    ops = [(OpGen(name), sig.gen3_source(name)) for name in pres.operational()]
     rows_by_gen = {}
-    for top in ops:
-        for d, w in enumerate(top[1].whiskers):
+    for top in pres.operational():
+        for d, w in enumerate(sig.gen3_source(top).whiskers):
             rows_by_gen.setdefault(w.gen, []).append((top, d))
-    for bottom in ops:
-        for top, d in rows_by_gen.get(bottom[1].whiskers[0].gen, ()):
+    for bottom in pres.operational():
+        for top, d in rows_by_gen.get(sig.gen3_source(bottom).whiskers[0].gen, ()):
             # a window glued onto itself at row 0 gives two equal steps,
             # a trivial branching, so that glue is skipped
-            if d or top is not bottom:
-                yield from _glue(pres, top, bottom, d)
+            if d or top != bottom:
+                yield from _glue(pres, OpGen(top), OpGen(bottom), d)
     above, below = _target_ends(sig), _target_ends(pres.rotated.sig)
     for name in pres.operational():
         yield from _op_x_inside(pres, name)

@@ -35,6 +35,7 @@ from typing import Dict, List, Optional, Tuple
 
 from .cells import (
     CellError,
+    InternalError,
     OneCell,
     QInterchanger,
     Signature,
@@ -100,9 +101,8 @@ def check_positive_intnorm(pres: GrayPresentation):
     for alpha, mid, beta, src, tgt in _small_interchangers(sig):
         ns, nt = interchange_norm(src), interchange_norm(tgt)
         if seq_less(nt, ns) is not True:
-            raise TerminationRefused(
-                "interchange",
-                f"norm does not drop across the interchanger on ({alpha}, {beta})",
+            raise InternalError(
+                f"internal invariant violated: the interchange norm does not drop across X({alpha}, {mid!r}, {beta})"
             )
         witnesses.append(("interchanger", alpha, tuple(mid.word), beta, ns, nt))
     return witnesses

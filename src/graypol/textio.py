@@ -139,23 +139,21 @@ def render_two(sig: Signature, phi: TwoCell, linear: bool = False) -> str:
 
 
 def _split_top(text: str, sep: str) -> List[str]:
-    out, depth, cur = [], 0, []
-    for ch in text:
+    out, depth, start = [], 0, 0
+    for i, ch in enumerate(text):
         if ch in "[({":
             depth += 1
         elif ch in "])}":
             depth -= 1
             if depth < 0:
                 raise ParseError("unbalanced brackets")
-        if ch == sep and depth == 0:
-            out.append("".join(cur))
-            cur = []
-        else:
-            cur.append(ch)
+        elif ch == sep and depth == 0:
+            out.append(text[start:i].strip())
+            start = i + 1
     if depth != 0:
         raise ParseError("unbalanced brackets")
-    out.append("".join(cur))
-    return [p.strip() for p in out]
+    out.append(text[start:].strip())
+    return out
 
 
 def _parse_whisker(sig: Signature, token: str, memo: dict) -> Whisker2:

@@ -125,3 +125,38 @@ def test_both_trees_are_named_by_the_shas_given(tmp_path, monkeypatch, capsys):
     assert runs == [(str(base), "pipeline", 5), (benchpairs.ROOT, "pipeline", 5),
                     (benchpairs.ROOT, "pipeline", 6), (str(base), "pipeline", 6)]
     assert "wrote" in capsys.readouterr().out
+
+
+def test_the_record_holds_both_trees_line_counts(tmp_path, monkeypatch):
+    # two temporary trees, each with a small ``src/graypol``: the record
+    # counts every line of each file and the code lines, those that are not
+    # blank, not a comment and not in a docstring
+    import benchpairs
+
+    sources = {
+        "base": {"a.py": '"""Module\ndocstring."""\n\n# a comment\nx = 1\n', "sub/b.py": "y = 2\n"},
+        "change": {"a.py": 'def f():\n    """One line."""\n    s = """not a\ndocstring"""\n    return s\n'},
+    }
+    trees = {}
+    for side, files in sources.items():
+        trees[side] = tmp_path / side
+        (trees[side] / "bench").mkdir(parents=True)
+        (trees[side] / "bench" / "run.py").write_text("")
+        for name, text in files.items():
+            path = trees[side] / "src" / "graypol" / name
+            path.parent.mkdir(parents=True, exist_ok=True)
+            path.write_text(text)
+    (trees["change"] / "BENCHMARK.json").write_text(json.dumps({"end_to_end": SPEC}))
+    values = {"work_per_s": 100.0, "latency_ms.p90": 2.0, "setup_s": 0.1}
+    monkeypatch.setattr(benchpairs, "ROOT", str(trees["change"]))
+    monkeypatch.setattr(benchpairs, "run_once", lambda tree, workload, seed, seconds: parse_run(_stdout(**values)))
+    out = tmp_path / "BENCH_1.json"
+    argv = ["--base", str(trees["base"]), "--pairs", "1", "--seconds", "1", "--seeds", "1..1",
+            "--workload", "sweep", "--out", str(out)]
+    assert benchpairs.main(argv) == 0
+    lines = json.loads(out.read_text())["lines"]
+    assert lines["base"] == {
+        "files": {"a.py": {"lines": 5, "code": 1}, "sub/b.py": {"lines": 1, "code": 1}},
+        "total": {"lines": 6, "code": 2},
+    }
+    assert lines["change"] == {"files": {"a.py": {"lines": 5, "code": 4}}, "total": {"lines": 5, "code": 4}}

@@ -29,6 +29,7 @@ from graypol import (
     length,
     normalize2,
     parse_presentation,
+    validate,
 )
 from graypol.cells import TwoCell, Whisker2
 from graypol.rewriting import canonical_branching, is_natural, rotate_branching, step_key
@@ -226,7 +227,7 @@ def test_indexed_scan_matches_brute_force():
                 first, second = src.whiskers[:2]
                 pairs.setdefault((first.gen, second.gen), set()).add(len(second.left.word) - len(first.left.word))
         offsets_shared += any(len(shifts) > 1 for shifts in pairs.values())
-        both_shapes += any(len(shapes) == 2 for _, shapes in pres.redex_sources.entries.values())
+        both_shapes += any(len(shapes) == 2 for _, shapes in pres.redex_sources.values())
         rng = random.Random(seed)
         cells = enumerate_two_cells(sig, 2, [OneCell("x", ("a",) * k) for k in range(4)])
         cells += [random_two_cell(sig, rng, rows=rng.randrange(3, 6)) for _ in range(20)]
@@ -529,7 +530,7 @@ def test_self_glue_at_row_zero_is_trivial():
             src = sig.gen3_source(name)
             if not length(src):
                 continue
-            window = (OpGen(name), src)
+            window = OpGen(name)
             for b in _glue(pres, window, window, 0):
                 assert b.s1 == b.s2
                 assert isinstance(classify(pres, b), Trivial)
@@ -541,8 +542,6 @@ def _two_object_draws(monkeypatch, count):
     """The first ``count`` Gray-mode draws of the benchmark's
     ``random_presentation`` with two 0-cells that enumeration accepts."""
     import os
-
-    from graypol import validate
 
     root = os.path.join(os.path.dirname(os.path.abspath(__file__)), os.pardir)
     monkeypatch.syspath_prepend(os.path.join(root, "bench"))
@@ -595,24 +594,6 @@ def test_enumeration_rotates_only_interchangers(monkeypatch):
     assert all(isinstance(c, Interchanger) or (isinstance(c, OneCell) and c in mids) for c in rotated)
 
 
-def test_right_contexts_match_the_rotation_oracle(pseudoadjunction, frobenius, monkeypatch):
-    # the word-level solve of ``u * r1 == v * r2`` against the left solve
-    # on the rotated words, on every pair of words of at most 3 letters
-    from graypol.rewriting import _solve_left_contexts, _solve_right_contexts
-
-    from reference import rotated_right_contexts
-
-    solved = 0
-    for pres in (pseudoadjunction.presentation, frobenius.presentation, _two_object_draws(monkeypatch, 1)[0]):
-        sig = pres.sig
-        words = [u for x in sig.zero for u in words_from(sig, x, 3)]
-        for u, v in itertools.product(words, words):
-            hit = _solve_right_contexts(sig, u, v)
-            assert hit == rotated_right_contexts(sig, u, v, _solve_left_contexts), (u, v)
-            solved += hit is not None
-    assert solved >= 80
-
-
 def test_below_window_family_matches_the_rotation_oracle(monkeypatch):
     # the interchangers below each window, glued in place, are the
     # rotation's interchangers above it with each branching rotated back
@@ -636,6 +617,70 @@ def _copies(name, k):
     """``k`` disjoint renamed copies of the shipped file ``name``, parsed."""
     path = next(path for path in SHIPPED_FILES if path.stem == name)
     return parse_presentation(disjoint_copies(path.read_text(encoding="utf-8"), k))
+
+
+def _fresh_gray_presentations(monkeypatch):
+    """The Gray builtins, ``positive_presentations(100)``, the two-object
+    draws and ``disjoint_copies`` of the Gray builtins for k <= 4, each
+    freshly parsed or drawn, so no memo of theirs is filled yet."""
+    texts = {path.stem: path.read_text(encoding="utf-8") for path in SHIPPED_FILES}
+    press = [parse_presentation(texts[name]) for name in GRAY_BUILTINS]
+    press += positive_presentations(100) + _two_object_draws(monkeypatch, 20)
+    return press + [_copies(name, k) for name in GRAY_BUILTINS for k in (1, 2, 3, 4)]
+
+
+def test_every_candidate_is_one_glue(monkeypatch):
+    # the enumeration builds each candidate as one glue of two generator
+    # windows and scans no cell for redexes, so it never builds the index
+    from graypol import rewriting
+
+    glue, glued = rewriting._glue, []
+
+    def recorded(*args):
+        for b in glue(*args):
+            glued.append(b)
+            yield b
+
+    def no_scan(*args, **kwargs):
+        raise AssertionError("the enumeration scanned a cell for redexes")
+
+    press = _fresh_gray_presentations(monkeypatch)
+    monkeypatch.setattr(rewriting, "_glue", recorded)
+    monkeypatch.setattr(rewriting, "find_redexes", no_scan)
+    candidates = criticals = 0
+    for pres in press:
+        count = 0
+        for b in rewriting._candidates(pres):
+            g = glued.pop()
+            assert b in (g, Branching(g.s2, g.s1))
+            count += 1
+        assert not glued
+        if validate(pres).operational_sources_positive:
+            criticals += len(enumerate_critical(pres))
+            assert len(glued) == count
+            glued.clear()
+        assert "redex_sources" not in pres.__dict__, pres.name
+        candidates += count
+    assert candidates > 800 and criticals > 800
+
+
+def test_interchangers_inside_a_window_are_the_scans_redexes(monkeypatch):
+    # ``find_redexes`` is the oracle of the family inside a window: the
+    # interchanger steps glued inside each operational source are the
+    # scan's interchanger redexes of it, in order, each with the bare step
+    from graypol.rewriting import _op_x_inside
+
+    found = 0
+    for pres in _fresh_gray_presentations(monkeypatch):
+        sig = pres.sig
+        for name in pres.operational():
+            pairs = list(_op_x_inside(pres, name))
+            scan = find_redexes(pres, sig.gen3_source(name))
+            assert [b.s2 for b in pairs] == [s for s in scan if isinstance(s.inner, Interchanger)], (pres.name, name)
+            bare = sig.gen3_cell(OpGen(name)).steps[0]
+            assert all(b.s1 == bare for b in pairs)
+            found += len(pairs)
+    assert found > 30
 
 
 def test_interchangers_above_are_typed_on_words(monkeypatch):

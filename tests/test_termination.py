@@ -80,6 +80,17 @@ def test_positive_presentations(pseudomonoid, frobenius):
     assert check_positive_intnorm(frobenius.presentation)
 
 
+def test_a_norm_that_does_not_drop_is_an_internal_error(pseudomonoid, monkeypatch):
+    # positivity proves the drop, so a failed comparison after the
+    # positivity check is a defect of graypol, not a refusal
+    from graypol import InternalError
+    from graypol import termination
+
+    monkeypatch.setattr(termination, "interchange_norm", lambda phi: (0,) * len(phi.whiskers))
+    with pytest.raises(InternalError, match="norm does not drop"):
+        check_positive_intnorm(pseudomonoid.presentation)
+
+
 def test_intnorm_drops_across_long_middle_words(pseudomonoid, frobenius):
     # positivity alone makes the norm drop, so the witness bound on middle
     # words limits only the list: check middles of 3 to 6 letters too

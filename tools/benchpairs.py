@@ -27,6 +27,10 @@ seeds, every run and, per workload and metric of ``BENCHMARK.json``'s
 * ``unresolved``: the base's spread is wider than the bound and not every
   change run reads better than every base run.
 
+It also holds both trees' ``src/graypol`` line counts, per file and in
+total: all lines, and code lines, those that are not blank, not a comment
+and not in a docstring.
+
 A run that fails or reports ``correct: false`` fails the record: it is
 listed under ``failures``, and the tool exits 1 after writing it.
 """
@@ -34,6 +38,7 @@ listed under ``failures``, and the tool exits 1 after writing it.
 from __future__ import annotations
 
 import argparse
+import ast
 import json
 import os
 import platform
@@ -130,6 +135,37 @@ def tree_sha(tree: str):
     return git("rev-parse", "HEAD") + ("+dirty" if dirty else "")
 
 
+def count_lines(text: str) -> dict:
+    """``{"lines": n, "code": m}`` of a Python source: all its lines, and those
+    that are not blank, not a comment and not in a docstring."""
+    docs = set()
+    for node in ast.walk(ast.parse(text)):
+        if isinstance(node, (ast.Module, ast.ClassDef, ast.FunctionDef, ast.AsyncFunctionDef)):
+            if ast.get_docstring(node, clean=False) is not None:
+                docs.update(range(node.body[0].lineno, node.body[0].end_lineno + 1))
+    lines = text.splitlines()
+    code = sum(
+        1 for i, line in enumerate(lines, 1) if line.strip() and not line.lstrip().startswith("#") and i not in docs
+    )
+    return {"lines": len(lines), "code": code}
+
+
+def line_counts(tree: str) -> dict:
+    """``count_lines`` of each ``.py`` file under ``tree/src/graypol``, by path
+    relative to it, and their sums under ``"total"``."""
+    root = os.path.join(tree, "src", "graypol")
+    files = {}
+    for folder, dirs, names in os.walk(root):
+        dirs.sort()
+        for name in sorted(names):
+            if name.endswith(".py"):
+                path = os.path.join(folder, name)
+                with open(path, encoding="utf-8") as handle:
+                    files[os.path.relpath(path, root)] = count_lines(handle.read())
+    total = {key: sum(c[key] for c in files.values()) for key in ("lines", "code")}
+    return {"files": files, "total": total}
+
+
 def run_once(tree: str, workload: str, seed: int, seconds: float) -> dict:
     argv = [sys.executable, os.path.join(tree, "bench", "run.py"), "--workload", workload,
             "--seed", str(seed), "--seconds", str(seconds)]
@@ -183,6 +219,7 @@ def main(argv=None) -> int:
         "workloads": {},
     }
     trees = {"base": base, "change": ROOT}
+    record["lines"] = {side: line_counts(tree) for side, tree in trees.items()}
     broken = []
     for workload in args.workload or WORKLOADS:
         pairs = []

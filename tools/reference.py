@@ -414,15 +414,6 @@ def typed_interchangers_above(sig, name):
 # ---------------------------------------------------------------- enumeration by rotation
 
 
-def rotated_right_contexts(sig, u, v, solve_left):
-    """The solution ``(r1, r2)`` of ``u * r1 == v * r2`` with one side empty, or
-    ``None``: the left contexts of the rotated words, solved by
-    ``solve_left(sig, u, v)`` over the rotated signature, rotated back."""
-    rsig = sig.rotated()
-    hit = solve_left(rsig, sig.rotate(u), sig.rotate(v))
-    return None if hit is None else (rsig.rotate(hit[0]), rsig.rotate(hit[1]))
-
-
 def rotated_family(pres, family, name):
     """The candidate branchings ``family(pres, name)`` on ``pres.rotated``,
     each rotated back whole: the mirror image of ``family``."""
