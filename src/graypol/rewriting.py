@@ -487,8 +487,9 @@ def _glue(pres: GrayPresentation, top, bottom, d: int):
     inside it.
 
     The contexts are read off the lengths of the two rows laid on each
-    other: on each side the shorter context gets the longer one's extra
-    letters and the longer one's side is empty.  Both left contexts start
+    other: on each side the row with the shorter context word is
+    whiskered by the longer word's extra letters, and the other row by
+    none.  Both left contexts start
     where the longer left word starts, and each right context starts where
     its own row's right context ends.  Callers lay only rows with the same
     generator on each other, so the whiskered rows are equal exactly when
