@@ -1,7 +1,9 @@
 """Built-in presentations and their expected statistics.
 
 Each builtin is defined once, by its file ``presentations/NAME.gray``
-shipped inside the package; ``get_builtin`` parses that file.  Tiles
+shipped inside the package; ``get_builtin`` parses that file, and a
+shipped file that cannot be read or parsed is a defect of graypol, an
+``InternalError`` naming the file, not a user's parse error.  Tiles
 are part of the file: they are the joins the coherence engine computes
 for the tile-free presentation, renamed ``R1``, ``R2``, ...  The table
 below adds what a file does not say: the linear interpretation when
@@ -16,9 +18,10 @@ from functools import lru_cache
 from importlib import resources
 from typing import Optional, Tuple
 
+from .cells import InternalError
 from .presentation import GrayPresentation
 from .termination import AffineMap, LinearInterpretation
-from .textio import parse_presentation
+from .textio import ParseError, parse_presentation
 
 BUILTIN_NAMES = ("pseudomonoid", "pseudoadjunction", "selfduality", "selfduality-q", "frobenius")
 
@@ -55,7 +58,11 @@ def get_builtin(name: str) -> BuiltinEntry:
     if name not in _METADATA:
         raise KeyError(f"unknown builtin {name!r}; choose from {BUILTIN_NAMES}")
     path = resources.files(__package__) / "presentations" / f"{name}.gray"
-    pres = parse_presentation(path.read_text(encoding="utf-8"))
+    try:
+        pres = parse_presentation(path.read_text(encoding="utf-8"))
+    except (OSError, ParseError) as exc:
+        # the file ships with graypol: failing to read or parse it is a defect
+        raise InternalError(f"builtin file {path}: {exc}") from exc
     tile_names = tuple(t.name for t in pres.tiles)
     return BuiltinEntry(name, pres, *_METADATA[name], tile_names)
 

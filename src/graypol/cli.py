@@ -7,6 +7,11 @@ analysis refusal (termination refused, branching not joinable,
 unsupported analysis), 2 on usage or parse errors and on files that
 cannot be read or are not UTF-8 text.  An ``InternalError`` is a
 defect of graypol and propagates.
+
+A command imports the engine module it runs when it runs:
+``critical-pairs`` loads ``rewriting``, ``normalize`` and ``report``
+load ``coherence``, and the other commands load neither, so each
+process starts with only the modules its command needs.
 """
 
 from __future__ import annotations
@@ -19,9 +24,7 @@ import sys
 
 from .catalog import BUILTIN_NAMES, get_builtin
 from .cells import CellError, dim, length
-from .coherence import DEFAULT_MAX_STEPS, key_json, normalize2, squier_completion
 from .presentation import validate
-from .rewriting import Branching, CriticalBranching, branching_key, enumerate_critical
 from .termination import STRATEGIES, TerminationRefused, certify_termination
 from .textio import RENDER_FORMATS, ParseError, parse_cell, parse_presentation, render_cell, render_step
 
@@ -73,6 +76,8 @@ def _emit(args, payload_json, payload_text: str):
 
 
 def _cmd_critical_pairs(args) -> int:
+    from .rewriting import Branching, CriticalBranching, branching_key, enumerate_critical, key_json
+
     pres, _ = _load(args.source)
     branchings = enumerate_critical(pres)
     rows = []
@@ -118,6 +123,8 @@ def _cmd_check_termination(args) -> int:
 
 
 def _cmd_normalize(args) -> int:
+    from .coherence import normalize2
+
     pres, interp = _load(args.source)
     if not args.cell:
         raise UsageError("normalize needs --cell")
@@ -139,6 +146,8 @@ def _cmd_normalize(args) -> int:
 
 
 def _cmd_report(args) -> int:
+    from .coherence import squier_completion
+
     pres, interp = _load(args.source)
     tiles, report = squier_completion(pres, interpretation=interp, max_steps=args.max_steps)
     payload = report.summary()
@@ -252,6 +261,8 @@ def main(argv=None) -> int:
             elif env:
                 args.max_steps = _positive_budget(env, "GRAYPOL_MAX_STEPS")
             else:
+                from .coherence import DEFAULT_MAX_STEPS
+
                 args.max_steps = DEFAULT_MAX_STEPS
         return args.func(args)
     except (ParseError, OSError, UsageError) as exc:

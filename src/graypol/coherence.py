@@ -25,7 +25,7 @@ from .cells import (
     length,
 )
 from .presentation import GrayPresentation, Tile, _tile_fault
-from .rewriting import Branching, enumerate_critical, find_redexes
+from .rewriting import Branching, enumerate_critical, find_redexes, key_json
 from .termination import TerminationCertificate, TerminationRefused, certify_termination
 
 DEFAULT_MAX_STEPS = 100000
@@ -209,16 +209,6 @@ class CoherenceReport:
             "verdict": self.verdict,
             "notes": list(self.notes),
         }
-
-
-def key_json(key):
-    """Branching key as nested JSON lists."""
-    def enc(part):
-        if isinstance(part, tuple):
-            return [enc(p) for p in part]
-        return part
-
-    return enc(key)
 
 
 def squier_completion(

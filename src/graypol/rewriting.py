@@ -309,6 +309,16 @@ def branching_key(b: Branching) -> tuple:
     return (_inst_key(b.s1.inner), _inst_key(b.s2.inner), len(b.s1.lam.whiskers), len(b.s2.lam.whiskers))
 
 
+def key_json(key):
+    """Branching key as nested JSON lists."""
+    def enc(part):
+        if isinstance(part, tuple):
+            return [enc(p) for p in part]
+        return part
+
+    return enc(key)
+
+
 def canonical_branching(b: Branching) -> Branching:
     """Representative of ``(s1, s2) ~ (s2, s1)`` chosen by the step keys."""
     return _keyed(b)[0]

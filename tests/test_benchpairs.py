@@ -2,10 +2,11 @@
 against figures worked out by hand; no benchmark runs."""
 
 import json
+import os
 
 import pytest
 
-from benchpairs import parse_run, summarize, workload_record
+from benchpairs import COMMANDS, parse_run, summarize, summarize_commands, workload_record
 
 SPEC = [
     {"name": "work_per_s", "unit": "1/s", "better": "higher", "bound": 0.25},
@@ -160,3 +161,52 @@ def test_the_record_holds_both_trees_line_counts(tmp_path, monkeypatch):
         "total": {"lines": 6, "code": 2},
     }
     assert lines["change"] == {"files": {"a.py": {"lines": 5, "code": 4}}, "total": {"lines": 5, "code": 4}}
+
+
+def test_command_summary_against_hand_figures():
+    # each round's two files lie 1 ms either side of the round's mean; the
+    # base means sort to 96 98 100 102 104, the change's to 70 71 72 75 99,
+    # and the change is slower in round 2 only
+    def rounds(means):
+        return [{"validate": [m - 1, m + 1]} for m in means]
+
+    base, change = rounds([100, 104, 96, 102, 98]), rounds([70, 75, 99, 72, 71])
+    canned = [{"first": "base", "base": b, "change": c} for b, c in zip(base, change)]
+    out = summarize_commands(canned)["validate"]
+    assert out["base"] == pytest.approx({"median": 100, "q1": 98, "q3": 102})
+    assert out["change"] == pytest.approx({"median": 72, "q1": 71, "q3": 75})
+    assert (out["rounds"], out["change_faster"]) == (5, 4)
+    assert out["ratio"] == pytest.approx(0.72) and out["base_iqr_share"] == pytest.approx(0.04)
+
+
+def test_command_rounds_alternate_the_trees_and_fail_on_a_bad_exit_or_answer(monkeypatch):
+    import benchpairs
+
+    trees = {"base": "/base", "change": "/change"}
+    files = ["/shipped/a.gray", "/shipped/b.gray"]
+    calls, faults = [], {}
+
+    def canned(tree, argv):
+        side = "base" if tree == "/base" else "change"
+        calls.append((side, argv[0], os.path.basename(argv[1])))
+        code, stdout = faults.get((side, argv[0], os.path.basename(argv[1])), (0, "answer"))
+        return (0.1 if side == "base" else 0.08), code, stdout
+
+    monkeypatch.setattr(benchpairs, "time_command", canned)
+    record = benchpairs.command_record(trees, 2, files)
+    assert record["failures"] == [] and record["files"] == ["a.gray", "b.gray"]
+    assert calls[:4] == [("base", "validate", "a.gray"), ("change", "validate", "a.gray"),
+                         ("base", "validate", "b.gray"), ("change", "validate", "b.gray")]
+    assert calls[16:18] == [("change", "validate", "a.gray"), ("base", "validate", "a.gray")]
+    assert len(calls) == 2 * len(COMMANDS) * 2 * 2
+    report = record["metrics"]["report --format json --max-steps 30"]
+    assert (report["base"]["median"], report["change"]["median"]) == pytest.approx((100, 80))
+    assert report["change_faster"] == 2
+
+    faults.update({("change", "report", "b.gray"): (2, "answer"), ("base", "critical-pairs", "a.gray"): (0, "other")})
+    record = benchpairs.command_record(trees, 1, files)
+    assert record["failures"] == [
+        "round 0 (change): critical-pairs a.gray: output differs",
+        "round 0 (change): report --format json --max-steps 30 b.gray: exit 2",
+    ]
+    assert "metrics" not in record

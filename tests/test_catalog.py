@@ -33,6 +33,38 @@ def test_builtin_names_are_the_packaged_files():
         get_builtin("nonsense")
 
 
+@pytest.fixture
+def cold_catalog():
+    """An empty ``get_builtin`` cache, emptied again afterwards so that no
+    other test sees an entry built while a test broke the build."""
+    get_builtin.cache_clear()
+    yield
+    get_builtin.cache_clear()
+
+
+@pytest.mark.parametrize("fault", ["read", "parse"])
+def test_a_shipped_builtin_that_cannot_be_loaded_is_an_internal_error(monkeypatch, cold_catalog, tmp_path, fault):
+    # the file ships with graypol, so this is a defect, not a user's bad
+    # file: it propagates from the command line instead of exiting 2
+    from graypol import InternalError, ParseError, catalog
+    from graypol.cli import main
+
+    if fault == "read":
+        # a package root without the file
+        monkeypatch.setattr(catalog.resources, "files", lambda package: tmp_path)
+        message = r"pseudomonoid\.gray: .*No such file"
+    else:
+        def broken(text):
+            raise ParseError("broken", line=3)
+
+        monkeypatch.setattr(catalog, "parse_presentation", broken)
+        message = r"pseudomonoid\.gray: broken \(line 3\)"
+    with pytest.raises(InternalError, match=message):
+        get_builtin("pseudomonoid")
+    with pytest.raises(InternalError, match=message):
+        main(["validate", "builtin:pseudomonoid"])
+
+
 def test_pseudomonoid_stats(pseudomonoid):
     sig = pseudomonoid.presentation.sig
     assert len(sig.two) == 2

@@ -1,6 +1,7 @@
 """Record alternating benchmark pairs of two trees in a ``BENCH_<n>.json``.
 
     python3 tools/benchpairs.py --base TREE --pairs 10 --seconds 25 --seeds 31..40 --workload normalize
+    python3 tools/benchpairs.py --base TREE --pairs 10 --seconds 25 --seeds 31..40 --commands 10
 
 For each workload and pair it runs ``TREE/bench/run.py`` and this tree's
 ``bench/run.py`` as subprocesses, one after the other, the base first in
@@ -31,14 +32,32 @@ It also holds both trees' ``src/graypol`` line counts, per file and in
 total: all lines, and code lines, those that are not blank, not a comment
 and not in a docstring.
 
+With ``--commands N`` it first times the traffic a user makes: N rounds
+of fresh ``python3 -m graypol CMD FILE`` processes, with ``PYTHONPATH``
+set to each tree's ``src``, for the pipeline's four commands
+(``validate``, ``critical-pairs``, ``check-termination`` and
+``report --format json --max-steps 30``) on each of the five shipped
+``presentations/*.gray`` of this tree.  Each command and file runs in
+both trees back to back, the base first in even rounds and the change
+first in odd ones.  Under ``commands`` the record holds the files, every
+round's process times, and per command:
+
+* both trees' median and quartiles over the rounds of a round's mean
+  process time per file, in ms;
+* ``change_faster``: the rounds in which the change's mean is lower;
+* ``base_iqr_share``: the base's interquartile spread over its median.
+
 A run that fails or reports ``correct: false`` fails the record: it is
-listed under ``failures``, and the tool exits 1 after writing it.
+listed under ``failures``, and the tool exits 1 after writing it.  So
+does a command that exits with neither 0 nor 1, or whose output differs
+from that of the same command and file in the other tree or round.
 """
 
 from __future__ import annotations
 
 import argparse
 import ast
+import glob
 import json
 import os
 import platform
@@ -46,9 +65,17 @@ import re
 import statistics
 import subprocess
 import sys
+import time
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 WORKLOADS = ("normalize", "sweep", "pipeline")
+# The pipeline workload's four commands, timed by ``--commands``.
+COMMANDS = (
+    ("validate",),
+    ("critical-pairs",),
+    ("check-termination",),
+    ("report", "--format", "json", "--max-steps", "30"),
+)
 
 
 def parse_run(stdout: str) -> dict:
@@ -119,6 +146,67 @@ def workload_record(pairs, spec) -> dict:
     if not failed:
         entry["metrics"] = summarize(pairs, spec)
     return entry
+
+
+def summarize_commands(rounds) -> dict:
+    """Per command, the comparison of the two trees' mean process time per file.
+
+    ``rounds`` holds ``{"first": side, "base": times, "change": times}``
+    items, ``times`` mapping each command to its per-file times in ms.
+    """
+    out = {}
+    for label in rounds[0]["base"]:
+        base, change = ([statistics.fmean(r[side][label]) for r in rounds] for side in ("base", "change"))
+        bq, cq = quartiles(base), quartiles(change)
+        out[label] = {
+            "unit": "ms",
+            "base": {"median": bq[1], "q1": bq[0], "q3": bq[2]},
+            "change": {"median": cq[1], "q1": cq[0], "q3": cq[2]},
+            "ratio": cq[1] / bq[1],
+            "rounds": len(rounds),
+            "change_faster": sum(c < b for b, c in zip(base, change)),
+            "base_iqr_share": (bq[2] - bq[0]) / bq[1],
+        }
+    return out
+
+
+def time_command(tree: str, argv):
+    """Wall seconds, exit status and stdout of a fresh ``python3 -m graypol ARGV``
+    that imports graypol from ``tree/src``."""
+    env = dict(os.environ, PYTHONPATH=os.path.join(tree, "src"))
+    start = time.perf_counter()
+    done = subprocess.run([sys.executable, "-m", "graypol", *argv], cwd=tree, env=env, capture_output=True, text=True)
+    return time.perf_counter() - start, done.returncode, done.stdout
+
+
+def command_record(trees, rounds: int, files) -> dict:
+    """``rounds`` rounds of every command of ``COMMANDS`` on every file in both
+    trees, with one message per failed or differing run and, when there is
+    none, the summary."""
+    record, failures, answers = [], [], {}
+    for i in range(rounds):
+        order = ("base", "change") if i % 2 == 0 else ("change", "base")
+        entry = {"first": order[0], "base": {}, "change": {}}
+        for command in COMMANDS:
+            label = " ".join(command)
+            for side in order:
+                entry[side][label] = []
+            for path in files:
+                for side in order:
+                    seconds, code, stdout = time_command(trees[side], [command[0], path, *command[1:]])
+                    entry[side][label].append(seconds * 1000)
+                    where = f"round {i} ({side}): {label} {os.path.basename(path)}"
+                    if code not in (0, 1):
+                        failures.append(f"{where}: exit {code}")
+                    elif answers.setdefault((label, path), stdout) != stdout:
+                        failures.append(f"{where}: output differs")
+        record.append(entry)
+        means = {side: statistics.fmean(t for times in entry[side].values() for t in times) for side in order}
+        print(f"commands round {i}: mean ms base {means['base']:.1f} change {means['change']:.1f}", flush=True)
+    out = {"files": [os.path.basename(path) for path in files], "rounds": record, "failures": failures}
+    if not failures:
+        out["metrics"] = summarize_commands(record)
+    return out
 
 
 def tree_sha(tree: str):
@@ -200,10 +288,14 @@ def main(argv=None) -> int:
     parser.add_argument("--seeds", type=seed_range, required=True, help="A..B")
     parser.add_argument("--workload", choices=WORKLOADS, action="append",
                         help="repeat for several; every workload when absent")
+    parser.add_argument("--commands", type=int, default=0, metavar="N",
+                        help="first time N rounds of the four pipeline commands as fresh processes")
     parser.add_argument("--out", help="the record's path; BENCH_<n>.json at the root by default")
     args = parser.parse_args(argv)
     if args.pairs < 1:
         parser.error("--pairs must be at least 1")
+    if args.commands < 0:
+        parser.error("--commands must not be negative")
     base = os.path.abspath(args.base)
     if not os.path.isfile(os.path.join(base, "bench", "run.py")):
         parser.error(f"no bench/run.py under {base}")
@@ -221,6 +313,10 @@ def main(argv=None) -> int:
     trees = {"base": base, "change": ROOT}
     record["lines"] = {side: line_counts(tree) for side, tree in trees.items()}
     broken = []
+    if args.commands:
+        files = sorted(glob.glob(os.path.join(ROOT, "presentations", "*.gray")))
+        record["commands"] = entry = command_record(trees, args.commands, files)
+        broken += [f"commands: {message}" for message in entry["failures"]]
     for workload in args.workload or WORKLOADS:
         pairs = []
         for i in range(args.pairs):
