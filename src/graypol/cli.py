@@ -123,7 +123,7 @@ def _cmd_check_termination(args) -> int:
 
 
 def _cmd_normalize(args) -> int:
-    from .coherence import normalize2
+    from .coherence import DEFAULT_MAX_STEPS, normalize2
 
     pres, interp = _load(args.source)
     if not args.cell:
@@ -135,7 +135,8 @@ def _cmd_normalize(args) -> int:
         cert = certify_termination(pres, None, interp)
     except TerminationRefused:
         cert = None
-    nf, path = normalize2(pres, cell, cert, args.max_steps)
+    # without a certificate normalize2 needs an explicit budget
+    nf, path = normalize2(pres, cell, cert, args.max_steps or DEFAULT_MAX_STEPS)
     rendered = render_cell(pres.sig, nf)
     _emit(
         args,
@@ -260,10 +261,6 @@ def main(argv=None) -> int:
                 args.max_steps = _positive_budget(args.max_steps, "--max-steps")
             elif env:
                 args.max_steps = _positive_budget(env, "GRAYPOL_MAX_STEPS")
-            else:
-                from .coherence import DEFAULT_MAX_STEPS
-
-                args.max_steps = DEFAULT_MAX_STEPS
         return args.func(args)
     except (ParseError, OSError, UsageError) as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -115,6 +115,8 @@ def test_both_trees_are_named_by_the_shas_given(tmp_path, monkeypatch, capsys):
     runs = []
     monkeypatch.setattr(benchpairs, "run_once", lambda tree, workload, seed, seconds: runs.append(
         (tree, workload, seed)) or parse_run(_stdout(**values)))
+    commands = []
+    monkeypatch.setattr(benchpairs, "time_command", lambda tree, argv: commands.append(tree) or (0.1, 0, "answer"))
     out = tmp_path / "BENCH_9.json"
     argv = ["--base", str(base), "--base-sha", "b" * 40, "--change-sha", "c" * 40, "--pairs", "2",
             "--seconds", "1", "--seeds", "5..6", "--workload", "pipeline", "--out", str(out)]
@@ -125,6 +127,11 @@ def test_both_trees_are_named_by_the_shas_given(tmp_path, monkeypatch, capsys):
     assert [p["first"] for p in record["workloads"]["pipeline"]["pairs"]] == ["base", "change"]
     assert runs == [(str(base), "pipeline", 5), (benchpairs.ROOT, "pipeline", 5),
                     (benchpairs.ROOT, "pipeline", 6), (str(base), "pipeline", 6)]
+    # the commands run one round per pair, in both trees, on every shipped file
+    shipped = len(record["commands"]["files"])
+    assert shipped >= 5 and len(record["commands"]["rounds"]) == 2
+    assert commands.count(str(base)) == commands.count(benchpairs.ROOT) == 2 * len(COMMANDS) * shipped
+    assert record["commands"]["failures"] == [] and "metrics" in record["commands"]
     assert "wrote" in capsys.readouterr().out
 
 
@@ -148,6 +155,9 @@ def test_the_record_holds_both_trees_line_counts(tmp_path, monkeypatch):
             path.parent.mkdir(parents=True, exist_ok=True)
             path.write_text(text)
     (trees["change"] / "BENCHMARK.json").write_text(json.dumps({"end_to_end": SPEC}))
+    (trees["change"] / "presentations").mkdir()
+    (trees["change"] / "presentations" / "x.gray").write_text("")
+    monkeypatch.setattr(benchpairs, "time_command", lambda tree, argv: (0.1, 0, "answer"))
     values = {"work_per_s": 100.0, "latency_ms.p90": 2.0, "setup_s": 0.1}
     monkeypatch.setattr(benchpairs, "ROOT", str(trees["change"]))
     monkeypatch.setattr(benchpairs, "run_once", lambda tree, workload, seed, seconds: parse_run(_stdout(**values)))
@@ -194,7 +204,7 @@ def test_command_rounds_alternate_the_trees_and_fail_on_a_bad_exit_or_answer(mon
 
     monkeypatch.setattr(benchpairs, "time_command", canned)
     record = benchpairs.command_record(trees, 2, files)
-    assert record["failures"] == [] and record["files"] == ["a.gray", "b.gray"]
+    assert record["failures"] == record["differs"] == [] and record["files"] == ["a.gray", "b.gray"]
     assert calls[:4] == [("base", "validate", "a.gray"), ("change", "validate", "a.gray"),
                          ("base", "validate", "b.gray"), ("change", "validate", "b.gray")]
     assert calls[16:18] == [("change", "validate", "a.gray"), ("base", "validate", "a.gray")]
@@ -203,10 +213,22 @@ def test_command_rounds_alternate_the_trees_and_fail_on_a_bad_exit_or_answer(mon
     assert (report["base"]["median"], report["change"]["median"]) == pytest.approx((100, 80))
     assert report["change_faster"] == 2
 
-    faults.update({("change", "report", "b.gray"): (2, "answer"), ("base", "critical-pairs", "a.gray"): (0, "other")})
-    record = benchpairs.command_record(trees, 1, files)
+    # an answer that differs between the trees is listed, not a failure
+    faults[("base", "critical-pairs", "a.gray")] = (0, "other")
+    record = benchpairs.command_record(trees, 2, files)
+    assert record["failures"] == [] and record["differs"] == ["critical-pairs a.gray"]
+    assert "metrics" in record
+
+    # a bad exit, or an answer that changes between rounds of one tree, fails the record
+    faults[("change", "report", "b.gray")] = (2, "answer")
+    answers = iter(["first", "second"])
+    monkeypatch.setattr(benchpairs, "time_command", lambda tree, argv: (
+        (0.1, 0, next(answers)) if (tree, argv[0], os.path.basename(argv[1])) == ("/base", "validate", "b.gray")
+        else canned(tree, argv)))
+    record = benchpairs.command_record(trees, 2, files)
     assert record["failures"] == [
-        "round 0 (change): critical-pairs a.gray: output differs",
         "round 0 (change): report --format json --max-steps 30 b.gray: exit 2",
+        "round 1 (base): validate b.gray: output differs from an earlier round",
+        "round 1 (change): report --format json --max-steps 30 b.gray: exit 2",
     ]
     assert "metrics" not in record

@@ -85,6 +85,15 @@ def test_normalize_zigzag(capsys):
     assert "path length: 1" in out
 
 
+def test_normalize_without_a_certificate_runs_under_the_default_budget(capsys, monkeypatch):
+    # frobenius's termination is refused, so the command, not normalize2,
+    # supplies the budget when neither --max-steps nor the env var is given
+    monkeypatch.delenv("GRAYPOL_MAX_STEPS", raising=False)
+    code, out, err = run(capsys, "normalize", "builtin:frobenius", "--cell", "[a|delta|.];[.|mu|a]")
+    assert (code, err) == (0, "")
+    assert "normal form: (0|mu|0);(0|delta|0)" in out and "path length: 1" in out
+
+
 @pytest.mark.parametrize(
     "text, dimension", [("a a", 1), ("0", 1), ("@x", 1), ("id2([.|mu|.])", 3)], ids=["word", "zero", "at", "id2"]
 )

@@ -1,7 +1,7 @@
 """Record alternating benchmark pairs of two trees in a ``BENCH_<n>.json``.
 
+    python3 tools/benchpairs.py --base TREE --pairs 10 --seconds 25 --seeds 31..40
     python3 tools/benchpairs.py --base TREE --pairs 10 --seconds 25 --seeds 31..40 --workload normalize
-    python3 tools/benchpairs.py --base TREE --pairs 10 --seconds 25 --seeds 31..40 --commands 10
 
 For each workload and pair it runs ``TREE/bench/run.py`` and this tree's
 ``bench/run.py`` as subprocesses, one after the other, the base first in
@@ -32,9 +32,9 @@ It also holds both trees' ``src/graypol`` line counts, per file and in
 total: all lines, and code lines, those that are not blank, not a comment
 and not in a docstring.
 
-With ``--commands N`` it first times the traffic a user makes: N rounds
-of fresh ``python3 -m graypol CMD FILE`` processes, with ``PYTHONPATH``
-set to each tree's ``src``, for the pipeline's four commands
+Before the workloads it times the traffic a user makes: ``--pairs``
+rounds of fresh ``python3 -m graypol CMD FILE`` processes, with
+``PYTHONPATH`` set to each tree's ``src``, for the pipeline's four commands
 (``validate``, ``critical-pairs``, ``check-termination`` and
 ``report --format json --max-steps 30``) on each of the five shipped
 ``presentations/*.gray`` of this tree.  Each command and file runs in
@@ -47,10 +47,14 @@ round's process times, and per command:
 * ``change_faster``: the rounds in which the change's mean is lower;
 * ``base_iqr_share``: the base's interquartile spread over its median.
 
+``commands`` also lists under ``differs`` each command and file whose
+output differs between the trees; whether a change may change answers is
+for ``tools/differential.py`` to check.
+
 A run that fails or reports ``correct: false`` fails the record: it is
 listed under ``failures``, and the tool exits 1 after writing it.  So
 does a command that exits with neither 0 nor 1, or whose output differs
-from that of the same command and file in the other tree or round.
+from that of the same command, file and tree in an earlier round.
 """
 
 from __future__ import annotations
@@ -69,7 +73,7 @@ import time
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 WORKLOADS = ("normalize", "sweep", "pipeline")
-# The pipeline workload's four commands, timed by ``--commands``.
+# The pipeline workload's four commands, timed as fresh processes.
 COMMANDS = (
     ("validate",),
     ("critical-pairs",),
@@ -181,8 +185,9 @@ def time_command(tree: str, argv):
 
 def command_record(trees, rounds: int, files) -> dict:
     """``rounds`` rounds of every command of ``COMMANDS`` on every file in both
-    trees, with one message per failed or differing run and, when there is
-    none, the summary."""
+    trees, with one message per failed run or answer that changed between
+    rounds, the commands whose answers differ between the trees and, when
+    nothing failed, the summary."""
     record, failures, answers = [], [], {}
     for i in range(rounds):
         order = ("base", "change") if i % 2 == 0 else ("change", "base")
@@ -198,12 +203,18 @@ def command_record(trees, rounds: int, files) -> dict:
                     where = f"round {i} ({side}): {label} {os.path.basename(path)}"
                     if code not in (0, 1):
                         failures.append(f"{where}: exit {code}")
-                    elif answers.setdefault((label, path), stdout) != stdout:
-                        failures.append(f"{where}: output differs")
+                    elif answers.setdefault((side, label, path), stdout) != stdout:
+                        failures.append(f"{where}: output differs from an earlier round")
         record.append(entry)
         means = {side: statistics.fmean(t for times in entry[side].values() for t in times) for side in order}
         print(f"commands round {i}: mean ms base {means['base']:.1f} change {means['change']:.1f}", flush=True)
-    out = {"files": [os.path.basename(path) for path in files], "rounds": record, "failures": failures}
+    differs = [
+        f"{label} {os.path.basename(path)}"
+        for (side, label, path), stdout in answers.items()
+        if side == "base" and answers.get(("change", label, path)) != stdout
+    ]
+    out = {"files": [os.path.basename(path) for path in files], "rounds": record, "differs": differs,
+           "failures": failures}
     if not failures:
         out["metrics"] = summarize_commands(record)
     return out
@@ -288,14 +299,10 @@ def main(argv=None) -> int:
     parser.add_argument("--seeds", type=seed_range, required=True, help="A..B")
     parser.add_argument("--workload", choices=WORKLOADS, action="append",
                         help="repeat for several; every workload when absent")
-    parser.add_argument("--commands", type=int, default=0, metavar="N",
-                        help="first time N rounds of the four pipeline commands as fresh processes")
     parser.add_argument("--out", help="the record's path; BENCH_<n>.json at the root by default")
     args = parser.parse_args(argv)
     if args.pairs < 1:
         parser.error("--pairs must be at least 1")
-    if args.commands < 0:
-        parser.error("--commands must not be negative")
     base = os.path.abspath(args.base)
     if not os.path.isfile(os.path.join(base, "bench", "run.py")):
         parser.error(f"no bench/run.py under {base}")
@@ -312,11 +319,9 @@ def main(argv=None) -> int:
     }
     trees = {"base": base, "change": ROOT}
     record["lines"] = {side: line_counts(tree) for side, tree in trees.items()}
-    broken = []
-    if args.commands:
-        files = sorted(glob.glob(os.path.join(ROOT, "presentations", "*.gray")))
-        record["commands"] = entry = command_record(trees, args.commands, files)
-        broken += [f"commands: {message}" for message in entry["failures"]]
+    files = sorted(glob.glob(os.path.join(ROOT, "presentations", "*.gray")))
+    record["commands"] = entry = command_record(trees, args.pairs, files)
+    broken = [f"commands: {message}" for message in entry["failures"]]
     for workload in args.workload or WORKLOADS:
         pairs = []
         for i in range(args.pairs):
